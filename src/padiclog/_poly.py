@@ -28,6 +28,17 @@ def pascal_rows(n, modulus):
     return rows
 
 
+def _vp(n, p, cap):
+    """p-adic valuation of the integer n, capped at cap (returns cap for 0)."""
+    if n == 0:
+        return cap
+    v = 0
+    while v < cap and n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def vec_add(xs, ys, m):
     n = max(len(xs), len(ys))
     out = [0] * n

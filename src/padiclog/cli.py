@@ -2,7 +2,9 @@
 
 Every subcommand prints one canonical JSON document on standard output (or
 to --out); output is byte-identical for identical arguments and seed.  Exit
-codes: 0 success, 1 failed check, 2 usage error.
+codes: 0 success, 1 failed check, 2 usage or domain error (bad input, or an
+input outside what the library can compute, e.g. an unbounded pair given to
+`split`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 from padiclog import checks
 from padiclog.iwadist import CharPoint, eval_at, halflog
 from padiclog.logmat import CrystalParams, log_matrix_ap0, qinv_times
-from padiclog.padic import PrimeCtx
+from padiclog.padic import PadicError, PrimeCtx
 from padiclog.qexp import (ImagQuadCtx, deplete, eisenstein_depleted,
                            theta_series)
 from padiclog.regdiv import MSeries, SpecFamily, chevalley_check
@@ -30,6 +32,11 @@ def _emit(obj, args):
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _load(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def cmd_halflog(args):
@@ -54,7 +61,7 @@ def cmd_logmatrix(args):
 
 
 def cmd_split(args):
-    spec = json.load(open(args.input))
+    spec = _load(args.input)
     pr = CrystalParams.ap_zero(spec["p"], spec.get("prec", 12), spec["k"],
                                spec.get("eps", 1))
     n = spec["level"]
@@ -69,7 +76,7 @@ def cmd_split(args):
 
 
 def cmd_antisym(args):
-    spec = json.load(open(args.input))
+    spec = _load(args.input)
     pr = CrystalParams.ap_zero(spec["p"], spec.get("prec", 12), spec["k"],
                                spec.get("eps", 1))
     qm = qinv_times(pr, log_matrix_ap0(pr, spec["level"]))
@@ -80,7 +87,7 @@ def cmd_antisym(args):
 
 
 def cmd_regdiv(args):
-    spec = json.load(open(args.input))
+    spec = _load(args.input)
     ctx = PrimeCtx(spec["p"], spec.get("prec", 12))
     f = MSeries.from_json(spec["F"], ctx)
     g = MSeries.from_json(spec["G"], ctx)
@@ -93,7 +100,7 @@ def cmd_regdiv(args):
 
 
 def cmd_galimg(args):
-    spec = json.load(open(args.input))
+    spec = _load(args.input)
     p = spec["p"]
     if "pairs" in spec:
         pairs = [(tuple(map(tuple, a)), tuple(map(tuple, b)))
@@ -135,7 +142,7 @@ def cmd_eis(args):
 
 
 def cmd_deplete(args):
-    spec = json.load(open(args.input))
+    spec = _load(args.input)
     from padiclog.qexp import QExpansion
     f = QExpansion(spec["ring"], spec["nmax"], spec["coeffs"])
     _emit(deplete(f, args.p).to_json(), args)
@@ -143,7 +150,7 @@ def cmd_deplete(args):
 
 
 def cmd_eval(args):
-    spec = json.load(open(args.input))
+    spec = _load(args.input)
     ctx = PrimeCtx(spec["p"], spec["prec"])
     f = iwadist.from_json(spec["series"], ctx)
     pt = CharPoint(spec["point"]["t"], spec["point"]["j"])
@@ -244,7 +251,7 @@ def main(argv=None):
         prepare(args)
     try:
         return args.func(args)
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError, PadicError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -10,14 +10,14 @@ the truncation, via the exact unipotent (1+pi)-basis change.
 from __future__ import annotations
 
 from padiclog import _poly
-from padiclog.padic import PadicElt, PrecisionLoss
+from padiclog.padic import PadicElt, PadicError, PrecisionLoss
 
 
 class InsufficientDegree(PrecisionLoss):
     pass
 
 
-class NotInImage(Exception):
+class NotInImage(PadicError):
     pass
 
 

@@ -10,15 +10,17 @@ of t - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from padiclog.padic import is_qr
+from padiclog.linsolve import solve_mod_ppow
+from padiclog.padic import PadicError, is_qr
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(PadicError):
     pass
 
 
-class InconsistentCharacter(Exception):
+class InconsistentCharacter(PadicError):
     pass
 
 
@@ -149,29 +151,12 @@ class MatGroupGen:
 DEFAULT_BUDGET = 10 ** 7
 
 
-def closure(group, budget=DEFAULT_BUDGET):
-    """Breadth-first product closure; returns the full element list."""
-    field = group.field
-    n = group.dim
-    ident = mat_identity(field, n)
-    seen = {ident}
-    queue = [ident]
-    i = 0
-    while i < len(queue):
-        x = queue[i]
-        i += 1
-        for g in group.gens:
-            y = mat_mul(field, x, g)
-            if y not in seen:
-                if len(seen) >= budget:
-                    raise BudgetExceeded("closure exceeds budget %d" % budget)
-                seen.add(y)
-                queue.append(y)
-    return queue
+def _bfs_closure(ident, gens, mul, budget):
+    """Breadth-first closure of ident under right multiplication by gens.
 
-
-def closure_of_elements(field, n, gens, budget=DEFAULT_BUDGET):
-    ident = mat_identity(field, n)
+    Returns the elements in discovery order; BudgetExceeded once more than
+    budget elements would be needed.
+    """
     seen = {ident}
     queue = [ident]
     i = 0
@@ -179,13 +164,20 @@ def closure_of_elements(field, n, gens, budget=DEFAULT_BUDGET):
         x = queue[i]
         i += 1
         for g in gens:
-            y = mat_mul(field, x, g)
+            y = mul(x, g)
             if y not in seen:
                 if len(seen) >= budget:
                     raise BudgetExceeded("closure exceeds budget %d" % budget)
                 seen.add(y)
                 queue.append(y)
     return queue
+
+
+def closure(group, budget=DEFAULT_BUDGET):
+    """Breadth-first product closure; returns the full element list."""
+    field = group.field
+    return _bfs_closure(mat_identity(field, group.dim), group.gens,
+                        partial(mat_mul, field), budget)
 
 
 def is_solvable(field, n, elements, budget=DEFAULT_BUDGET):
@@ -210,7 +202,8 @@ def is_solvable(field, n, elements, budget=DEFAULT_BUDGET):
                 yi = inv_of(y)
                 c = mat_mul(field, mat_mul(field, x, y), mat_mul(field, xi, yi))
                 comms.add(c)
-        derived = closure_of_elements(field, n, list(comms), budget)
+        derived = _bfs_closure(mat_identity(field, n), list(comms),
+                               partial(mat_mul, field), budget)
         if len(derived) == len(current):
             return False
         current = derived
@@ -252,30 +245,20 @@ def goursat_product_check(p, gen_pairs, ext_d=None, budget=DEFAULT_BUDGET):
     field = GF(p, ext_d)
     dim = len(gen_pairs[0][0])
     ident = mat_identity(field, dim)
-    seen = {(ident, ident)}
-    queue = [(ident, ident)]
     gens = [(normalize_mat(field, a), normalize_mat(field, b))
             for a, b in gen_pairs]
-    i = 0
-    while i < len(queue):
-        x = queue[i]
-        i += 1
-        for g in gens:
-            y = (mat_mul(field, x[0], g[0]), mat_mul(field, x[1], g[1]))
-            if y not in seen:
-                if len(seen) >= budget:
-                    raise BudgetExceeded("pair closure exceeds budget")
-                seen.add(y)
-                queue.append(y)
-    pr1 = closure_of_elements(field, dim, [g[0] for g in gens], budget)
-    pr2 = closure_of_elements(field, dim, [g[1] for g in gens], budget)
+    mul = partial(mat_mul, field)
+    pairs = _bfs_closure((ident, ident), gens,
+                         lambda x, g: (mul(x[0], g[0]), mul(x[1], g[1])), budget)
+    pr1 = _bfs_closure(ident, [g[0] for g in gens], mul, budget)
+    pr2 = _bfs_closure(ident, [g[1] for g in gens], mul, budget)
     q = field.order
     sl2_order = q * (q * q - 1)
     pr1_sl2 = (len(pr1) == sl2_order and
                all(mat_det(field, m) == field.one() for m in pr1))
     return GoursatVerdict(
-        full_product=(len(seen) == len(pr1) * len(pr2)),
-        order_h=len(seen),
+        full_product=(len(pairs) == len(pr1) * len(pr2)),
+        order_h=len(pairs),
         order_pr1=len(pr1),
         order_pr2=len(pr2),
         pr2_solvable=is_solvable(field, dim, pr2, budget),
@@ -348,14 +331,6 @@ def kron(a, b, p):
     return tuple(tuple(row) for row in out)
 
 
-def _poly_mul_mod(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
 def min_poly(mat, p):
     """Minimal polynomial of a matrix over F_p, as a coefficient list."""
     n = len(mat)
@@ -378,51 +353,14 @@ def _dependency(vecs, p):
     """Monic dependency of the last vector on the earlier ones, or None."""
     k = len(vecs) - 1
     rows = [[vecs[j][i] for j in range(k)] for i in range(len(vecs[0]))]
-    rhs = [(-vecs[k][i]) % p for i in range(len(vecs[0]))]
-    # Gaussian elimination over F_p
-    ncols = k
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] % p), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [(v * inv) % p for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(aug[i][j] - f * aug[r][j]) % p for j in range(ncols + 1)]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][ncols] % p:
-            return None
-    sol = [0] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][ncols] % p
-    return sol + [1]
+    sol = solve_mod_ppow(rows, [-x for x in vecs[k]], p, 1)
+    return None if sol is None else sol[0] + [1]
 
 
 def mat_rank(mat, p):
-    rows = [list(r) for r in mat]
-    n = len(rows)
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, n) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for i in range(n):
-            if i != rank and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(rows[i][j] - f * rows[rank][j]) % p for j in range(n)]
-        rank += 1
-    return rank
+    n = len(mat)
+    _x, kernel, _loss = solve_mod_ppow([list(r) for r in mat], [0] * n, p, 1)
+    return n - len(kernel)
 
 
 def _target_minpoly(p):

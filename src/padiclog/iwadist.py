@@ -10,6 +10,11 @@ is replaced by the coefficient-valuation proxy checked by `growth_check`.
 Twisting is done in the (1+X)-power basis, where X -> u^j(1+X) - 1 acts
 diagonally; the omega/Phi families, Pollack half-logarithms and their twisted
 products are exact finite products of such polynomials.
+
+Division and valuation run on the stored int vectors through `_poly`: an
+extension-valued series is divided once on its base part and once on its
+w-part, and every divisor is base-valued.  Precisions follow coefficientwise
+fixed-point arithmetic (see `_divmod_top`).
 """
 
 from __future__ import annotations
@@ -19,20 +24,21 @@ from typing import NamedTuple
 
 from padiclog import _poly, linsolve
 from padiclog.cycser import InsufficientDegree
-from padiclog.padic import PadicElt, PrecisionLoss, PrimeCtx
+from padiclog._poly import _vp
+from padiclog.padic import NonUnit, PadicElt, PadicError, PrecisionLoss, PrimeCtx
 
 INF = float("inf")
 
 
-class NotDivisible(Exception):
+class NotDivisible(PadicError):
     pass
 
 
-class NoUnitWitness(Exception):
+class NoUnitWitness(PadicError):
     pass
 
 
-class ExtensionTooLarge(Exception):
+class ExtensionTooLarge(PadicError):
     pass
 
 
@@ -82,24 +88,6 @@ class IwaSeries:
     def gen(cls, ctx, deg_cap, prec=None):
         return cls(ctx, [0, 1] + [0] * (deg_cap - 2), None, prec, deg_cap)
 
-    @classmethod
-    def from_coeffs(cls, ctx, coeffs, deg_cap=None, prec=None, denom_exp=0,
-                    growth=Fraction(0)):
-        """Build from a list of ints or PadicElts."""
-        if deg_cap is None:
-            deg_cap = len(coeffs)
-        a, b = [], []
-        pmin = prec if prec is not None else ctx.prec
-        for c in coeffs:
-            if isinstance(c, PadicElt):
-                pmin = min(pmin, c.prec)
-                a.append(c.a)
-                b.append(c.b)
-            else:
-                a.append(c)
-                b.append(0)
-        return cls(ctx, a, b, pmin, deg_cap, denom_exp, growth)
-
     def modulus(self):
         return self.ctx.p ** self.prec
 
@@ -133,16 +121,27 @@ class IwaSeries:
                          [c * pk for c in self.b] if self.b else None,
                          prec, self.deg_cap, self.denom_exp + extra, self.growth)
 
+    def coeff_prec(self):
+        """Precision of a single stored coefficient (capped by the context)."""
+        return max(0, min(self.prec, self.ctx.prec))
+
+    def valuations(self):
+        """Valuation of each stored coefficient, INF where it is zero at precision.
+
+        v(p) = 1; in a ramified extension the w-part adds 1/2.
+        """
+        p, prec = self.ctx.p, self.coeff_prec()
+        m = p ** prec
+        half = Fraction(1, 2) if self.ctx.ramified() else 0
+        out = [Fraction(_vp(c % m, p, prec)) if c % m else INF for c in self.a]
+        if self.b:
+            out = [min(va, Fraction(_vp(c % m, p, prec)) + half if c % m else INF)
+                   for va, c in zip(out, self.b)]
+        return out
+
     def min_val(self):
         """Minimal valuation of the stored coefficients (INF for the zero series)."""
-        best = INF
-        for i in range(self.deg_cap):
-            v = self.coeff(i).val()
-            if v < best:
-                best = v
-                if best == 0:
-                    break
-        return best
+        return min(self.valuations(), default=INF)
 
     def normalize(self):
         """Strip provable common p-content from the stored coefficients."""
@@ -426,11 +425,10 @@ def growth_check(f, r=None, c=0):
     p = f.ctx.p
     bound_exp = 0
     reach = 1
-    for i in range(f.deg_cap):
+    for i, v in enumerate(f.valuations()):
         if i + 1 > reach:
             bound_exp += 1
             reach *= p
-        v = f.coeff(i).val()
         if v is INF:
             continue
         if v - f.denom_exp < -r * bound_exp - c:
@@ -569,29 +567,55 @@ def eval_at(f, pt):
 # -- division and unit comparison ----------------------------------------------
 
 
-def _coeff_list(f):
-    return [f.coeff(i) for i in range(f.deg_cap)]
+def _divmod_top(f, g):
+    """(q, r) with f = q*g + r, by long division of the int vectors from the top.
+
+    g must be base-valued with a unit leading coefficient; the base part and
+    the w-part of f are divided separately.  Precisions follow coefficientwise
+    fixed-point arithmetic: a coefficient drops from f's precision to
+    min(f.prec, g.prec) once a division step touches it, and a step runs
+    exactly when the top coefficient is nonzero at its current precision.
+    A window with no stored coefficients keeps the context precision.
+    """
+    ctx, p = f.ctx, f.ctx.p
+    if g.has_ext():
+        raise NotDivisible("divisor must be base-valued")
+    dg = g.degree()
+    if dg < 0:
+        raise ZeroDivisionError("reduction modulo zero")
+    fp, gp = f.coeff_prec(), g.coeff_prec()
+    if gp == 0 or g.a[dg] % p == 0:
+        raise NonUnit("leading coefficient is not a unit")
+    pm = min(fp, gp)
+    n = f.deg_cap
+    (qa, ra), (qb, rb) = [_poly.poly_divmod_top(v, g.a[:dg + 1], p ** pm, p, pm)
+                          if v is not None else (None, None) for v in (f.a, f.b)]
+    # Replay which steps the fixed-point division runs.  Step i touches the
+    # coefficients i-dg..i.  The division mod p^pm above skips a step whose
+    # top coefficient is nonzero only beyond p^pm, which can happen only
+    # while that coefficient is untouched and still at f's precision.
+    fm = p ** fp
+    last = None  # lowest step run; steps run from the top down
+    for i in range(n - 1, dg - 1, -1):
+        if (qa[i - dg] or (qb and qb[i - dg])
+                or ((last is None or last > i + dg)
+                    and (f.a[i] % fm or (f.b and f.b[i] % fm)))):
+            last = i
+    low = last is not None and last < 2 * dg
+    if not low:
+        ra, rb = f.a, f.b
+    quot = IwaSeries(ctx, qa, qb, pm if last is not None else
+                     (fp if n > dg else ctx.prec), n)
+    rprec = pm if low else (fp if min(n, dg) else ctx.prec)
+    # reduce first: a w-part that vanishes at rprec is dropped, not stored
+    rb = [c % p ** rprec for c in rb[:dg]] if rb else None
+    rem = IwaSeries(ctx, ra[:dg], rb, rprec, dg, f.denom_exp, f.growth)
+    return quot, rem
 
 
 def poly_reduce(f, g):
     """Remainder of f modulo the polynomial g (unit leading coefficient)."""
-    dg = g.degree()
-    if dg < 0:
-        raise ZeroDivisionError("reduction modulo zero")
-    lead = g.coeff(dg)
-    linv = lead.inv()
-    fs = _coeff_list(f)
-    gs = _coeff_list(g)
-    for i in range(len(fs) - 1, dg - 1, -1):
-        c = fs[i]
-        if c.is_zero():
-            continue
-        q = c * linv
-        for k in range(dg + 1):
-            fs[i - dg + k] = fs[i - dg + k] - q * gs[k]
-    out = IwaSeries.from_coeffs(f.ctx, fs[:dg], dg, denom_exp=f.denom_exp,
-                                growth=f.growth)
-    return out
+    return _divmod_top(f, g)[1]
 
 
 def divide_exact(f, g, mode=None):
@@ -599,71 +623,46 @@ def divide_exact(f, g, mode=None):
 
     Polynomial inputs (top coefficient visible and unit) are divided from the
     top; otherwise a unit low-order pivot allows bottom-up power-series
-    division.
+    division.  The divisor must be base-valued.
     """
     if g.is_zero():
         raise NotDivisible("division by zero at precision")
+    if g.has_ext():
+        raise NotDivisible("divisor must be base-valued")
     dnum = f.denom_exp - g.denom_exp
     x = f.rescale(-dnum) if dnum < 0 else f
     denom_out = max(dnum, 0)
+    growth = max(Fraction(0), f.growth - g.growth)
     dg = g.degree()
     lead_unit = g.coeff(dg).is_unit()
     cap = min(x.deg_cap, g.deg_cap)
     if mode is None:
         mode = "poly" if (lead_unit and x.degree() + 1 < cap) else "series"
     if mode == "poly" and lead_unit:
-        q, r = _poly_divmod(x, g)
+        q, r = _divmod_top(x, g)
         if not r.is_zero():
             raise NotDivisible("nonzero remainder at precision")
         q.denom_exp = denom_out
-        q.growth = max(Fraction(0), f.growth - g.growth)
+        q.growth = growth
         return q
-    # series mode: find the lowest unit pivot
-    ordg = None
-    for i in range(g.deg_cap):
-        if g.coeff(i).is_unit():
-            ordg = i
-            break
-        if not g.coeff(i).is_zero():
-            raise NotDivisible("low-order pivot is not a unit at precision")
+    # series mode: the lowest nonzero coefficient of g must be a unit
+    p, xp, gp = x.ctx.p, x.coeff_prec(), g.coeff_prec()
+    ordg = next((i for i, c in enumerate(g.a) if c % p ** gp), None)
     if ordg is None:
         raise NotDivisible("no unit pivot available")
-    for i in range(ordg):
-        if not x.coeff(i).is_zero():
-            raise NotDivisible("X-order of numerator is smaller than divisor")
-    piv = g.coeff(ordg).inv()
+    if g.a[ordg] % p == 0:
+        raise NotDivisible("low-order pivot is not a unit at precision")
+    if any(c % p ** xp for v in (x.a, x.b or ()) for c in v[:ordg]):
+        raise NotDivisible("X-order of numerator is smaller than divisor")
     n = cap - ordg
-    fs = [x.coeff(i + ordg) for i in range(min(n, x.deg_cap - ordg))]
-    gs = [g.coeff(i + ordg) for i in range(min(n, g.deg_cap - ordg))]
-    out = []
-    for i in range(n):
-        acc = fs[i] if i < len(fs) else PadicElt(x.ctx, 0, 0, x.prec)
-        for j in range(1, min(i, len(gs) - 1) + 1):
-            acc = acc - gs[j] * out[i - j]
-        out.append(acc * piv)
-    h = IwaSeries.from_coeffs(x.ctx, out, n, denom_exp=denom_out,
-                              growth=max(Fraction(0), f.growth - g.growth))
-    return h
+    pm = min(xp, gp)
 
+    def solve(v):
+        return (_poly.series_div_unit(v[ordg:], g.a[ordg:], p ** pm, n)
+                if n > 0 else [])
 
-def _poly_divmod(f, g):
-    dg = g.degree()
-    lead = g.coeff(dg)
-    linv = lead.inv()
-    fs = _coeff_list(f)
-    gs = _coeff_list(g)
-    q = [PadicElt(f.ctx, 0, 0, f.prec)] * max(len(fs) - dg, 0)
-    for i in range(len(fs) - 1, dg - 1, -1):
-        c = fs[i]
-        if c.is_zero():
-            continue
-        qc = c * linv
-        q[i - dg] = qc
-        for k in range(dg + 1):
-            fs[i - dg + k] = fs[i - dg + k] - qc * gs[k]
-    quot = IwaSeries.from_coeffs(f.ctx, q, f.deg_cap)
-    rem = IwaSeries.from_coeffs(f.ctx, fs[:dg] if dg else [], max(dg, 1))
-    return quot, rem
+    return IwaSeries(x.ctx, solve(x.a), solve(x.b) if x.b else None,
+                     pm if n > 0 else x.ctx.prec, n, denom_out, growth)
 
 
 def is_unit(f):
@@ -695,16 +694,13 @@ def solve_series_div(y, g, out_len=None):
     growth = max(Fraction(0), y.growth - g.growth)
     # fast path: exact polynomial division when the leading coefficient is a
     # unit and the remainder vanishes (covers images of polynomial inputs)
-    if g.coeff(dg).is_unit() and y.degree() + 1 < cap:
-        try:
-            quot, rem = _poly_divmod(IwaSeries(ctx, y.a, y.b, prec, cap),
-                                     IwaSeries(ctx, g.a, g.b, prec, g.deg_cap))
-            if rem.is_zero():
-                quot.denom_exp = max(dshift, 0)
-                quot.growth = growth
-                return quot.times_p(-dshift) if dshift < 0 else quot
-        except Exception:
-            pass
+    if prec > 0 and g.a[dg] % ctx.p and y.degree() + 1 < cap:
+        quot, rem = _divmod_top(IwaSeries(ctx, y.a, y.b, prec, cap),
+                                IwaSeries(ctx, g.a, None, prec, g.deg_cap))
+        if rem.is_zero():
+            quot.denom_exp = max(dshift, 0)
+            quot.growth = growth
+            return quot.times_p(-dshift) if dshift < 0 else quot
     dy = y.degree()
     widths = [out_len]
     if 0 <= dy < cap - 1 and dy - dg + 1 < out_len:
@@ -738,16 +734,6 @@ def solve_series_div(y, g, out_len=None):
             q = q.times_p(-dshift)
         return q
     raise last_exc
-
-
-def _vp_int(n, p, cap):
-    if n == 0:
-        return cap
-    v = 0
-    while v < cap and n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def equal_up_to_unit_mod(f, g, n, m_twists=1, prec=None, extra_ideals=()):

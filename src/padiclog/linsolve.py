@@ -8,15 +8,7 @@ force a unit constant term).
 
 from __future__ import annotations
 
-
-def _vp(n, p, cap):
-    if n == 0:
-        return cap
-    v = 0
-    while v < cap and n % p == 0:
-        n //= p
-        v += 1
-    return v
+from padiclog._poly import _vp
 
 
 def solve_mod_ppow(rows, rhs, p, npow):

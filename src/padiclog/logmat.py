@@ -22,14 +22,15 @@ from padiclog import _poly
 from padiclog.cycser import (InsufficientDegree, PiSeries, frobenius,
                              mellin_inverse, q_series)
 from padiclog.iwadist import IwaSeries, delta, divide_exact, log_tw, twist
-from padiclog.padic import PadicElt, PrimeCtx, inv_scaled, is_qr, sqrt, teichmuller
+from padiclog.padic import (PadicElt, PadicError, PrimeCtx, inv_scaled, is_qr,
+                            sqrt, teichmuller)
 
 
-class WrongMode(Exception):
+class WrongMode(PadicError):
     pass
 
 
-class DegenerateEigenvalues(Exception):
+class DegenerateEigenvalues(PadicError):
     pass
 
 

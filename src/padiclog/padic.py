@@ -15,6 +15,8 @@ from fractions import Fraction
 from sympy import isprime
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
+from padiclog._poly import _vp
+
 INF = math.inf
 
 UNRAMIFIED = "unramified"
@@ -111,17 +113,6 @@ def is_qr(a, p):
     if a == 0:
         return True
     return pow(a, (p - 1) // 2, p) == 1
-
-
-def _vp(n, p, cap):
-    """p-adic valuation of the integer n, capped at cap (returns cap for 0)."""
-    if n == 0:
-        return cap
-    v = 0
-    while v < cap and n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 class PadicElt:

@@ -18,14 +18,16 @@ from dataclasses import dataclass
 from sympy import isprime, jacobi_symbol
 from sympy.polys.specialpolys import cyclotomic_poly
 
+from padiclog.padic import PadicError
+
 CLASS_NUMBER_ONE = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
 
-class UnitInconsistent(Exception):
+class UnitInconsistent(PadicError):
     pass
 
 
-class BadPrime(Exception):
+class BadPrime(PadicError):
     pass
 
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from padiclog.iwadist import (CharPoint, IwaSeries, NotDivisible, eval_at,
                               phi_tw, poly_reduce, solve_series_div)
+from padiclog.padic import PadicError
 
-class NoBoundedSolution(Exception):
+
+class NoBoundedSolution(PadicError):
     pass
 
 

@@ -139,3 +139,27 @@ def test_eval_command(tmp_path, capsys):
     code, out = run_cli(capsys, "eval", str(path))
     assert code == 0
     assert out["is_zero"] is False
+
+
+def test_unbounded_split_exits_2(tmp_path, capsys):
+    from padiclog.iwadist import IwaSeries
+    from padiclog.padic import PrimeCtx
+    ctx = PrimeCtx(3, 10)
+    spec = {"p": 3, "prec": 10, "k": 0, "level": 2,
+            "alpha": IwaSeries.const(ctx, 1, 4).to_json(),
+            "beta": IwaSeries.zero(ctx, 4).to_json(), "denom_exp": 0}
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(spec))
+    code = main(["split", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_logmatrix_level_beyond_budget_exits_2(capsys):
+    code = main(["logmatrix", "--p", "3", "--k", "0", "--level", "9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "level 9" in captured.err
