@@ -2,21 +2,20 @@
 
 Coefficient vectors are plain int lists reduced modulo a power of p; the
 series classes in cycser/iwadist wrap these with context and precision
-bookkeeping.  The (1+X)-power basis transforms are exact unipotent integer
-maps, which is what makes the finite-level Mellin transform invertible.
+bookkeeping.  Multiplication is one Kronecker product: both vectors are
+packed into one int each and multiplied once.  Every substitution
+f(g(X)) mod (m, X^cap) -- the (1+X)-power basis changes, Frobenius, the
+Gamma-action, twists and the Mellin transform -- goes through the one
+kernel `compose`, built on that multiply; nothing is cached.  The
+(1+X)-power basis transforms are exact unipotent integer maps, which is
+what makes the finite-level Mellin transform invertible.
 """
 
 from __future__ import annotations
 
-_PASCAL_CACHE = {}
-
 
 def pascal_rows(n, modulus):
     """Rows 0..n-1 of Pascal's triangle reduced mod modulus."""
-    key = (n, modulus)
-    rows = _PASCAL_CACHE.get(key)
-    if rows is not None:
-        return rows
     rows = [[1]]
     for i in range(1, n):
         prev = rows[-1]
@@ -24,7 +23,6 @@ def pascal_rows(n, modulus):
         for j in range(1, i):
             row[j] = (prev[j - 1] + prev[j]) % modulus
         rows.append(row)
-    _PASCAL_CACHE[key] = rows
     return rows
 
 
@@ -58,19 +56,28 @@ def vec_scale(xs, c, m):
 
 
 def vec_mul(xs, ys, m, cap):
-    """Convolution truncated to degree < cap."""
-    out = [0] * min(cap, len(xs) + len(ys) - 1 if xs and ys else 0)
-    if not out:
+    """Convolution mod m truncated to degree < cap, by Kronecker substitution.
+
+    The reduced inputs are packed into one int each at a slot of
+    2 bits(m) + bits(min length) bits, which no product coefficient can
+    overflow; one bigint multiply then gives every coefficient at once.
+    """
+    n = min(cap, len(xs) + len(ys) - 1 if xs and ys else 0)
+    if n <= 0:
         return []
-    for i, x in enumerate(xs):
-        if x == 0 or i >= cap:
-            continue
-        jmax = min(len(ys), cap - i)
-        for j in range(jmax):
-            y = ys[j]
-            if y:
-                out[i + j] = (out[i + j] + x * y) % m
-    return out
+    xs = vec_trim([x % m for x in xs[:n]])
+    ys = vec_trim([y % m for y in ys[:n]])
+    if not xs or not ys:
+        return [0] * n
+    k = (2 * m.bit_length() + min(len(xs), len(ys)).bit_length() + 7) // 8
+    a = int.from_bytes(b"".join([x.to_bytes(k, "little") for x in xs]), "little")
+    b = a if xs == ys else \
+        int.from_bytes(b"".join([y.to_bytes(k, "little") for y in ys]), "little")
+    r = len(xs) + len(ys) - 1
+    buf = (a * b).to_bytes(k * r, "little")
+    unpack = int.from_bytes
+    out = [unpack(buf[i:i + k], "little") % m for i in range(0, k * min(n, r), k)]
+    return out + [0] * (n - r)
 
 
 def vec_trim(xs):
@@ -80,40 +87,54 @@ def vec_trim(xs):
     return xs[:n]
 
 
+def compose(f, g, m, cap):
+    """f(g(X)) mod (m, X^cap): the one substitution kernel.
+
+    Runs bottom-up over halves of f.  The level-k blocks are
+    sum_{i < 2^k} f[t 2^k + i] g^i, held in one flat list at a common
+    width w, and each pair (lo, hi) merges into lo + g^(2^k) hi.  The hi
+    blocks of a level are laid out at a stride wide enough that their
+    products with g^(2^k) cannot overlap, so a level costs one vec_mul.
+    """
+    cur = vec_trim([c % m for c in f])
+    w = 1
+    gk = vec_trim([c % m for c in g[:cap]])
+    while len(cur) > w:
+        if not gk:
+            # g^(2^k) = 0 mod X^cap: every block but the first vanishes
+            cur = cur[:w]
+            break
+        cur += [0] * (-len(cur) % (2 * w))
+        stride = w + len(gk) - 1
+        pad = [0] * (stride - w)
+        lo, hi = [], []
+        for t in range(0, len(cur), 2 * w):
+            lo += cur[t:t + w]
+            lo += pad
+            hi += cur[t + w:t + 2 * w]
+            hi += pad
+        cur = [(x + y) % m for x, y in zip(vec_mul(hi, gk, m, len(hi)), lo)]
+        w = stride
+        if w > cap:
+            cur = [c for t in range(0, len(cur), w) for c in cur[t:t + cap]]
+            w = cap
+        if len(cur) > w:
+            gk = vec_trim(vec_mul(gk, gk, m, cap))
+    cur = cur[:cap]
+    return cur + [0] * (cap - len(cur))
+
+
 def to_onepx_basis(coeffs, m, n=None):
     """Coefficients over {X^i} -> coefficients over {(1+X)^j}.
 
-    X^i = sum_j C(i,j) (-1)^(i-j) (1+X)^j, an exact unipotent change of basis.
+    f(Y - 1) expanded in Y = 1+X, an exact unipotent change of basis.
     """
-    if n is None:
-        n = len(coeffs)
-    rows = pascal_rows(max(n, len(coeffs)), m)
-    out = [0] * n
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        row = rows[i]
-        j0 = min(i, n - 1)
-        sign = 1 if (i - j0) % 2 == 0 else -1
-        for j in range(j0, -1, -1):
-            out[j] = (out[j] + sign * row[j] * c) % m
-            sign = -sign
-    return out
+    return compose(coeffs, [-1, 1], m, len(coeffs) if n is None else n)
 
 
 def from_onepx_basis(bs, m, n=None):
     """Inverse of to_onepx_basis: (1+X)^j = sum_i C(j,i) X^i."""
-    if n is None:
-        n = len(bs)
-    rows = pascal_rows(max(n, len(bs)), m)
-    out = [0] * n
-    for j, b in enumerate(bs):
-        if b == 0:
-            continue
-        row = rows[j]
-        for i in range(min(j, n - 1) + 1):
-            out[i] = (out[i] + row[i] * b) % m
-    return out
+    return compose(bs, [1, 1], m, len(bs) if n is None else n)
 
 
 def binom_row_mod(e, length, p, npow, m):

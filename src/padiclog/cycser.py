@@ -162,27 +162,20 @@ def xi_series(ctx, deg_cap, prec=None):
     return PiSeries(ctx, out, q.prec - 1, deg_cap)
 
 
-def frobenius(f):
-    """phi(f) = f((1+pi)^p - 1), restricted to the stored truncation window.
+def _substitute(f, e):
+    """f((1+pi)^e - 1) in the stored truncation window."""
+    m = f.modulus()
+    g = _poly.binom_row_mod(e, min(e + 1, f.deg_cap), f.ctx.p, f.prec, m)
+    g[0] = 0
+    out = _poly.compose(f.ints, g, m, f.deg_cap)
+    return PiSeries(f.ctx, out, f.prec, f.deg_cap)
 
-    Computed through the (1+pi)-power basis, where phi is the exact index
-    map j -> p*j.
-    """
+
+def frobenius(f):
+    """phi(f) = f((1+pi)^p - 1), restricted to the stored truncation window."""
     if f.deg_cap < f.ctx.p:
         raise InsufficientDegree("deg_cap < p cannot represent phi(pi)")
-    m = f.modulus()
-    bs = _poly.to_onepx_basis(f.ints, m)
-    out = [0] * f.deg_cap
-    pairs = []
-    for j, b in enumerate(bs):
-        if b:
-            pairs.append((f.ctx.p * j, b))
-    for e, b in pairs:
-        row = _poly.onepx_pow(e, f.deg_cap, f.ctx.p, f.prec)
-        for i, r in enumerate(row):
-            if r:
-                out[i] = (out[i] + b * r) % m
-    return PiSeries(f.ctx, out, f.prec, f.deg_cap)
+    return _substitute(f, f.ctx.p)
 
 
 def psi(f):
@@ -206,17 +199,7 @@ def gamma_act(a, f):
         raise ValueError("gamma_act takes a positive representative")
     if a % f.ctx.p == 0:
         raise ValueError("gamma_act needs a unit exponent")
-    m = f.modulus()
-    bs = _poly.to_onepx_basis(f.ints, m)
-    out = [0] * f.deg_cap
-    for j, b in enumerate(bs):
-        if not b:
-            continue
-        row = _poly.onepx_pow(a * j, f.deg_cap, f.ctx.p, f.prec)
-        for i, r in enumerate(row):
-            if r:
-                out[i] = (out[i] + b * r) % m
-    return PiSeries(f.ctx, out, f.prec, f.deg_cap)
+    return _substitute(f, a)
 
 
 class FiniteGroupRingElt:
@@ -290,16 +273,11 @@ class FiniteGroupRingElt:
 
 def mellin(lam, deg_cap=None):
     """lam -> sum lam_a (1+pi)^a; lands in the psi = 0 part."""
-    p = lam.ctx.p
+    q = lam.ctx.p ** (lam.level + 1)
     if deg_cap is None:
-        deg_cap = p ** (lam.level + 1)
-    m = lam.ctx.p ** lam.prec
-    out = [0] * deg_cap
-    for a, c in lam.coeffs.items():
-        row = _poly.onepx_pow(a, deg_cap, p, lam.prec)
-        for i, r in enumerate(row):
-            if r:
-                out[i] = (out[i] + c * r) % m
+        deg_cap = q
+    bs = [lam.coeffs.get(a, 0) for a in range(q)]
+    out = _poly.from_onepx_basis(bs, lam.ctx.p ** lam.prec, deg_cap)
     return PiSeries(lam.ctx, out, lam.prec, deg_cap)
 
 

@@ -7,8 +7,8 @@ p in the denominator.  A growth tag r marks claimed membership in the
 distribution algebra of order r; at finite truncation the analytic condition
 is replaced by the coefficient-valuation proxy checked by `growth_check`.
 
-Twisting is done in the (1+X)-power basis, where X -> u^j(1+X) - 1 acts
-diagonally; the omega/Phi families, Pollack half-logarithms and their twisted
+Twisting is the substitution X -> u^j(1+X) - 1, diagonal in the (1+X)-power
+basis; the omega/Phi families, Pollack half-logarithms and their twisted
 products are exact finite products of such polynomials.
 
 Division and valuation run on the stored int vectors through `_poly`: an
@@ -61,10 +61,9 @@ class IwaSeries:
         m = ctx.p ** prec
         self.ctx = ctx
         self.a = [c % m for c in a[:deg_cap]] + [0] * max(0, deg_cap - len(a))
-        if b is not None and any(b):
-            self.b = [c % m for c in b[:deg_cap]] + [0] * max(0, deg_cap - len(b))
-        else:
-            self.b = None
+        b = [c % m for c in b[:deg_cap]] if b is not None else []
+        # a w-part that vanishes at the stored precision is not kept
+        self.b = b + [0] * (deg_cap - len(b)) if any(b) else None
         self.prec = prec
         self.deg_cap = deg_cap
         self.denom_exp = denom_exp
@@ -334,30 +333,20 @@ def phi_cyc(ctx, n, deg_cap, prec=None):
     if deg_cap <= deg:
         raise InsufficientDegree("deg_cap %d cannot hold Phi_%d" % (deg_cap, n))
     np_ = prec if prec is not None else ctx.prec
-    m = ctx.p ** np_
-    out = [0] * deg_cap
-    for j in range(ctx.p):
-        row = _poly.onepx_pow(j * ctx.p ** (n - 1), deg_cap, ctx.p, np_)
-        out = _poly.vec_add(out, row, m)
-    return IwaSeries(ctx, out, None, np_, deg_cap)
+    bs = [0] * (deg + 1)
+    bs[::ctx.p ** (n - 1)] = [1] * ctx.p
+    return IwaSeries(ctx, _poly.from_onepx_basis(bs, ctx.p ** np_, deg_cap),
+                     None, np_, deg_cap)
 
 
 def twist(f, j):
-    """Tw^j: X -> u^j (1+X) - 1, diagonal in the (1+X)-power basis."""
+    """Tw^j: the substitution X -> u^j (1+X) - 1."""
     m = f.modulus()
     c = pow(ucyc(f.ctx), j, m)
-    out = []
-    for vec in (f.a, f.b):
-        if vec is None:
-            out.append(None)
-            continue
-        bs = _poly.to_onepx_basis(vec, m)
-        ck = 1
-        for k in range(len(bs)):
-            bs[k] = (bs[k] * ck) % m
-            ck = (ck * c) % m
-        out.append(_poly.from_onepx_basis(bs, m, f.deg_cap))
-    return IwaSeries(f.ctx, out[0], out[1], f.prec, f.deg_cap, f.denom_exp, f.growth)
+    g = [c - 1, c]
+    b = _poly.compose(f.b, g, m, f.deg_cap) if f.b else None
+    return IwaSeries(f.ctx, _poly.compose(f.a, g, m, f.deg_cap), b, f.prec,
+                     f.deg_cap, f.denom_exp, f.growth)
 
 
 def twisted_product(ctx, base, m_twists):
@@ -607,9 +596,7 @@ def _divmod_top(f, g):
     quot = IwaSeries(ctx, qa, qb, pm if last is not None else
                      (fp if n > dg else ctx.prec), n)
     rprec = pm if low else (fp if min(n, dg) else ctx.prec)
-    # reduce first: a w-part that vanishes at rprec is dropped, not stored
-    rb = [c % p ** rprec for c in rb[:dg]] if rb else None
-    rem = IwaSeries(ctx, ra[:dg], rb, rprec, dg, f.denom_exp, f.growth)
+    rem = IwaSeries(ctx, ra, rb, rprec, dg, f.denom_exp, f.growth)
     return quot, rem
 
 

@@ -224,28 +224,39 @@ class ScaledConstMatrix:
         return d, 2 * self.p_exp
 
 
+def _q_power(ctx, e, deg_cap, prec):
+    """q^e as a PiSeries at precision prec."""
+    q = q_series(ctx, deg_cap, prec)
+    qe = PiSeries.const(ctx, 1, deg_cap, prec)
+    for _ in range(e):
+        qe = qe * q
+    return qe
+
+
 def wach_matrices_ap0(params, deg_cap, prec=None):
     """(A', P'^(-1)) for a_p = 0: A' = [[0, -1/(eps p^(k+1))], [1, 0]] and
-    P'^(-1) = [[0, 1], [-eps q^(k+1), 0]]."""
+    P'^(-1) = [[0, 1], [-eps q^(k+1), 0]].
+
+    Both live over a context at precision prec (default: the parameters'),
+    and 1/eps is taken at that precision.
+    """
     if params.mode != AP_ZERO:
         raise WrongMode("explicit Wach matrices exist only in a_p = 0 mode")
     ctx = params.ctx
     k = params.k
     if prec is None:
         prec = ctx.prec
-    einv = params.eps.inv()
+    wctx = PrimeCtx(ctx.p, prec, ctx.ext)
+    einv = PadicElt(wctx, params.eps.a, params.eps.b, prec).inv()
     aprime = ScaledConstMatrix(
-        [[ctx.zero(), -einv], [ctx.from_int(ctx.p ** (k + 1)), ctx.zero()]],
+        [[wctx.zero(), -einv], [wctx.from_int(ctx.p ** (k + 1)), wctx.zero()]],
         k + 1)
-    q = q_series(ctx, deg_cap, prec)
-    qk = PiSeries.const(ctx, 1, deg_cap, prec)
-    for _ in range(k + 1):
-        qk = qk * q
+    qk = _q_power(wctx, k + 1, deg_cap, prec)
     m = ctx.p ** prec
     negeps = (-params.eps.a) % m
-    pinv = [[PiSeries.zero(ctx, deg_cap, prec), PiSeries.const(ctx, 1, deg_cap, prec)],
-            [PiSeries(ctx, _poly.vec_scale(qk.ints, negeps, m), prec, deg_cap),
-             PiSeries.zero(ctx, deg_cap, prec)]]
+    pinv = [[PiSeries.zero(wctx, deg_cap, prec), PiSeries.const(wctx, 1, deg_cap, prec)],
+            [PiSeries(wctx, _poly.vec_scale(qk.ints, negeps, m), prec, deg_cap),
+             PiSeries.zero(wctx, deg_cap, prec)]]
     return aprime, pinv
 
 
@@ -260,10 +271,7 @@ def p_prime_ap0(params, deg_cap, prec=None):
     ctx = params.ctx
     if prec is None:
         prec = ctx.prec
-    q = q_series(ctx, deg_cap, prec)
-    qk = PiSeries.const(ctx, 1, deg_cap, prec)
-    for _ in range(params.k + 1):
-        qk = qk * q
+    qk = _q_power(ctx, params.k + 1, deg_cap, prec)
     einv = params.eps.inv().a
     m = ctx.p ** prec
     num = [[PiSeries.zero(ctx, deg_cap, prec),
@@ -387,19 +395,7 @@ def log_matrix_ap0(params, n, theta_index=0, prec=None):
     wp = prec + scale
     ctx_work = PrimeCtx(ctx.p, wp, ctx.ext)
     cap = ctx.p ** (n + 2)
-    eps_w = PadicElt(ctx_work, params.eps.a, 0, wp)
-    einv = eps_w.inv()
-    a_scaled = ScaledConstMatrix(
-        [[ctx_work.zero(), -einv],
-         [ctx_work.from_int(ctx.p ** (k + 1)), ctx_work.zero()]], k + 1)
-    q = q_series(ctx_work, cap, wp)
-    qk = PiSeries.const(ctx_work, 1, cap, wp)
-    for _ in range(k + 1):
-        qk = qk * q
-    m = ctx_work.modulus
-    pinv = [[PiSeries.zero(ctx_work, cap, wp), PiSeries.const(ctx_work, 1, cap, wp)],
-            [PiSeries(ctx_work, _poly.vec_scale(qk.ints, (-eps_w.a) % m, m), wp, cap),
-             PiSeries.zero(ctx_work, cap, wp)]]
+    a_scaled, pinv = wach_matrices_ap0(params, cap, wp)
     mat = log_matrix_from_wach(ctx_work, a_scaled, pinv, 0, n, k, theta_index,
                                out_ctx=ctx, provenance="ap-zero level %d" % n)
     for row in mat.entries:

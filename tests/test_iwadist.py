@@ -224,3 +224,15 @@ def test_equal_up_to_unit_rejects():
 def test_twisted_product_empty():
     f = twisted_product(CTX3, IwaSeries.gen(CTX3, 6), 0)
     assert f == IwaSeries.const(CTX3, 1, 6)
+
+
+def test_w_part_vanishing_at_precision_is_dropped():
+    ctx = PrimeCtx(3, 5, ("unramified", 2))
+    s = IwaSeries(ctx, [1, 2, 0], [3, 0, 0], 1)
+    assert s.b is None and not s.has_ext()
+    assert "coeffs_w" not in s.to_json()
+    # a divisor whose w-part vanishes at its precision is base-valued
+    f = IwaSeries(ctx, [1, 0, 1], None, 1)
+    assert poly_reduce(f, IwaSeries(ctx, [1, 1], [3, 0], 1)).a == [2]
+    kept = IwaSeries(ctx, [1, 2, 0], [3, 0, 0], 2)
+    assert kept.has_ext() and kept.to_json()["coeffs_w"] == ["3", "0", "0"]
