@@ -10,6 +10,7 @@ input outside what the library can compute, e.g. an unbounded pair given to
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -34,9 +35,41 @@ def _emit(obj, args):
         sys.stdout.write(text + "\n")
 
 
-def _load(path):
+def _check_fields(obj, where, **kinds):
+    """Check the JSON kind of each named field that obj has.
+
+    A kind is "nat" (an integer >= 0), "int", "object", "array" or
+    "string"; a missing field is left to the command (KeyError or default).
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("%s: expected a JSON object" % where)
+    for key, kind in kinds.items():
+        if key not in obj:
+            continue
+        v = obj[key]
+        if kind in ("nat", "int"):
+            ok = type(v) is int and (kind == "int" or v >= 0)
+        else:
+            ok = isinstance(v, {"object": dict, "array": list, "string": str}[kind])
+        if not ok:
+            raise ValueError("%s: field %r must be of kind %s" % (where, key, kind))
+    return obj
+
+
+def _load(path, **kinds):
+    """Read a JSON object from path and check its fields (see _check_fields)."""
     with open(path) as fh:
-        return json.load(fh)
+        return _check_fields(json.load(fh), path, **kinds)
+
+
+def _int_matrix(obj, where):
+    """A square matrix given as a JSON list of lists of integers."""
+    if not (isinstance(obj, list) and obj and all(
+            isinstance(row, list) and len(row) == len(obj)
+            and all(type(c) is int for c in row)
+            for row in obj)):
+        raise ValueError("%s: expected a square integer matrix" % where)
+    return tuple(map(tuple, obj))
 
 
 def cmd_halflog(args):
@@ -61,7 +94,8 @@ def cmd_logmatrix(args):
 
 
 def cmd_split(args):
-    spec = _load(args.input)
+    spec = _load(args.input, p="nat", prec="nat", k="nat", eps="int",
+                 level="nat", denom_exp="nat", alpha="object", beta="object")
     pr = CrystalParams.ap_zero(spec["p"], spec.get("prec", 12), spec["k"],
                                spec.get("eps", 1))
     n = spec["level"]
@@ -76,7 +110,8 @@ def cmd_split(args):
 
 
 def cmd_antisym(args):
-    spec = _load(args.input)
+    spec = _load(args.input, p="nat", prec="nat", k="nat", eps="int",
+                 level="nat", L="object")
     pr = CrystalParams.ap_zero(spec["p"], spec.get("prec", 12), spec["k"],
                                spec.get("eps", 1))
     qm = qinv_times(pr, log_matrix_ap0(pr, spec["level"]))
@@ -87,7 +122,8 @@ def cmd_antisym(args):
 
 
 def cmd_regdiv(args):
-    spec = _load(args.input)
+    spec = _load(args.input, p="nat", prec="nat", F="object", G="object",
+                 points="array")
     ctx = PrimeCtx(spec["p"], spec.get("prec", 12))
     f = MSeries.from_json(spec["F"], ctx)
     g = MSeries.from_json(spec["G"], ctx)
@@ -100,17 +136,21 @@ def cmd_regdiv(args):
 
 
 def cmd_galimg(args):
-    spec = _load(args.input)
+    spec = _load(args.input, p="nat", pairs="array", gens="array")
     p = spec["p"]
     if "pairs" in spec:
-        pairs = [(tuple(map(tuple, a)), tuple(map(tuple, b)))
+        if not all(isinstance(ab, list) and len(ab) == 2 for ab in spec["pairs"]):
+            raise ValueError("%s: pairs must be [A, B] matrix pairs" % args.input)
+        pairs = [(_int_matrix(a, args.input), _int_matrix(b, args.input))
                  for a, b in spec["pairs"]]
         v = goursat_product_check(p, pairs)
         _emit({"full_product": v.full_product, "order": v.order_h,
                "pr1": v.order_pr1, "pr2": v.order_pr2,
                "pr2_solvable": v.pr2_solvable, "pr1_is_sl2": v.pr1_is_sl2}, args)
         return 0
-    gens = [tuple(map(tuple, g)) for g in spec["gens"]]
+    gens = [_int_matrix(g, args.input) for g in spec["gens"]]
+    if not gens:
+        raise ValueError("%s: gens must not be empty" % args.input)
     grp = MatGroupGen(p, len(gens[0]), gens)
     if spec.get("find_tau"):
         cert = find_tau(grp)
@@ -142,7 +182,7 @@ def cmd_eis(args):
 
 
 def cmd_deplete(args):
-    spec = _load(args.input)
+    spec = _load(args.input, ring="string", nmax="nat", coeffs="array")
     from padiclog.qexp import QExpansion
     f = QExpansion(spec["ring"], spec["nmax"], spec["coeffs"])
     _emit(deplete(f, args.p).to_json(), args)
@@ -150,10 +190,12 @@ def cmd_deplete(args):
 
 
 def cmd_eval(args):
-    spec = _load(args.input)
+    spec = _load(args.input, p="nat", prec="nat", series="object",
+                 point="object")
     ctx = PrimeCtx(spec["p"], spec["prec"])
     f = iwadist.from_json(spec["series"], ctx)
-    pt = CharPoint(spec["point"]["t"], spec["point"]["j"])
+    point = _check_fields(spec["point"], "point", t="nat", j="int")
+    pt = CharPoint(point["t"], point["j"])
     v = eval_at(f, pt)
     _emit({"is_zero": v.is_zero(), "denom_exp": v.denom_exp,
            "coords": [[str(x.a), str(x.b)] for x in v.vec]}, args)
@@ -166,7 +208,17 @@ def cmd_check(args):
     return 0 if report["pass"] else 1
 
 
+def _nat(text):
+    """argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("%d is negative" % value)
+    return value
+
+
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The CLI parser, built once per process: parsing does not change it."""
     ap = argparse.ArgumentParser(prog="padiclog")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -174,15 +226,15 @@ def build_parser():
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--m", type=int, default=1)
     q.add_argument("--sign", choices=["plus", "minus"], required=True)
-    q.add_argument("--level", type=int, required=True)
+    q.add_argument("--level", type=_nat, required=True)
     q.add_argument("--prec", type=int, default=12)
     q.set_defaults(func=cmd_halflog,
                    prepare=lambda a: setattr(a, "sign", "+" if a.sign == "plus" else "-"))
 
     q = sub.add_parser("logmatrix", help="a_p = 0 logarithmic matrix")
     q.add_argument("--p", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--level", type=int, required=True)
+    q.add_argument("--k", type=_nat, required=True)
+    q.add_argument("--level", type=_nat, required=True)
     q.add_argument("--prec", type=int, default=12)
     q.add_argument("--eps", type=int, default=1)
     q.add_argument("--qinv", action="store_true",

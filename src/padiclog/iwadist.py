@@ -20,6 +20,7 @@ fixed-point arithmetic (see `_divmod_top`).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from padiclog import _poly, linsolve
@@ -139,8 +140,23 @@ class IwaSeries:
         return out
 
     def min_val(self):
-        """Minimal valuation of the stored coefficients (INF for the zero series)."""
-        return min(self.valuations(), default=INF)
+        """Minimal valuation of the stored coefficients (INF for the zero series).
+
+        Equals min(valuations()): the least p-adic valuation of a part is
+        that of the gcd of its coefficients, and the w-part adds 1/2 in a
+        ramified extension.
+        """
+        p, prec = self.ctx.p, self.coeff_prec()
+        m = p ** prec
+        vals = []
+        g = gcd(*[c % m for c in self.a])
+        if g:
+            vals.append(Fraction(_vp(g, p, prec)))
+        g = gcd(*[c % m for c in self.b]) if self.b else 0
+        if g:
+            half = Fraction(1, 2) if self.ctx.ramified() else 0
+            vals.append(Fraction(_vp(g, p, prec)) + half)
+        return min(vals, default=INF)
 
     def normalize(self):
         """Strip provable common p-content from the stored coefficients."""

@@ -10,6 +10,15 @@ matrix is the finite-level Mellin inverse of
 computed integrally at boosted precision (the A-power denominators are
 tracked as one explicit p-power) and projected to a Delta-isotypic component.
 
+The product carries only the nonzero entries.  For a_p = 0 every factor
+phi^i(P^(-1)) is antidiagonal with the constant 1 in one corner, so the
+product and A^(n+1) are diagonal or antidiagonal: half of the entries are
+structural zeros.  `log_matrix_from_wach` marks zero entries as None once,
+skips every term, phi call, Mellin inverse and Delta-projection they would
+feed, and does not apply phi to constants (phi fixes them).  Precisions
+are tracked as if the zeros were carried, so the output is the same as the
+dense computation's; a dense lift takes the same path with the same work.
+
 The general Fontaine-Laffaille-style case has no explicit Frobenius lift
 formula here; `log_matrix_from_wach` accepts a caller-supplied lift instead.
 """
@@ -283,39 +292,52 @@ def p_prime_ap0(params, deg_cap, prec=None):
 def groupring_to_iwa(lam, theta_index=0, out_ctx=None):
     """Project a level-L group-ring element to a Delta-isotypic IwaSeries.
 
-    Each unit a mod p^(L+1) splits as tau(a) * <a> with tau the Teichmuller
-    part; the component map sends [a] to theta(tau(a)) (1+X)^dlog(<a>).
+    Each unit a mod p^(L+1) splits as tau(a) * <a> with tau(a) = a^(p^L)
+    the Teichmuller part; the component map sends [a] to
+    theta(tau(a)) (1+X)^dlog(<a>).
     """
     ctx = lam.ctx if out_ctx is None else out_ctx
     p = lam.ctx.p
     lvl = lam.level
     q = p ** (lvl + 1)
-    u = 1 + p
-    dlog = {}
-    x = 1
-    for e in range(p ** lvl):
-        dlog[x] = e
-        x = x * u % q
-    m = lam.ctx.p ** lam.prec
+    m = p ** lam.prec
     bs = [0] * (p ** lvl)
-    for a, c in lam.coeffs.items():
-        t = a % q
-        while True:
-            nt = pow(t, p, q)
-            if nt == t:
-                break
-            t = nt
-        e = dlog[a * pow(t, -1, q) % q]
-        if theta_index % (p - 1) != 0:
-            tv = teichmuller(lam.ctx, a % p).a
-            c = c * pow(tv, theta_index, m)
-        bs[e] = (bs[e] + c) % m
+    if lam.coeffs:
+        u = 1 + p
+        dlog = {}
+        x = 1
+        for e in range(p ** lvl):
+            dlog[x] = e
+            x = x * u % q
+        for a, c in lam.coeffs.items():
+            t = pow(a, p ** lvl, q)
+            e = dlog[a * pow(t, -1, q) % q]
+            if theta_index % (p - 1) != 0:
+                tv = teichmuller(lam.ctx, a % p).a
+                c = c * pow(tv, theta_index, m)
+            bs[e] = (bs[e] + c) % m
     coeffs = _poly.from_onepx_basis(bs, m, p ** lvl)
     return IwaSeries(ctx, coeffs, None, lam.prec, p ** lvl)
 
 
+def _dot(pairs):
+    """Sum of x * y over the pairs, where None is a zero factor: a term with
+    a zero factor is skipped, and a sum with no term left is None."""
+    acc = None
+    for x, y in pairs:
+        if x is not None and y is not None:
+            acc = x * y if acc is None else acc + x * y
+    return acc
+
+
 def _mat2_mul_pi(A, B):
-    return [[A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2)]
+    return [[_dot((A[i][t], B[t][j]) for t in range(2)) for j in range(2)]
+            for i in range(2)]
+
+
+def _prec_meet(A, B):
+    """Entry precisions of a dense 2x2 product: its sums read every factor."""
+    return [[min(A[i][0], A[i][1], B[0][j], B[1][j]) for j in range(2)]
             for i in range(2)]
 
 
@@ -327,22 +349,32 @@ def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
     p^pinv_scale * P^(-1).  The group-ring representation level is n+1, so the
     returned entries are polynomials of degree < p^(n+1) carrying the level-n
     congruence content.
+
+    Zero entries of pinv are marked None once and skipped at every stage,
+    and phi is not applied to constants; precisions are tracked as if the
+    zeros were carried, so the output is that of the dense computation.
     """
     p = ctx_work.p
     rep = n + 1
     cap = p ** (rep + 1)
-    if pinv[0][0].deg_cap < cap:
+    if any(e.deg_cap < cap for row in pinv for e in row):
         raise ValueError("pinv entries need deg_cap >= p^(n+2) = %d" % cap)
     scale = a_scaled.p_exp * (n + 1) + pinv_scale * n
-    # prod = phi^n(P~) * phi^(n-1)(P~) * ... * phi(P~)
+    # prod = phi^n(P~) * phi^(n-1)(P~) * ... * phi(P~); phi keeps precisions
+    pinv_prec = [[e.prec for e in row] for row in pinv]
+    cur = [[e if any(e.ints) else None for e in row] for row in pinv]
     prod = None
-    cur = pinv
-    for i in range(1, n + 1):
-        cur = [[frobenius(e) for e in row] for row in cur]
-        prod = cur if prod is None else _mat2_mul_pi(cur, prod)
+    for _ in range(n):
+        # phi fixes zeros (None) and constants
+        cur = [[e if e is None or not any(e.ints[1:]) else frobenius(e)
+                for e in row] for row in cur]
+        if prod is None:
+            prod, precs = cur, pinv_prec
+        else:
+            prod, precs = _mat2_mul_pi(cur, prod), _prec_meet(pinv_prec, precs)
     if prod is None:
-        prod = [[PiSeries.const(ctx_work, 1, cap), PiSeries.zero(ctx_work, cap)],
-                [PiSeries.zero(ctx_work, cap), PiSeries.const(ctx_work, 1, cap)]]
+        one = PiSeries.const(ctx_work, 1, cap)
+        prod, precs = [[one, None], [None, one]], [[ctx_work.prec] * 2] * 2
     # A~^(n+1) acting on the left
     an = [[1, 0], [0, 1]]
     araw = [[a_scaled.num[i][j].a for j in range(2)] for i in range(2)]
@@ -350,22 +382,27 @@ def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
     for _ in range(n + 1):
         an = [[(an[i][0] * araw[0][j] + an[i][1] * araw[1][j]) % m
                for j in range(2)] for i in range(2)]
-    rows = []
+    an = [[c or None for c in row] for row in an]
     opp = PiSeries.one_plus_pi_pow(ctx_work, 1, cap)
-    for i in range(2):
-        row = []
-        for j in range(2):
-            s = prod[0][j] * an[i][0] + prod[1][j] * an[i][1]
-            row.append(opp * s)
-        rows.append(row)
+    zero_ctx = ctx_work if out_ctx is None else out_ctx
     out = []
     for i in range(2):
         orow = []
         for j in range(2):
-            lam = mellin_inverse(rows[i][j], rep)
-            s = groupring_to_iwa(lam, theta_index, out_ctx)
-            s.denom_exp = scale
-            orow.append(s.normalize())
+            s = _dot((prod[t][j], an[i][t]) for t in range(2))
+            # the dense (1+pi) * (prod[0][j] an[i][0] + prod[1][j] an[i][1])
+            # reads both entries of column j, zero or not
+            prec = min(ctx_work.prec, precs[0][j], precs[1][j])
+            if s is None:
+                ent = IwaSeries.zero(zero_ctx, p ** rep, prec)
+            else:
+                h = opp * s
+                if h.prec != prec:
+                    h = PiSeries(ctx_work, h.ints, prec, cap)
+                ent = groupring_to_iwa(mellin_inverse(h, rep), theta_index,
+                                       out_ctx)
+            ent.denom_exp = scale
+            orow.append(ent.normalize())
         out.append(orow)
     return LogMatrix(out, level=n, provenance=provenance, rep_level=rep)
 

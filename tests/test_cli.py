@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from padiclog.cli import main
 
 
@@ -163,3 +165,82 @@ def test_logmatrix_level_beyond_budget_exits_2(capsys):
     assert code == 2
     assert captured.out == ""
     assert "level 9" in captured.err
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # one process, switching subcommands and flags, with a parse error in
+    # between: every call must match a call on a freshly built parser
+    from padiclog.cli import build_parser
+    target = tmp_path / "m.json"
+    calls = [["logmatrix", "--p", "3", "--k", "0", "--level", "1", "--qinv"],
+             ["logmatrix", "--p", "3", "--k", "0", "--level", "1"],
+             ["halflog", "--p", "3", "--sign", "plus", "--level", "1",
+              "--out", str(target)],
+             ["halflog", "--p", "3", "--level", "1"],
+             ["halflog", "--p", "3", "--sign", "minus", "--level", "2"],
+             ["theta", "--disc", "-4", "--power", "4", "--nmax", "10"],
+             ["check", "--suite", "nope"],
+             ["logmatrix", "--p", "3", "--k", "1", "--level", "1"]]
+
+    def run(argv):
+        if target.exists():
+            target.unlink()
+        code = main(argv)
+        cap = capsys.readouterr()
+        written = target.read_text() if target.exists() else None
+        return code, cap.out, cap.err, written
+
+    warm = [run(argv) for argv in calls]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert warm == fresh
+    assert [w[0] for w in warm] == [0, 0, 0, 2, 0, 0, 2, 0]
+    assert warm[2][1] == "" and warm[2][3] is not None
+
+
+def bad_split_spec(**change):
+    from padiclog.iwadist import IwaSeries
+    from padiclog.padic import PrimeCtx
+    ctx = PrimeCtx(3, 10)
+    spec = {"p": 3, "prec": 10, "k": 0, "level": 2,
+            "alpha": IwaSeries.const(ctx, 1, 4).to_json(),
+            "beta": IwaSeries.const(ctx, 2, 4).to_json(), "denom_exp": 0}
+    spec.update(change)
+    return spec
+
+
+MALFORMED = {
+    "split-level-string": ("split", bad_split_spec(level="2")),
+    "split-alpha-beta-lists": ("split", bad_split_spec(alpha=[1, 2], beta=[3])),
+    "galimg-gens-int": ("galimg", {"p": 5, "gens": 3}),
+    "eval-null": ("eval", None),
+    "deplete-list": ("deplete", [1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(case, tmp_path, capsys):
+    cmd, spec = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    argv = [cmd, str(path)] + (["--p", "3"] if cmd == "deplete" else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["halflog", "--p", "3", "--sign", "plus", "--level", "-1"],
+    ["logmatrix", "--p", "3", "--k", "-1", "--level", "1"],
+])
+def test_negative_level_or_weight_exits_2(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err

@@ -236,3 +236,31 @@ def test_w_part_vanishing_at_precision_is_dropped():
     assert poly_reduce(f, IwaSeries(ctx, [1, 1], [3, 0], 1)).a == [2]
     kept = IwaSeries(ctx, [1, 2, 0], [3, 0, 0], 2)
     assert kept.has_ext() and kept.to_json()["coeffs_w"] == ["3", "0", "0"]
+
+
+def test_min_val_matches_valuations():
+    # min_val reads one gcd per part; valuations() builds a Fraction per
+    # coefficient.  Coefficients carry extra p-powers so that minima vary.
+    from padiclog.iwadist import INF
+    from padiclog.padic import RAMIFIED, UNRAMIFIED
+    rng = random.Random(77)
+    ctxs = [PrimeCtx(3, 8), PrimeCtx(5, 6), PrimeCtx(3, 8, (UNRAMIFIED, 2)),
+            PrimeCtx(5, 6, (UNRAMIFIED, 2)), PrimeCtx(3, 8, (RAMIFIED, 2)),
+            PrimeCtx(7, 5, (RAMIFIED, 3))]
+    seen = 0
+    for ctx in ctxs:
+        p = ctx.p
+        for _ in range(40):
+            cap = rng.randint(0, 12)
+            prec = rng.randint(1, ctx.prec + 3)     # above the context cap too
+
+            def part():
+                return [rng.randrange(p ** (prec + 1)) * p ** rng.randint(0, prec)
+                        if rng.random() < 0.6 else 0 for _ in range(cap)]
+            b = part() if ctx.ext and rng.random() < 0.7 else None
+            f = IwaSeries(ctx, part(), b, prec, cap)
+            assert f.min_val() == min(f.valuations(), default=INF)
+            seen += f.b is not None and f.min_val() != INF
+        z = IwaSeries.zero(ctx, 5)
+        assert z.min_val() == INF == min(z.valuations(), default=INF)
+    assert seen > 20

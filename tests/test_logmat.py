@@ -437,3 +437,214 @@ def test_semi_ordinary_block_nontrivial_unit():
             assert blk.entry(i, j) == u_f * mg.entry(i, j)
     # lower-left stored verbatim
     assert blk.entry(2, 0) == ll and blk.entry(3, 1) == ll
+
+
+# -- the sparse Wach product against the dense loop ------------------------------
+#
+# `log_matrix_from_wach` marks the zero entries of P^(-1) once and skips
+# every term, phi call, Mellin inverse and projection they would feed; phi is
+# not applied to constants.  The references below are the dense loop it
+# replaced (every entry through every stage) and the iterated-power
+# Teichmuller split of `groupring_to_iwa`; both must give identical JSON.
+
+
+def ref_groupring_to_iwa(lam, theta_index=0, out_ctx=None):
+    from padiclog import _poly
+    from padiclog.padic import teichmuller
+    ctx = lam.ctx if out_ctx is None else out_ctx
+    p = lam.ctx.p
+    lvl = lam.level
+    q = p ** (lvl + 1)
+    u = 1 + p
+    dlog = {}
+    x = 1
+    for e in range(p ** lvl):
+        dlog[x] = e
+        x = x * u % q
+    m = lam.ctx.p ** lam.prec
+    bs = [0] * (p ** lvl)
+    for a, c in lam.coeffs.items():
+        t = a % q
+        while True:
+            nt = pow(t, p, q)
+            if nt == t:
+                break
+            t = nt
+        e = dlog[a * pow(t, -1, q) % q]
+        if theta_index % (p - 1) != 0:
+            tv = teichmuller(lam.ctx, a % p).a
+            c = c * pow(tv, theta_index, m)
+        bs[e] = (bs[e] + c) % m
+    coeffs = _poly.from_onepx_basis(bs, m, p ** lvl)
+    return IwaSeries(ctx, coeffs, None, lam.prec, p ** lvl)
+
+
+def ref_log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
+                             theta_index=0, out_ctx=None, provenance=""):
+    from padiclog.cycser import mellin_inverse
+
+    def mul(A, B):
+        return [[A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2)]
+                for i in range(2)]
+
+    p = ctx_work.p
+    rep = n + 1
+    cap = p ** (rep + 1)
+    scale = a_scaled.p_exp * (n + 1) + pinv_scale * n
+    prod = None
+    cur = pinv
+    for i in range(1, n + 1):
+        cur = [[frobenius(e) for e in row] for row in cur]
+        prod = cur if prod is None else mul(cur, prod)
+    if prod is None:
+        prod = [[PiSeries.const(ctx_work, 1, cap), PiSeries.zero(ctx_work, cap)],
+                [PiSeries.zero(ctx_work, cap), PiSeries.const(ctx_work, 1, cap)]]
+    an = [[1, 0], [0, 1]]
+    araw = [[a_scaled.num[i][j].a for j in range(2)] for i in range(2)]
+    m = ctx_work.modulus
+    for _ in range(n + 1):
+        an = [[(an[i][0] * araw[0][j] + an[i][1] * araw[1][j]) % m
+               for j in range(2)] for i in range(2)]
+    opp = PiSeries.one_plus_pi_pow(ctx_work, 1, cap)
+    out = []
+    for i in range(2):
+        orow = []
+        for j in range(2):
+            s = opp * (prod[0][j] * an[i][0] + prod[1][j] * an[i][1])
+            lam = mellin_inverse(s, rep)
+            e = ref_groupring_to_iwa(lam, theta_index, out_ctx)
+            e.denom_exp = scale
+            orow.append(e.normalize())
+        out.append(orow)
+    return LogMatrix(out, level=n, provenance=provenance, rep_level=rep)
+
+
+def both_json(*args, **kw):
+    """JSON of both matrices, with the context of every entry."""
+    def view(mat):
+        return mat.to_json(), [[(e.ctx.prec, e.ctx.ext) for e in row]
+                               for row in mat.entries]
+    got = log_matrix_from_wach(*args, **kw)
+    want = ref_log_matrix_from_wach(*args, **kw)
+    return view(got), view(want)
+
+
+AP0_SHAPES = [(p, n) for p in (3, 5, 7) for n in range(4) if p ** (n + 2) <= 4096]
+
+
+@pytest.mark.parametrize("p,n", AP0_SHAPES)
+def test_from_wach_ap0_matches_dense(p, n):
+    # the a_p = 0 lifts exactly as log_matrix_ap0 builds them
+    prec = 6
+    for k in (0, 1, 2):
+        for eps in (1, 2):
+            pr = params_ap0(p, prec, k, eps)
+            wp = prec + (k + 1) * (n + 1)
+            ctxw = PrimeCtx(p, wp, pr.ctx.ext)
+            a_scaled, pinv = wach_matrices_ap0(pr, p ** (n + 2), wp)
+            theta = (k + eps) % 2
+            got, want = both_json(ctxw, a_scaled, pinv, 0, n, k, theta,
+                                  out_ctx=pr.ctx, provenance="t")
+            assert got == want, (p, n, k, eps)
+
+
+def rand_pi(rng, ctx, cap, shape):
+    """A random PiSeries of the given shape: zero, constant or polynomial,
+    at a random precision <= the context's and a window >= cap."""
+    prec = rng.randint(max(1, ctx.prec - 3), ctx.prec)
+    wide = cap + rng.choice((0, 0, 1, ctx.p))
+    m = ctx.p ** prec
+    if shape == "zero":
+        return PiSeries.zero(ctx, wide, prec)
+    if shape == "const":
+        return PiSeries.const(ctx, rng.randrange(1, m), wide, prec)
+    deg = rng.randint(1, 6)
+    coeffs = [rng.randrange(m) for _ in range(deg)] + [rng.randrange(1, m)]
+    return PiSeries(ctx, coeffs, prec, wide)
+
+
+def rand_wach_case(rng, shapes):
+    p = rng.choice((3, 5))
+    n = rng.randint(0, 2 if p == 3 else 1)
+    ctx = PrimeCtx(p, rng.randint(5, 9))
+    cap = p ** (n + 2)
+    pinv = [[rand_pi(rng, ctx, cap, shapes[2 * i + j]) for j in range(2)]
+            for i in range(2)]
+    num = [[ctx.from_int(rng.choice((0, 1, rng.randrange(ctx.modulus))))
+            for _ in range(2)] for _ in range(2)]
+    a_scaled = ScaledConstMatrix(num, rng.randint(0, 2))
+    out_ctx = rng.choice((None, PrimeCtx(p, ctx.prec - 1)))
+    return (ctx, a_scaled, pinv, rng.randint(0, 1), n, rng.randint(0, 2),
+            rng.randint(0, p - 1), out_ctx)
+
+
+def test_from_wach_random_dense_matches():
+    rng = random.Random(404)
+    for _ in range(30):
+        args = rand_wach_case(rng, ["poly"] * 4)
+        got, want = both_json(*args[:6], theta_index=args[6], out_ctx=args[7])
+        assert got == want
+
+
+def test_from_wach_zero_patterns_match():
+    # every zero pattern, with constants and polynomials in the other
+    # entries at mixed precisions: a skipped zero factor must still lower
+    # the precision of the entries it meets, as in the dense sums
+    rng = random.Random(405)
+    patterns = [[("zero", "const", "poly")[(mask >> (2 * i)) % 3]
+                 for i in range(4)] for mask in range(81)]
+    patterns += [["zero", "zero", "poly", "const"],     # an all-zero row
+                 ["const", "zero", "zero", "const"],    # constants only
+                 ["zero"] * 4]
+    for shapes in patterns:
+        args = rand_wach_case(rng, shapes)
+        got, want = both_json(*args[:6], theta_index=args[6], out_ctx=args[7])
+        assert got == want, shapes
+
+
+def test_from_wach_rejects_narrow_entry():
+    pr = params_ap0(3, 6, 0)
+    a_scaled, pinv = wach_matrices_ap0(pr, 27)
+    pinv[1][0] = PiSeries.zero(pr.ctx, 9)
+    with pytest.raises(ValueError):
+        log_matrix_from_wach(pr.ctx, a_scaled, pinv, 0, 1, 0)
+
+
+def test_groupring_teichmuller_power_matches_loop():
+    from padiclog.cycser import FiniteGroupRingElt
+    rng = random.Random(406)
+    for p in (3, 5, 7):
+        ctx = PrimeCtx(p, 8)
+        for lvl in range(1, 5):
+            if p ** lvl > 2401:
+                continue
+            q = p ** (lvl + 1)
+            for theta in (0, 1, p - 2):
+                units = [a for a in rng.sample(range(1, q), min(q - 1, 12))
+                         if a % p]
+                lam = FiniteGroupRingElt(
+                    ctx, lvl, {a: rng.randrange(ctx.modulus) for a in units},
+                    rng.randint(3, 8))
+                out_ctx = rng.choice((None, PrimeCtx(p, 6)))
+                got = groupring_to_iwa(lam, theta, out_ctx)
+                want = ref_groupring_to_iwa(lam, theta, out_ctx)
+                assert got.to_json() == want.to_json()
+        empty = FiniteGroupRingElt(ctx, 2)
+        assert groupring_to_iwa(empty, 1).to_json() == \
+            ref_groupring_to_iwa(empty, 1).to_json()
+
+
+def test_ap0_skips_zero_and_constant_entries(monkeypatch):
+    # P'^(-1) = [[0, 1], [-eps q^(k+1), 0]]: one entry needs phi per level,
+    # and the product with A^(n+1) keeps two nonzero entries
+    import padiclog.logmat as logmat
+    calls = {"frobenius": 0, "mellin_inverse": 0, "groupring_to_iwa": 0}
+    for name in calls:
+        fn = getattr(logmat, name)
+
+        def counted(*a, _fn=fn, _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*a, **kw)
+        monkeypatch.setattr(logmat, name, counted)
+    log_matrix_ap0(params_ap0(3, 12, 0), 3)
+    assert calls == {"frobenius": 3, "mellin_inverse": 2, "groupring_to_iwa": 2}
