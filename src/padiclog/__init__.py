@@ -5,7 +5,9 @@ Modules:
              quadratic extensions
   cycser  -- the ring O[[pi]] with Frobenius, its trace-type left inverse,
              the Gamma-action, and the finite-level Mellin transform
-  iwadist -- Iwasawa-algebra truncations: omega/Phi/delta families, twists,
+  iwadist -- IwaSeries, the one truncated-series type (also the elements of
+             O[[pi]] and the values of eval_at in O[z]/Phi_{p^t}), and
+             Iwasawa-algebra truncations: omega/Phi/delta families, twists,
              Pollack half-logarithms, evaluation and up-to-unit comparison
   logmat  -- logarithmic matrices from a_p = 0 Frobenius data, block forms
   split   -- signed splitting through a logarithmic matrix, antisymmetric
@@ -17,8 +19,8 @@ Modules:
 """
 
 from padiclog.padic import PadicElt, PrimeCtx, inv, sqrt, teichmuller, val
-from padiclog.cycser import (FiniteGroupRingElt, PiSeries, frobenius,
-                             gamma_act, mellin, mellin_inverse, psi)
+from padiclog.cycser import (FiniteGroupRingElt, frobenius, gamma_act, mellin,
+                             mellin_inverse, psi)
 from padiclog.iwadist import (CharPoint, IwaSeries, delta, divide_exact,
                               equal_up_to_unit_mod, eval_at, halflog, is_unit,
                               log_tw, omega, omega_tw, phi_cyc, phi_tw, twist)
@@ -36,8 +38,8 @@ from padiclog.qexp import (ImagQuadCtx, QExpansion, deplete,
 
 __all__ = [
     "PadicElt", "PrimeCtx", "inv", "sqrt", "teichmuller", "val",
-    "FiniteGroupRingElt", "PiSeries", "frobenius", "gamma_act", "mellin",
-    "mellin_inverse", "psi",
+    "FiniteGroupRingElt", "frobenius", "gamma_act", "mellin", "mellin_inverse",
+    "psi",
     "CharPoint", "IwaSeries", "delta", "divide_exact", "equal_up_to_unit_mod",
     "eval_at", "halflog", "is_unit", "log_tw", "omega", "omega_tw", "phi_cyc",
     "phi_tw", "twist",

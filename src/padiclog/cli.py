@@ -198,7 +198,8 @@ def cmd_eval(args):
     pt = CharPoint(point["t"], point["j"])
     v = eval_at(f, pt)
     _emit({"is_zero": v.is_zero(), "denom_exp": v.denom_exp,
-           "coords": [[str(x.a), str(x.b)] for x in v.vec]}, args)
+           "coords": [[str(x), str(v.b[i]) if v.b else "0"]
+                      for i, x in enumerate(v.a)]}, args)
     return 0
 
 

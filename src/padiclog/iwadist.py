@@ -24,11 +24,15 @@ from math import gcd
 from typing import NamedTuple
 
 from padiclog import _poly, linsolve
-from padiclog.cycser import InsufficientDegree
 from padiclog._poly import _vp
-from padiclog.padic import NonUnit, PadicElt, PadicError, PrecisionLoss, PrimeCtx
+from padiclog.padic import (NonUnit, PadicElt, PadicError, PrecisionLoss,
+                            PrimeCtx, int_entry)
 
 INF = float("inf")
+
+
+class InsufficientDegree(PrecisionLoss):
+    pass
 
 
 class NotDivisible(PadicError):
@@ -107,7 +111,8 @@ class IwaSeries:
         return -1
 
     def is_zero(self):
-        return self.degree() == -1
+        # a kept w-part is nonzero (see __init__)
+        return self.b is None and not any(self.a)
 
     # -- denominator bookkeeping ---------------------------------------------
 
@@ -319,11 +324,17 @@ class IwaSeries:
                 % (self.ctx.p, self.deg_cap, self.prec, self.denom_exp, self.growth))
 
 
+def _int_list(v, where):
+    if not isinstance(v, list):
+        raise ValueError("%s: expected a list of coefficients" % where)
+    return [int_entry(c, where) for c in v]
+
+
 def from_json(obj, ctx=None):
     if ctx is None:
         ctx = PrimeCtx(obj["p"], obj["prec"])
-    a = [int(c) for c in obj["coeffs"]]
-    b = [int(c) for c in obj["coeffs_w"]] if "coeffs_w" in obj else None
+    a = _int_list(obj["coeffs"], "coeffs")
+    b = _int_list(obj["coeffs_w"], "coeffs_w") if "coeffs_w" in obj else None
     return IwaSeries(ctx, a, b, obj.get("prec"), obj.get("deg_cap"),
                      obj.get("denom_exp", 0), Fraction(obj.get("growth", 0)))
 
@@ -457,89 +468,14 @@ class CharPoint(NamedTuple):
 MAX_CYC_DEGREE = 4000
 
 
-class CycValue:
-    """Element of ctx[z]/Phi_{p^t}(z) scaled by p^(-denom_exp)."""
-
-    __slots__ = ("ctx", "t", "vec", "prec", "denom_exp")
-
-    def __init__(self, ctx, t, vec, prec, denom_exp=0):
-        self.ctx = ctx
-        self.t = t
-        self.vec = vec  # list of PadicElt, length phi(p^t) (length 1 when t = 0)
-        self.prec = prec
-        self.denom_exp = denom_exp
-
-    def dim(self):
-        p = self.ctx.p
-        return 1 if self.t == 0 else (p - 1) * p ** (self.t - 1)
-
-    def is_zero(self):
-        """Zero at stored precision (of the integral part)."""
-        return all(x.is_zero() for x in self.vec)
-
-    def _reduce_pow(self, e):
-        """z^e as a coefficient vector over the power basis."""
-        p = self.ctx.p
-        if self.t == 0:
-            return {0: 1}
-        pt = p ** self.t
-        e %= pt
-        d = self.dim()
-        if e < d:
-            return {e: 1}
-        # z^(d + r) = -sum_{i<p-1} z^(i p^(t-1) + r)
-        r = e - d
-        return {i * p ** (self.t - 1) + r: -1 for i in range(p - 1)}
-
-    def __mul__(self, other):
-        assert self.t == other.t
-        prec = min(self.prec, other.prec)
-        d = self.dim()
-        acc = [PadicElt(self.ctx, 0, 0, prec) for _ in range(d)]
-        for i, x in enumerate(self.vec):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(other.vec):
-                if y.is_zero():
-                    continue
-                xy = x * y
-                for k, s in self._reduce_pow(i + j).items():
-                    acc[k] = acc[k] + (xy if s == 1 else -xy)
-        return CycValue(self.ctx, self.t, acc, prec,
-                        self.denom_exp + other.denom_exp)
-
-    def __add__(self, other):
-        assert self.t == other.t
-        d = max(self.denom_exp, other.denom_exp)
-        xs = self.scale_to(d)
-        ys = other.scale_to(d)
-        return CycValue(self.ctx, self.t,
-                        [x + y for x, y in zip(xs.vec, ys.vec)],
-                        min(xs.prec, ys.prec), d)
-
-    def scale_to(self, d):
-        if d == self.denom_exp:
-            return self
-        pk = self.ctx.p ** (d - self.denom_exp)
-        vec = [PadicElt(self.ctx, x.a * pk, x.b * pk,
-                        min(x.prec + (d - self.denom_exp), self.ctx.prec))
-               for x in self.vec]
-        return CycValue(self.ctx, self.t, vec, min(self.prec + (d - self.denom_exp),
-                                                   self.ctx.prec), d)
-
-    def __eq__(self, other):
-        x, y = self, other
-        if x.denom_exp != y.denom_exp:
-            d = max(x.denom_exp, y.denom_exp)
-            x, y = x.scale_to(d), y.scale_to(d)
-        return all(a == b for a, b in zip(x.vec, y.vec))
-
-    def __repr__(self):
-        return "CycValue(t=%d, dim=%d, denom=%d)" % (self.t, self.dim(), self.denom_exp)
-
-
 def eval_at(f, pt):
-    """Evaluate at X = zeta u^j - 1: sum b_k (zeta u^j)^k over the (1+X)-basis."""
+    """Evaluate at X = zeta u^j - 1: sum b_k (zeta u^j)^k over the (1+X)-basis.
+
+    The value lies in O[z]/Phi_{p^t}(z).  It is returned as an IwaSeries of
+    deg_cap phi(p^t) (1 when t = 0) holding its coordinates in the power
+    basis 1, z, ..., z^(phi(p^t) - 1), at f's coefficient precision and with
+    f's denom_exp.
+    """
     ctx = f.ctx
     p = ctx.p
     if pt.t < 0:
@@ -550,23 +486,25 @@ def eval_at(f, pt):
     m = f.modulus()
     uj = pow(ucyc(ctx), pt.j, m)
     pt_order = p ** pt.t
-    out_a = [0] * d
-    out_b = [0] * d if f.b else None
-    proto = CycValue(ctx, pt.t, [PadicElt(ctx, 0, 0, f.prec)] * d, f.prec)
-    for vec, out in ((f.a, out_a), (f.b, out_b)):
-        if vec is None:
-            continue
-        bs = _poly.to_onepx_basis(vec, m)
+
+    def value(vec):
+        # z^k = z^(k mod p^t), then z^(d+r) = -sum_{i<p-1} z^(i p^(t-1) + r)
+        acc = [0] * pt_order
         ujk = 1
-        for k, bk in enumerate(bs):
+        for k, bk in enumerate(_poly.to_onepx_basis(vec, m)):
             if bk:
-                c = (bk * ujk) % m
-                for idx, s in proto._reduce_pow(k % pt_order).items():
-                    out[idx] = (out[idx] + s * c) % m
-            ujk = (ujk * uj) % m
-    vecs = [PadicElt(ctx, out_a[i], out_b[i] if out_b else 0, f.prec)
-            for i in range(d)]
-    return CycValue(ctx, pt.t, vecs, f.prec, f.denom_exp)
+                acc[k % pt_order] += bk * ujk % m
+            ujk = ujk * uj % m
+        for r, c in enumerate(acc[d:]):
+            for i in range(0, d, pt_order // p):
+                acc[i + r] -= c
+        return acc[:d]
+
+    out = IwaSeries(ctx, value(f.a), value(f.b) if f.b else None,
+                    f.coeff_prec(), d, f.denom_exp)
+    if out.b and ctx.ext is None:
+        raise ValueError("second coordinate requires an extension")
+    return out
 
 
 # -- division and unit comparison ----------------------------------------------

@@ -28,9 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from padiclog import _poly
-from padiclog.cycser import (InsufficientDegree, PiSeries, frobenius,
-                             mellin_inverse, q_series)
-from padiclog.iwadist import IwaSeries, delta, divide_exact, log_tw, twist
+from padiclog.cycser import frobenius, mellin_inverse, q_series
+from padiclog.iwadist import (InsufficientDegree, IwaSeries, delta,
+                              divide_exact, log_tw, twist)
 from padiclog.padic import (PadicElt, PadicError, PrimeCtx, inv_scaled, is_qr,
                             sqrt, teichmuller)
 
@@ -234,9 +234,9 @@ class ScaledConstMatrix:
 
 
 def _q_power(ctx, e, deg_cap, prec):
-    """q^e as a PiSeries at precision prec."""
+    """q^e as a series in pi at precision prec."""
     q = q_series(ctx, deg_cap, prec)
-    qe = PiSeries.const(ctx, 1, deg_cap, prec)
+    qe = IwaSeries.const(ctx, 1, deg_cap, prec)
     for _ in range(e):
         qe = qe * q
     return qe
@@ -263,9 +263,10 @@ def wach_matrices_ap0(params, deg_cap, prec=None):
     qk = _q_power(wctx, k + 1, deg_cap, prec)
     m = ctx.p ** prec
     negeps = (-params.eps.a) % m
-    pinv = [[PiSeries.zero(wctx, deg_cap, prec), PiSeries.const(wctx, 1, deg_cap, prec)],
-            [PiSeries(wctx, _poly.vec_scale(qk.ints, negeps, m), prec, deg_cap),
-             PiSeries.zero(wctx, deg_cap, prec)]]
+    pinv = [[IwaSeries.zero(wctx, deg_cap, prec),
+             IwaSeries.const(wctx, 1, deg_cap, prec)],
+            [IwaSeries(wctx, _poly.vec_scale(qk.a, negeps, m), None, prec, deg_cap),
+             IwaSeries.zero(wctx, deg_cap, prec)]]
     return aprime, pinv
 
 
@@ -283,9 +284,9 @@ def p_prime_ap0(params, deg_cap, prec=None):
     qk = _q_power(ctx, params.k + 1, deg_cap, prec)
     einv = params.eps.inv().a
     m = ctx.p ** prec
-    num = [[PiSeries.zero(ctx, deg_cap, prec),
-            PiSeries.const(ctx, (-einv) % m, deg_cap, prec)],
-           [qk, PiSeries.zero(ctx, deg_cap, prec)]]
+    num = [[IwaSeries.zero(ctx, deg_cap, prec),
+            IwaSeries.const(ctx, (-einv) % m, deg_cap, prec)],
+           [qk, IwaSeries.zero(ctx, deg_cap, prec)]]
     return num, qk
 
 
@@ -345,10 +346,10 @@ def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
                          theta_index=0, out_ctx=None, provenance=""):
     """Mellin inverse of (1+pi) A^(n+1) phi^n(P^(-1)) ... phi(P^(-1)) at level n.
 
-    a_scaled: ScaledConstMatrix for A; pinv: integral 2x2 PiSeries for
-    p^pinv_scale * P^(-1).  The group-ring representation level is n+1, so the
-    returned entries are polynomials of degree < p^(n+1) carrying the level-n
-    congruence content.
+    a_scaled: ScaledConstMatrix for A; pinv: 2x2 base-valued IwaSeries in pi
+    (denom_exp 0) for p^pinv_scale * P^(-1).  The group-ring representation
+    level is n+1, so the returned entries are polynomials of degree < p^(n+1)
+    carrying the level-n congruence content.
 
     Zero entries of pinv are marked None once and skipped at every stage,
     and phi is not applied to constants; precisions are tracked as if the
@@ -362,18 +363,18 @@ def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
     scale = a_scaled.p_exp * (n + 1) + pinv_scale * n
     # prod = phi^n(P~) * phi^(n-1)(P~) * ... * phi(P~); phi keeps precisions
     pinv_prec = [[e.prec for e in row] for row in pinv]
-    cur = [[e if any(e.ints) else None for e in row] for row in pinv]
+    cur = [[None if e.is_zero() else e for e in row] for row in pinv]
     prod = None
     for _ in range(n):
         # phi fixes zeros (None) and constants
-        cur = [[e if e is None or not any(e.ints[1:]) else frobenius(e)
+        cur = [[e if e is None or not (e.b or any(e.a[1:])) else frobenius(e)
                 for e in row] for row in cur]
         if prod is None:
             prod, precs = cur, pinv_prec
         else:
             prod, precs = _mat2_mul_pi(cur, prod), _prec_meet(pinv_prec, precs)
     if prod is None:
-        one = PiSeries.const(ctx_work, 1, cap)
+        one = IwaSeries.const(ctx_work, 1, cap)
         prod, precs = [[one, None], [None, one]], [[ctx_work.prec] * 2] * 2
     # A~^(n+1) acting on the left
     an = [[1, 0], [0, 1]]
@@ -383,7 +384,8 @@ def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
         an = [[(an[i][0] * araw[0][j] + an[i][1] * araw[1][j]) % m
                for j in range(2)] for i in range(2)]
     an = [[c or None for c in row] for row in an]
-    opp = PiSeries.one_plus_pi_pow(ctx_work, 1, cap)
+    opp = IwaSeries(ctx_work, _poly.onepx_pow(1, cap, p, ctx_work.prec), None,
+                    ctx_work.prec, cap)
     zero_ctx = ctx_work if out_ctx is None else out_ctx
     out = []
     for i in range(2):
@@ -398,7 +400,7 @@ def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
             else:
                 h = opp * s
                 if h.prec != prec:
-                    h = PiSeries(ctx_work, h.ints, prec, cap)
+                    h = IwaSeries(ctx_work, h.a, None, prec, cap)
                 ent = groupring_to_iwa(mellin_inverse(h, rep), theta_index,
                                        out_ctx)
             ent.denom_exp = scale

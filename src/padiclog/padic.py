@@ -275,6 +275,14 @@ def from_json(obj, ctx=None):
     return PadicElt(ctx, coords[0], b, obj.get("prec"))
 
 
+def int_entry(c, where):
+    """An integer read from JSON input: an int or a decimal string."""
+    if type(c) is int or (isinstance(c, str) and c.removeprefix("-").isdecimal()):
+        return int(c)
+    raise ValueError("%s: expected an integer or a decimal string, got %r"
+                     % (where, c))
+
+
 def val(x):
     return x.val()
 

@@ -242,6 +242,8 @@ class CycIntRing:
 def eisenstein_depleted(k, m_root, zeta_index, p, n_max):
     """a_n = sum_{d | n} d^(k-1) (zeta^(d i) + (-1)^k zeta^(-d i)), p-depleted."""
     from math import gcd
+    if k < 1:
+        raise ValueError("weight k must be >= 1 (d^(k-1) must be an integer)")
     if gcd(zeta_index, m_root) != 1:
         raise ValueError("zeta index must be invertible modulo the root order")
     ring = CycIntRing(m_root)

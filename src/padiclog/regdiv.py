@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from padiclog import linsolve
 from padiclog.iwadist import NotDivisible
-from padiclog.padic import PadicElt, PrimeCtx
+from padiclog.padic import PadicElt, PrimeCtx, int_entry
 
 INF = float("inf")
 
@@ -141,7 +141,9 @@ class MSeries:
     def from_json(cls, obj, ctx=None):
         if ctx is None:
             ctx = PrimeCtx(obj["p"], obj["prec"])
-        coeffs = {tuple(int(t) for t in key.split(",")): int(v)
+        if not isinstance(obj["coeffs"], dict):
+            raise ValueError("coeffs: expected an object of exponent: coefficient")
+        coeffs = {tuple(int(t) for t in key.split(",")): int_entry(v, "coeffs")
                   for key, v in obj["coeffs"].items()}
         return cls(ctx, obj["nvars"], coeffs, obj["deg_cap"])
 
@@ -157,7 +159,7 @@ class SpecFamily:
         pts = []
         for a in points:
             if not isinstance(a, PadicElt):
-                a = ctx.from_int(a)
+                a = ctx.from_int(int_entry(a, "points"))
             if a.val() < 1:
                 raise ValueError("specialization points must lie in pO")
             pts.append(a)
@@ -176,10 +178,15 @@ def specialize(f, a):
     """Substitute x0 = a (with v(a) >= 1); result lives in x1..xd."""
     if not isinstance(a, PadicElt):
         a = f.ctx.from_int(a)
+    # a^i for i = 0, 1, ..., as a running product: the values and precisions
+    # of a ** i, with one multiplication per power
+    pows = [PadicElt(f.ctx, 1, 0, a.prec)]
     out = {}
     for e, c in f.coeffs.items():
         rest = e[1:]
-        term = c * a ** e[0]
+        while len(pows) <= e[0]:
+            pows.append(pows[-1] * a)
+        term = c * pows[e[0]]
         s = out.get(rest)
         out[rest] = term if s is None else s + term
     return MSeries(f.ctx, f.nvars - 1, out, f.deg_cap)

@@ -212,8 +212,20 @@ def bad_split_spec(**change):
     return spec
 
 
+def bad_regdiv_spec(f_coeffs=None, points=(5, 10)):
+    f = {"nvars": 2, "deg_cap": 4, "coeffs": {"0,0": "1", "1,0": "1"}}
+    if f_coeffs is not None:
+        f["coeffs"] = f_coeffs
+    g = {"nvars": 2, "deg_cap": 4, "coeffs": {"0,0": "1"}}
+    return {"p": 5, "prec": 10, "F": f, "G": g, "points": list(points)}
+
+
 MALFORMED = {
     "split-level-string": ("split", bad_split_spec(level="2")),
+    "split-coeffs-int": ("split", bad_split_spec(alpha={"coeffs": 5})),
+    "split-coeffs-nested": ("split", bad_split_spec(alpha={"coeffs": [[1]]})),
+    "regdiv-point-string": ("regdiv", bad_regdiv_spec(points=["a"])),
+    "regdiv-coeffs-list": ("regdiv", bad_regdiv_spec(f_coeffs=[1, 2])),
     "split-alpha-beta-lists": ("split", bad_split_spec(alpha=[1, 2], beta=[3])),
     "galimg-gens-int": ("galimg", {"p": 5, "gens": 3}),
     "eval-null": ("eval", None),
@@ -244,3 +256,35 @@ def test_negative_level_or_weight_exits_2(argv, capsys):
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+def test_eis_weight_below_one_exits_2(capsys):
+    # d^(k-1) is not an integer for k < 1
+    code = main(["eis", "--k", "0", "--root-order", "8", "--p", "5", "--nmax", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_eis_weight_one_output(capsys):
+    # k = 1: a_n = sum_{d | n, p not | n} (zeta^d - zeta^(-d)) in Z[x]/(x^4 + 1)
+    code, out = run_cli(capsys, "eis", "--k", "1", "--root-order", "8",
+                        "--p", "5", "--nmax", "12")
+    assert code == 0
+    assert out["ring"] == "cyclotomic:8"
+
+    def zeta_pow(e):
+        vec = [0] * 4
+        vec[e % 4] = -1 if e % 8 >= 4 else 1
+        return vec
+
+    want = []
+    for n in range(1, 13):
+        acc = [0] * 4
+        if n % 5:
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    acc = [x + y - z for x, y, z in zip(acc, zeta_pow(d), zeta_pow(-d))]
+        want.append(acc)
+    assert out["coeffs"] == want

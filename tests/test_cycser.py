@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from padiclog import _poly
 from padiclog.cycser import (
-    FiniteGroupRingElt, InsufficientDegree, NotInImage, PiSeries, compose,
-    frobenius, gamma_act, mellin, mellin_inverse, psi, q_series, xi_series,
+    FiniteGroupRingElt, InsufficientDegree, NotInImage, compose, frobenius,
+    gamma_act, mellin, mellin_inverse, psi, q_series, xi_series,
 )
+from padiclog.iwadist import IwaSeries
 from padiclog.padic import PrimeCtx
 
 
@@ -13,29 +15,35 @@ CTX3 = PrimeCtx(3, 12)
 CTX5 = PrimeCtx(5, 10)
 
 
+def one_plus_pi_pow(ctx, e, cap):
+    """(1+pi)^e truncated at cap, at the context precision."""
+    return IwaSeries(ctx, _poly.onepx_pow(e, cap, ctx.p, ctx.prec), None,
+                     ctx.prec, cap)
+
+
 def rand_series(ctx, cap, rng, deg=None):
     if deg is None:
         deg = cap - 1
     m = ctx.modulus
-    return PiSeries(ctx, [rng.randrange(m) for _ in range(deg + 1)], deg_cap=cap)
+    return IwaSeries(ctx, [rng.randrange(m) for _ in range(deg + 1)], None, None, cap)
 
 
 def test_frobenius_of_pi():
     # phi(pi) = (1+pi)^p - 1
-    f = frobenius(PiSeries.pi(CTX3, 30))
-    expect = PiSeries.one_plus_pi_pow(CTX3, 3, 30) - PiSeries.const(CTX3, 1, 30)
+    f = frobenius(IwaSeries.gen(CTX3, 30))
+    expect = one_plus_pi_pow(CTX3, 3, 30) - IwaSeries.const(CTX3, 1, 30)
     assert f == expect
 
 
 def test_frobenius_of_one_plus_pi():
-    f = frobenius(PiSeries.one_plus_pi_pow(CTX3, 1, 30))
-    assert f == PiSeries.one_plus_pi_pow(CTX3, 3, 30)
+    f = frobenius(one_plus_pi_pow(CTX3, 1, 30))
+    assert f == one_plus_pi_pow(CTX3, 3, 30)
 
 
 def test_frobenius_matches_substitution_oracle():
     rng = random.Random(7)
     cap = 40
-    phi_pi = PiSeries.one_plus_pi_pow(CTX3, 3, cap) - PiSeries.const(CTX3, 1, cap)
+    phi_pi = one_plus_pi_pow(CTX3, 3, cap) - IwaSeries.const(CTX3, 1, cap)
     for _ in range(10):
         f = rand_series(CTX3, cap, rng, deg=12)
         assert frobenius(f) == compose(f, phi_pi)
@@ -55,7 +63,7 @@ def test_frobenius_q_compatibility():
     # phi(q)*phi(pi) = phi(q*pi) = phi(phi(pi))
     cap = 81
     q = q_series(CTX3, cap)
-    pi = PiSeries.pi(CTX3, cap)
+    pi = IwaSeries.gen(CTX3, cap)
     lhs = frobenius(q) * frobenius(pi)
     assert lhs == frobenius(q * pi)
     assert lhs == frobenius(frobenius(pi))
@@ -63,7 +71,7 @@ def test_frobenius_q_compatibility():
 
 def test_frobenius_needs_degree():
     with pytest.raises(InsufficientDegree):
-        frobenius(PiSeries.pi(CTX3, 2))
+        frobenius(IwaSeries.gen(CTX3, 2))
 
 
 def test_psi_inverts_phi():
@@ -72,17 +80,17 @@ def test_psi_inverts_phi():
     for _ in range(20):
         f = rand_series(CTX3, cap, rng, deg=14)  # 3*14 < 45
         assert psi(frobenius(f)) == f
-    assert psi(PiSeries.const(CTX3, 1, cap)) == PiSeries.const(CTX3, 1, cap)
+    assert psi(IwaSeries.const(CTX3, 1, cap)) == IwaSeries.const(CTX3, 1, cap)
 
 
 def test_psi_kills_prime_to_p_powers():
     cap = 45
     for a in (1, 2, 4, 5, 7, 11):
-        z = psi(PiSeries.one_plus_pi_pow(CTX3, a, cap))
+        z = psi(one_plus_pi_pow(CTX3, a, cap))
         assert z.is_zero()
     for a in (3, 6, 9):
-        z = psi(PiSeries.one_plus_pi_pow(CTX3, a, cap))
-        assert z == PiSeries.one_plus_pi_pow(CTX3, a // 3, cap)
+        z = psi(one_plus_pi_pow(CTX3, a, cap))
+        assert z == one_plus_pi_pow(CTX3, a // 3, cap)
 
 
 def test_psi_projection_formula():
@@ -113,8 +121,8 @@ def test_gamma_act_identity_and_composition():
 def test_gamma_act_on_pi():
     u = 1 + 3
     cap = 30
-    got = gamma_act(u, PiSeries.pi(CTX3, cap))
-    expect = PiSeries.one_plus_pi_pow(CTX3, u, cap) - PiSeries.const(CTX3, 1, cap)
+    got = gamma_act(u, IwaSeries.gen(CTX3, cap))
+    expect = one_plus_pi_pow(CTX3, u, cap) - IwaSeries.const(CTX3, 1, cap)
     assert got == expect
 
 
@@ -138,22 +146,22 @@ def test_onepx_basis_unipotent_roundtrip():
 
 def test_xi_is_unit():
     xi = xi_series(CTX3, 27)
-    assert xi.ints[0] % 3 != 0
+    assert xi.a[0] % 3 != 0
     # xi * (q - pi^(p-1)) == p
     q = q_series(CTX3, 27, prec=xi.prec)
     m = 3 ** xi.prec
-    den = list(q.ints)
+    den = list(q.a)
     den[2] = (den[2] - 1) % m
-    prod = xi * PiSeries(CTX3, den, xi.prec, 27)
-    assert prod == PiSeries.const(CTX3, 3, 27, xi.prec)
+    prod = xi * IwaSeries(CTX3, den, None, xi.prec, 27)
+    assert prod == IwaSeries.const(CTX3, 3, 27, xi.prec)
 
 
 def test_mellin_basics():
     lam = FiniteGroupRingElt.delta(CTX5, 1, 1)
     h = mellin(lam)
-    assert h == PiSeries.one_plus_pi_pow(CTX5, 1, 25)
+    assert h == one_plus_pi_pow(CTX5, 1, 25)
     lam_u = FiniteGroupRingElt.delta(CTX5, 1, 7)
-    assert mellin(lam_u) == PiSeries.one_plus_pi_pow(CTX5, 7, 25)
+    assert mellin(lam_u) == one_plus_pi_pow(CTX5, 7, 25)
 
 
 def test_mellin_lands_in_psi_zero():
@@ -166,7 +174,7 @@ def test_mellin_lands_in_psi_zero():
 
 
 def test_mellin_inverse_examples():
-    one = mellin_inverse(PiSeries.one_plus_pi_pow(CTX5, 1, 25), 1)
+    one = mellin_inverse(one_plus_pi_pow(CTX5, 1, 25), 1)
     assert one == FiniteGroupRingElt.delta(CTX5, 1, 1)
     # (1+pi)^u - (1+pi) is the image of X = gamma - 1 with chi(gamma) = u
     u = 1 + 5
@@ -189,9 +197,24 @@ def test_mellin_roundtrip_random():
 
 def test_mellin_inverse_rejects_psi_nonzero():
     with pytest.raises(NotInImage):
-        mellin_inverse(PiSeries.const(CTX5, 1, 25), 1)
+        mellin_inverse(IwaSeries.const(CTX5, 1, 25), 1)
     with pytest.raises(InsufficientDegree):
-        mellin_inverse(PiSeries.pi(CTX5, 10), 1)
+        mellin_inverse(IwaSeries.gen(CTX5, 10), 1)
+
+
+def test_maps_reject_w_part_and_denominator():
+    # the pi-series maps act on base-valued series with denom_exp 0; a w-part
+    # or a denominator must raise, not be dropped
+    ctx = PrimeCtx(5, 6, ("unramified", 2))
+    ok = IwaSeries(ctx, [1, 2, 3], None, None, 25)
+    bad = [IwaSeries(ctx, [1, 2, 3], [0, 1], None, 25),
+           IwaSeries(ctx, [1, 2, 3], None, None, 25, denom_exp=1)]
+    for f in bad:
+        for fn in (frobenius, psi, lambda h: gamma_act(2, h),
+                   lambda h: mellin_inverse(h, 1), lambda h: compose(h, ok),
+                   lambda h: compose(ok, h)):
+            with pytest.raises(ValueError):
+                fn(f)
 
 
 def test_group_ring_multiplication():

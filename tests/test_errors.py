@@ -2,7 +2,7 @@
 
 import pytest
 
-from padiclog.cycser import FiniteGroupRingElt, InsufficientDegree, PiSeries
+from padiclog.cycser import FiniteGroupRingElt, InsufficientDegree
 from padiclog.galimg import GF, MatGroupGen
 from padiclog.iwadist import ExtensionTooLarge, IwaSeries, eval_at, CharPoint, omega
 from padiclog.logmat import CrystalParams, log_matrix_ap0

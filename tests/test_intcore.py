@@ -1,10 +1,12 @@
-"""The int-vector division and valuation core against PadicElt reference loops.
+"""The int-vector division, valuation and evaluation core against PadicElt loops.
 
 The reference functions below divide one PadicElt at a time, with each
 coefficient carrying its own precision.  `iwadist` divides whole int vectors
 through `_poly`; the two must agree on coefficients, precision, denominator
 exponent and growth tag, including the precision edge cases (inputs at
-different precisions, quotients that vanish, empty windows).
+different precisions, quotients that vanish, empty windows).  `eval_at` is
+checked the same way against the loop that built its value one PadicElt per
+power-basis coordinate.
 """
 
 import random
@@ -12,8 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from padiclog.iwadist import (INF, IwaSeries, NotDivisible, divide_exact,
-                              growth_check, poly_reduce, solve_series_div)
+from padiclog import _poly
+from padiclog.iwadist import (INF, CharPoint, IwaSeries, NotDivisible,
+                              divide_exact, eval_at, growth_check, poly_reduce,
+                              solve_series_div, ucyc)
 from padiclog.padic import (RAMIFIED, UNRAMIFIED, NonUnit, PadicElt, PrimeCtx,
                             is_qr)
 
@@ -152,6 +156,49 @@ def ref_growth_check(f, r, c=0):
     return True
 
 
+def ref_reduce_pow(p, t, e):
+    """z^e in the power basis of O[z]/Phi_{p^t}(z), as {index: sign}."""
+    if t == 0:
+        return {0: 1}
+    e %= p ** t
+    d = (p - 1) * p ** (t - 1)
+    if e < d:
+        return {e: 1}
+    # z^(d + r) = -sum_{i<p-1} z^(i p^(t-1) + r)
+    r = e - d
+    return {i * p ** (t - 1) + r: -1 for i in range(p - 1)}
+
+
+def ref_eval_at(f, pt):
+    """(coords, is_zero, denom_exp) of f at X = zeta u^j - 1, one PadicElt
+    per power-basis coordinate."""
+    ctx, p = f.ctx, f.ctx.p
+    d = 1 if pt.t == 0 else (p - 1) * p ** (pt.t - 1)
+    m = f.modulus()
+    uj = pow(ucyc(ctx), pt.j, m)
+    out_a = [0] * d
+    out_b = [0] * d if f.b else None
+    for vec, out in ((f.a, out_a), (f.b, out_b)):
+        if vec is None:
+            continue
+        ujk = 1
+        for k, bk in enumerate(_poly.to_onepx_basis(vec, m)):
+            if bk:
+                c = (bk * ujk) % m
+                for idx, s in ref_reduce_pow(p, pt.t, k).items():
+                    out[idx] = (out[idx] + s * c) % m
+            ujk = (ujk * uj) % m
+    vec = [PadicElt(ctx, out_a[i], out_b[i] if out_b else 0, f.prec)
+           for i in range(d)]
+    return [(x.a, x.b) for x in vec], all(x.is_zero() for x in vec), f.denom_exp
+
+
+def eval_view(f, pt):
+    v = eval_at(f, pt)
+    coords = [(c, v.b[i] if v.b else 0) for i, c in enumerate(v.a)]
+    return coords, v.is_zero(), v.denom_exp
+
+
 # -- random inputs -------------------------------------------------------------
 
 
@@ -274,6 +321,48 @@ def test_valuations_match_reference(p, seed):
             assert f.min_val() == ref_min_val(f)
             for r in (0, Fraction(1, 2), 1):
                 assert growth_check(f, r) == ref_growth_check(f, r)
+
+
+def rand_eval_series(rng, ctx, ext):
+    """A series at a precision below, at or above the context's, or 0, with
+    a w-part when ext is set."""
+    p = ctx.p
+    prec = rng.choice((0, rng.randrange(1, ctx.prec + 1), ctx.prec, ctx.prec + 2))
+    cap = rng.randrange(1, p * p + 3)
+    a = [rand_coeff(rng, p, prec + 1) for _ in range(rng.randrange(0, cap + 1))]
+    b = [rand_coeff(rng, p, prec + 1) for _ in range(cap)] if ext else None
+    return IwaSeries(ctx, a, b, prec, cap, rng.randrange(0, 3))
+
+
+def eval_outcome(fn, f, pt):
+    try:
+        return "ok", fn(f, pt)
+    except ValueError:
+        return "ValueError", None
+
+
+@pytest.mark.parametrize("p,seed", CASES)
+def test_eval_at_matches_reference(p, seed):
+    rng = random.Random(5000 * p + seed)
+    kinds = set()
+    for ctx in contexts(p, rng.randrange(2, 6)):
+        for i in range(10):
+            f = rand_eval_series(rng, ctx, ext=i % 3 != 0)
+            for t in range(4):
+                pt = CharPoint(t, rng.randrange(-3, 3))
+                got = eval_outcome(eval_view, f, pt)
+                assert got == eval_outcome(ref_eval_at, f, pt)
+                if got[0] == "ValueError":
+                    # a w-part over a context without an extension
+                    kinds.add("base w-part")
+                    continue
+                kinds.add("zero" if got[1][1] else "nonzero")
+                kinds.update(k for k, hit in (
+                    ("w-part", f.b), ("denominator", f.denom_exp),
+                    ("prec above", f.prec > ctx.prec), ("prec 0", f.prec == 0),
+                    ("t=3", t == 3), ("negative j", pt.j < 0)) if hit)
+    assert kinds == {"base w-part", "zero", "nonzero", "w-part", "denominator",
+                     "prec above", "prec 0", "t=3", "negative j"}
 
 
 def test_edge_cases_match_reference():

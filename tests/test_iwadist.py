@@ -121,13 +121,28 @@ def test_eval_at_basics():
         assert not eval_at(w, CharPoint(n + 1, 0)).is_zero()
 
 
+def cyclotomic_in_z(ctx, t):
+    """Phi_{p^t}(z) = sum_{i<p} z^(i p^(t-1)), t >= 1, as a polynomial in z."""
+    step = ctx.p ** (t - 1)
+    a = [0] * ((ctx.p - 1) * step + 1)
+    a[::step] = [1] * ctx.p
+    return IwaSeries(ctx, a)
+
+
 def test_eval_at_ring_hom():
     rng = random.Random(22)
     for t in (0, 1, 2):
         f = rand_poly(CTX3, 16, rng, 7)
         g = rand_poly(CTX3, 16, rng, 7)
         pt = CharPoint(t, rng.randrange(3))
-        assert eval_at(f * g, pt) == eval_at(f, pt) * eval_at(g, pt)
+        x, y = eval_at(f, pt), eval_at(g, pt)
+        prod = x * y
+        if t:
+            # multiply in O[z]/Phi_{p^t}(z): full product, then reduce
+            prod = poly_reduce(x.widen(2 * x.deg_cap) * y.widen(2 * y.deg_cap),
+                               cyclotomic_in_z(CTX3, t))
+        assert prod.deg_cap == x.deg_cap
+        assert eval_at(f * g, pt) == prod
 
 
 def test_growth_proxy():

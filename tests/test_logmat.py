@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from padiclog.cycser import PiSeries, frobenius
+from padiclog import _poly
+from padiclog.cycser import frobenius
 from padiclog.iwadist import (
     CharPoint, IwaSeries, NoUnitWitness, delta, equal_up_to_unit_mod, eval_at,
     halflog, is_unit, log_tw, omega_tw, poly_reduce,
@@ -16,6 +17,12 @@ from padiclog.logmat import (
     window_ideal,
 )
 from padiclog.padic import PadicElt, PrimeCtx, val
+
+
+def one_plus_pi_pow(ctx, e, cap):
+    """(1+pi)^e truncated at cap, at the context precision."""
+    return IwaSeries(ctx, _poly.onepx_pow(e, cap, ctx.p, ctx.prec), None,
+                     ctx.prec, cap)
 
 
 def params_ap0(p=3, prec=10, k=0, eps=1):
@@ -210,9 +217,9 @@ def test_log_matrix_from_wach_synthetic():
     epsw = PadicElt(ctxw, pr.eps.a, 0)
     from padiclog.cycser import q_series
     q = q_series(ctxw, cap)
-    one = PiSeries.const(ctxw, 1, cap)
-    zero = PiSeries.zero(ctxw, cap)
-    pi = PiSeries.pi(ctxw, cap)
+    one = IwaSeries.const(ctxw, 1, cap)
+    zero = IwaSeries.zero(ctxw, cap)
+    pi = IwaSeries.gen(ctxw, cap)
     pinv = [[zero, one], [(-1) * q, zero]]
     phi_pi = frobenius(pi)
     # U = [[1, pi], [0, 1]]
@@ -497,15 +504,15 @@ def ref_log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
         cur = [[frobenius(e) for e in row] for row in cur]
         prod = cur if prod is None else mul(cur, prod)
     if prod is None:
-        prod = [[PiSeries.const(ctx_work, 1, cap), PiSeries.zero(ctx_work, cap)],
-                [PiSeries.zero(ctx_work, cap), PiSeries.const(ctx_work, 1, cap)]]
+        prod = [[IwaSeries.const(ctx_work, 1, cap), IwaSeries.zero(ctx_work, cap)],
+                [IwaSeries.zero(ctx_work, cap), IwaSeries.const(ctx_work, 1, cap)]]
     an = [[1, 0], [0, 1]]
     araw = [[a_scaled.num[i][j].a for j in range(2)] for i in range(2)]
     m = ctx_work.modulus
     for _ in range(n + 1):
         an = [[(an[i][0] * araw[0][j] + an[i][1] * araw[1][j]) % m
                for j in range(2)] for i in range(2)]
-    opp = PiSeries.one_plus_pi_pow(ctx_work, 1, cap)
+    opp = one_plus_pi_pow(ctx_work, 1, cap)
     out = []
     for i in range(2):
         orow = []
@@ -549,18 +556,18 @@ def test_from_wach_ap0_matches_dense(p, n):
 
 
 def rand_pi(rng, ctx, cap, shape):
-    """A random PiSeries of the given shape: zero, constant or polynomial,
+    """A random series in pi of the given shape: zero, constant or polynomial,
     at a random precision <= the context's and a window >= cap."""
     prec = rng.randint(max(1, ctx.prec - 3), ctx.prec)
     wide = cap + rng.choice((0, 0, 1, ctx.p))
     m = ctx.p ** prec
     if shape == "zero":
-        return PiSeries.zero(ctx, wide, prec)
+        return IwaSeries.zero(ctx, wide, prec)
     if shape == "const":
-        return PiSeries.const(ctx, rng.randrange(1, m), wide, prec)
+        return IwaSeries.const(ctx, rng.randrange(1, m), wide, prec)
     deg = rng.randint(1, 6)
     coeffs = [rng.randrange(m) for _ in range(deg)] + [rng.randrange(1, m)]
-    return PiSeries(ctx, coeffs, prec, wide)
+    return IwaSeries(ctx, coeffs, None, prec, wide)
 
 
 def rand_wach_case(rng, shapes):
@@ -605,7 +612,7 @@ def test_from_wach_zero_patterns_match():
 def test_from_wach_rejects_narrow_entry():
     pr = params_ap0(3, 6, 0)
     a_scaled, pinv = wach_matrices_ap0(pr, 27)
-    pinv[1][0] = PiSeries.zero(pr.ctx, 9)
+    pinv[1][0] = IwaSeries.zero(pr.ctx, 9)
     with pytest.raises(ValueError):
         log_matrix_from_wach(pr.ctx, a_scaled, pinv, 0, 1, 0)
 

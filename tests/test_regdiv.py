@@ -3,7 +3,7 @@ import random
 import pytest
 
 from padiclog.iwadist import NotDivisible
-from padiclog.padic import PrimeCtx
+from padiclog.padic import PadicElt, PrimeCtx
 from padiclog.regdiv import (MSeries, SpecFamily, chevalley_check, divides_trunc,
                              specialize)
 
@@ -38,6 +38,33 @@ def test_specialize_ring_map():
         a = 5 * rng.randrange(1, 100)
         assert specialize(f * g, a) == specialize(f, a) * specialize(g, a)
         assert specialize(f + g, a) == specialize(f, a) + specialize(g, a)
+
+
+def ref_specialize(f, a):
+    """x0 = a with a fresh power a ** e[0] for every monomial."""
+    out = {}
+    for e, c in f.coeffs.items():
+        term = c * a ** e[0]
+        s = out.get(e[1:])
+        out[e[1:]] = term if s is None else s + term
+    return MSeries(f.ctx, f.nvars - 1, out, f.deg_cap)
+
+
+def test_specialize_matches_power_reference():
+    def view(f):
+        return sorted((e, c.a, c.b, c.prec) for e, c in f.coeffs.items())
+
+    rng = random.Random(41)
+    for ctx in (CTX, PrimeCtx(3, 7, ("unramified", 2)), PrimeCtx(5, 6, ("ramified", 2))):
+        for _ in range(15):
+            f = rand_mseries(ctx, 2, rng.randrange(0, 6), rng)
+            b = 0
+            if ctx.ext:
+                f = f + f * PadicElt(ctx, 0, 1, rng.randrange(1, ctx.prec + 1))
+                b = ctx.p * rng.randrange(ctx.modulus)
+            a = PadicElt(ctx, ctx.p * rng.randrange(ctx.modulus), b,
+                         rng.randrange(1, ctx.prec + 1))
+            assert view(specialize(f, a)) == view(ref_specialize(f, a))
 
 
 def test_divides_simple():
