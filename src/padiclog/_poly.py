@@ -9,9 +9,16 @@ Gamma-action, twists and the Mellin transform -- goes through the one
 kernel `compose`, built on that multiply; nothing is cached.  The
 (1+X)-power basis transforms are exact unipotent integer maps, which is
 what makes the finite-level Mellin transform invertible.
+
+The elementary number theory the package needs around that core -- primality,
+the Jacobi symbol, square roots modulo a prime and the cyclotomic
+polynomials -- lives at the end of this module, on ints only (Cohen, "A
+Course in Computational Algebraic Number Theory", 1.4-1.5 and 8.2).
 """
 
 from __future__ import annotations
+
+import math
 
 
 def pascal_rows(n, modulus):
@@ -209,3 +216,159 @@ def series_div_unit(f, g, m, cap):
                 acc -= gj * out[i - j]
         out[i] = (acc * ginv0) % m
     return out
+
+
+# -- elementary number theory on ints ----------------------------------------
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the 13 bases above decide primality of every n below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _strong_prp(n, a, d, s):
+    """Miller-Rabin: is n (with n - 1 = d 2^s, d odd) a strong probable prime to base a?"""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_prp(n):
+    """Strong Lucas test with Selfridge's parameters (P = 1, Q = (1 - D)/4).
+
+    n is odd, has no prime factor up to 41 and is not 1.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # left-to-right binary: U_k, V_k, Q^k with P = 1, starting at k = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            U = (U + n if U & 1 else U) // 2
+            V = (V + n if V & 1 else V) // 2
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def isprime(n):
+    """Primality of the integer n.
+
+    Miller-Rabin to the first 13 prime bases, which is deterministic below
+    3.3 10^24; above that, Baillie-PSW (base 2 plus a strong Lucas test).
+    """
+    if type(n) is not int:
+        raise ValueError("%r is not an integer" % (n,))
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    if n < _MR_BOUND:
+        return all(_strong_prp(n, a, d, s) for a in _MR_BASES)
+    return _strong_prp(n, 2, d, s) and _strong_lucas_prp(n)
+
+
+def jacobi(a, n):
+    """Jacobi symbol (a/n) for odd n > 0, by the binary algorithm."""
+    if n <= 0 or n % 2 == 0:
+        raise ValueError("n should be an odd positive integer")
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def sqrt_mod_prime(a, p):
+    """The square root r <= p // 2 of a modulo the prime p, or None.
+
+    Tonelli-Shanks; of the two roots r and p - r the smaller is returned.
+    """
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # least i with t^(2^i) = 1; then i < s
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return min(r, p - r)
+
+
+def cyclotomic(n):
+    """Int coefficients of Phi_n, low degree first.
+
+    Phi_d for each divisor d of n, in increasing order: x^d - 1 divided
+    exactly by the Phi_e already found for the proper divisors e of d.
+    """
+    if n < 1:
+        raise ValueError("Cannot generate cyclotomic polynomial of order %d" % n)
+    phis = {}
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        r = [-1] + [0] * (d - 1) + [1]
+        for e, g in phis.items():
+            if d % e:
+                continue
+            # exact division by the monic g; the quotient reuses the low slots
+            dg = len(g) - 1
+            for i in range(len(r) - 1, dg - 1, -1):
+                c = r[i]
+                if c:
+                    for j in range(dg):
+                        r[i - dg + j] -= c * g[j]
+            r = r[dg:]
+        phis[d] = r
+    return phis[n]

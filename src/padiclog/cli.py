@@ -181,10 +181,28 @@ def cmd_eis(args):
     return 0
 
 
+def _qexp_coeffs(spec, where):
+    """The coefficients of a q-expansion read from JSON input.
+
+    They are all integers or, over a ring other than "int", all integer
+    vectors of one length (one coordinate vector per coefficient).
+    """
+    cs = spec["coeffs"]
+    if all(type(c) is int for c in cs):
+        return cs
+    if (spec.get("ring") != "int"
+            and all(isinstance(c, list) and all(type(x) is int for x in c)
+                    for c in cs)
+            and len({len(c) for c in cs}) == 1):
+        return cs
+    raise ValueError("%s: coeffs must be integers, or integer vectors of one "
+                     "length" % where)
+
+
 def cmd_deplete(args):
     spec = _load(args.input, ring="string", nmax="nat", coeffs="array")
     from padiclog.qexp import QExpansion
-    f = QExpansion(spec["ring"], spec["nmax"], spec["coeffs"])
+    f = QExpansion(spec["ring"], spec["nmax"], _qexp_coeffs(spec, args.input))
     _emit(deplete(f, args.p).to_json(), args)
     return 0
 

@@ -1,9 +1,9 @@
 """Linear algebra over Z/p^N.
 
 Diagonalizes by always pivoting on a minimal-valuation entry, so the row and
-column eliminations are exact unit divisions.  Solutions come back together
-with a kernel basis, which callers use to adjust representatives (e.g. to
-force a unit constant term).
+column eliminations are exact unit divisions.  Solutions come back, on
+request, together with a kernel basis, which callers use to adjust
+representatives (e.g. to force a unit constant term) or to read off a rank.
 """
 
 from __future__ import annotations
@@ -11,13 +11,14 @@ from __future__ import annotations
 from padiclog._poly import _vp
 
 
-def solve_mod_ppow(rows, rhs, p, npow):
+def solve_mod_ppow(rows, rhs, p, npow, want_kernel=False):
     """Solve A x = rhs over Z/p^npow.
 
     rows: list of equation rows (len = #unknowns).  Returns (x, kernel, loss)
-    with kernel a list of generators of the solution lattice mod p^npow and
-    loss the largest pivot valuation (the intrinsic precision cost of the
-    back-substitution), or None when the system is inconsistent.
+    with loss the largest pivot valuation (the intrinsic precision cost of
+    the back-substitution), or None when the system is inconsistent.  With
+    want_kernel, kernel is a list of generators of the solution lattice mod
+    p^npow; otherwise it is None and the back-transform is skipped.
     """
     m = p ** npow
     nr = len(rows)
@@ -27,16 +28,14 @@ def solve_mod_ppow(rows, rhs, p, npow):
     # column operations tracked through v: x = v * y
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
     pivots = []
-    used_r, used_c = set(), set()
+    # rows and columns not yet pivoted on, in increasing order
+    free_r, free_c = list(range(nr)), list(range(nc))
     while True:
         best, bv = None, npow
-        for i in range(nr):
-            if i in used_r:
-                continue
-            for j in range(nc):
-                if j in used_c:
-                    continue
-                e = a[i][j]
+        for i in free_r:
+            row = a[i]
+            for j in free_c:
+                e = row[j]
                 if e:
                     w = _vp(e, p, npow)
                     if w < bv:
@@ -48,8 +47,8 @@ def solve_mod_ppow(rows, rhs, p, npow):
         if best is None:
             break
         pi, pj = best
-        used_r.add(pi)
-        used_c.add(pj)
+        free_r.remove(pi)
+        free_c.remove(pj)
         piv = a[pi][pj]
         unit = piv // p ** bv
         uinv = pow(unit, -1, m)
@@ -72,27 +71,22 @@ def solve_mod_ppow(rows, rhs, p, npow):
                 v[i][j] = (v[i][j] - q * v[i][pj]) % m
         pivots.append((pi, pj, bv, uinv))
     # consistency of untouched rows
-    for i in range(nr):
-        if i not in used_r and b[i] % m:
+    for i in free_r:
+        if b[i] % m:
             return None
     y = [0] * nc
-    kernel_y = []
     for pi, pj, bv, uinv in pivots:
         c = b[pi]
         if c % p ** bv:
             return None
         y[pj] = ((c // p ** bv) * uinv) % m
-        if bv > 0:
-            gen = [0] * nc
-            gen[pj] = p ** (npow - bv)
-            kernel_y.append(gen)
-    for j in range(nc):
-        if j not in used_c:
-            gen = [0] * nc
-            gen[j] = 1
-            kernel_y.append(gen)
     x = [sum(v[i][j] * y[j] for j in range(nc)) % m for i in range(nc)]
-    kernel = [[sum(v[i][j] * g[j] for j in range(nc)) % m for i in range(nc)]
-              for g in kernel_y]
+    kernel = None
+    if want_kernel:
+        # generators in y: p^(npow - bv) at each lossy pivot, then every
+        # free column; mapped back through v
+        kernel_y = [(pj, p ** (npow - bv)) for _, pj, bv, _ in pivots if bv > 0]
+        kernel_y += [(j, 1) for j in free_c]
+        kernel = [[v[i][j] * g % m for i in range(nc)] for j, g in kernel_y]
     loss = max((bv for _, _, bv, _ in pivots), default=0)
     return x, kernel, loss

@@ -12,10 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from sympy import isprime
-from sympy.ntheory.residue_ntheory import sqrt_mod
-
-from padiclog._poly import _vp
+from padiclog._poly import _vp, isprime, sqrt_mod_prime
 
 INF = math.inf
 
@@ -283,6 +280,13 @@ def int_entry(c, where):
                      % (where, c))
 
 
+def nat_entry(v, where):
+    """A count or exponent read from JSON input: an int >= 0."""
+    if type(v) is int and v >= 0:
+        return v
+    raise ValueError("%s: expected an integer >= 0, got %r" % (where, v))
+
+
 def val(x):
     return x.val()
 
@@ -335,7 +339,7 @@ def teichmuller(ctx, a):
 def _sqrt_unit_base(ctx, a, prec):
     """Square root mod p^prec of a unit residue a, or None."""
     p = ctx.p
-    r0 = sqrt_mod(a, p)
+    r0 = sqrt_mod_prime(a, p)
     if r0 is None:
         return None
     # Newton: x <- x - (x^2 - a) / (2x); doubles the number of good digits.

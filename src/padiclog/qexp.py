@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy import isprime, jacobi_symbol
-from sympy.polys.specialpolys import cyclotomic_poly
-
+from padiclog._poly import cyclotomic, isprime, jacobi
 from padiclog.padic import PadicError
 
 CLASS_NUMBER_ONE = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
@@ -33,7 +31,7 @@ class BadPrime(PadicError):
 
 def kronecker(d, n):
     """Kronecker symbol (d|n) for n a positive odd prime not dividing d."""
-    return int(jacobi_symbol(d % n, n))
+    return jacobi(d, n)
 
 
 class QuadOrder:
@@ -60,6 +58,8 @@ class QuadOrder:
         return (a * c + m * b * d, a * d + b * c + b * d)
 
     def power(self, x, t):
+        if t < 0:
+            raise ValueError("exponent %d is negative" % t)
         out = (1, 0)
         base = x
         while t:
@@ -206,9 +206,7 @@ class CycIntRing:
 
     def __init__(self, m_root):
         self.m_root = m_root
-        poly = cyclotomic_poly(m_root)
-        cs = poly.as_poly().all_coeffs()[::-1]
-        self.phi = [int(c) for c in cs]
+        self.phi = cyclotomic(m_root)
         self.deg = len(self.phi) - 1
         # reduction table for x^e, e < m_root
         self._pow = []

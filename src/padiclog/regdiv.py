@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from padiclog import linsolve
 from padiclog.iwadist import NotDivisible
-from padiclog.padic import PadicElt, PrimeCtx, int_entry
+from padiclog.padic import PadicElt, PrimeCtx, int_entry, nat_entry
 
 INF = float("inf")
 
@@ -145,7 +145,8 @@ class MSeries:
             raise ValueError("coeffs: expected an object of exponent: coefficient")
         coeffs = {tuple(int(t) for t in key.split(",")): int_entry(v, "coeffs")
                   for key, v in obj["coeffs"].items()}
-        return cls(ctx, obj["nvars"], coeffs, obj["deg_cap"])
+        return cls(ctx, nat_entry(obj["nvars"], "nvars"), coeffs,
+                   nat_entry(obj["deg_cap"], "deg_cap"))
 
     def __repr__(self):
         return "MSeries(%d vars, %d terms, deg_cap=%d)" % (
@@ -214,9 +215,9 @@ def divides_trunc(f, g, window=None):
     """Quotient h with g = f*h on the certified window, or NotDivisible.
 
     The certified window is total degree < deg_cap - deg_eff(f): beyond it a
-    truncated divisor cannot constrain the product.  Solved degree by degree
-    as a graded linear system; on failure the first obstructed degree is
-    reported.
+    truncated divisor cannot constrain the product.  The graded linear system
+    is solved once; only when it is inconsistent are its degree prefixes
+    solved, to report the first obstructed degree.
     """
     if f.is_zero():
         raise NotDivisible("divisor is zero at precision")
@@ -237,7 +238,6 @@ def divides_trunc(f, g, window=None):
     # rows: coefficient of each monomial of f*h under the window
     rows = []
     rhs = []
-    loss = 0
     for mo in monos_eq:
         row = [0] * len(monos_h)
         for e, c in f.coeffs.items():
@@ -249,20 +249,17 @@ def divides_trunc(f, g, window=None):
                 row[j] = (row[j] + c.a) % m
         rows.append(row)
         rhs.append(g.coeff(mo).a % m)
-    # solve incrementally by degree to locate the first obstruction
-    count_by_deg = {}
-    for mo in monos_eq:
-        count_by_deg[sum(mo)] = count_by_deg.get(sum(mo), 0) + 1
-    upto = 0
-    sol = None
-    for d in range(window):
-        upto += count_by_deg.get(d, 0)
-        attempt = linsolve.solve_mod_ppow(rows[:upto], rhs[:upto], p, prec)
-        if attempt is None:
-            raise NotDivisible("first obstructed graded piece at degree %d" % d)
-        sol = attempt
-    if sol is None:
+    if window <= 0:
         raise NotDivisible("empty certification window")
+    sol = linsolve.solve_mod_ppow(rows, rhs, p, prec)
+    if sol is None:
+        # the rows run by degree: the first inconsistent prefix names the
+        # obstructed degree (the whole system is the last prefix)
+        upto = 0
+        for d in range(window):
+            upto += sum(1 for mo in monos_eq if sum(mo) == d)
+            if linsolve.solve_mod_ppow(rows[:upto], rhs[:upto], p, prec) is None:
+                raise NotDivisible("first obstructed graded piece at degree %d" % d)
     x, _, loss = sol
     hco = {}
     for mo, i in idx.items():

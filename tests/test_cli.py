@@ -58,6 +58,25 @@ def test_deplete_command(tmp_path, capsys):
     assert out["coeffs"] == [1, 1, 0, 1, 1, 0, 1, 1, 0]
 
 
+def test_deplete_vector_coefficients(tmp_path, capsys):
+    # eis output, one Z[x]/Phi_8 vector per coefficient, is valid input
+    blob = {"ring": "cyclotomic:8", "nmax": 2, "coeffs": [[1, 0, 0, 0], [0, 1, 0, 0]]}
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(blob))
+    code, out = run_cli(capsys, "deplete", str(path), "--p", "3")
+    assert code == 0
+    assert out["coeffs"] == blob["coeffs"]
+
+
+def test_eval_reads_scalar_fields(tmp_path, capsys):
+    # the checked fields still accept what IwaSeries.to_json writes
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(bad_eval_spec(growth="1/2", denom_exp=1)))
+    code, out = run_cli(capsys, "eval", str(path))
+    assert code == 0
+    assert out["denom_exp"] == 1
+
+
 def test_galimg_command(tmp_path, capsys):
     spec = {"p": 5, "gens": [[[1, 1], [0, 1]], [[0, 1], [4, 0]]]}
     path = tmp_path / "g.json"
@@ -212,12 +231,20 @@ def bad_split_spec(**change):
     return spec
 
 
-def bad_regdiv_spec(f_coeffs=None, points=(5, 10)):
+def bad_regdiv_spec(f_coeffs=None, points=(5, 10), **g_change):
     f = {"nvars": 2, "deg_cap": 4, "coeffs": {"0,0": "1", "1,0": "1"}}
     if f_coeffs is not None:
         f["coeffs"] = f_coeffs
     g = {"nvars": 2, "deg_cap": 4, "coeffs": {"0,0": "1"}}
+    g.update(g_change)
     return {"p": 5, "prec": 10, "F": f, "G": g, "points": list(points)}
+
+
+def bad_eval_spec(**change):
+    series = {"coeffs": ["1", "2", "0", "1"], "prec": 6, "deg_cap": 4,
+              "denom_exp": 0, "growth": "0"}
+    series.update(change)
+    return {"p": 3, "prec": 10, "series": series, "point": {"t": 1, "j": 0}}
 
 
 MALFORMED = {
@@ -230,6 +257,14 @@ MALFORMED = {
     "galimg-gens-int": ("galimg", {"p": 5, "gens": 3}),
     "eval-null": ("eval", None),
     "deplete-list": ("deplete", [1, 2, 3]),
+    "deplete-coeffs-nested": ("deplete", {"ring": "int", "nmax": 3,
+                                          "coeffs": [[1], 2, 3]}),
+    "eval-prec-string": ("eval", bad_eval_spec(prec="3")),
+    "eval-deg-cap-string": ("eval", bad_eval_spec(deg_cap="4")),
+    "eval-denom-exp-negative": ("eval", bad_eval_spec(denom_exp=-1)),
+    "eval-growth-list": ("eval", bad_eval_spec(growth=[1])),
+    "regdiv-nvars-string": ("regdiv", bad_regdiv_spec(nvars="2")),
+    "regdiv-deg-cap-string": ("regdiv", bad_regdiv_spec(deg_cap="6")),
 }
 
 
@@ -249,9 +284,19 @@ def test_malformed_input_exits_2(case, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["halflog", "--p", "3", "--sign", "plus", "--level", "-1"],
     ["logmatrix", "--p", "3", "--k", "-1", "--level", "1"],
+    ["theta", "--disc", "-4", "--power", "-1", "--nmax", "5"],
 ])
 def test_negative_level_or_weight_exits_2(argv, capsys):
     code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("p,k", [(0, 0), (0, 1), (4, 0), (9, 1)])
+def test_logmatrix_bad_prime_exits_2(p, k, capsys):
+    code = main(["logmatrix", "--p", str(p), "--k", str(k), "--level", "1"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

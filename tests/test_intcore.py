@@ -7,6 +7,10 @@ exponent and growth tag, including the precision edge cases (inputs at
 different precisions, quotients that vanish, empty windows).  `eval_at` is
 checked the same way against the loop that built its value one PadicElt per
 power-basis coordinate.
+
+The number-theory helpers at the end of `_poly` (primality, Jacobi symbol,
+square roots mod p, cyclotomic polynomials) are checked against sympy, which
+the package itself does not import.
 """
 
 import random
@@ -393,3 +397,80 @@ def test_extension_valued_divisor_is_rejected():
     for fn in (poly_reduce, divide_exact, solve_series_div):
         with pytest.raises(NotDivisible):
             fn(f, g)
+
+
+# -- the number-theory helpers against sympy -----------------------------------
+
+# strong pseudoprimes to the bases up to 37 (the second is the least one), and
+# Carmichael numbers
+PSEUDOPRIMES = [3825123056546413051, 318665857834031151167461,
+                561, 1105, 1729, 41041, 825265, 321197185, 5394826801,
+                232250619601, 9746347772161]
+
+
+def test_isprime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [_poly.isprime(n) for n in range(-3, 20000)] == \
+        [sympy.isprime(n) for n in range(-3, 20000)]
+    for n in PSEUDOPRIMES:
+        assert not _poly.isprime(n) and not sympy.isprime(n)
+    rng = random.Random(61)
+    for _ in range(40):
+        digits = rng.randrange(30, 101)
+        p = sympy.nextprime(rng.randrange(10 ** (digits - 1), 10 ** digits))
+        q = sympy.nextprime(rng.randrange(10 ** (digits // 2), 10 ** (digits // 2 + 1)))
+        assert _poly.isprime(p) and _poly.isprime(q)
+        assert not _poly.isprime(p * q) and not _poly.isprime(q * q)
+        x = rng.randrange(10 ** (digits - 1), 10 ** digits) | 1
+        assert _poly.isprime(x) == sympy.isprime(x)
+    # (4^q + 1)/5 is a strong pseudoprime to base 2; above 3.3 10^24 only
+    # the Lucas half of Baillie-PSW rejects it
+    for q in (43, 47, 53, 59, 61):
+        n = (4 ** q + 1) // 5
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        assert n > _poly._MR_BOUND and _poly._strong_prp(n, 2, d, s)
+        assert not _poly.isprime(n) and not sympy.isprime(n)
+    with pytest.raises(ValueError):
+        _poly.isprime(3.0)
+
+
+def test_strong_lucas_matches_sympy():
+    # the Lucas half of Baillie-PSW, which only inputs above 3.3 10^24 reach
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+    for n in range(43 ** 2, 60000, 2):
+        if all(n % q for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)):
+            assert _poly._strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+    # strong Lucas pseudoprimes (Selfridge parameters) pass, as they must
+    for n in (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519):
+        assert _poly._strong_lucas_prp(n) and not _poly.isprime(n)
+
+
+def test_jacobi_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 400, 2):
+        for a in range(-50, 50):
+            assert _poly.jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+    for n in (0, -3, 4):
+        with pytest.raises(ValueError):
+            _poly.jacobi(1, n)
+
+
+def test_sqrt_mod_prime_matches_sympy():
+    # the root choice matters: padic lifts this root, so it shows in output
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.residue_ntheory import sqrt_mod
+    for p in sympy.primerange(2, 2000):
+        for a in range(p):
+            assert _poly.sqrt_mod_prime(a, p) == sqrt_mod(a, p), (a, p)
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 200):
+        want = sympy.cyclotomic_poly(n).as_poly().all_coeffs()[::-1]
+        assert _poly.cyclotomic(n) == [int(c) for c in want], n
+    with pytest.raises(ValueError):
+        _poly.cyclotomic(0)

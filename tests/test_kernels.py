@@ -8,9 +8,14 @@ where a quadratic reference would be too slow.  The callers of the kernel
 the per-row and basis-change formulas they replaced.
 """
 
+import ast
 import importlib
+import os
+import pathlib
 import pkgutil
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -278,4 +283,29 @@ def test_no_module_level_containers():
                 continue
             if isinstance(value, (dict, list, set)):
                 found.append("%s.%s" % (name, attr))
+    assert found == []
+
+
+def test_cli_import_does_not_load_sympy():
+    """sympy is a test oracle only: importing the CLI must not load it."""
+    src = str(pathlib.Path(padiclog.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c",
+                    "import padiclog.cli, sys; assert 'sympy' not in sys.modules"],
+                   env=env, check=True, timeout=60)
+
+
+def test_no_sympy_import_in_package():
+    """No import of sympy anywhere in the package, function bodies included."""
+    found = []
+    for path in sorted(pathlib.Path(padiclog.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "sympy" or n.startswith("sympy.") for n in names):
+                found.append("%s:%d" % (path.name, node.lineno))
     assert found == []

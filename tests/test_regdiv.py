@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from padiclog import linsolve
 from padiclog.iwadist import NotDivisible
 from padiclog.padic import PadicElt, PrimeCtx
-from padiclog.regdiv import (MSeries, SpecFamily, chevalley_check, divides_trunc,
-                             specialize)
+from padiclog.regdiv import (DivisionWitness, MSeries, SpecFamily, _monomials,
+                             chevalley_check, deg_eff, divides_trunc, specialize)
 
 CTX = PrimeCtx(5, 12)
 
@@ -104,6 +105,101 @@ def test_divides_obstruction_at_top():
     # the default certified window stops below the planted obstruction
     w = divides_trunc(f, g2)
     assert w.cert_degree == 5
+
+
+def ref_divides_trunc(f, g, window=None):
+    """divides_trunc as it was: one solve per degree prefix of the system."""
+    if f.is_zero():
+        raise NotDivisible("divisor is zero at precision")
+    e0 = deg_eff(f)
+    if e0 is None:
+        raise NotDivisible("divisor has p-content at precision")
+    if window is None:
+        window = min(f.deg_cap, g.deg_cap) - e0
+    prec = min(f.min_prec(), g.min_prec())
+    p = f.ctx.p
+    m = p ** prec
+    hdeg = window - min((sum(e) for e in f.coeffs), default=0)
+    monos_h = _monomials(f.nvars, max(hdeg, 1))
+    monos_eq = _monomials(f.nvars, window)
+    idx = {mo: i for i, mo in enumerate(monos_h)}
+    rows, rhs = [], []
+    for mo in monos_eq:
+        row = [0] * len(monos_h)
+        for e, c in f.coeffs.items():
+            j = idx.get(tuple(a - b for a, b in zip(mo, e)))
+            if j is not None:
+                row[j] = (row[j] + c.a) % m
+        rows.append(row)
+        rhs.append(g.coeff(mo).a % m)
+    upto, sol = 0, None
+    for d in range(window):
+        upto += sum(1 for mo in monos_eq if sum(mo) == d)
+        sol = linsolve.solve_mod_ppow(rows[:upto], rhs[:upto], p, prec)
+        if sol is None:
+            raise NotDivisible("first obstructed graded piece at degree %d" % d)
+    if sol is None:
+        raise NotDivisible("empty certification window")
+    x, _, loss = sol
+    hco = {mo: PadicElt(f.ctx, x[i], 0, prec - loss)
+           for mo, i in idx.items() if x[i] % m}
+    return DivisionWitness(MSeries(f.ctx, f.nvars, hco, max(hdeg, 1)), window,
+                           prec - loss)
+
+
+def division_outcome(fn, f, g, window):
+    try:
+        w = fn(f, g, window)
+    except NotDivisible as exc:
+        return str(exc)
+    return ({e: (c.a, c.prec) for e, c in w.quotient.coeffs.items()}, w.cert_degree,
+            w.cert_prec)
+
+
+def test_divides_trunc_matches_prefix_reference():
+    # one solve of the whole graded system: same quotient and precision as
+    # the prefix-by-prefix solves, and the same first obstructed degree
+    rng = random.Random(43)
+    outcomes = set()
+    for trial in range(60):
+        ctx = PrimeCtx(rng.choice([3, 5]), rng.randrange(2, 9))
+        cap = rng.randrange(3, 8)
+        f = rand_mseries(ctx, 2, rng.randrange(1, 3), rng, cap)
+        if trial % 3:
+            # a non-unit constant term: f need not divide every g
+            c0 = ctx.p * rng.randrange(9) - f.coeff((0, 0)).a
+            f = f + MSeries.const(ctx, 2, c0, cap)
+        g = f * rand_mseries(ctx, 2, 3, rng, cap)
+        if trial % 2:
+            # plant a term at a random degree, which f may not absorb
+            d = rng.randrange(cap)
+            k = rng.randrange(d + 1)
+            g = g + MSeries(ctx, 2, {(k, d - k): 1}, cap)
+        for window in (None, trial % 4, rng.randrange(1, cap + 2)):
+            got = division_outcome(divides_trunc, f, g, window)
+            assert got == division_outcome(ref_divides_trunc, f, g, window)
+            outcomes.add(type(got))
+    assert outcomes == {str, tuple}
+
+
+def test_solve_kernel_only_on_request():
+    rng = random.Random(44)
+    for _ in range(30):
+        p, npow = rng.choice([3, 5]), rng.randrange(1, 5)
+        m = p ** npow
+        nr, nc = rng.randrange(1, 6), rng.randrange(1, 6)
+        rows = [[rng.randrange(m) * p ** rng.randrange(2) for _ in range(nc)]
+                for _ in range(nr)]
+        x0 = [rng.randrange(m) for _ in range(nc)]
+        rhs = [sum(a * b for a, b in zip(row, x0)) % m for row in rows]
+        x, kernel, loss = linsolve.solve_mod_ppow(rows, rhs, p, npow)
+        assert kernel is None
+        x2, kernel, loss2 = linsolve.solve_mod_ppow(rows, rhs, p, npow,
+                                                    want_kernel=True)
+        assert (x2, loss2) == (x, loss)
+        for gen in kernel:
+            assert all(sum(a * b for a, b in zip(row, gen)) % m == 0
+                       for row in rows)
 
 
 def test_chevalley_positive():
