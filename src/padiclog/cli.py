@@ -17,7 +17,7 @@ import sys
 from padiclog import checks
 from padiclog.iwadist import CharPoint, eval_at, halflog
 from padiclog.logmat import CrystalParams, log_matrix_ap0, qinv_times
-from padiclog.padic import PadicError, PrimeCtx
+from padiclog.padic import PadicError, PrimeCtx, check_fields
 from padiclog.qexp import (ImagQuadCtx, deplete, eisenstein_depleted,
                            theta_series)
 from padiclog.regdiv import MSeries, SpecFamily, chevalley_check
@@ -35,31 +35,10 @@ def _emit(obj, args):
         sys.stdout.write(text + "\n")
 
 
-def _check_fields(obj, where, **kinds):
-    """Check the JSON kind of each named field that obj has.
-
-    A kind is "nat" (an integer >= 0), "int", "object", "array" or
-    "string"; a missing field is left to the command (KeyError or default).
-    """
-    if not isinstance(obj, dict):
-        raise ValueError("%s: expected a JSON object" % where)
-    for key, kind in kinds.items():
-        if key not in obj:
-            continue
-        v = obj[key]
-        if kind in ("nat", "int"):
-            ok = type(v) is int and (kind == "int" or v >= 0)
-        else:
-            ok = isinstance(v, {"object": dict, "array": list, "string": str}[kind])
-        if not ok:
-            raise ValueError("%s: field %r must be of kind %s" % (where, key, kind))
-    return obj
-
-
 def _load(path, **kinds):
-    """Read a JSON object from path and check its fields (see _check_fields)."""
+    """Read a JSON object from path and check its fields (see check_fields)."""
     with open(path) as fh:
-        return _check_fields(json.load(fh), path, **kinds)
+        return check_fields(json.load(fh), path, **kinds)
 
 
 def _int_matrix(obj, where):
@@ -212,7 +191,7 @@ def cmd_eval(args):
                  point="object")
     ctx = PrimeCtx(spec["p"], spec["prec"])
     f = iwadist.from_json(spec["series"], ctx)
-    point = _check_fields(spec["point"], "point", t="nat", j="int")
+    point = check_fields(spec["point"], "point", t="nat", j="int")
     pt = CharPoint(point["t"], point["j"])
     v = eval_at(f, pt)
     _emit({"is_zero": v.is_zero(), "denom_exp": v.denom_exp,

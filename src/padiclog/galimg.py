@@ -359,8 +359,7 @@ def _dependency(vecs, p):
 
 def mat_rank(mat, p):
     n = len(mat)
-    _x, kernel, _loss = solve_mod_ppow([list(r) for r in mat], [0] * n, p, 1,
-                                       want_kernel=True)
+    _x, kernel, _loss = solve_mod_ppow([list(r) for r in mat], [0] * n, p, 1)
     return n - len(kernel)
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from padiclog import _poly, linsolve
 from padiclog._poly import _vp
 from padiclog.padic import (NonUnit, PadicElt, PadicError, PrecisionLoss,
-                            PrimeCtx, int_entry, nat_entry)
+                            PrimeCtx, check_fields, int_entry)
 
 INF = float("inf")
 
@@ -342,16 +342,13 @@ def _growth(v):
 
 
 def from_json(obj, ctx=None):
-    # an absent (or null) prec or deg_cap takes the constructor's default
-    prec, deg_cap, denom_exp = (None if obj.get(key) is None
-                                else nat_entry(obj[key], key)
-                                for key in ("prec", "deg_cap", "denom_exp"))
+    check_fields(obj, "series", prec="nat", deg_cap="nat", denom_exp="nat")
     if ctx is None:
         ctx = PrimeCtx(obj["p"], obj["prec"])
     a = _int_list(obj["coeffs"], "coeffs")
     b = _int_list(obj["coeffs_w"], "coeffs_w") if "coeffs_w" in obj else None
-    return IwaSeries(ctx, a, b, prec, deg_cap, denom_exp or 0,
-                     _growth(obj.get("growth", 0)))
+    return IwaSeries(ctx, a, b, obj.get("prec"), obj.get("deg_cap"),
+                     obj.get("denom_exp", 0), _growth(obj.get("growth", 0)))
 
 
 # -- the omega / Phi / delta families ----------------------------------------
@@ -678,7 +675,7 @@ def solve_series_div(y, g, out_len=None):
                 sol = linsolve.solve_mod_ppow(rows, rhs, ctx.p, prec)
                 if sol is None:
                     raise NotDivisible("no quotient at this precision")
-                x, _, step_loss = sol
+                x, kernel, step_loss = sol
                 loss = max(loss, step_loss)
                 out_vecs.append(x)
         except NotDivisible as exc:
@@ -737,7 +734,7 @@ def equal_up_to_unit_mod(f, g, n, m_twists=1, prec=None, extra_ideals=()):
             cur = poly_reduce(shifted, ideal)
     rows = [[cols[k][i] for k in range(len(cols))] for i in range(d)]
     rhs = fr.a[:d] + [0] * (d - len(fr.a[:d]))
-    sol = linsolve.solve_mod_ppow(rows, rhs, ctx.p, prec, want_kernel=True)
+    sol = linsolve.solve_mod_ppow(rows, rhs, ctx.p, prec)
     if sol is None:
         raise NoUnitWitness("no solution modulo the congruence ideal")
     x, kernel, _loss = sol

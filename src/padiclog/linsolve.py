@@ -1,9 +1,9 @@
 """Linear algebra over Z/p^N.
 
 Diagonalizes by always pivoting on a minimal-valuation entry, so the row and
-column eliminations are exact unit divisions.  Solutions come back, on
-request, together with a kernel basis, which callers use to adjust
-representatives (e.g. to force a unit constant term) or to read off a rank.
+column eliminations are exact unit divisions.  Solutions come back together
+with a kernel basis, which callers use to adjust representatives (e.g. to
+force a unit constant term).
 """
 
 from __future__ import annotations
@@ -11,14 +11,13 @@ from __future__ import annotations
 from padiclog._poly import _vp
 
 
-def solve_mod_ppow(rows, rhs, p, npow, want_kernel=False):
+def solve_mod_ppow(rows, rhs, p, npow):
     """Solve A x = rhs over Z/p^npow.
 
     rows: list of equation rows (len = #unknowns).  Returns (x, kernel, loss)
-    with loss the largest pivot valuation (the intrinsic precision cost of
-    the back-substitution), or None when the system is inconsistent.  With
-    want_kernel, kernel is a list of generators of the solution lattice mod
-    p^npow; otherwise it is None and the back-transform is skipped.
+    with kernel a list of generators of the solution lattice mod p^npow and
+    loss the largest pivot valuation (the intrinsic precision cost of the
+    back-substitution), or None when the system is inconsistent.
     """
     m = p ** npow
     nr = len(rows)
@@ -81,12 +80,10 @@ def solve_mod_ppow(rows, rhs, p, npow, want_kernel=False):
             return None
         y[pj] = ((c // p ** bv) * uinv) % m
     x = [sum(v[i][j] * y[j] for j in range(nc)) % m for i in range(nc)]
-    kernel = None
-    if want_kernel:
-        # generators in y: p^(npow - bv) at each lossy pivot, then every
-        # free column; mapped back through v
-        kernel_y = [(pj, p ** (npow - bv)) for _, pj, bv, _ in pivots if bv > 0]
-        kernel_y += [(j, 1) for j in free_c]
-        kernel = [[v[i][j] * g % m for i in range(nc)] for j, g in kernel_y]
+    # kernel generators in y are one-hot (p^(npow - bv) at each lossy pivot,
+    # then 1 at every free column), so through v each is a scaled column of v
+    kernel_y = [(pj, p ** (npow - bv)) for _, pj, bv, _ in pivots if bv > 0]
+    kernel_y += [(j, 1) for j in free_c]
+    kernel = [[v[i][j] * g % m for i in range(nc)] for j, g in kernel_y]
     loss = max((bv for _, _, bv, _ in pivots), default=0)
     return x, kernel, loss

@@ -75,14 +75,17 @@ class CrystalParams:
     @classmethod
     def ap_zero(cls, p, prec, k, eps=1):
         """Declare the extension needed for alpha with alpha^2 = -eps * p^(k+1)."""
-        # the base context first: it rejects a p that is no odd prime
-        ctx = PrimeCtx(p, prec)
         if k % 2 == 0:
             # odd valuation (k+1)/2: ramified w^2 = c p with c = -eps
+            c = (-eps) % p
             ctx = PrimeCtx(p, prec, ("ramified", -eps))
-        elif not is_qr(-eps, p):
+            target = ctx.from_int(-eps * p ** (k + 1))
+        elif is_qr(-eps, p):
+            ctx = PrimeCtx(p, prec)
+            target = ctx.from_int(-eps * p ** (k + 1))
+        else:
             ctx = PrimeCtx(p, prec, ("unramified", -eps))
-        target = ctx.from_int(-eps * p ** (k + 1))
+            target = ctx.from_int(-eps * p ** (k + 1))
         alpha = sqrt(target)
         epse = ctx.from_int(eps)
         return cls(ctx, k, epse, alpha, -alpha, AP_ZERO)

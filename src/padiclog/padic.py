@@ -280,11 +280,25 @@ def int_entry(c, where):
                      % (where, c))
 
 
-def nat_entry(v, where):
-    """A count or exponent read from JSON input: an int >= 0."""
-    if type(v) is int and v >= 0:
-        return v
-    raise ValueError("%s: expected an integer >= 0, got %r" % (where, v))
+def check_fields(obj, where, **kinds):
+    """Check the JSON kind of each named field that obj has.
+
+    A kind is "nat" (an integer >= 0), "int", "object", "array" or
+    "string"; a missing field is left to the caller (KeyError or default).
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("%s: expected a JSON object" % where)
+    for key, kind in kinds.items():
+        if key not in obj:
+            continue
+        v = obj[key]
+        if kind in ("nat", "int"):
+            ok = type(v) is int and (kind == "int" or v >= 0)
+        else:
+            ok = isinstance(v, {"object": dict, "array": list, "string": str}[kind])
+        if not ok:
+            raise ValueError("%s: field %r must be of kind %s" % (where, key, kind))
+    return obj
 
 
 def val(x):

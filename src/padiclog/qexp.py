@@ -58,8 +58,6 @@ class QuadOrder:
         return (a * c + m * b * d, a * d + b * c + b * d)
 
     def power(self, x, t):
-        if t < 0:
-            raise ValueError("exponent %d is negative" % t)
         out = (1, 0)
         base = x
         while t:

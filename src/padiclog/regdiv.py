@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from padiclog import linsolve
 from padiclog.iwadist import NotDivisible
-from padiclog.padic import PadicElt, PrimeCtx, int_entry, nat_entry
+from padiclog.padic import PadicElt, PrimeCtx, check_fields, int_entry
 
 INF = float("inf")
 
@@ -139,14 +139,14 @@ class MSeries:
 
     @classmethod
     def from_json(cls, obj, ctx=None):
+        check_fields(obj, "series", nvars="nat", deg_cap="nat")
         if ctx is None:
             ctx = PrimeCtx(obj["p"], obj["prec"])
         if not isinstance(obj["coeffs"], dict):
             raise ValueError("coeffs: expected an object of exponent: coefficient")
         coeffs = {tuple(int(t) for t in key.split(",")): int_entry(v, "coeffs")
                   for key, v in obj["coeffs"].items()}
-        return cls(ctx, nat_entry(obj["nvars"], "nvars"), coeffs,
-                   nat_entry(obj["deg_cap"], "deg_cap"))
+        return cls(ctx, obj["nvars"], coeffs, obj["deg_cap"])
 
     def __repr__(self):
         return "MSeries(%d vars, %d terms, deg_cap=%d)" % (

@@ -284,19 +284,9 @@ def test_malformed_input_exits_2(case, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["halflog", "--p", "3", "--sign", "plus", "--level", "-1"],
     ["logmatrix", "--p", "3", "--k", "-1", "--level", "1"],
-    ["theta", "--disc", "-4", "--power", "-1", "--nmax", "5"],
 ])
 def test_negative_level_or_weight_exits_2(argv, capsys):
     code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "error:" in captured.err
-
-
-@pytest.mark.parametrize("p,k", [(0, 0), (0, 1), (4, 0), (9, 1)])
-def test_logmatrix_bad_prime_exits_2(p, k, capsys):
-    code = main(["logmatrix", "--p", str(p), "--k", str(k), "--level", "1"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -182,24 +182,30 @@ def test_divides_trunc_matches_prefix_reference():
     assert outcomes == {str, tuple}
 
 
-def test_solve_kernel_only_on_request():
+def test_solve_kernel_spans_solution_lattice():
+    # small systems mod p^npow, enumerated: x solves A x = rhs and the kernel
+    # generators span exactly the vectors with A z = 0
     rng = random.Random(44)
-    for _ in range(30):
-        p, npow = rng.choice([3, 5]), rng.randrange(1, 5)
+    for _ in range(40):
+        p, npow = rng.choice([2, 3]), rng.randrange(1, 3)
         m = p ** npow
-        nr, nc = rng.randrange(1, 6), rng.randrange(1, 6)
+        nr, nc = rng.randrange(1, 4), rng.randrange(1, 4)
         rows = [[rng.randrange(m) * p ** rng.randrange(2) for _ in range(nc)]
                 for _ in range(nr)]
         x0 = [rng.randrange(m) for _ in range(nc)]
         rhs = [sum(a * b for a, b in zip(row, x0)) % m for row in rows]
         x, kernel, loss = linsolve.solve_mod_ppow(rows, rhs, p, npow)
-        assert kernel is None
-        x2, kernel, loss2 = linsolve.solve_mod_ppow(rows, rhs, p, npow,
-                                                    want_kernel=True)
-        assert (x2, loss2) == (x, loss)
+        assert [sum(a * b for a, b in zip(row, x)) % m for row in rows] == rhs
+        assert 0 <= loss <= npow
+        vecs = [[(z // m ** i) % m for i in range(nc)] for z in range(m ** nc)]
+        lattice = {tuple(z) for z in vecs
+                   if all(sum(a * b for a, b in zip(row, z)) % m == 0
+                          for row in rows)}
+        span = {(0,) * nc}
         for gen in kernel:
-            assert all(sum(a * b for a, b in zip(row, gen)) % m == 0
-                       for row in rows)
+            span = {tuple((s + t * g) % m for s, g in zip(z, gen))
+                    for z in span for t in range(m)}
+        assert span == lattice
 
 
 def test_chevalley_positive():
