@@ -13,6 +13,7 @@ Modules:
   split   -- signed splitting through a logarithmic matrix, antisymmetric
              factorization, log-divisibility test
   regdiv  -- divisibility checking in truncated multivariate series rings
+             over Z_p (int coefficients mod p^prec)
   galimg  -- finite matrix-group enumeration, product criteria, tau search
   qexp    -- theta series, p-depletion, Eisenstein layers, Euler products
   checks  -- the named invariant suites behind `padiclog check`

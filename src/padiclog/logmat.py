@@ -75,18 +75,14 @@ class CrystalParams:
     @classmethod
     def ap_zero(cls, p, prec, k, eps=1):
         """Declare the extension needed for alpha with alpha^2 = -eps * p^(k+1)."""
+        # the plain context checks p before any residue mod p is taken
+        ctx = PrimeCtx(p, prec)
         if k % 2 == 0:
             # odd valuation (k+1)/2: ramified w^2 = c p with c = -eps
-            c = (-eps) % p
             ctx = PrimeCtx(p, prec, ("ramified", -eps))
-            target = ctx.from_int(-eps * p ** (k + 1))
-        elif is_qr(-eps, p):
-            ctx = PrimeCtx(p, prec)
-            target = ctx.from_int(-eps * p ** (k + 1))
-        else:
+        elif not is_qr(-eps, p):
             ctx = PrimeCtx(p, prec, ("unramified", -eps))
-            target = ctx.from_int(-eps * p ** (k + 1))
-        alpha = sqrt(target)
+        alpha = sqrt(ctx.from_int(-eps * p ** (k + 1)))
         epse = ctx.from_int(eps)
         return cls(ctx, k, epse, alpha, -alpha, AP_ZERO)
 

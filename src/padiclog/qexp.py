@@ -58,6 +58,8 @@ class QuadOrder:
         return (a * c + m * b * d, a * d + b * c + b * d)
 
     def power(self, x, t):
+        if t < 0:
+            raise ValueError("exponent must be >= 0, got %d" % t)
         out = (1, 0)
         base = x
         while t:
@@ -194,8 +196,11 @@ def theta_series(ctx, n_max):
 
 
 def deplete(f, p):
-    """Zero every coefficient a_n with p | n."""
-    out = [0 if (i + 1) % p == 0 else c for i, c in enumerate(f.coeffs)]
+    """Zero every coefficient a_n with p | n (a zero vector over a vector ring)."""
+    if p < 1:
+        raise ValueError("p must be >= 1, got %d" % p)
+    out = [c if (i + 1) % p else (0 if isinstance(c, int) else [0] * len(c))
+           for i, c in enumerate(f.coeffs)]
     return QExpansion(f.ring, f.n_max, out)
 
 
@@ -238,6 +243,8 @@ class CycIntRing:
 def eisenstein_depleted(k, m_root, zeta_index, p, n_max):
     """a_n = sum_{d | n} d^(k-1) (zeta^(d i) + (-1)^k zeta^(-d i)), p-depleted."""
     from math import gcd
+    if p < 1:
+        raise ValueError("p must be >= 1, got %d" % p)
     if k < 1:
         raise ValueError("weight k must be >= 1 (d^(k-1) must be an integer)")
     if gcd(zeta_index, m_root) != 1:

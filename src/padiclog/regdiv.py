@@ -8,15 +8,20 @@ Divisibility itself is decided by solving the graded linear system, so no
 Weierstrass-position assumption is needed, and the certified degree/precision
 window is reported honestly: finitely many specialization points can never
 certify the infinite-ring conclusion.
+
+Here O = Z_p: a series stores its coefficients as ints mod p^prec with one
+precision for the whole series, and an extension context is rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from padiclog import linsolve
+from padiclog._poly import _vp
 from padiclog.iwadist import NotDivisible
-from padiclog.padic import PadicElt, PrimeCtx, check_fields, int_entry
+from padiclog.padic import NonUnit, PrimeCtx, check_fields, int_entry
 
 INF = float("inf")
 
@@ -37,23 +42,30 @@ def _monomials(nvars, max_deg):
 
 
 class MSeries:
-    """Truncated multivariate series: exponent-tuple -> coefficient, deg < deg_cap."""
+    """Truncated series over Z_p: exponent tuple -> int mod p^prec, deg < deg_cap.
 
-    def __init__(self, ctx, nvars, coeffs=None, deg_cap=8):
+    One precision holds for the whole series, as for IwaSeries: a result is
+    known to the min of its inputs' precisions.
+    """
+
+    def __init__(self, ctx, nvars, coeffs=None, deg_cap=8, prec=None):
+        if ctx.ext is not None:
+            raise ValueError("MSeries coefficients lie in Z_p: no extension")
+        if prec is None:
+            prec = ctx.prec
+        m = ctx.p ** prec
         self.ctx = ctx
         self.nvars = nvars
         self.deg_cap = deg_cap
+        self.prec = prec
         self.coeffs = {}
         if coeffs:
             for expo, c in coeffs.items():
                 expo = tuple(expo)
                 if len(expo) != nvars:
                     raise ValueError("wrong arity in exponent %r" % (expo,))
-                if sum(expo) >= deg_cap:
-                    continue
-                if not isinstance(c, PadicElt):
-                    c = ctx.from_int(c)
-                if not c.is_zero():
+                c %= m
+                if c and sum(expo) < deg_cap:
                     self.coeffs[expo] = c
 
     @classmethod
@@ -67,7 +79,7 @@ class MSeries:
         return cls(ctx, nvars, {tuple(e): 1}, deg_cap)
 
     def coeff(self, expo):
-        return self.coeffs.get(tuple(expo), self.ctx.zero())
+        return self.coeffs.get(tuple(expo), 0)
 
     def is_zero(self):
         return not self.coeffs
@@ -75,32 +87,22 @@ class MSeries:
     def degree(self):
         return max((sum(e) for e in self.coeffs), default=-1)
 
-    def min_prec(self):
-        return min((c.prec for c in self.coeffs.values()), default=self.ctx.prec)
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MSeries(self.ctx, self.nvars, out, min(self.deg_cap, other.deg_cap))
+            out[e] = out.get(e, 0) + c
+        return MSeries(self.ctx, self.nvars, out, min(self.deg_cap, other.deg_cap),
+                       min(self.prec, other.prec))
 
     def __neg__(self):
         return MSeries(self.ctx, self.nvars,
-                       {e: -c for e, c in self.coeffs.items()}, self.deg_cap)
+                       {e: -c for e, c in self.coeffs.items()}, self.deg_cap,
+                       self.prec)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, PadicElt)):
-            return MSeries(self.ctx, self.nvars,
-                           {e: c * other for e, c in self.coeffs.items()},
-                           self.deg_cap)
         cap = min(self.deg_cap, other.deg_cap)
         out = {}
         for e1, c1 in self.coeffs.items():
@@ -108,33 +110,24 @@ class MSeries:
             for e2, c2 in other.coeffs.items():
                 if d1 + sum(e2) >= cap:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e)
-                prod = c1 * c2
-                out[e] = prod if s is None else s + prod
-        return MSeries(self.ctx, self.nvars, out, cap)
-
-    __rmul__ = __mul__
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return MSeries(self.ctx, self.nvars, out, cap, min(self.prec, other.prec))
 
     def __eq__(self, other):
+        m = self.ctx.p ** min(self.prec, other.prec)
         keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coeff(e) == other.coeff(e) for e in keys)
+        return all((self.coeff(e) - other.coeff(e)) % m == 0 for e in keys)
 
     def content_val(self):
         """Minimal p-valuation over all coefficients (INF when zero)."""
-        best = INF
-        for c in self.coeffs.values():
-            v = c.val()
-            if v < best:
-                best = v
-                if best == 0:
-                    break
-        return best
+        p = self.ctx.p
+        return min((_vp(c, p, self.prec) for c in self.coeffs.values()), default=INF)
 
     def to_json(self):
         return {"nvars": self.nvars, "deg_cap": self.deg_cap,
-                "p": self.ctx.p, "prec": self.ctx.prec,
-                "coeffs": {",".join(map(str, e)): str(c.a)
+                "p": self.ctx.p, "prec": self.prec,
+                "coeffs": {",".join(map(str, e)): str(c)
                            for e, c in sorted(self.coeffs.items())}}
 
     @classmethod
@@ -149,25 +142,20 @@ class MSeries:
         return cls(ctx, obj["nvars"], coeffs, obj["deg_cap"])
 
     def __repr__(self):
-        return "MSeries(%d vars, %d terms, deg_cap=%d)" % (
-            self.nvars, len(self.coeffs), self.deg_cap)
+        return "MSeries(%d vars, %d terms, deg_cap=%d, prec=%d)" % (
+            self.nvars, len(self.coeffs), self.deg_cap, self.prec)
 
 
 class SpecFamily:
-    """Distinct specialization points a_i in pO defining f_i = x0 - a_i."""
+    """Distinct specialization points a_i in pZ_p, as ints mod p^prec,
+    defining f_i = x0 - a_i."""
 
     def __init__(self, ctx, points):
-        pts = []
-        for a in points:
-            if not isinstance(a, PadicElt):
-                a = ctx.from_int(int_entry(a, "points"))
-            if a.val() < 1:
-                raise ValueError("specialization points must lie in pO")
-            pts.append(a)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i] == pts[j]:
-                    raise ValueError("specialization points must be distinct")
+        pts = [int_entry(a, "points") % ctx.modulus for a in points]
+        if any(a % ctx.p for a in pts):
+            raise ValueError("specialization points must lie in pO")
+        if len(set(pts)) < len(pts):
+            raise ValueError("specialization points must be distinct")
         self.ctx = ctx
         self.points = pts
 
@@ -176,32 +164,23 @@ class SpecFamily:
 
 
 def specialize(f, a):
-    """Substitute x0 = a (with v(a) >= 1); result lives in x1..xd."""
-    if not isinstance(a, PadicElt):
-        a = f.ctx.from_int(a)
-    # a^i for i = 0, 1, ..., as a running product: the values and precisions
-    # of a ** i, with one multiplication per power
-    pows = [PadicElt(f.ctx, 1, 0, a.prec)]
+    """Substitute x0 = a (an int with v(a) >= 1); result lives in x1..xd."""
+    m = f.ctx.p ** f.prec
+    # a^i mod p^prec for i = 0, 1, ..., one multiplication per power
+    pows = [1]
     out = {}
     for e, c in f.coeffs.items():
-        rest = e[1:]
         while len(pows) <= e[0]:
-            pows.append(pows[-1] * a)
-        term = c * pows[e[0]]
-        s = out.get(rest)
-        out[rest] = term if s is None else s + term
-    return MSeries(f.ctx, f.nvars - 1, out, f.deg_cap)
+            pows.append(pows[-1] * a % m)
+        rest = e[1:]
+        out[rest] = out.get(rest, 0) + c * pows[e[0]]
+    return MSeries(f.ctx, f.nvars - 1, out, f.deg_cap, f.prec)
 
 
 def deg_eff(f):
     """Lowest total degree carrying a unit coefficient, or None."""
-    best = None
-    for e, c in f.coeffs.items():
-        if c.is_unit():
-            d = sum(e)
-            if best is None or d < best:
-                best = d
-    return best
+    p = f.ctx.p
+    return min((sum(e) for e, c in f.coeffs.items() if c % p), default=None)
 
 
 @dataclass
@@ -227,30 +206,26 @@ def divides_trunc(f, g, window=None):
     cap = min(f.deg_cap, g.deg_cap)
     if window is None:
         window = cap - e0
-    prec = min(f.min_prec(), g.min_prec())
+    if window <= 0:
+        raise NotDivisible("empty certification window")
+    prec = min(f.prec, g.prec)
     p = f.ctx.p
-    m = p ** prec
     emin = min((sum(e) for e in f.coeffs), default=0)
     hdeg = window - emin
     monos_h = _monomials(f.nvars, max(hdeg, 1))
     monos_eq = _monomials(f.nvars, window)
     idx = {mo: i for i, mo in enumerate(monos_h)}
-    # rows: coefficient of each monomial of f*h under the window
+    # rows: coefficient of each monomial of f*h under the window (the solver
+    # reduces mod p^prec)
     rows = []
-    rhs = []
     for mo in monos_eq:
         row = [0] * len(monos_h)
         for e, c in f.coeffs.items():
-            diff = tuple(a - b for a, b in zip(mo, e))
-            if any(d < 0 for d in diff):
-                continue
-            j = idx.get(diff)
+            j = idx.get(tuple(map(sub, mo, e)))
             if j is not None:
-                row[j] = (row[j] + c.a) % m
+                row[j] = c
         rows.append(row)
-        rhs.append(g.coeff(mo).a % m)
-    if window <= 0:
-        raise NotDivisible("empty certification window")
+    rhs = [g.coeff(mo) for mo in monos_eq]
     sol = linsolve.solve_mod_ppow(rows, rhs, p, prec)
     if sol is None:
         # the rows run by degree: the first inconsistent prefix names the
@@ -261,20 +236,21 @@ def divides_trunc(f, g, window=None):
             if linsolve.solve_mod_ppow(rows[:upto], rhs[:upto], p, prec) is None:
                 raise NotDivisible("first obstructed graded piece at degree %d" % d)
     x, _, loss = sol
-    hco = {}
-    for mo, i in idx.items():
-        if x[i] % m:
-            hco[mo] = PadicElt(f.ctx, x[i], 0, prec - loss)
-    h = MSeries(f.ctx, f.nvars, hco, max(hdeg, 1))
+    h = MSeries(f.ctx, f.nvars, {mo: x[i] for mo, i in idx.items()},
+                max(hdeg, 1), prec - loss)
     return DivisionWitness(h, window, prec - loss)
 
 
 def scale_p_exact(f, k):
-    """Divide every coefficient by p^k (all valuations must allow it)."""
-    out = {}
-    for e, c in f.coeffs.items():
-        out[e] = c.divide_exact_p(k)
-    return MSeries(f.ctx, f.nvars, out, f.deg_cap)
+    """Divide every coefficient by p^k, costing k digits of precision.
+
+    Raises NonUnit when some coefficient is not divisible by p^k.
+    """
+    pk = f.ctx.p ** k
+    if any(c % pk for c in f.coeffs.values()):
+        raise NonUnit("not divisible by p^%d at precision" % k)
+    return MSeries(f.ctx, f.nvars, {e: c // pk for e, c in f.coeffs.items()},
+                   f.deg_cap, f.prec - k)
 
 
 def in_principal_ideal(f, g):
@@ -286,9 +262,8 @@ def in_principal_ideal(f, g):
     c = f.content_val()
     if c == INF:
         return g.is_zero()
-    c = int(c)
     if c > 0:
-        if any(x.val() < c for x in g.coeffs.values()):
+        if g.content_val() < c:
             return False
         f = scale_p_exact(f, c)
         g = scale_p_exact(g, c)

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import padiclog
 from padiclog.cli import main
 
 
@@ -66,6 +71,10 @@ def test_deplete_vector_coefficients(tmp_path, capsys):
     code, out = run_cli(capsys, "deplete", str(path), "--p", "3")
     assert code == 0
     assert out["coeffs"] == blob["coeffs"]
+    # a depleted vector coefficient is the zero vector, not a scalar 0
+    code, out = run_cli(capsys, "deplete", str(path), "--p", "2")
+    assert code == 0
+    assert out["coeffs"] == [[1, 0, 0, 0], [0, 0, 0, 0]]
 
 
 def test_eval_reads_scalar_fields(tmp_path, capsys):
@@ -323,3 +332,30 @@ def test_eis_weight_one_output(capsys):
                     acc = [x + y - z for x, y, z in zip(acc, zeta_pow(d), zeta_pow(-d))]
         want.append(acc)
     assert out["coeffs"] == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["logmatrix", "--p", "0", "--k", "0", "--level", "1"],
+    ["logmatrix", "--p", "0", "--k", "1", "--level", "1"],
+    ["eis", "--k", "2", "--root-order", "8", "--p", "0", "--nmax", "3"],
+    ["deplete", "{input}", "--p", "0"],
+])
+def test_p_zero_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"ring": "int", "nmax": 3, "coeffs": [1, 2, 3]}))
+    code = main([a.format(input=path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_theta_negative_power_exits_2():
+    # a negative exponent once looped for ever in QuadOrder.power
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(padiclog.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "padiclog.cli", "theta", "--disc", "-4",
+                           "--power", "-1", "--nmax", "5"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr

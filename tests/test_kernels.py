@@ -309,3 +309,12 @@ def test_no_sympy_import_in_package():
             if any(n == "sympy" or n.startswith("sympy.") for n in names):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def test_regdiv_imports_no_padic_elt():
+    """regdiv runs on ints mod p^prec: it imports no PadicElt."""
+    path = pathlib.Path(padiclog.__file__).parent / "regdiv.py"
+    names = [alias.name for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names]
+    assert names and "PadicElt" not in names

@@ -3,17 +3,18 @@ import random
 import pytest
 
 from padiclog import linsolve
+from padiclog._poly import _vp
 from padiclog.iwadist import NotDivisible
-from padiclog.padic import PadicElt, PrimeCtx
+from padiclog.padic import NonUnit, PadicElt, PrimeCtx
 from padiclog.regdiv import (DivisionWitness, MSeries, SpecFamily, _monomials,
-                             chevalley_check, deg_eff, divides_trunc, specialize)
+                             chevalley_check, deg_eff, divides_trunc, scale_p_exact,
+                             specialize)
 
 CTX = PrimeCtx(5, 12)
 
 
-def rand_mseries(ctx, nvars, deg, rng, cap=8, unit_const=False):
+def rand_mseries(ctx, nvars, deg, rng, cap=8, unit_const=False, prec=None):
     coeffs = {}
-    from padiclog.regdiv import _monomials
     for mo in _monomials(nvars, deg + 1):
         if rng.random() < 0.7:
             coeffs[mo] = rng.randrange(ctx.modulus)
@@ -21,7 +22,7 @@ def rand_mseries(ctx, nvars, deg, rng, cap=8, unit_const=False):
         c = coeffs.get((0,) * nvars, 0)
         if c % ctx.p == 0:
             coeffs[(0,) * nvars] = c + 1
-    return MSeries(ctx, nvars, coeffs, cap)
+    return MSeries(ctx, nvars, coeffs, cap, prec)
 
 
 def test_specialize_basics():
@@ -41,31 +42,94 @@ def test_specialize_ring_map():
         assert specialize(f + g, a) == specialize(f, a) + specialize(g, a)
 
 
+# -- oracle: the same series as one PadicElt per monomial under the cap ------
+
+
+def elts(f):
+    """f as {monomial: PadicElt at f.prec}, absent (zero) monomials included."""
+    return {mo: PadicElt(f.ctx, f.coeff(mo), 0, f.prec)
+            for mo in _monomials(f.nvars, f.deg_cap)}
+
+
+def agrees(f, ref):
+    """f holds ref's residues, and f.prec is the precision ref's arithmetic kept."""
+    precs = {c.prec for c in ref.values()}
+    return (precs == {f.prec} and set(f.coeffs) <= set(ref)
+            and all(f.coeff(mo) == c.a for mo, c in ref.items()))
+
+
 def ref_specialize(f, a):
-    """x0 = a with a fresh power a ** e[0] for every monomial."""
+    """x0 = a with a fresh PadicElt power a ** e[0] for every monomial."""
     out = {}
-    for e, c in f.coeffs.items():
-        term = c * a ** e[0]
+    for e, c in elts(f).items():
+        term = c * PadicElt(f.ctx, a) ** e[0]
         s = out.get(e[1:])
         out[e[1:]] = term if s is None else s + term
-    return MSeries(f.ctx, f.nvars - 1, out, f.deg_cap)
+    return out
 
 
 def test_specialize_matches_power_reference():
-    def view(f):
-        return sorted((e, c.a, c.b, c.prec) for e, c in f.coeffs.items())
-
     rng = random.Random(41)
-    for ctx in (CTX, PrimeCtx(3, 7, ("unramified", 2)), PrimeCtx(5, 6, ("ramified", 2))):
+    for ctx in (CTX, PrimeCtx(3, 7)):
         for _ in range(15):
-            f = rand_mseries(ctx, 2, rng.randrange(0, 6), rng)
-            b = 0
-            if ctx.ext:
-                f = f + f * PadicElt(ctx, 0, 1, rng.randrange(1, ctx.prec + 1))
-                b = ctx.p * rng.randrange(ctx.modulus)
-            a = PadicElt(ctx, ctx.p * rng.randrange(ctx.modulus), b,
-                         rng.randrange(1, ctx.prec + 1))
-            assert view(specialize(f, a)) == view(ref_specialize(f, a))
+            f = rand_mseries(ctx, 2, rng.randrange(0, 6), rng,
+                             prec=rng.randrange(1, ctx.prec + 1))
+            a = ctx.p * rng.randrange(ctx.modulus)
+            assert agrees(specialize(f, a), ref_specialize(f, a))
+
+
+def test_arithmetic_matches_padic_elt_oracle():
+    # +, -, * and scale_p_exact coefficient by coefficient on PadicElt, at
+    # random series precisions: same residues, and the min precision
+    rng = random.Random(48)
+    for _ in range(40):
+        ctx = PrimeCtx(rng.choice([3, 5]), rng.randrange(2, 9))
+        cap = rng.randrange(2, 6)
+        f = rand_mseries(ctx, 2, rng.randrange(cap), rng, cap,
+                         prec=rng.randrange(1, ctx.prec + 1))
+        g = rand_mseries(ctx, 2, rng.randrange(cap), rng, cap,
+                         prec=rng.randrange(1, ctx.prec + 1))
+        rf, rg = elts(f), elts(g)
+        assert agrees(f + g, {mo: rf[mo] + rg[mo] for mo in rf})
+        assert agrees(f - g, {mo: rf[mo] - rg[mo] for mo in rf})
+        prod = {}
+        for e1, c1 in rf.items():
+            for e2, c2 in rg.items():
+                e = (e1[0] + e2[0], e1[1] + e2[1])
+                if e in rf:
+                    prod[e] = prod[e] + c1 * c2 if e in prod else c1 * c2
+        assert agrees(f * g, prod)
+        k = rng.randrange(f.prec)
+        fk = MSeries(ctx, 2, {e: c * ctx.p ** k for e, c in f.coeffs.items()}, cap,
+                     f.prec)
+        assert agrees(scale_p_exact(fk, k),
+                      {mo: c.divide_exact_p(k) for mo, c in elts(fk).items()})
+        if k and any(c % ctx.p for c in f.coeffs.values()):
+            with pytest.raises(NonUnit):
+                scale_p_exact(f, k)
+
+
+def test_dropped_zero_keeps_series_precision():
+    # 7 * 5^4 is zero at prec 4 and is dropped; g is still known only mod 5^4,
+    # and so is f + g, also in the term that only f has
+    ctx = PrimeCtx(5, 10)
+    g = MSeries(ctx, 1, {(0,): 7 * 5 ** 4, (1,): 1}, prec=4)
+    assert g.coeffs == {(1,): 1} and g.prec == 4
+    f = MSeries(ctx, 1, {(0,): 5 ** 6 + 3, (2,): 5 ** 5})
+    s = f + g
+    assert s.prec == 4
+    assert s.coeffs == {(0,): 3, (1,): 1}
+    assert agrees(s, {mo: c + elts(g)[mo] for mo, c in elts(f).items()})
+
+
+@pytest.mark.parametrize("ext", [("unramified", 2), ("ramified", 2)])
+def test_mseries_rejects_extension_context(ext):
+    # an extension coefficient has no place in the int representation
+    ctx = PrimeCtx(5, 6, ext)
+    with pytest.raises(ValueError):
+        MSeries(ctx, 1, {(0,): 1, (1,): 1})
+    with pytest.raises(ValueError):
+        MSeries.from_json(MSeries(PrimeCtx(5, 6), 1, {(0,): 1}).to_json(), ctx)
 
 
 def test_divides_simple():
@@ -87,8 +151,8 @@ def test_divides_forward_random():
         w = divides_trunc(f, g)
         # recovery inside the certified window
         diff = w.quotient - h
-        assert all(sum(e) >= w.cert_degree or c.is_zero() or
-                   c.val() >= w.cert_prec for e, c in diff.coeffs.items())
+        assert all(sum(e) >= w.cert_degree or _vp(c, CTX.p, diff.prec) >= w.cert_prec
+                   for e, c in diff.coeffs.items())
 
 
 def test_divides_obstruction_at_top():
@@ -116,7 +180,7 @@ def ref_divides_trunc(f, g, window=None):
         raise NotDivisible("divisor has p-content at precision")
     if window is None:
         window = min(f.deg_cap, g.deg_cap) - e0
-    prec = min(f.min_prec(), g.min_prec())
+    prec = min(f.prec, g.prec)
     p = f.ctx.p
     m = p ** prec
     hdeg = window - min((sum(e) for e in f.coeffs), default=0)
@@ -129,9 +193,9 @@ def ref_divides_trunc(f, g, window=None):
         for e, c in f.coeffs.items():
             j = idx.get(tuple(a - b for a, b in zip(mo, e)))
             if j is not None:
-                row[j] = (row[j] + c.a) % m
+                row[j] = (row[j] + c) % m
         rows.append(row)
-        rhs.append(g.coeff(mo).a % m)
+        rhs.append(g.coeff(mo) % m)
     upto, sol = 0, None
     for d in range(window):
         upto += sum(1 for mo in monos_eq if sum(mo) == d)
@@ -141,10 +205,9 @@ def ref_divides_trunc(f, g, window=None):
     if sol is None:
         raise NotDivisible("empty certification window")
     x, _, loss = sol
-    hco = {mo: PadicElt(f.ctx, x[i], 0, prec - loss)
-           for mo, i in idx.items() if x[i] % m}
-    return DivisionWitness(MSeries(f.ctx, f.nvars, hco, max(hdeg, 1)), window,
-                           prec - loss)
+    hco = {mo: x[i] for mo, i in idx.items() if x[i] % m}
+    return DivisionWitness(MSeries(f.ctx, f.nvars, hco, max(hdeg, 1), prec - loss),
+                           window, prec - loss)
 
 
 def division_outcome(fn, f, g, window):
@@ -152,8 +215,8 @@ def division_outcome(fn, f, g, window):
         w = fn(f, g, window)
     except NotDivisible as exc:
         return str(exc)
-    return ({e: (c.a, c.prec) for e, c in w.quotient.coeffs.items()}, w.cert_degree,
-            w.cert_prec)
+    return ({e: (c, w.quotient.prec) for e, c in w.quotient.coeffs.items()},
+            w.cert_degree, w.cert_prec)
 
 
 def test_divides_trunc_matches_prefix_reference():
@@ -167,7 +230,7 @@ def test_divides_trunc_matches_prefix_reference():
         f = rand_mseries(ctx, 2, rng.randrange(1, 3), rng, cap)
         if trial % 3:
             # a non-unit constant term: f need not divide every g
-            c0 = ctx.p * rng.randrange(9) - f.coeff((0, 0)).a
+            c0 = ctx.p * rng.randrange(9) - f.coeff((0, 0))
             f = f + MSeries.const(ctx, 2, c0, cap)
         g = f * rand_mseries(ctx, 2, 3, rng, cap)
         if trial % 2:
@@ -262,7 +325,7 @@ def test_madic_shrinking_witness():
         prod = prod * (x0 - MSeries.const(ctx, 1, a, 14))
         for e, c in prod.coeffs.items():
             t = sum(e)
-            assert c.is_zero() or c.val() >= n - t
+            assert _vp(c, ctx.p, prod.prec) >= n - t
 
 
 def test_soundness_direct_implies_points():
