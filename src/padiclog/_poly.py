@@ -8,7 +8,9 @@ f(g(X)) mod (m, X^cap) -- the (1+X)-power basis changes, Frobenius, the
 Gamma-action, twists and the Mellin transform -- goes through the one
 kernel `compose`, built on that multiply; nothing is cached.  The
 (1+X)-power basis transforms are exact unipotent integer maps, which is
-what makes the finite-level Mellin transform invertible.
+what makes the finite-level Mellin transform invertible.  Truncation mod
+X^cap of a vector held in that basis is one division by (Y-1)^cap,
+Y = 1+X (`onepx_rem`), with no basis change.
 
 The elementary number theory the package needs around that core -- primality,
 the Jacobi symbol, square roots modulo a prime and the cyclotomic
@@ -76,6 +78,10 @@ def vec_mul(xs, ys, m, cap):
     ys = vec_trim([y % m for y in ys[:n]])
     if not xs or not ys:
         return [0] * n
+    if len(xs) == 1 or len(ys) == 1:
+        # a constant factor is a scale: nothing to pack
+        c, v = (xs[0], ys) if len(xs) == 1 else (ys[0], xs)
+        return [c * y % m for y in v] + [0] * (n - len(v))
     k = (2 * m.bit_length() + min(len(xs), len(ys)).bit_length() + 7) // 8
     a = int.from_bytes(b"".join([x.to_bytes(k, "little") for x in xs]), "little")
     b = a if xs == ys else \
@@ -144,17 +150,41 @@ def from_onepx_basis(bs, m, n=None):
     return compose(bs, [1, 1], m, len(bs) if n is None else n)
 
 
+def onepx_rem(ys, cap, p, npow):
+    """The remainder of sum_j ys[j] Y^j mod ((Y-1)^cap, p^npow), as cap
+    coefficients over {Y^j}: truncation mod X^cap read in the (1+X)-power
+    basis, with Y = 1+X.
+
+    Division by the monic (Y-1)^cap: the reversed quotient is the reversed
+    dividend times 1/(1-Y)^cap = sum_i C(cap+i-1, i) Y^i, so the remainder
+    costs two products and no basis change.
+    """
+    m = p ** npow
+    ys = vec_trim(ys)
+    d = len(ys) - cap
+    if d <= 0:
+        return [y % m for y in ys] + [0] * -d
+    inv = binom_row_mod(-cap, d, p, npow, m)
+    inv[1::2] = [-c for c in inv[1::2]]
+    q = vec_mul(ys[::-1], inv, m, d)[::-1]
+    # (Y-1)^cap below degree cap: (-1)^(cap-j) C(cap, j)
+    b = binom_row_mod(cap, cap, p, npow, m)
+    b[1 - cap % 2::2] = [-c for c in b[1 - cap % 2::2]]
+    return vec_add(ys[:cap], vec_neg(vec_mul(q, b, m, cap), m), m)
+
+
 def binom_row_mod(e, length, p, npow, m):
-    """[C(e,0), C(e,1), ..., C(e,length-1)] mod m = p^npow, for any integer e >= 0.
+    """[C(e,0), C(e,1), ..., C(e,length-1)] mod m = p^npow, for any integer e.
 
     Tracks the p-valuation of the running binomial separately so that the
-    divisions by i are exact unit divisions mod m.
+    divisions by i are exact unit divisions mod m.  For e < 0 this is the
+    row of (1+X)^e = sum_i (-1)^i C(i-e-1, i) X^i.
     """
     out = [1 % m] + [0] * (length - 1)
     u, t = 1 % m, 0
     for i in range(1, length):
         num = e - i + 1
-        if num <= 0:
+        if num == 0:
             break
         while num % p == 0:
             num //= p

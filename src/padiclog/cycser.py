@@ -4,7 +4,10 @@ phi(pi) = (1+pi)^p - 1, the trace-type left inverse psi acts on the
 (1+pi)-power basis by (1+pi)^a -> (1+pi)^(a/p) when p | a and kills the rest,
 and Gamma acts through pi -> (1+pi)^a - 1.  The finite-level Mellin transform
 identifies group-ring elements over (Z/p^(n+1))^* with the psi = 0 part of
-the truncation, via the exact unipotent (1+pi)-basis change.
+the truncation, via the exact unipotent (1+pi)-basis change: in the
+variable Y = 1+pi, phi is Y -> Y^p and `mellin_read` takes the group-ring
+coefficients straight off the Y-coefficients, so a caller already holding
+Y-coefficients (as `logmat` does) skips the basis change.
 
 Series here are `IwaSeries` read in the variable pi: base-valued, with
 denom_exp 0.  A w-part or a p-denominator raises ValueError.
@@ -185,22 +188,32 @@ def mellin(lam, deg_cap=None):
 def mellin_inverse(h, n):
     """Solve mellin(lam) = h mod (p^prec, pi^(p^(n+1))).
 
-    In the (1+pi)-power basis the transform is triangular: positions prime to
-    p carry the group-ring coefficients and positions divisible by p must
-    vanish (the psi = 0 condition).
+    In the (1+pi)-power basis the transform is triangular, so this is one
+    basis change followed by `mellin_read`.
     """
     _check_base(h)
-    p = h.ctx.p
-    win = p ** (n + 1)
+    win = h.ctx.p ** (n + 1)
     if h.deg_cap < win:
         raise InsufficientDegree("deg_cap %d < p^(n+1) = %d" % (h.deg_cap, win))
-    m = h.modulus()
-    bs = _poly.to_onepx_basis(h.a[:win], m, win)
+    bs = _poly.to_onepx_basis(h.a[:win], h.modulus(), win)
+    return mellin_read(h.ctx, n, bs, h.prec)
+
+
+def mellin_read(ctx, n, bs, prec):
+    """The level-n group-ring element whose Mellin transform is
+    sum_j bs[j] (1+pi)^j mod p^prec, for the p^(n+1) coefficients bs.
+
+    Positions prime to p carry the group-ring coefficients and positions
+    divisible by p must vanish (the psi = 0 condition).
+    """
+    p = ctx.p
+    m = p ** prec
     coeffs = {}
     for j, b in enumerate(bs):
+        b %= m
         if j % p == 0:
-            if b % m:
+            if b:
                 raise NotInImage("psi-component survives at (1+pi)^%d" % j)
         elif b:
             coeffs[j] = b
-    return FiniteGroupRingElt(h.ctx, n, coeffs, h.prec)
+    return FiniteGroupRingElt(ctx, n, coeffs, prec)

@@ -10,14 +10,22 @@ matrix is the finite-level Mellin inverse of
 computed integrally at boosted precision (the A-power denominators are
 tracked as one explicit p-power) and projected to a Delta-isotypic component.
 
+The product runs on exact int vectors in the variable Y = 1+pi.  Each
+nonconstant entry of P^(-1) changes basis once; phi is then Y -> Y^p, the
+2x2 products are untruncated, and 1+pi is a shift.  Truncation mod pi^cap
+is reduction mod (Y-1)^cap, a ring map, so it is applied once per output
+entry, and only when the entry's degree reaches cap (for a_p = 0, when
+k >= p+1): one division by (Y-1)^cap, `_poly.onepx_rem`.  The Mellin
+inverse reads the group-ring coefficients off the Y-coefficients
+(`cycser.mellin_read`).
+
 The product carries only the nonzero entries.  For a_p = 0 every factor
 phi^i(P^(-1)) is antidiagonal with the constant 1 in one corner, so the
 product and A^(n+1) are diagonal or antidiagonal: half of the entries are
-structural zeros.  `log_matrix_from_wach` marks zero entries as None once,
-skips every term, phi call, Mellin inverse and Delta-projection they would
-feed, and does not apply phi to constants (phi fixes them).  Precisions
-are tracked as if the zeros were carried, so the output is the same as the
-dense computation's; a dense lift takes the same path with the same work.
+structural zeros.  `log_matrix_from_wach` marks zero entries as None once
+and skips every term, Mellin read and Delta-projection they would feed.
+Precisions are tracked as if the zeros were carried, so the output is the
+same as the dense computation's; a dense lift takes the same path.
 
 The general Fontaine-Laffaille-style case has no explicit Frobenius lift
 formula here; `log_matrix_from_wach` accepts a caller-supplied lift instead.
@@ -28,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from padiclog import _poly
-from padiclog.cycser import frobenius, mellin_inverse, q_series
+from padiclog.cycser import _check_base, mellin_read, q_series
 from padiclog.iwadist import (InsufficientDegree, IwaSeries, delta,
                               divide_exact, log_tw, twist)
 from padiclog.padic import (PadicElt, PadicError, PrimeCtx, inv_scaled, is_qr,
@@ -317,25 +325,36 @@ def groupring_to_iwa(lam, theta_index=0, out_ctx=None):
     return IwaSeries(ctx, coeffs, None, lam.prec, p ** lvl)
 
 
-def _dot(pairs):
-    """Sum of x * y over the pairs, where None is a zero factor: a term with
-    a zero factor is skipped, and a sum with no term left is None."""
+def _dot(pairs, m):
+    """Sum mod m of the untruncated products x * y of int vectors over the
+    pairs, where None is a zero factor: a term with a zero factor is
+    skipped, and a sum with no term left is None."""
     acc = None
     for x, y in pairs:
         if x is not None and y is not None:
-            acc = x * y if acc is None else acc + x * y
+            t = _poly.vec_mul(x, y, m, len(x) + len(y) - 1)
+            acc = t if acc is None else _poly.vec_add(acc, t, m)
     return acc
-
-
-def _mat2_mul_pi(A, B):
-    return [[_dot((A[i][t], B[t][j]) for t in range(2)) for j in range(2)]
-            for i in range(2)]
 
 
 def _prec_meet(A, B):
     """Entry precisions of a dense 2x2 product: its sums read every factor."""
     return [[min(A[i][0], A[i][1], B[0][j], B[1][j]) for j in range(2)]
             for i in range(2)]
+
+
+def _to_y(f, m):
+    """The coefficients of f in Y = 1+pi, at the degree of f."""
+    _check_base(f)
+    a = _poly.vec_trim(f.a)
+    return a if len(a) < 2 else _poly.to_onepx_basis(a, m)
+
+
+def _phi_y(v, p):
+    """phi on Y-coefficients: Y -> Y^p moves coefficient j to j p."""
+    out = [0] * ((len(v) - 1) * p + 1)
+    out[::p] = v
+    return out
 
 
 def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
@@ -347,9 +366,11 @@ def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
     level is n+1, so the returned entries are polynomials of degree < p^(n+1)
     carrying the level-n congruence content.
 
-    Zero entries of pinv are marked None once and skipped at every stage,
-    and phi is not applied to constants; precisions are tracked as if the
-    zeros were carried, so the output is that of the dense computation.
+    The product runs on exact int vectors in Y = 1+pi, where phi is
+    Y -> Y^p and the Mellin inverse reads its group-ring coefficients off
+    the Y-coefficients.  Zero entries of pinv are marked None once and
+    skipped at every stage; precisions are tracked as if the zeros were
+    carried, so the output is that of the dense computation.
     """
     p = ctx_work.p
     rep = n + 1
@@ -357,48 +378,46 @@ def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
     if any(e.deg_cap < cap for row in pinv for e in row):
         raise ValueError("pinv entries need deg_cap >= p^(n+2) = %d" % cap)
     scale = a_scaled.p_exp * (n + 1) + pinv_scale * n
+    # every output precision is at most ctx_work.prec, so one modulus serves
+    m = ctx_work.modulus
     # prod = phi^n(P~) * phi^(n-1)(P~) * ... * phi(P~); phi keeps precisions
     pinv_prec = [[e.prec for e in row] for row in pinv]
-    cur = [[None if e.is_zero() else e for e in row] for row in pinv]
+    cur = [[None if e.is_zero() else _to_y(e, m) for e in row] for row in pinv]
     prod = None
     for _ in range(n):
-        # phi fixes zeros (None) and constants
-        cur = [[e if e is None or not (e.b or any(e.a[1:])) else frobenius(e)
-                for e in row] for row in cur]
+        cur = [[None if e is None else _phi_y(e, p) for e in row] for row in cur]
         if prod is None:
             prod, precs = cur, pinv_prec
         else:
-            prod, precs = _mat2_mul_pi(cur, prod), _prec_meet(pinv_prec, precs)
+            prod = [[_dot(((cur[i][t], prod[t][j]) for t in range(2)), m)
+                     for j in range(2)] for i in range(2)]
+            precs = _prec_meet(pinv_prec, precs)
     if prod is None:
-        one = IwaSeries.const(ctx_work, 1, cap)
-        prod, precs = [[one, None], [None, one]], [[ctx_work.prec] * 2] * 2
+        prod, precs = [[[1], None], [None, [1]]], [[ctx_work.prec] * 2] * 2
     # A~^(n+1) acting on the left
     an = [[1, 0], [0, 1]]
     araw = [[a_scaled.num[i][j].a for j in range(2)] for i in range(2)]
-    m = ctx_work.modulus
     for _ in range(n + 1):
         an = [[(an[i][0] * araw[0][j] + an[i][1] * araw[1][j]) % m
                for j in range(2)] for i in range(2)]
-    an = [[c or None for c in row] for row in an]
-    opp = IwaSeries(ctx_work, _poly.onepx_pow(1, cap, p, ctx_work.prec), None,
-                    ctx_work.prec, cap)
+    an = [[[c] if c else None for c in row] for row in an]
     zero_ctx = ctx_work if out_ctx is None else out_ctx
     out = []
     for i in range(2):
         orow = []
         for j in range(2):
-            s = _dot((prod[t][j], an[i][t]) for t in range(2))
+            s = _dot(((prod[t][j], an[i][t]) for t in range(2)), m)
             # the dense (1+pi) * (prod[0][j] an[i][0] + prod[1][j] an[i][1])
             # reads both entries of column j, zero or not
             prec = min(ctx_work.prec, precs[0][j], precs[1][j])
             if s is None:
                 ent = IwaSeries.zero(zero_ctx, p ** rep, prec)
             else:
-                h = opp * s
-                if h.prec != prec:
-                    h = IwaSeries(ctx_work, h.a, None, prec, cap)
-                ent = groupring_to_iwa(mellin_inverse(h, rep), theta_index,
-                                       out_ctx)
+                # the factor 1+pi = Y is a shift; truncation mod pi^cap is a
+                # ring map, so the exact product is reduced only here
+                ys = _poly.onepx_rem([0] + s, cap, p, ctx_work.prec)
+                lam = mellin_read(ctx_work, rep, ys, prec)
+                ent = groupring_to_iwa(lam, theta_index, out_ctx)
             ent.denom_exp = scale
             orow.append(ent.normalize())
         out.append(orow)

@@ -132,14 +132,20 @@ class MSeries:
 
     @classmethod
     def from_json(cls, obj, ctx=None):
-        check_fields(obj, "series", nvars="nat", deg_cap="nat")
+        """Read a series; its own "prec", when given, caps the context's."""
+        check_fields(obj, "series", nvars="nat", deg_cap="nat", prec="nat")
         if ctx is None:
             ctx = PrimeCtx(obj["p"], obj["prec"])
         if not isinstance(obj["coeffs"], dict):
             raise ValueError("coeffs: expected an object of exponent: coefficient")
-        coeffs = {tuple(int(t) for t in key.split(",")): int_entry(v, "coeffs")
-                  for key, v in obj["coeffs"].items()}
-        return cls(ctx, obj["nvars"], coeffs, obj["deg_cap"])
+        coeffs = {}
+        for key, v in obj["coeffs"].items():
+            expo = tuple(int(t) for t in key.split(","))
+            if min(expo) < 0:
+                raise ValueError("coeffs: negative exponent in %r" % key)
+            coeffs[expo] = int_entry(v, "coeffs")
+        prec = min(obj["prec"], ctx.prec) if "prec" in obj else None
+        return cls(ctx, obj["nvars"], coeffs, obj["deg_cap"], prec)
 
     def __repr__(self):
         return "MSeries(%d vars, %d terms, deg_cap=%d, prec=%d)" % (

@@ -274,6 +274,10 @@ MALFORMED = {
     "eval-growth-list": ("eval", bad_eval_spec(growth=[1])),
     "regdiv-nvars-string": ("regdiv", bad_regdiv_spec(nvars="2")),
     "regdiv-deg-cap-string": ("regdiv", bad_regdiv_spec(deg_cap="6")),
+    "regdiv-prec-string": ("regdiv", bad_regdiv_spec(prec="abc")),
+    # G = 1 + x0 + 3 x0^(-1) x1^2 is no power series
+    "regdiv-negative-exponent": ("regdiv", bad_regdiv_spec(
+        coeffs={"0,0": "1", "1,0": "1", "-1,2": "3"})),
 }
 
 

@@ -138,6 +138,11 @@ def test_vec_mul_long(n):
         assert _poly.vec_mul(xs, ys, m, 150) == ref_vec_mul(xs, ys, m, 150)
         short = rand_vec(rng, 33, m)
         assert _poly.vec_mul(xs, short, m, 300) == ref_vec_mul(xs, short, m, 300)
+        # a factor that trims to a constant, on either side
+        const = [rng.randrange(1, m)] + [0] * rng.randint(0, 5)
+        for cap in (150, n, 3 * n):
+            assert _poly.vec_mul(xs, const, m, cap) == ref_vec_mul(xs, const, m, cap)
+            assert _poly.vec_mul(const, ys, m, cap) == ref_vec_mul(const, ys, m, cap)
         out = _poly.vec_mul(xs, ys, m, 3 * n)
         assert len(out) == 2 * n - 1
         for _ in range(3):
@@ -174,6 +179,38 @@ def test_basis_changes_long(n):
         assert ev(to, t + 1, m) == ev(xs, t, m)
         assert ev(back, t, m) == ev(xs, t + 1, m)
     assert _poly.from_onepx_basis(to, m) == [x % m for x in xs]
+
+
+def test_onepx_rem_matches_basis_round_trip():
+    # v mod (Y-1)^cap in Y = 1+X is the truncation mod X^cap read back in Y
+    rng = random.Random(7)
+    for p, npow in [(2, 6), (3, 12), (5, 9), (7, 5), (5, 40)]:
+        m = p ** npow
+        for cap in (1, 2, p, p * p, 27, 81):
+            for length in (0, 1, cap - 1, cap, cap + 1, 2 * cap, 3 * cap + 5):
+                v = rand_vec(rng, length, m)
+                want = ref_to_onepx(ref_from_onepx(v, m, cap), m, cap)
+                assert _poly.onepx_rem(v, cap, p, npow) == want, (p, cap, length)
+
+
+@pytest.mark.parametrize("n", LONG)
+def test_onepx_rem_long(n):
+    rng = random.Random(n + 2)
+    p, npow = {2187: (3, 20), 3125: (5, 14)}[n]
+    m = p ** npow
+    v = rand_vec(rng, n + n // 2, m)
+    got = _poly.onepx_rem(v, n, p, npow)
+    assert got == _poly.to_onepx_basis(_poly.from_onepx_basis(v, m, n), m, n)
+
+
+def test_binom_row_negative_exponent():
+    # (1+X)^(-c) = sum_i (-1)^i C(c+i-1, i) X^i
+    from math import comb
+    for p, npow in [(2, 8), (3, 6), (5, 4)]:
+        m = p ** npow
+        for c in (1, 2, p, p ** 3, 7 * p + 1):
+            want = [(-1) ** i * comb(c + i - 1, i) % m for i in range(40)]
+            assert _poly.binom_row_mod(-c, 40, p, npow, m) == want
 
 
 @pytest.mark.parametrize("m", MODULI)

@@ -16,7 +16,7 @@ from padiclog.logmat import (
     q_matrix_inv, qinv_times, semi_ordinary_block, wach_matrices_ap0,
     window_ideal,
 )
-from padiclog.padic import PadicElt, PrimeCtx, val
+from padiclog.padic import PadicElt, PadicError, PrimeCtx, val
 
 
 def one_plus_pi_pow(ctx, e, cap):
@@ -446,13 +446,15 @@ def test_semi_ordinary_block_nontrivial_unit():
     assert blk.entry(2, 0) == ll and blk.entry(3, 1) == ll
 
 
-# -- the sparse Wach product against the dense loop ------------------------------
+# -- the Wach product against the pi-basis loops --------------------------------
 #
-# `log_matrix_from_wach` marks the zero entries of P^(-1) once and skips
-# every term, phi call, Mellin inverse and projection they would feed; phi is
-# not applied to constants.  The references below are the dense loop it
-# replaced (every entry through every stage) and the iterated-power
-# Teichmuller split of `groupring_to_iwa`; both must give identical JSON.
+# `log_matrix_from_wach` runs the product on int vectors in Y = 1+pi, marks
+# the zero entries of P^(-1) once and skips every term, Mellin read and
+# projection they would feed.  The references below are the dense pi-basis
+# loop (every entry through every stage), the sparse pi-basis loop with one
+# `frobenius` per nonconstant entry and level that the Y-basis product
+# replaced, and the iterated-power Teichmuller split of `groupring_to_iwa`;
+# each must give identical JSON.
 
 
 def ref_groupring_to_iwa(lam, theta_index=0, out_ctx=None):
@@ -486,8 +488,8 @@ def ref_groupring_to_iwa(lam, theta_index=0, out_ctx=None):
     return IwaSeries(ctx, coeffs, None, lam.prec, p ** lvl)
 
 
-def ref_log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
-                             theta_index=0, out_ctx=None, provenance=""):
+def dense_log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
+                               theta_index=0, out_ctx=None, provenance=""):
     from padiclog.cycser import mellin_inverse
 
     def mul(A, B):
@@ -526,14 +528,89 @@ def ref_log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
     return LogMatrix(out, level=n, provenance=provenance, rep_level=rep)
 
 
+def ref_log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
+                             theta_index=0, out_ctx=None, provenance=""):
+    """The sparse pi-basis loop: zeros as None, phi by `frobenius` on each
+    nonconstant entry, truncation at pi^(p^(n+2)) after every product and
+    one `mellin_inverse` per nonzero output entry."""
+    from padiclog.cycser import mellin_inverse
+
+    def dot(pairs):
+        acc = None
+        for x, y in pairs:
+            if x is not None and y is not None:
+                acc = x * y if acc is None else acc + x * y
+        return acc
+
+    p = ctx_work.p
+    rep = n + 1
+    cap = p ** (rep + 1)
+    if any(e.deg_cap < cap for row in pinv for e in row):
+        raise ValueError("pinv entries need deg_cap >= p^(n+2) = %d" % cap)
+    scale = a_scaled.p_exp * (n + 1) + pinv_scale * n
+    pinv_prec = [[e.prec for e in row] for row in pinv]
+    cur = [[None if e.is_zero() else e for e in row] for row in pinv]
+    prod = None
+    for _ in range(n):
+        cur = [[e if e is None or not (e.b or any(e.a[1:])) else frobenius(e)
+                for e in row] for row in cur]
+        if prod is None:
+            prod, precs = cur, pinv_prec
+        else:
+            prod = [[dot((cur[i][t], prod[t][j]) for t in range(2))
+                     for j in range(2)] for i in range(2)]
+            precs = [[min(pinv_prec[i][0], pinv_prec[i][1], precs[0][j],
+                          precs[1][j]) for j in range(2)] for i in range(2)]
+    if prod is None:
+        one = IwaSeries.const(ctx_work, 1, cap)
+        prod, precs = [[one, None], [None, one]], [[ctx_work.prec] * 2] * 2
+    an = [[1, 0], [0, 1]]
+    araw = [[a_scaled.num[i][j].a for j in range(2)] for i in range(2)]
+    m = ctx_work.modulus
+    for _ in range(n + 1):
+        an = [[(an[i][0] * araw[0][j] + an[i][1] * araw[1][j]) % m
+               for j in range(2)] for i in range(2)]
+    an = [[c or None for c in row] for row in an]
+    opp = one_plus_pi_pow(ctx_work, 1, cap)
+    zero_ctx = ctx_work if out_ctx is None else out_ctx
+    out = []
+    for i in range(2):
+        orow = []
+        for j in range(2):
+            s = dot((prod[t][j], an[i][t]) for t in range(2))
+            prec = min(ctx_work.prec, precs[0][j], precs[1][j])
+            if s is None:
+                ent = IwaSeries.zero(zero_ctx, p ** rep, prec)
+            else:
+                h = opp * s
+                if h.prec != prec:
+                    h = IwaSeries(ctx_work, h.a, None, prec, cap)
+                ent = groupring_to_iwa(mellin_inverse(h, rep), theta_index,
+                                       out_ctx)
+            ent.denom_exp = scale
+            orow.append(ent.normalize())
+        out.append(orow)
+    return LogMatrix(out, level=n, provenance=provenance, rep_level=rep)
+
+
+def view(mat):
+    """JSON of a matrix, with the context of every entry."""
+    return mat.to_json(), [[(e.ctx.prec, e.ctx.ext) for e in row]
+                           for row in mat.entries]
+
+
 def both_json(*args, **kw):
-    """JSON of both matrices, with the context of every entry."""
-    def view(mat):
-        return mat.to_json(), [[(e.ctx.prec, e.ctx.ext) for e in row]
-                               for row in mat.entries]
     got = log_matrix_from_wach(*args, **kw)
-    want = ref_log_matrix_from_wach(*args, **kw)
+    want = dense_log_matrix_from_wach(*args, **kw)
     return view(got), view(want)
+
+
+def outcome(fn, *args, **kw):
+    """The view of fn's matrix, or the type and message of what it raised."""
+    try:
+        return view(fn(*args, **kw))
+    except (PadicError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 AP0_SHAPES = [(p, n) for p in (3, 5, 7) for n in range(4) if p ** (n + 2) <= 4096]
@@ -565,7 +642,8 @@ def rand_pi(rng, ctx, cap, shape):
         return IwaSeries.zero(ctx, wide, prec)
     if shape == "const":
         return IwaSeries.const(ctx, rng.randrange(1, m), wide, prec)
-    deg = rng.randint(1, 6)
+    # "deep": a degree at or near the window, so that products pass it
+    deg = rng.randint(wide - 3, wide - 1) if shape == "deep" else rng.randint(1, 6)
     coeffs = [rng.randrange(m) for _ in range(deg)] + [rng.randrange(1, m)]
     return IwaSeries(ctx, coeffs, None, prec, wide)
 
@@ -642,16 +720,89 @@ def test_groupring_teichmuller_power_matches_loop():
 
 
 def test_ap0_skips_zero_and_constant_entries(monkeypatch):
-    # P'^(-1) = [[0, 1], [-eps q^(k+1), 0]]: one entry needs phi per level,
-    # and the product with A^(n+1) keeps two nonzero entries
+    # P'^(-1) = [[0, 1], [-eps q^(k+1), 0]]: only the one nonconstant entry
+    # goes to the Y basis, phi is a substitution Y -> Y^p with no frobenius
+    # call, and the product with A^(n+1) keeps two nonzero entries
+    import padiclog.cycser as cycser
     import padiclog.logmat as logmat
-    calls = {"frobenius": 0, "mellin_inverse": 0, "groupring_to_iwa": 0}
+    calls = {"to_onepx_basis": 0, "frobenius": 0, "mellin_read": 0,
+             "groupring_to_iwa": 0}
+    homes = {"to_onepx_basis": _poly, "frobenius": cycser}
     for name in calls:
-        fn = getattr(logmat, name)
+        home = homes.get(name, logmat)
+        fn = getattr(home, name)
 
         def counted(*a, _fn=fn, _name=name, **kw):
             calls[_name] += 1
             return _fn(*a, **kw)
-        monkeypatch.setattr(logmat, name, counted)
+        monkeypatch.setattr(home, name, counted)
     log_matrix_ap0(params_ap0(3, 12, 0), 3)
-    assert calls == {"frobenius": 3, "mellin_inverse": 2, "groupring_to_iwa": 2}
+    assert calls == {"to_onepx_basis": 1, "frobenius": 0, "mellin_read": 2,
+                     "groupring_to_iwa": 2}
+
+
+def reduction_spy(monkeypatch):
+    """Count the (Y-1)^cap reductions: the `onepx_rem` calls that divide."""
+    seen = [0]
+    fn = _poly.onepx_rem
+
+    def spy(ys, cap, p, npow):
+        if len(_poly.vec_trim(ys)) > cap:
+            seen[0] += 1
+        return fn(ys, cap, p, npow)
+    monkeypatch.setattr(_poly, "onepx_rem", spy)
+    return seen
+
+
+# every a_p = 0 case with p^(n+2) <= 729, weights past p+1 included
+AP0_SWEEP = [(p, n, k) for p in (3, 5, 7) for n in range(5)
+             if p ** (n + 2) <= 729 for k in range(p + 3)]
+
+
+@pytest.mark.parametrize("p,n,k", AP0_SWEEP)
+def test_ap0_sweep_matches_pi_loop(p, n, k, monkeypatch):
+    import padiclog.logmat as logmat
+    seen = reduction_spy(monkeypatch)
+    for prec in (3, 8, 12):
+        for eps in (1, 2):
+            for theta in (0, 1):
+                def run():
+                    return log_matrix_ap0(params_ap0(p, prec, k, eps), n, theta)
+                got = outcome(run)
+                with monkeypatch.context() as mp:
+                    mp.setattr(logmat, "log_matrix_from_wach",
+                               ref_log_matrix_from_wach)
+                    want = outcome(run)
+                assert got == want, (prec, eps, theta)
+    # the largest entry, (1+pi) phi^n(c) phi^(n-2)(c) ... with c of degree
+    # (k+1)(p-1), reaches degree p^(n+2) exactly when k >= p+1
+    assert (seen[0] > 0) == (n > 0 and k > p)
+
+
+def test_from_wach_random_lifts_match_pi_loop(monkeypatch):
+    # zero, constant, low-degree and near-window entries in every position
+    seen = reduction_spy(monkeypatch)
+    rng = random.Random(407)
+    for _ in range(60):
+        shapes = [rng.choice(("zero", "const", "poly", "deep")) for _ in range(4)]
+        args = rand_wach_case(rng, shapes)
+        kw = {"theta_index": args[6], "out_ctx": args[7]}
+        got = outcome(log_matrix_from_wach, *args[:6], **kw)
+        want = outcome(ref_log_matrix_from_wach, *args[:6], **kw)
+        assert got == want, shapes
+    assert seen[0] > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_from_wach_rejects_w_part_and_denominator(n):
+    pr = params_ap0(3, 6, 0)
+    a_scaled, pinv = wach_matrices_ap0(pr, 3 ** (n + 2))
+    e = pinv[1][0]
+    for i, j, bad in ((1, 0, IwaSeries(e.ctx, e.a, e.a, e.prec, e.deg_cap)),
+                      (1, 0, e.rescale(1)),
+                      (0, 1, IwaSeries.const(e.ctx, 1, e.deg_cap).rescale(1))):
+        lift = [row[:] for row in pinv]
+        lift[i][j] = bad
+        with pytest.raises(ValueError,
+                           match="expected a base-valued series with denom_exp 0"):
+            log_matrix_from_wach(pr.ctx, a_scaled, lift, 0, n, 0)

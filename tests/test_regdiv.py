@@ -355,3 +355,22 @@ def test_mseries_json_roundtrip():
     f = rand_mseries(CTX, 3, 2, rng)
     blob = f.to_json()
     assert MSeries.from_json(blob) == f
+
+
+def test_mseries_from_json_keeps_series_precision():
+    # a series' own precision caps the request's: digits beyond it are unknown
+    blob = MSeries(PrimeCtx(5, 4), 1, {(0,): 1, (1,): 626}).to_json()
+    f = MSeries.from_json(blob, PrimeCtx(5, 10))
+    assert f.prec == 4 and f.coeff((1,)) == 1
+    assert MSeries.from_json(blob, PrimeCtx(5, 3)).prec == 3
+    del blob["prec"]
+    assert MSeries.from_json(blob, PrimeCtx(5, 10)).prec == 10
+
+
+@pytest.mark.parametrize("bad", [{"prec": "abc"}, {"prec": -1},
+                                 {"coeffs": {"0,0": "1", "-1,2": "3"}}])
+def test_mseries_from_json_rejects_bad_fields(bad):
+    blob = MSeries(CTX, 2, {(0, 0): 1}).to_json()
+    blob.update(bad)
+    with pytest.raises(ValueError):
+        MSeries.from_json(blob, CTX)
