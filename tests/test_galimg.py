@@ -143,3 +143,53 @@ def test_find_tau_tensor_image():
     assert cert.minpoly == [1, 0, 5, 0, 1]
     assert cert.rank_t_minus_1 == 3
     assert cert.quotient_rank == 1
+
+
+# F_9 = F_3[s]/(s^2 - 2): entries are pairs (a, b) meaning a + b s
+F9_ONE, F9_S, F9_ZERO, F9_MINUS_ONE = (1, 0), (0, 1), (0, 0), (2, 0)
+F9_T1 = ((F9_ONE, F9_ONE), (F9_ZERO, F9_ONE))
+F9_TS = ((F9_ONE, F9_S), (F9_ZERO, F9_ONE))
+F9_W = ((F9_ZERO, F9_ONE), (F9_MINUS_ONE, F9_ZERO))
+F9_I = ((F9_ONE, F9_ZERO), (F9_ZERO, F9_ONE))
+F9_D = ((F9_S, F9_ZERO), (F9_ZERO, (0, 2)))  # diag(s, s^(-1)), order 4
+
+
+def test_closure_order_f9():
+    # two transvections over F_9 and the Weyl element generate SL2(F_9)
+    assert len(closure(MatGroupGen(3, 2, [F9_T1, F9_TS, F9_W], ext_d=2))) == 720
+    # the unipotent radical of the Borel, elementary abelian of order 9
+    assert len(closure(MatGroupGen(3, 2, [F9_T1, F9_TS], ext_d=2))) == 9
+
+
+def test_goursat_f9():
+    minus = ((F9_MINUS_ONE, F9_ZERO), (F9_ZERO, F9_MINUS_ONE))
+    # SL2(F_9) is perfect, so every subgroup projecting onto it and C2 is full
+    v = goursat_product_check(3, [(F9_T1, F9_I), (F9_TS, F9_I), (F9_W, minus)],
+                              ext_d=2)
+    assert (v.full_product, v.order_h, v.order_pr1, v.order_pr2) == (
+        True, 1440, 720, 2)
+    assert v.pr1_is_sl2 and v.pr2_solvable
+    # the diagonal copy of U x| <D>, nonabelian of order 36
+    v = goursat_product_check(3, [(F9_T1, F9_T1), (F9_TS, F9_TS), (F9_D, F9_D)],
+                              ext_d=2)
+    assert (v.full_product, v.order_h, v.order_pr1, v.order_pr2) == (
+        False, 36, 36, 36)
+    assert v.pr2_solvable and not v.pr1_is_sl2
+    v = goursat_product_check(3, [(F9_T1, F9_I), (F9_TS, F9_I), (F9_D, F9_D)],
+                              ext_d=2)
+    assert (v.full_product, v.order_h, v.order_pr1, v.order_pr2) == (
+        False, 36, 36, 4)
+
+
+def test_dihedral_rep_f9():
+    d = DihedralData(3, [((1, 1), (1, 2))], [(F9_S, F9_ONE)], ext_d=2,
+                     relations=[])
+    grp = dihedral_rep(d)
+    assert len(closure(grp)) == 32
+    assert has_abelian_index2(grp)
+    # (1+s)^2 = 2s and (1+2s)^2 = s: class 0 squared is the added class 1
+    DihedralData(3, [((1, 1), (1, 2)), ((0, 2), (0, 1))], [(F9_S, F9_ONE)],
+                 ext_d=2, relations=[(0, 0, 1)])
+    with pytest.raises(InconsistentCharacter):
+        DihedralData(3, [((1, 1), (1, 2)), ((0, 1), (0, 2))], [(F9_S, F9_ONE)],
+                     ext_d=2, relations=[(0, 0, 1)])
