@@ -146,8 +146,7 @@ def cmd_galimg(args):
 
 
 def cmd_theta(args):
-    chi = None
-    ctx = ImagQuadCtx(args.disc, args.power, cond=args.cond, chi=chi)
+    ctx = ImagQuadCtx(args.disc, args.power, cond=args.cond)
     th = theta_series(ctx, args.nmax)
     _emit(th.to_json(), args)
     return 0
@@ -259,7 +258,7 @@ def build_parser():
     q.add_argument("--disc", type=int, required=True)
     q.add_argument("--power", type=int, required=True,
                    help="infinity-type exponent t = k_g + 1")
-    q.add_argument("--nmax", type=int, default=100)
+    q.add_argument("--nmax", type=_nat, default=100)
     q.add_argument("--cond", type=int, default=1)
     q.set_defaults(func=cmd_theta)
 
@@ -268,7 +267,7 @@ def build_parser():
     q.add_argument("--root-order", type=int, required=True)
     q.add_argument("--zeta-index", type=int, default=1)
     q.add_argument("--p", type=int, required=True)
-    q.add_argument("--nmax", type=int, default=50)
+    q.add_argument("--nmax", type=_nat, default=50)
     q.set_defaults(func=cmd_eis)
 
     q = sub.add_parser("deplete", help="zero the coefficients divisible by p")

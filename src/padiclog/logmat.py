@@ -377,6 +377,9 @@ def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
     cap = p ** (rep + 1)
     if any(e.deg_cap < cap for row in pinv for e in row):
         raise ValueError("pinv entries need deg_cap >= p^(n+2) = %d" % cap)
+    if any(e.b for row in a_scaled.num for e in row):
+        # A enters through its int parts, as pinv does through _to_y
+        raise ValueError("expected a base-valued series with denom_exp 0")
     scale = a_scaled.p_exp * (n + 1) + pinv_scale * n
     # every output precision is at most ctx_work.prec, so one modulus serves
     m = ctx_work.modulus

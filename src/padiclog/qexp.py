@@ -100,6 +100,8 @@ class ImagQuadCtx:
     quadratic-or-trivial finite part on residues modulo the conductor."""
 
     def __init__(self, disc, t, cond=1, chi=None):
+        if cond < 1:
+            raise ValueError("conductor must be >= 1, got %d" % cond)
         self.order = QuadOrder(disc)
         self.disc = disc
         self.t = t

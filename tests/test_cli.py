@@ -264,6 +264,16 @@ MALFORMED = {
     "regdiv-coeffs-list": ("regdiv", bad_regdiv_spec(f_coeffs=[1, 2])),
     "split-alpha-beta-lists": ("split", bad_split_spec(alpha=[1, 2], beta=[3])),
     "galimg-gens-int": ("galimg", {"p": 5, "gens": 3}),
+    "galimg-p-zero": ("galimg", {"p": 0, "gens": [[[1, 1], [0, 1]]]}),
+    "galimg-p-four": ("galimg", {"p": 4, "gens": [[[1, 1], [0, 1]]]}),
+    "galimg-p-nine": ("galimg", {"p": 9, "gens": [[[1, 1], [0, 1]]]}),
+    "galimg-gens-mixed-sizes": ("galimg", {"p": 5, "gens": [
+        [[1, 1], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}),
+    "galimg-pair-mixed-sizes": ("galimg", {"p": 5, "pairs": [
+        [[[1, 1], [0, 1]], [[2]]]]}),
+    "galimg-pairs-empty": ("galimg", {"p": 5, "pairs": []}),
+    "galimg-pair-singular": ("galimg", {"p": 5, "pairs": [
+        [[[0, 0], [0, 0]], [[1, 0], [0, 1]]]]}),
     "eval-null": ("eval", None),
     "deplete-list": ("deplete", [1, 2, 3]),
     "deplete-coeffs-nested": ("deplete", {"ring": "int", "nmax": 3,
@@ -299,6 +309,19 @@ def test_malformed_input_exits_2(case, tmp_path, capsys):
     ["logmatrix", "--p", "3", "--k", "-1", "--level", "1"],
 ])
 def test_negative_level_or_weight_exits_2(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--disc", "-4", "--power", "4", "--nmax", "-5"],
+    ["theta", "--disc", "-4", "--power", "4", "--cond", "0", "--nmax", "5"],
+    ["eis", "--k", "2", "--root-order", "8", "--p", "5", "--nmax", "-3"],
+])
+def test_bad_qexp_flags_exit_2(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

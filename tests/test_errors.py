@@ -3,7 +3,7 @@
 import pytest
 
 from padiclog.cycser import FiniteGroupRingElt, InsufficientDegree
-from padiclog.galimg import GF, MatGroupGen
+from padiclog.galimg import MatGroupGen, goursat_product_check
 from padiclog.iwadist import ExtensionTooLarge, IwaSeries, eval_at, CharPoint, omega
 from padiclog.logmat import CrystalParams, log_matrix_ap0
 from padiclog.padic import NoRoot, NonUnit, PadicElt, PrimeCtx, sqrt
@@ -71,9 +71,23 @@ def test_logmatrix_budget():
 
 def test_galimg_validation():
     with pytest.raises(ValueError):
-        GF(5, 4)  # square
+        MatGroupGen(5, 2, [((1, 0), (0, 1))], ext_d=4)  # 4 is a square
     with pytest.raises(ValueError):
         MatGroupGen(5, 2, [((0, 0), (0, 0))])
+    ident = ((1, 0), (0, 1))
+    for p in (0, 1, 4, 9, -5):
+        with pytest.raises(ValueError, match="p must be a prime"):
+            MatGroupGen(p, 2, [ident])
+    with pytest.raises(ValueError, match="2 x 2"):
+        MatGroupGen(5, 2, [ident, ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+    with pytest.raises(ValueError):
+        goursat_product_check(5, [])
+    with pytest.raises(ValueError, match="2 x 2"):
+        goursat_product_check(5, [(ident, ((2,),))])
+    with pytest.raises(ValueError, match="invertible"):
+        goursat_product_check(5, [(((0, 0), (0, 0)), ident)])
+    with pytest.raises(ValueError, match="invertible"):
+        goursat_product_check(5, [(ident, ((1, 2), (2, 4)))])
 
 
 def test_crystal_params_validation():

@@ -1,9 +1,12 @@
 import pytest
 
+import random
+
 from padiclog.galimg import (
-    BudgetExceeded, DihedralData, GF, InconsistentCharacter, MatGroupGen,
-    closure, dihedral_rep, find_tau, goursat_product_check, has_abelian_index2,
-    kron, mat_det, min_poly, mat_rank,
+    BudgetExceeded, DihedralData, InconsistentCharacter, MatGroupGen,
+    _group_inverse, closure, dihedral_rep, embed, find_tau,
+    goursat_product_check, has_abelian_index2, kron, mat_identity, mat_mul,
+    min_poly, mat_rank,
 )
 
 
@@ -16,6 +19,9 @@ def test_closure_orders():
     assert len(closure(MatGroupGen(7, 2, sl2_gens(7)))) == 336
     ident_only = MatGroupGen(5, 2, [((1, 0), (0, 1))])
     assert len(closure(ident_only)) == 1
+    # 1x1 groups: 2 generates F_5^* and F_7^* has the element 2 of order 3
+    assert len(closure(MatGroupGen(5, 1, [((2,),)]))) == 4
+    assert len(closure(MatGroupGen(7, 1, [((2,),)]))) == 3
 
 
 def test_closure_budget():
@@ -23,11 +29,47 @@ def test_closure_budget():
         closure(MatGroupGen(7, 2, sl2_gens(7)), budget=100)
 
 
-def test_gf_ext_arithmetic():
-    f = GF(5, 2)  # 2 is a non-residue mod 5
-    x = (1, 2)
-    assert f.mul(x, f.inv(x)) == f.one()
-    assert f.order == 25
+def f25_mul(x, y):
+    # F_25 = F_5[s]/(s^2 - 2), written out: (a + b s)(c + e s)
+    return ((x[0] * y[0] + 2 * x[1] * y[1]) % 5, (x[0] * y[1] + x[1] * y[0]) % 5)
+
+
+def f25_add(x, y):
+    return ((x[0] + y[0]) % 5, (x[1] + y[1]) % 5)
+
+
+def f25_inv(x):
+    nrm = pow((x[0] * x[0] - 2 * x[1] * x[1]) % 5, -1, 5)
+    return (x[0] * nrm % 5, -x[1] * nrm % 5)
+
+
+def test_block_embedding_is_a_ring_homomorphism():
+    rng = random.Random(25)
+    elems = [(a, b) for a in range(5) for b in range(5)]
+    for x in elems:
+        for y in elems:
+            assert mat_mul(embed(((x,),), 5, 2), embed(((y,),), 5, 2), 5) == \
+                embed(((f25_mul(x, y),),), 5, 2)
+    assert len({embed(((x,),), 5, 2) for x in elems}) == 25
+    ident = mat_identity(4)
+    for _ in range(30):
+        m = tuple(tuple(rng.choice(elems) for _ in range(2)) for _ in range(2))
+        n = tuple(tuple(rng.choice(elems) for _ in range(2)) for _ in range(2))
+        mn = tuple(tuple(f25_add(f25_mul(m[i][0], n[0][j]), f25_mul(m[i][1], n[1][j]))
+                         for j in range(2)) for i in range(2))
+        assert mat_mul(embed(m, 5, 2), embed(n, 5, 2), 5) == embed(mn, 5, 2)
+        det = f25_add(f25_mul(m[0][0], m[1][1]), f25_mul((4, 0), f25_mul(m[0][1], m[1][0])))
+        if det == (0, 0):
+            continue
+        # adjugate over F_25 against the inverse taken inside the group
+        di = f25_inv(det)
+        neg = (4, 0)
+        minv = ((f25_mul(m[1][1], di), f25_mul(neg, f25_mul(m[0][1], di))),
+                (f25_mul(neg, f25_mul(m[1][0], di)), f25_mul(m[0][0], di)))
+        em = embed(m, 5, 2)
+        assert mat_mul(em, embed(minv, 5, 2), 5) == ident
+        assert _group_inverse(em, ident, lambda a, b: mat_mul(a, b, 5)) == \
+            embed(minv, 5, 2)
 
 
 def test_goursat_full_product_cyclic():
@@ -85,14 +127,13 @@ def test_dihedral_rep():
     # antidiagonal determinant is -x x'
     d2 = DihedralData(7, [(2, 4)], [(3, 5)])
     grp2 = dihedral_rep(d2)
-    f = grp2.field
-    off = [m for m in grp2.gens if f.is_zero(m[0][0])]
-    assert mat_det(f, off[0]) == (-3 * 5) % 7
+    off = [m for m in grp2.gens if m[0][0] == 0]
+    assert (off[0][0][0] * off[0][1][1] - off[0][0][1] * off[0][1][0]) % 7 == \
+        (-3 * 5) % 7
     assert has_abelian_index2(grp2)
 
 
 def test_dihedral_rep_random_has_index2_abelian():
-    import random
     rng = random.Random(50)
     for _ in range(10):
         p = 7

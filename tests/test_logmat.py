@@ -806,3 +806,16 @@ def test_from_wach_rejects_w_part_and_denominator(n):
         with pytest.raises(ValueError,
                            match="expected a base-valued series with denom_exp 0"):
             log_matrix_from_wach(pr.ctx, a_scaled, lift, 0, n, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_from_wach_rejects_w_part_of_a(n):
+    # the ramified context of a_p = 0 has a w; A[0][0] + w is no base value
+    pr = params_ap0(3, 6, 0)
+    a_scaled, pinv = wach_matrices_ap0(pr, 3 ** (n + 2))
+    num = [row[:] for row in a_scaled.num]
+    num[0][0] = num[0][0] + PadicElt(pr.ctx, 0, 1)
+    bad = ScaledConstMatrix(num, a_scaled.p_exp)
+    with pytest.raises(ValueError,
+                       match="expected a base-valued series with denom_exp 0"):
+        log_matrix_from_wach(pr.ctx, bad, pinv, 0, n, 0)
