@@ -3,14 +3,16 @@
 Coefficient vectors are plain int lists reduced modulo a power of p; the
 series classes in cycser/iwadist wrap these with context and precision
 bookkeeping.  Multiplication is one Kronecker product: both vectors are
-packed into one int each and multiplied once.  Every substitution
-f(g(X)) mod (m, X^cap) -- the (1+X)-power basis changes, Frobenius, the
-Gamma-action, twists and the Mellin transform -- goes through the one
-kernel `compose`, built on that multiply; nothing is cached.  The
-(1+X)-power basis transforms are exact unipotent integer maps, which is
-what makes the finite-level Mellin transform invertible.  Truncation mod
-X^cap of a vector held in that basis is one division by (Y-1)^cap,
-Y = 1+X (`onepx_rem`), with no basis change.
+packed into one int each and multiplied once.  A substitution
+f(g(X)) mod (m, X^cap) with g of degree 2 or more -- Frobenius, the
+Gamma-action, twists -- goes through the kernel `compose`, built on that
+multiply.  The (1+X)-power basis changes, and with them the Mellin
+transform, are the substitution X -> X+1 (or X -> X-1), which
+`taylor_shift` runs on one packed int for every level of its tree.
+Nothing is cached.  The (1+X)-power basis transforms are exact unipotent
+integer maps, which is what makes the finite-level Mellin transform
+invertible.  Truncation mod X^cap of a vector held in that basis is one
+division by (Y-1)^cap, Y = 1+X (`onepx_rem`), with no basis change.
 
 The elementary number theory the package needs around that core -- primality,
 the Jacobi symbol, square roots modulo a prime and the cyclotomic
@@ -94,14 +96,21 @@ def vec_mul(xs, ys, m, cap):
 
 
 def vec_trim(xs):
+    """xs without its trailing zeros.
+
+    Whole chunks of zeros are skipped by `any`, at C speed; the last run
+    shorter than a chunk goes one step at a time.
+    """
     n = len(xs)
+    while n >= 64 and not any(xs[n - 64:n]):
+        n -= 64
     while n and xs[n - 1] == 0:
         n -= 1
     return xs[:n]
 
 
 def compose(f, g, m, cap):
-    """f(g(X)) mod (m, X^cap): the one substitution kernel.
+    """f(g(X)) mod (m, X^cap), for the substitutions other than X -> X+1.
 
     Runs bottom-up over halves of f.  The level-k blocks are
     sum_{i < 2^k} f[t 2^k + i] g^i, held in one flat list at a common
@@ -137,17 +146,91 @@ def compose(f, g, m, cap):
     return cur + [0] * (cap - len(cur))
 
 
+def _slot_folds(m, k, size):
+    """The folds that take every k-byte slot of a size-slot int from below
+    2^(8k) to below 2^(bits(m) + 3), mod m, as (h, 2^h mod m, mask of the
+    low h bits of each slot, mask of the low 8k - h bits of each slot).
+
+    A slot v < 2^b folds to (v >> h) (2^h mod m) + (v mod 2^h)
+    < 2^(b - h + bits(m)) + 2^h, which is at most 2^(h+1) when
+    2 (h + 1) >= b + bits(m) + 2.
+    """
+    bm = m.bit_length()
+    b = 8 * k
+    out = []
+    while b > bm + 3:
+        b = (b + bm + 3) // 2
+        h = b - 1
+        lo = ((1 << h) - 1).to_bytes(k, "little") * size
+        hi = ((1 << 8 * k - h) - 1).to_bytes(k, "little") * size
+        out.append((h, pow(2, h, m), int.from_bytes(lo, "little"),
+                    int.from_bytes(hi, "little")))
+    return out
+
+
+def taylor_shift(bs, m, n):
+    """sum_j bs[j] (1+X)^j mod (m, X^n): the substitution X -> X+1.
+
+    The radix-2 tree of `compose` with g = 1+X, on one packed int.  The
+    level blocks sum_{i < w} bs[t w + i] (1+X)^i, w = 2^level, have degree
+    < w, so they stay in place at slots t w .. t w + w - 1; a level splits
+    the even and odd blocks with one alternating mask and one shift and
+    merges them as even + (1+X)^w odd, one multiply and one add.
+
+    The slot holds 2 bits(m) + 6 + bits(len) bits, enough for a merge of
+    values below 2^(bits(m) + 3).  While the exact values (below m 2^(2w)
+    after the merge) fit the slot, the levels run in integers with no
+    reduction.  Above that, each level first folds the int and (1+X)^w
+    down to slots below 2^(bits(m) + 3), in place: a fold keeps each slot
+    v congruent mod m as (v >> h) (2^h mod m) + (v mod 2^h), with h set so
+    the bound on the slot falls from b to about (b + bits(m))/2 bits.  Only
+    the output is reduced mod m.  The whole trimmed input is shifted before
+    the cut to n: its coefficients of degree >= n still reach low degrees.
+    """
+    cur = vec_trim([b % m for b in bs])
+    size = len(cur)
+    bm = m.bit_length()
+    k = (2 * bm + 6 + size.bit_length() + 7) // 8
+    x = int.from_bytes(b"".join([c.to_bytes(k, "little") for c in cur]), "little")
+    g = (1 << 8 * k) + 1
+    folds = None
+    w = 1
+    while w < size:
+        if bm + 2 * w > 8 * k:
+            folds = folds or _slot_folds(m, k, size)
+            for h, c, lo, hi in folds:
+                x = (x & lo) + (x >> h & hi) * c
+                g = (g & lo) + (g >> h & hi) * c
+        half = k * w
+        mask = int.from_bytes((b"\xff" * half + bytes(half)) * -(-size // (2 * w)),
+                              "little")
+        x = (x & mask) + (x >> 8 * half & mask) * g
+        w *= 2
+        if w < size:
+            g *= g
+    buf = x.to_bytes(k * size, "little")
+    unpack = int.from_bytes
+    out = [unpack(buf[i:i + k], "little") % m for i in range(0, k * min(n, size), k)]
+    return out + [0] * (n - len(out))
+
+
 def to_onepx_basis(coeffs, m, n=None):
     """Coefficients over {X^i} -> coefficients over {(1+X)^j}.
 
-    f(Y - 1) expanded in Y = 1+X, an exact unipotent change of basis.
+    f(Y - 1) expanded in Y = 1+X, an exact unipotent change of basis.  As
+    f(Y - 1) = sum_j (-1)^j a_j (1 - Y)^j, it is the shift by 1 between two
+    sign flips of the odd-index coefficients.
     """
-    return compose(coeffs, [-1, 1], m, len(coeffs) if n is None else n)
+    flipped = list(coeffs)
+    flipped[1::2] = [-c for c in flipped[1::2]]
+    out = taylor_shift(flipped, m, len(coeffs) if n is None else n)
+    out[1::2] = [-c % m for c in out[1::2]]
+    return out
 
 
 def from_onepx_basis(bs, m, n=None):
     """Inverse of to_onepx_basis: (1+X)^j = sum_i C(j,i) X^i."""
-    return compose(bs, [1, 1], m, len(bs) if n is None else n)
+    return taylor_shift(bs, m, len(bs) if n is None else n)
 
 
 def onepx_rem(ys, cap, p, npow):

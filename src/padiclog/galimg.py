@@ -8,7 +8,8 @@ commutators and the product criterion are those of the group over F_p^2.
 
 Everything is exhaustive: groups are enumerated by breadth-first closure
 under the generators, the product criterion compares the closure order with
-the product of the projection orders, and the distinguished 4x4 elements are
+the product of the projection orders, solvability follows the derived series
+through normal closures of commutators, and the distinguished 4x4 elements are
 certified by their minimal polynomial (X-1)^2 (X+1)^2 together with the rank
 of t - 1.  Ranks (hence invertibility) and minimal polynomials come from
 linsolve; an inverse inside a finite group is the power x^(ord x - 1).
@@ -146,25 +147,51 @@ def _group_inverse(x, ident, mul):
     return prev
 
 
-def is_solvable(elements, p, budget=DEFAULT_BUDGET):
-    """Derived series by exhaustive commutators; fine for small groups.
+def _normal_closure(seeds, gens, ident, mul, budget):
+    """Generators and elements of the normal closure of seeds in <gens>.
 
-    elements is a whole finite group of int matrices mod p.
+    A generator whose conjugate by some g in gens falls outside the
+    subgroup joins the generators; then every g maps the subgroup into
+    itself, which in a finite group makes it normal.  Each new generator
+    at least doubles the subgroup, so there are few closures.
     """
-    current = list(elements)
-    ident = mat_identity(len(current[0]))
+    out = list(dict.fromkeys(x for x in seeds if x != ident))
+    members = set(_bfs_closure(ident, out, mul, budget))
+    conj = [(g, _group_inverse(g, ident, mul)) for g in gens]
+    i = 0
+    while i < len(out):
+        x = out[i]
+        i += 1
+        for g, gi in conj:
+            y = mul(mul(g, x), gi)
+            if y not in members:
+                out.append(y)
+                members = set(_bfs_closure(ident, out, mul, budget))
+    return out, members
+
+
+def is_solvable(gens, p, budget=DEFAULT_BUDGET):
+    """Is the group generated by gens (int matrices mod p) solvable?
+
+    Runs the derived series: the derived subgroup of <T> is the normal
+    closure of the commutators of pairs from T, so commutators are taken of
+    generators only, never of all pairs of elements.  The series stops at
+    the trivial group (solvable) or at a term equal to its derived subgroup
+    (not solvable).
+    """
+    ident = mat_identity(len(gens[0]))
     mul = partial(mat_mul, p=p)
-    while True:
-        if len(current) == 1:
-            return True
-        inverses = [_group_inverse(x, ident, mul) for x in current]
-        comms = {mul(mul(x, y), mul(xi, yi))
-                 for x, xi in zip(current, inverses)
-                 for y, yi in zip(current, inverses)}
-        derived = _bfs_closure(ident, list(comms), mul, budget)
-        if len(derived) == len(current):
+    cur = [g for g in gens if g != ident]
+    while cur:
+        inverses = [_group_inverse(x, ident, mul) for x in cur]
+        comms = [mul(mul(x, y), mul(xi, yi))
+                 for i, (x, xi) in enumerate(zip(cur, inverses))
+                 for y, yi in zip(cur[:i], inverses[:i])]
+        derived, members = _normal_closure(comms, cur, ident, mul, budget)
+        if all(g in members for g in cur):
             return False
-        current = derived
+        cur = derived
+    return True
 
 
 def _det_is_one(m, p):
@@ -217,7 +244,7 @@ def goursat_product_check(p, gen_pairs, ext_d=None, budget=DEFAULT_BUDGET):
         order_h=len(pairs),
         order_pr1=len(pr1),
         order_pr2=len(pr2),
-        pr2_solvable=is_solvable(pr2, p, budget),
+        pr2_solvable=is_solvable(g2.gens, p, budget),
         pr1_is_sl2=pr1_sl2,
     )
 

@@ -238,12 +238,17 @@ class ScaledConstMatrix:
 
 
 def _q_power(ctx, e, deg_cap, prec):
-    """q^e as a series in pi at precision prec."""
-    q = q_series(ctx, deg_cap, prec)
-    qe = IwaSeries.const(ctx, 1, deg_cap, prec)
+    """q^e as a series in pi at precision prec.
+
+    The powers are multiplied at their exact degree e (p-1) and padded to
+    deg_cap once.
+    """
+    m = ctx.p ** prec
+    q = q_series(ctx, ctx.p, prec).a
+    qe = [1]
     for _ in range(e):
-        qe = qe * q
-    return qe
+        qe = _poly.vec_mul(qe, q, m, deg_cap)
+    return IwaSeries(ctx, qe, None, prec, deg_cap)
 
 
 def wach_matrices_ap0(params, deg_cap, prec=None):

@@ -4,9 +4,9 @@ import random
 
 from padiclog.galimg import (
     BudgetExceeded, DihedralData, InconsistentCharacter, MatGroupGen,
-    _group_inverse, closure, dihedral_rep, embed, find_tau,
-    goursat_product_check, has_abelian_index2, kron, mat_identity, mat_mul,
-    min_poly, mat_rank,
+    _bfs_closure, _group_inverse, closure, dihedral_rep, embed, find_tau,
+    goursat_product_check, has_abelian_index2, is_solvable, kron, mat_identity,
+    mat_mul, min_poly, mat_rank,
 )
 
 
@@ -234,3 +234,48 @@ def test_dihedral_rep_f9():
     with pytest.raises(InconsistentCharacter):
         DihedralData(3, [((1, 1), (1, 2)), ((0, 1), (0, 2))], [(F9_S, F9_ONE)],
                      ext_d=2, relations=[(0, 0, 1)])
+
+
+def ref_is_solvable(elements, p):
+    """Derived series by all |G|^2 commutators of each term, the exhaustive loop."""
+    current = list(elements)
+    ident = mat_identity(len(current[0]))
+
+    def mul(a, b):
+        return mat_mul(a, b, p)
+
+    while True:
+        if len(current) == 1:
+            return True
+        inverses = [_group_inverse(x, ident, mul) for x in current]
+        comms = {mul(mul(x, y), mul(xi, yi))
+                 for x, xi in zip(current, inverses)
+                 for y, yi in zip(current, inverses)}
+        derived = _bfs_closure(ident, list(comms), mul, 10 ** 7)
+        if len(derived) == len(current):
+            return False
+        current = derived
+
+
+def test_is_solvable_matches_exhaustive_series():
+    rng = random.Random(70)
+    groups = [MatGroupGen(q, 2, sl2_gens(q)) for q in (3, 5, 7)]
+    f9_gens = [[F9_T1, F9_TS, F9_D], [F9_T1, F9_I], [F9_D, F9_W], [F9_W]]
+    groups += [MatGroupGen(3, 2, gens, ext_d=2) for gens in f9_gens]
+    groups.append(dihedral_rep(DihedralData(3, [((1, 1), (1, 2))],
+                                            [(F9_S, F9_ONE)], ext_d=2)))
+    groups.append(MatGroupGen(5, 2, [((0, 1), (4, 0)), ((0, 1), (1, 0))]))
+    for _ in range(20):
+        diag = [(rng.randrange(1, 7), rng.randrange(1, 7)) for _ in range(2)]
+        off = [(rng.randrange(1, 7), rng.randrange(1, 7))]
+        groups.append(dihedral_rep(DihedralData(7, diag, off)))
+    verdicts = []
+    for grp in groups:
+        verdict = is_solvable(grp.gens, grp.p)
+        assert verdict == ref_is_solvable(closure(grp), grp.p), grp
+        verdicts.append(verdict)
+    # SL2(F_3) is solvable, SL2(F_5) and SL2(F_7) are perfect
+    assert verdicts[:3] == [True, False, False]
+    assert all(verdicts[3:])
+    # SL2(F_9) is perfect too; its 720 elements are too many for the reference
+    assert not is_solvable(MatGroupGen(3, 2, [F9_T1, F9_TS, F9_W], ext_d=2).gens, 3)

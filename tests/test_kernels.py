@@ -18,6 +18,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import padiclog
 from padiclog import _poly
@@ -29,6 +30,11 @@ from padiclog.padic import UNRAMIFIED, PrimeCtx
 SHORT = [0, 1, 2, 3, 5, 7, 9, 15, 17, 31, 33, 63, 65, 127, 129, 255, 257]
 LONG = [2187, 3125]
 MODULI = [3, 5, 7, 3 ** 12, 5 ** 14, 7 ** 20, 5 ** 40]
+# the slot of the shift kernel is 2 bits(m) + 6 + bits(len) bits: tiny, power
+# of 2 and wider than 128 bits
+SHIFT_MODULI = MODULI + [2, 4, 2 ** 40, 3 ** 90]
+# (length, working modulus) of the Mellin reads of the log-matrix ladder
+LADDER = [(81, 3 ** 18), (243, 3 ** 22), (343, 7 ** 15), (625, 5 ** 20), (729, 3 ** 24)]
 
 
 # -- references ------------------------------------------------------------------
@@ -153,14 +159,45 @@ def test_vec_mul_long(n):
 # -- basis changes and compose ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", MODULI)
+@pytest.mark.parametrize("m", SHIFT_MODULI)
 def test_basis_changes_match_pascal_rows(m):
+    # SHORT holds the lengths 2^j - 1 and 2^j + 1 on both sides of the last
+    # level the kernel runs without reduction, for every modulus here
     rng = random.Random(m + 1)
     for length in SHORT:
         xs = rand_vec(rng, length, m)
-        for n in (None, length // 2, length + 5):
+        for n in (None, 0, 1, length // 2, length + 5):
             assert _poly.to_onepx_basis(xs, m, n) == ref_to_onepx(xs, m, n)
             assert _poly.from_onepx_basis(xs, m, n) == ref_from_onepx(xs, m, n)
+
+
+@pytest.mark.parametrize("length,m", LADDER)
+def test_basis_changes_ladder_sizes(length, m):
+    rng = random.Random(length + 3)
+    xs = rand_vec(rng, length, m)
+    for n in (None, length // 3):
+        assert _poly.to_onepx_basis(xs, m, n) == ref_to_onepx(xs, m, n)
+        assert _poly.from_onepx_basis(xs, m, n) == ref_from_onepx(xs, m, n)
+
+
+MODULUS = st.integers(min_value=1, max_value=2 ** 130)
+VECTOR = st.lists(st.integers(min_value=-2 ** 140, max_value=2 ** 140), max_size=300)
+
+
+@settings(deadline=None)
+@given(m=MODULUS, xs=VECTOR)
+def test_basis_changes_invert_each_other(m, xs):
+    want = [x % m for x in xs]
+    assert _poly.from_onepx_basis(_poly.to_onepx_basis(xs, m), m) == want
+    assert _poly.to_onepx_basis(_poly.from_onepx_basis(xs, m), m) == want
+
+
+@settings(deadline=None)
+@given(m=MODULUS, xs=VECTOR, t=st.integers())
+def test_basis_changes_shift_the_argument(m, xs, t):
+    # from: sum_j b_j (1+X)^j at X = t is sum_j b_j (t+1)^j; to the other way
+    assert ev(_poly.from_onepx_basis(xs, m), t, m) == ev(xs, t + 1, m)
+    assert ev(_poly.to_onepx_basis(xs, m), t + 1, m) == ev(xs, t, m)
 
 
 @pytest.mark.parametrize("n", LONG)
