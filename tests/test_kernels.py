@@ -1,4 +1,4 @@
-"""The Kronecker multiply and the substitution kernel against independent references.
+"""The Kronecker multiply and the substitution kernels against independent references.
 
 The references are the schoolbook convolution and the Pascal-row basis
 changes that `_poly` used before it had one substitution kernel, a Horner
@@ -30,8 +30,8 @@ from padiclog.padic import UNRAMIFIED, PrimeCtx
 SHORT = [0, 1, 2, 3, 5, 7, 9, 15, 17, 31, 33, 63, 65, 127, 129, 255, 257]
 LONG = [2187, 3125]
 MODULI = [3, 5, 7, 3 ** 12, 5 ** 14, 7 ** 20, 5 ** 40]
-# the slot of the shift kernel is 2 bits(m) + 6 + bits(len) bits: tiny, power
-# of 2 and wider than 128 bits
+# the shift kernel's slot width and folds depend on bits(m): add tiny moduli,
+# powers of 2 and one above 2^128
 SHIFT_MODULI = MODULI + [2, 4, 2 ** 40, 3 ** 90]
 # (length, working modulus) of the Mellin reads of the log-matrix ladder
 LADDER = [(81, 3 ** 18), (243, 3 ** 22), (343, 7 ** 15), (625, 5 ** 20), (729, 3 ** 24)]
@@ -154,6 +154,23 @@ def test_vec_mul_long(n):
         for _ in range(3):
             t = rng.randrange(m)
             assert ev(out, t, m) == ev(xs, t, m) * ev(ys, t, m) % m
+
+
+def test_vec_trim_matches_stepwise():
+    # runs of zeros shorter than, equal to and longer than the 64-entry chunk
+    def ref_trim(xs):
+        n = len(xs)
+        while n and xs[n - 1] == 0:
+            n -= 1
+        return xs[:n]
+
+    rng = random.Random(9)
+    for _ in range(400):
+        xs = []
+        for _ in range(rng.randint(0, 6)):
+            xs += [0] * rng.choice([0, 1, 63, 64, 65, 128, rng.randint(0, 300)])
+            xs += [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))]
+        assert _poly.vec_trim(xs) == ref_trim(xs)
 
 
 # -- basis changes and compose ---------------------------------------------------------
