@@ -49,13 +49,10 @@ def _vp(n, p, cap):
 
 
 def vec_add(xs, ys, m):
-    n = max(len(xs), len(ys))
-    out = [0] * n
-    for i, x in enumerate(xs):
-        out[i] = x
-    for i, y in enumerate(ys):
-        out[i] = (out[i] + y) % m
-    return out
+    """xs + ys mod m, every entry reduced; the shorter input is zero-padded."""
+    if len(xs) < len(ys):
+        xs, ys = ys, xs
+    return [(x + y) % m for x, y in zip(xs, ys + [0] * (len(xs) - len(ys)))]
 
 
 def vec_neg(xs, m):
@@ -288,37 +285,19 @@ def onepx_pow(e, cap, p, npow):
         [0] * max(0, cap - e - 1)
 
 
-def poly_divmod_top(f, g, m, p, npow):
-    """Long division f = q*g + r by the leading coefficient of g.
-
-    Requires the leading coefficient of g to be a unit mod p.  Exact over
-    Z/m; returns (q, r).
-    """
-    g = vec_trim(g)
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial")
-    lead = g[-1]
-    if lead % p == 0:
-        raise ValueError("leading coefficient is not a unit")
-    linv = pow(lead, -1, m)
-    r = list(f)
-    dg = len(g) - 1
-    if len(r) - 1 < dg:
-        return [], r
-    q = [0] * (len(r) - dg)
-    for i in range(len(r) - 1, dg - 1, -1):
-        c = r[i] % m
-        if c == 0:
-            continue
-        qc = (c * linv) % m
-        q[i - dg] = qc
-        for j, gj in enumerate(g):
-            r[i - dg + j] = (r[i - dg + j] - qc * gj) % m
-    return q, vec_trim(r)
+# Size switches between the schoolbook loops and the Newton inverse, set by
+# timing both on dense vectors mod 3^9 to 5^20.  The schoolbook loops cost
+# one step per pair of coefficients, so they win while the divisor is short:
+# below NEWTON_MIN_G coefficients of g, or, where the whole inverse must be
+# built, below SERIES_NEWTON_MIN coefficients of the quotient.
+NEWTON_MIN_G = 40
+DIV_NEWTON_MIN_Q = 10
+SERIES_NEWTON_MIN = 64
+INV_SCHOOLBOOK = 16
 
 
-def series_div_unit(f, g, m, cap):
-    """Power-series division f/g where g[0] is a unit mod m; exact to cap."""
+def _schoolbook_series_div(f, g, m, cap):
+    """f/g mod (m, X^cap), g[0] a unit: one coefficient at a time."""
     ginv0 = pow(g[0], -1, m)
     out = [0] * cap
     for i in range(cap):
@@ -329,6 +308,73 @@ def series_div_unit(f, g, m, cap):
                 acc -= gj * out[i - j]
         out[i] = (acc * ginv0) % m
     return out
+
+
+def series_inverse(g, m, n):
+    """1/g mod (m, X^n) for g[0] a unit mod m.
+
+    Newton doubling on `vec_mul` (von zur Gathen and Gerhard, "Modern
+    Computer Algebra", 9.1): if h = 1/g mod X^k, then g h = 1 + X^k e and
+    h - X^k (h e) = 1/g mod X^(2k), two products per doubling.  The first
+    INV_SCHOOLBOOK coefficients come from the schoolbook loop.
+    """
+    k = min(n, INV_SCHOOLBOOK)
+    h = _schoolbook_series_div([1], g, m, k)
+    while k < n:
+        k2 = min(2 * k, n)
+        e = vec_mul(g[:k2], h, m, k2)[k:]
+        h += [-c % m for c in vec_mul(h, e, m, k2 - k)]
+        h += [0] * (k2 - len(h))
+        k = k2
+    return h
+
+
+def poly_divmod_top(f, g, m, p, npow):
+    """Long division f = q*g + r by the leading coefficient of g.
+
+    Requires the leading coefficient of g to be a unit mod p.  Exact over
+    Z/m; returns (q, r) with q padded to len(f) - deg(g) coefficients and r
+    reduced mod m and trimmed.  The quotient is unique, so both methods
+    below give the same one: schoolbook for a short divisor or quotient,
+    else the reversed quotient as rev(f) times the inverse of rev(g),
+    and the remainder as f - q g below deg(g), one product each.
+    """
+    g = vec_trim(g)
+    if not g:
+        raise ZeroDivisionError("division by zero polynomial")
+    lead = g[-1]
+    if lead % p == 0:
+        raise ValueError("leading coefficient is not a unit")
+    dg = len(g) - 1
+    if len(f) - 1 < dg:
+        return [], vec_trim([c % m for c in f])
+    qlen = len(f) - dg
+    r = vec_trim([c % m for c in f])
+    dq = len(r) - dg
+    if dq <= 0:
+        return [0] * qlen, r
+    if dg < NEWTON_MIN_G or dq < DIV_NEWTON_MIN_Q:
+        linv = pow(lead, -1, m)
+        q = [0] * qlen
+        for i in range(len(r) - 1, dg - 1, -1):
+            c = r[i]
+            if c:
+                qc = c * linv % m
+                q[i - dg] = qc
+                for j, gj in enumerate(g, i - dg):
+                    r[j] = (r[j] - qc * gj) % m
+        return q, vec_trim(r[:dg])
+    q = vec_mul(r[dg:][::-1], series_inverse(g[::-1], m, dq), m, dq)[::-1]
+    rem = vec_trim([(x - y) % m for x, y in zip(r, vec_mul(q, g, m, dg))])
+    return q + [0] * (qlen - len(q)), rem
+
+
+def series_div_unit(f, g, m, cap):
+    """Power-series division f/g where g[0] is a unit mod m; exact to cap."""
+    if cap < SERIES_NEWTON_MIN or min(len(g), cap) < NEWTON_MIN_G:
+        return _schoolbook_series_div(f, g, m, cap)
+    out = vec_mul(f, series_inverse(g, m, cap), m, cap)
+    return out + [0] * (cap - len(out))
 
 
 # -- elementary number theory on ints ----------------------------------------

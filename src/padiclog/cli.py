@@ -26,8 +26,50 @@ from padiclog.galimg import MatGroupGen, closure, find_tau, goursat_product_chec
 import padiclog.iwadist as iwadist
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, indent=""):
+    """json.dumps(obj, indent=2, sort_keys=True, default=str), byte for byte.
+
+    With indent set, json.dumps runs its pure-Python encoder; here lists of
+    ints or of strings are joined with str.join and strings go through the
+    C string encoder.  Any other type is left to json.dumps, its lines
+    shifted to this depth (a JSON string holds no raw newline).
+    """
+    kind = type(obj)
+    inner = indent + "  "
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if kind is list:
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            items = map(int.__repr__, obj)
+        elif kinds == {str}:
+            items = map(_encode_str, obj)
+        else:
+            items = [_dumps(x, inner) for x in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
+        return ("{\n" + ",\n".join([inner + _encode_str(k) + ": " + _dumps(obj[k], inner)
+                                     for k in sorted(obj)])
+                + "\n" + indent + "}")
+    return json.dumps(obj, indent=2, sort_keys=True, default=str).replace(
+        "\n", "\n" + indent)
+
+
 def _emit(obj, args):
-    text = json.dumps(obj, indent=2, sort_keys=True, default=str)
+    text = _dumps(obj)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

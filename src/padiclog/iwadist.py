@@ -72,7 +72,23 @@ class IwaSeries:
         self.prec = prec
         self.deg_cap = deg_cap
         self.denom_exp = denom_exp
-        self.growth = Fraction(growth)
+        # a Fraction is immutable: one already given is kept as it is
+        self.growth = growth if type(growth) is Fraction else Fraction(growth)
+
+    @classmethod
+    def _reduced(cls, ctx, a, b, prec, deg_cap, denom_exp, growth):
+        """The series __init__ would build from these fields, for vectors
+        already reduced mod p^prec at length deg_cap and a Fraction growth:
+        the lists are kept as they are, not reduced or copied again."""
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.a = a
+        self.b = b if b is not None and any(b) else None
+        self.prec = prec
+        self.deg_cap = deg_cap
+        self.denom_exp = denom_exp
+        self.growth = growth
+        return self
 
     # -- constructors -------------------------------------------------------
 
@@ -172,9 +188,11 @@ class IwaSeries:
         if s <= 0:
             return self
         pk = self.ctx.p ** s
-        return IwaSeries(self.ctx, [c // pk for c in self.a],
-                         [c // pk for c in self.b] if self.b else None,
-                         self.prec - s, self.deg_cap, self.denom_exp - s, self.growth)
+        # entries below p^prec floor-divide to entries below p^(prec - s)
+        return IwaSeries._reduced(self.ctx, [c // pk for c in self.a],
+                                  [c // pk for c in self.b] if self.b else None,
+                                  self.prec - s, self.deg_cap, self.denom_exp - s,
+                                  self.growth)
 
     def _aligned(self, other):
         d = max(self.denom_exp, other.denom_exp)
@@ -194,16 +212,16 @@ class IwaSeries:
         if x.b or y.b:
             b = _poly.vec_add(x.b[:cap] if x.b else [0] * cap,
                               y.b[:cap] if y.b else [0] * cap, m)
-        return IwaSeries(x.ctx, a, b, prec, cap, x.denom_exp,
-                         max(x.growth, y.growth))
+        return IwaSeries._reduced(x.ctx, a, b, prec, cap, x.denom_exp,
+                                  max(x.growth, y.growth))
 
     __radd__ = __add__
 
     def __neg__(self):
         m = self.modulus()
-        return IwaSeries(self.ctx, _poly.vec_neg(self.a, m),
-                         _poly.vec_neg(self.b, m) if self.b else None,
-                         self.prec, self.deg_cap, self.denom_exp, self.growth)
+        return IwaSeries._reduced(self.ctx, _poly.vec_neg(self.a, m),
+                                  _poly.vec_neg(self.b, m) if self.b else None,
+                                  self.prec, self.deg_cap, self.denom_exp, self.growth)
 
     def __sub__(self, other):
         if isinstance(other, (int, PadicElt)):
@@ -216,9 +234,9 @@ class IwaSeries:
     def __mul__(self, other):
         if isinstance(other, int):
             m = self.modulus()
-            return IwaSeries(self.ctx, _poly.vec_scale(self.a, other, m),
-                             _poly.vec_scale(self.b, other, m) if self.b else None,
-                             self.prec, self.deg_cap, self.denom_exp, self.growth)
+            return IwaSeries._reduced(self.ctx, _poly.vec_scale(self.a, other, m),
+                                      _poly.vec_scale(self.b, other, m) if self.b else None,
+                                      self.prec, self.deg_cap, self.denom_exp, self.growth)
         if isinstance(other, PadicElt):
             other = IwaSeries.const(self.ctx, other, self.deg_cap)
         prec = min(self.prec, other.prec)
@@ -238,8 +256,9 @@ class IwaSeries:
                 bb = _poly.vec_mul(self.b, other.b, m, cap)
                 a = _poly.vec_add(a, _poly.vec_scale(bb, e, m), m)
         a += [0] * (cap - len(a))
-        return IwaSeries(self.ctx, a, b, prec, cap,
-                         self.denom_exp + other.denom_exp, self.growth + other.growth)
+        return IwaSeries._reduced(self.ctx, a, b, prec, cap,
+                                  self.denom_exp + other.denom_exp,
+                                  self.growth + other.growth)
 
     __rmul__ = __mul__
 
@@ -325,8 +344,19 @@ class IwaSeries:
 
 
 def _int_list(v, where):
+    """The coefficients of a JSON list, each read as `int_entry` reads it.
+
+    A list of only ints, or of only unsigned decimal strings (what `to_json`
+    writes), is checked at C speed; any other list, signed strings included,
+    goes entry by entry through `int_entry`, which raises the error.
+    """
     if not isinstance(v, list):
         raise ValueError("%s: expected a list of coefficients" % where)
+    kinds = set(map(type, v))
+    if kinds <= {int}:
+        return list(v)
+    if kinds == {str} and all(v) and "".join(v).isdecimal():
+        return list(map(int, v))
     return [int_entry(c, where) for c in v]
 
 
@@ -689,6 +719,22 @@ def solve_series_div(y, g, out_len=None):
     raise last_exc
 
 
+def _xpow_columns(h, top, m):
+    """[X^k h mod top for k < deg(top)] as int vectors mod m of length
+    deg(top), for h of degree below deg(top) and top with a unit leading
+    coefficient: each step shifts the last vector and subtracts its top
+    term times top."""
+    d = len(top) - 1
+    linv = pow(top[d], -1, m)
+    col = [c % m for c in h[:d]] + [0] * (d - len(h[:d]))
+    out = [col]
+    while len(out) < d:
+        c = col[-1] * linv % m
+        col = [(x - c * y) % m for x, y in zip([0] + col[:-1], top)]
+        out.append(col)
+    return out[:d]
+
+
 def equal_up_to_unit_mod(f, g, n, m_twists=1, prec=None, extra_ideals=()):
     """Find a unit u with f = u*g modulo (p^prec, omega_{n, m_twists}, extras).
 
@@ -713,25 +759,14 @@ def equal_up_to_unit_mod(f, g, n, m_twists=1, prec=None, extra_ideals=()):
     fr = poly_reduce(IwaSeries(ctx, fn.a, None, prec, fn.deg_cap), ideal)
     gr = poly_reduce(IwaSeries(ctx, gn.a, None, prec, gn.deg_cap), ideal)
     mm = ctx.p ** prec
-    # columns: X^k * g mod ideal, unknowns u_0..u_(d-1)
-    cols = []
-    cur = gr
-    for _ in range(d):
-        cavec = cur.a[:d] + [0] * (d - len(cur.a[:d]))
-        cols.append(cavec)
-        shifted = IwaSeries(ctx, [0] + cavec, None, prec, d + 1)
-        cur = poly_reduce(shifted, ideal)
-    # columns for the extra ideal generators, reduced into the same window
-    n_extra = 0
+    # columns: X^k * g mod ideal, unknowns u_0..u_(d-1); then the same for
+    # the extra ideal generators, reduced into the same window.  They are
+    # reduced at the precision poly_reduce divides at.
+    top, rm = ideal.a[:d + 1], ctx.p ** min(prec, ctx.prec)
+    cols = _xpow_columns(gr.a, top, rm)
     for gen in extra_ideals:
         gr2 = poly_reduce(IwaSeries(ctx, gen.a, None, prec, gen.deg_cap), ideal)
-        cur = gr2
-        for _ in range(d):
-            cavec = cur.a[:d] + [0] * (d - len(cur.a[:d]))
-            cols.append(cavec)
-            n_extra += 1
-            shifted = IwaSeries(ctx, [0] + cavec, None, prec, d + 1)
-            cur = poly_reduce(shifted, ideal)
+        cols += _xpow_columns(gr2.a, top, rm)
     rows = [[cols[k][i] for k in range(len(cols))] for i in range(d)]
     rhs = fr.a[:d] + [0] * (d - len(fr.a[:d]))
     sol = linsolve.solve_mod_ppow(rows, rhs, ctx.p, prec)

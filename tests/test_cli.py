@@ -4,10 +4,13 @@ import pathlib
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import padiclog
-from padiclog.cli import main
+from padiclog.cli import _dumps, main
 
 
 def run_cli(capsys, *argv):
@@ -386,3 +389,39 @@ def test_theta_negative_power_exits_2():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "error:" in proc.stderr
+
+
+def canonical_json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, default=str)
+
+
+JSON_DOCS = [
+    {}, [], "", 0, -7, True, False, None, Fraction(3, 4), 1.5,
+    {"a": [], "b": {}, "c": [[], {}], "d": [{}]},
+    {"coeffs": ["0", "12", "3"], "prec": 12, "growth": Fraction(1, 2),
+     "plus": {"coeffs": [1, 2, 3], "w": None}, "ok": [True, False]},
+    {"esc": ["quote \" backslash \\ newline \n tab \t", "\u0001"],
+     "non-ascii": ["\u00e9", "\u2603", "\U0001f600"], "\u00e9 key": "\u2603"},
+    [[1, "1"], [1, True], [None, 2], ["x", Fraction(-2, 3)], [1.0, 2], (1, 2)],
+    {"deep": {"er": {"est": [[[1, 2], ["a"]], {"k": [False]}]}}},
+    {"b": 1, "a": 2, "B": 3, "_": 4, "": 5},
+    {1: "int key", 2: [3]}, [{3: 4}], [10 ** 40, -(10 ** 40)],
+]
+
+
+@pytest.mark.parametrize("doc", JSON_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    assert _dumps(doc) == canonical_json(doc)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() | st.fractions()
+    | st.floats(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=30)
+
+
+@settings(deadline=None, max_examples=300)
+@given(doc=JSON_VALUES)
+def test_json_writer_property(doc):
+    assert _dumps(doc) == canonical_json(doc)

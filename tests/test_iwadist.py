@@ -279,3 +279,88 @@ def test_min_val_matches_valuations():
         z = IwaSeries.zero(ctx, 5)
         assert z.min_val() == INF == min(z.valuations(), default=INF)
     assert seen > 20
+
+
+def canonical(s):
+    """The fields of s as IwaSeries.__init__ builds them from the same fields."""
+    t = IwaSeries(s.ctx, s.a, s.b, s.prec, s.deg_cap, s.denom_exp, s.growth)
+    return t.a, t.b, t.prec, t.deg_cap, t.denom_exp, t.growth
+
+
+def test_ring_ops_build_canonical_series():
+    # +, -, * and normalize build their results without a second reduction
+    # pass; the fields must be those the checked constructor would store,
+    # with w-parts that vanish at precision dropped
+    from padiclog.padic import RAMIFIED, UNRAMIFIED
+    rng = random.Random(78)
+    ctxs = [PrimeCtx(3, 6), PrimeCtx(5, 5, (UNRAMIFIED, 2)),
+            PrimeCtx(3, 6, (RAMIFIED, 2))]
+    built = dropped = 0
+    for ctx in ctxs:
+        p = ctx.p
+        for _ in range(60):
+            cap = rng.randint(1, 9)
+
+            def series():
+                prec = rng.randint(1, ctx.prec + 3)     # above the context cap too
+                m = p ** (prec + 1)
+
+                def part():
+                    return [rng.randrange(-m, m) * p ** rng.randint(0, 2)
+                            for _ in range(cap + rng.randint(-1, 2))]
+                b = part() if ctx.ext and rng.random() < 0.6 else None
+                return IwaSeries(ctx, part(), b, prec, cap, rng.randint(0, 3),
+                                 Fraction(rng.randint(0, 4), rng.randint(1, 3)))
+            x, y = series(), series()
+            for out in (x + y, x - y, -x, x * y, x * rng.randint(-50, 50),
+                        x * p ** x.prec, x + 7, 5 - x, x - x, x.normalize()):
+                fields = (out.a, out.b, out.prec, out.deg_cap, out.denom_exp,
+                          out.growth)
+                assert fields == canonical(out)
+                assert type(out.growth) is Fraction and len(out.a) == out.deg_cap
+                built += 1
+                dropped += x.b is not None and out.b is None
+    assert built == 1800 and dropped > 20
+
+
+def test_xpow_columns_match_shifted_remainders():
+    from padiclog.iwadist import _xpow_columns
+
+    def ref_rem(f, top, m):
+        r, d = [c % m for c in f], len(top) - 1
+        linv = pow(top[d], -1, m)
+        for i in range(len(r) - 1, d - 1, -1):
+            c = r[i] * linv % m
+            for j, t in enumerate(top):
+                r[i - d + j] = (r[i - d + j] - c * t) % m
+        return (r + [0] * d)[:d]
+
+    rng = random.Random(79)
+    for p, npow in [(3, 1), (3, 9), (5, 12), (7, 30)]:
+        m = p ** npow
+        for d in (0, 1, 2, 5, 13):
+            top = [rng.randrange(-m, m) for _ in range(d)] + [1 + p * rng.randrange(m)]
+            h = [rng.randrange(-3 * m, 3 * m) for _ in range(rng.randint(0, d))]
+            cols = _xpow_columns(h, top, m)
+            assert cols == [ref_rem([0] * k + h, top, m) for k in range(d)]
+
+
+INT_LISTS = [[], [0, -5, 3 ** 40], ["0", "12", "0007"], ["-0"], ["-12", "3"],
+             ["+1"], [" 1"], ["1 "], ["1_0"], [""], ["-"], ["--1"], [True],
+             [1, True], ["١٢", "٣"], ["-٤"], ["12", 3],
+             [1, "2", "-3"], ["7", "x"], [1.0], [None], [[1]], ["1", None]]
+
+
+@pytest.mark.parametrize("v", INT_LISTS)
+def test_int_list_reads_entries_as_int_entry(v):
+    from padiclog.iwadist import _int_list
+    from padiclog.padic import int_entry
+    try:
+        want = [int_entry(c, "coeffs") for c in v]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _int_list(v, "coeffs")
+        assert str(got.value) == str(exc)
+    else:
+        got = _int_list(v, "coeffs")
+        assert got == want and all(type(c) is int for c in got)

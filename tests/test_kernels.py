@@ -2,8 +2,9 @@
 
 The references are the schoolbook convolution and the Pascal-row basis
 changes that `_poly` used before it had one substitution kernel, a Horner
-composition on the schoolbook multiply, and evaluation at random points
-where a quadratic reference would be too slow.  The callers of the kernel
+composition on the schoolbook multiply, the schoolbook long division and
+power-series division that `_poly` used before its Newton inverse, and
+evaluation at random points where a quadratic reference would be too slow.  The callers of the kernel
 (`frobenius`, `gamma_act`, `twist`, `mellin`, `phi_cyc`) are checked against
 the per-row and basis-change formulas they replaced.
 """
@@ -104,6 +105,38 @@ def ref_compose(f, g, m, cap):
     return out
 
 
+def ref_poly_divmod_top(f, g, m, p, npow):
+    """Schoolbook long division f = q*g + r from the top, on unreduced f."""
+    g = _poly.vec_trim(g)
+    linv = pow(g[-1], -1, m)
+    r = list(f)
+    dg = len(g) - 1
+    if len(r) - 1 < dg:
+        return [], r
+    q = [0] * (len(r) - dg)
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r[i] % m
+        if c == 0:
+            continue
+        qc = (c * linv) % m
+        q[i - dg] = qc
+        for j, gj in enumerate(g):
+            r[i - dg + j] = (r[i - dg + j] - qc * gj) % m
+    return q, _poly.vec_trim(r)
+
+
+def ref_series_div_unit(f, g, m, cap):
+    """f/g mod (m, X^cap), one coefficient at a time."""
+    ginv0 = pow(g[0], -1, m)
+    out = [0] * cap
+    for i in range(cap):
+        acc = f[i] if i < len(f) else 0
+        for j in range(1, min(i, len(g) - 1) + 1):
+            acc -= g[j] * out[i - j]
+        out[i] = (acc * ginv0) % m
+    return out
+
+
 def ev(xs, t, m):
     """The polynomial with coefficients xs at X = t, mod m."""
     acc = 0
@@ -171,6 +204,103 @@ def test_vec_trim_matches_stepwise():
             xs += [0] * rng.choice([0, 1, 63, 64, 65, 128, rng.randint(0, 300)])
             xs += [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))]
         assert _poly.vec_trim(xs) == ref_trim(xs)
+
+
+def test_vec_add_reduces_every_entry():
+    rng = random.Random(10)
+    for m in MODULI + [2, 2 ** 40]:
+        for _ in range(20):
+            xs = rand_vec(rng, rng.randint(0, 40), m)
+            ys = rand_vec(rng, rng.randint(0, 40), m)
+            n = max(len(xs), len(ys))
+            want = [((xs[i] if i < len(xs) else 0) + (ys[i] if i < len(ys) else 0)) % m
+                    for i in range(n)]
+            assert _poly.vec_add(xs, ys, m) == want
+            assert _poly.vec_add(ys, xs, m) == want
+
+
+# -- division ----------------------------------------------------------------------
+
+
+def unit_lead(rng, n, p, m):
+    """A divisor of n coefficients with a unit leading coefficient, entries
+    unreduced and possibly negative, sometimes padded with zeros."""
+    g = rand_vec(rng, n - 1, m) + [rng.choice([1, -1, p + 1]) + p * rng.randint(-m, m)]
+    return g + [0] * rng.choice([0, 0, 2])
+
+
+def check_divmod(f, g, m, p, npow):
+    q, r = _poly.poly_divmod_top(f, g, m, p, npow)
+    rq, rr = ref_poly_divmod_top(f, g, m, p, npow)
+    assert q == rq
+    assert r == _poly.vec_trim([c % m for c in rr])
+
+
+DIV_PRIMES = {3: [1, 2, 12], 5: [1, 9, 40], 7: [20], 2: [1, 7, 64]}
+# quotient and divisor lengths on both sides of the Newton switches
+DIV_LENGTHS = [1, 2, 3, _poly.DIV_NEWTON_MIN_Q - 1, _poly.DIV_NEWTON_MIN_Q,
+               _poly.NEWTON_MIN_G, _poly.NEWTON_MIN_G + 1, 79, 116]
+
+
+@pytest.mark.parametrize("p", sorted(DIV_PRIMES))
+def test_poly_divmod_top_matches_schoolbook(p):
+    rng = random.Random(p + 20)
+    for npow in DIV_PRIMES[p]:
+        m = p ** npow
+        for lg in DIV_LENGTHS:
+            for dq in DIV_LENGTHS + [0, 240]:
+                g = unit_lead(rng, lg, p, m)
+                dg = len(_poly.vec_trim(g)) - 1
+                f = rand_vec(rng, dg + dq, m)
+                check_divmod(f, g, m, p, npow)
+                # entries that vanish only mod m, and a long zero tail (the
+                # shape of the antisym dividends): sized after the trim
+                check_divmod([c * m for c in f], g, m, p, npow)
+                check_divmod(f + [0] * 240, g, m, p, npow)
+                check_divmod(f[:dg] + [m, 0, 2 * m] * 30, g, m, p, npow)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_poly_divmod_top_property(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    npow = data.draw(st.integers(min_value=1, max_value=40))
+    m = p ** npow
+    entry = st.integers(min_value=-3 * m, max_value=3 * m)
+    f = data.draw(st.lists(entry, max_size=260))
+    g = data.draw(st.lists(entry, max_size=130))
+    g.append(data.draw(st.sampled_from([1, -1, p + 1])) + p * data.draw(entry))
+    g += [0] * data.draw(st.integers(min_value=0, max_value=3))
+    check_divmod(f, g, m, p, npow)
+
+
+def test_series_div_unit_matches_schoolbook():
+    rng = random.Random(31)
+    sizes = [0, 1, 2, _poly.INV_SCHOOLBOOK, _poly.NEWTON_MIN_G,
+             _poly.SERIES_NEWTON_MIN - 1, _poly.SERIES_NEWTON_MIN, 100, 257]
+    for p, npow in [(3, 1), (3, 12), (5, 40), (2, 9)]:
+        m = p ** npow
+        for cap in sizes:
+            for lg in sizes[1:]:
+                g = [1 + p * rng.randint(-m, m)] + rand_vec(rng, lg - 1, m)
+                f = rand_vec(rng, rng.choice([0, 1, cap, cap + 9]), m)
+                assert _poly.series_div_unit(f, g, m, cap) == \
+                    ref_series_div_unit(f, g, m, cap), (p, npow, cap, lg)
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_series_inverse_property(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    m = p ** data.draw(st.integers(min_value=1, max_value=40))
+    n = data.draw(st.integers(min_value=0, max_value=300))
+    g = data.draw(st.lists(st.integers(min_value=-m, max_value=m), min_size=1,
+                           max_size=300))
+    g[0] = g[0] * p + 1
+    h = _poly.series_inverse(g, m, n)
+    assert h == ref_series_div_unit([1], g, m, n)
+    # g h = 1 mod X^n
+    assert _poly.vec_mul(g, h, m, n) == ([1 % m] + [0] * (n - 1) if n else [])
 
 
 # -- basis changes and compose ---------------------------------------------------------
