@@ -286,10 +286,13 @@ def onepx_pow(e, cap, p, npow):
 
 
 # Size switches between the schoolbook loops and the Newton inverse, set by
-# timing both on dense vectors mod 3^9 to 5^20.  The schoolbook loops cost
-# one step per pair of coefficients, so they win while the divisor is short:
-# below NEWTON_MIN_G coefficients of g, or, where the whole inverse must be
-# built, below SERIES_NEWTON_MIN coefficients of the quotient.
+# timing both on dense vectors mod 3^9 to 3^40.  A schoolbook loop costs one
+# step per pair of coefficients of g and of the quotient, the Newton path a
+# few packed products of fixed overhead each.  Schoolbook stays while g has
+# fewer than NEWTON_MIN_G coefficients, or the quotient fewer than
+# DIV_NEWTON_MIN_Q (poly_divmod_top) or SERIES_NEWTON_MIN (series_div_unit,
+# which needs the whole inverse); the Newton iteration starts from
+# INV_SCHOOLBOOK schoolbook coefficients.
 NEWTON_MIN_G = 40
 DIV_NEWTON_MIN_Q = 10
 SERIES_NEWTON_MIN = 64
@@ -346,10 +349,10 @@ def poly_divmod_top(f, g, m, p, npow):
     if lead % p == 0:
         raise ValueError("leading coefficient is not a unit")
     dg = len(g) - 1
-    if len(f) - 1 < dg:
-        return [], vec_trim([c % m for c in f])
-    qlen = len(f) - dg
     r = vec_trim([c % m for c in f])
+    if len(f) - 1 < dg:
+        return [], r
+    qlen = len(f) - dg
     dq = len(r) - dg
     if dq <= 0:
         return [0] * qlen, r
