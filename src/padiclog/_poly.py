@@ -14,6 +14,12 @@ integer maps, which is what makes the finite-level Mellin transform
 invertible.  Truncation mod X^cap of a vector held in that basis is one
 division by (Y-1)^cap, Y = 1+X (`onepx_rem`), with no basis change.
 
+Division by a polynomial with a unit leading coefficient (`poly_divmod_top`)
+and by a power series with a unit constant term (`series_div_unit`) also run
+on that multiply: the quotient is one product with the inverse of the
+reversed divisor, built by Newton doubling (`series_inverse`), and the
+remainder one more.  Short divisors and quotients keep the schoolbook loop.
+
 The elementary number theory the package needs around that core -- primality,
 the Jacobi symbol, square roots modulo a prime and the cyclotomic
 polynomials -- lives at the end of this module, on ints only (Cohen, "A

@@ -234,9 +234,10 @@ class IwaSeries:
     def __mul__(self, other):
         if isinstance(other, int):
             m = self.modulus()
-            return IwaSeries._reduced(self.ctx, _poly.vec_scale(self.a, other, m),
-                                      _poly.vec_scale(self.b, other, m) if self.b else None,
-                                      self.prec, self.deg_cap, self.denom_exp, self.growth)
+            return IwaSeries._reduced(
+                self.ctx, _poly.vec_scale(self.a, other, m),
+                _poly.vec_scale(self.b, other, m) if self.b else None,
+                self.prec, self.deg_cap, self.denom_exp, self.growth)
         if isinstance(other, PadicElt):
             other = IwaSeries.const(self.ctx, other, self.deg_cap)
         prec = min(self.prec, other.prec)

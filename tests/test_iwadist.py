@@ -310,7 +310,7 @@ def test_ring_ops_build_canonical_series():
                             for _ in range(cap + rng.randint(-1, 2))]
                 b = part() if ctx.ext and rng.random() < 0.6 else None
                 return IwaSeries(ctx, part(), b, prec, cap, rng.randint(0, 3),
-                                 Fraction(rng.randint(0, 4), rng.randint(1, 3)))
+                                 Fraction(rng.randint(-2, 4), rng.randint(1, 3)))
             x, y = series(), series()
             for out in (x + y, x - y, -x, x * y, x * rng.randint(-50, 50),
                         x * p ** x.prec, x + 7, 5 - x, x - x, x.normalize()):
@@ -346,7 +346,7 @@ def test_xpow_columns_match_shifted_remainders():
 
 
 INT_LISTS = [[], [0, -5, 3 ** 40], ["0", "12", "0007"], ["-0"], ["-12", "3"],
-             ["+1"], [" 1"], ["1 "], ["1_0"], [""], ["-"], ["--1"], [True],
+             ["+1"], [" 1"], ["1 "], ["1_0"], [""], ["1", ""], ["-"], ["--1"], [True],
              [1, True], ["١٢", "٣"], ["-٤"], ["12", 3],
              [1, "2", "-3"], ["7", "x"], [1.0], [None], [[1]], ["1", None]]
 
@@ -364,3 +364,35 @@ def test_int_list_reads_entries_as_int_entry(v):
     else:
         got = _int_list(v, "coeffs")
         assert got == want and all(type(c) is int for c in got)
+
+
+def test_unit_comparison_columns_match_poly_reduce(monkeypatch):
+    # the columns X^k h mod ideal equal those of the shift-and-poly_reduce
+    # loop they replace, also for a precision above the context's, where
+    # poly_reduce divides at the context's precision
+    import padiclog.iwadist as iwadist
+    ctx = PrimeCtx(5, 6)
+    rng = random.Random(80)
+    real = iwadist._xpow_columns
+    seen = []
+
+    def checked(h, top, m):
+        cols = real(h, top, m)
+        d = len(top) - 1
+        ideal = IwaSeries(ctx, top, None, prec, d + 1)
+        cur, want = IwaSeries(ctx, h, None, prec, d), []
+        for _ in range(d):
+            want.append(cur.a[:d])
+            cur = poly_reduce(IwaSeries(ctx, [0] + cur.a[:d], None, prec, d + 1), ideal)
+        assert cols == want
+        seen.append(d)
+        return cols
+
+    monkeypatch.setattr(iwadist, "_xpow_columns", checked)
+    for prec in (4, 6, 9):
+        g = rand_poly(ctx, 40, rng, 12, unit_const=True)
+        f = IwaSeries(ctx, [1, 2, 1], None, prec, 40) * g
+        window = omega(ctx, 2, 40, prec)
+        u = equal_up_to_unit_mod(f, g, 1, prec=prec, extra_ideals=(window,))
+        assert [c % 5 ** min(prec, 6) for c in u.a[:3]] == [1, 2, 1]
+    assert seen == [5, 5] * 3

@@ -1,12 +1,14 @@
-"""The Kronecker multiply and the substitution kernels against independent references.
+"""The Kronecker multiply, the substitution and the division kernels against
+independent references.
 
 The references are the schoolbook convolution and the Pascal-row basis
 changes that `_poly` used before it had one substitution kernel, a Horner
 composition on the schoolbook multiply, the schoolbook long division and
 power-series division that `_poly` used before its Newton inverse, and
-evaluation at random points where a quadratic reference would be too slow.  The callers of the kernel
-(`frobenius`, `gamma_act`, `twist`, `mellin`, `phi_cyc`) are checked against
-the per-row and basis-change formulas they replaced.
+evaluation at random points where a quadratic reference would be too slow.
+The callers of the kernel (`frobenius`, `gamma_act`, `twist`, `mellin`,
+`phi_cyc`) are checked against the per-row and basis-change formulas they
+replaced.
 """
 
 import ast
