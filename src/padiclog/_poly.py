@@ -15,10 +15,10 @@ invertible.  Truncation mod X^cap of a vector held in that basis is one
 division by (Y-1)^cap, Y = 1+X (`onepx_rem`), with no basis change.
 
 Division by a polynomial with a unit leading coefficient (`poly_divmod_top`)
-and by a power series with a unit constant term (`series_div_unit`) also run
-on that multiply: the quotient is one product with the inverse of the
-reversed divisor, built by Newton doubling (`series_inverse`), and the
-remainder one more.  Short divisors and quotients keep the schoolbook loop.
+also runs on that multiply: the quotient is one product with the inverse of
+the reversed divisor, built by Newton doubling (`series_inverse`), and the
+remainder one more.  Short divisors and quotients keep the schoolbook loop,
+as does power-series division by a unit constant term (`series_div_unit`).
 
 The elementary number theory the package needs around that core -- primality,
 the Jacobi symbol, square roots modulo a prime and the cyclotomic
@@ -291,32 +291,16 @@ def onepx_pow(e, cap, p, npow):
         [0] * max(0, cap - e - 1)
 
 
-# Size switches between the schoolbook loops and the Newton inverse, set by
-# timing both on dense vectors mod 3^9 to 3^40.  A schoolbook loop costs one
-# step per pair of coefficients of g and of the quotient, the Newton path a
-# few packed products of fixed overhead each.  Schoolbook stays while g has
-# fewer than NEWTON_MIN_G coefficients, or the quotient fewer than
-# DIV_NEWTON_MIN_Q (poly_divmod_top) or SERIES_NEWTON_MIN (series_div_unit,
-# which needs the whole inverse); the Newton iteration starts from
-# INV_SCHOOLBOOK schoolbook coefficients.
+# Size switches between the schoolbook loop and the Newton inverse in
+# poly_divmod_top, set by timing both on dense vectors mod 3^9 to 3^40.  The
+# schoolbook loop costs one step per pair of coefficients of g and of the
+# quotient, the Newton path a few packed products of fixed overhead each.
+# Schoolbook stays while g has fewer than NEWTON_MIN_G coefficients or the
+# quotient fewer than DIV_NEWTON_MIN_Q; the Newton iteration starts from
+# INV_SCHOOLBOOK coefficients of series_div_unit.
 NEWTON_MIN_G = 40
 DIV_NEWTON_MIN_Q = 10
-SERIES_NEWTON_MIN = 64
 INV_SCHOOLBOOK = 16
-
-
-def _schoolbook_series_div(f, g, m, cap):
-    """f/g mod (m, X^cap), g[0] a unit: one coefficient at a time."""
-    ginv0 = pow(g[0], -1, m)
-    out = [0] * cap
-    for i in range(cap):
-        acc = f[i] if i < len(f) else 0
-        for j in range(1, min(i, len(g) - 1) + 1):
-            gj = g[j]
-            if gj and out[i - j]:
-                acc -= gj * out[i - j]
-        out[i] = (acc * ginv0) % m
-    return out
 
 
 def series_inverse(g, m, n):
@@ -325,10 +309,10 @@ def series_inverse(g, m, n):
     Newton doubling on `vec_mul` (von zur Gathen and Gerhard, "Modern
     Computer Algebra", 9.1): if h = 1/g mod X^k, then g h = 1 + X^k e and
     h - X^k (h e) = 1/g mod X^(2k), two products per doubling.  The first
-    INV_SCHOOLBOOK coefficients come from the schoolbook loop.
+    INV_SCHOOLBOOK coefficients come from `series_div_unit`.
     """
     k = min(n, INV_SCHOOLBOOK)
-    h = _schoolbook_series_div([1], g, m, k)
+    h = series_div_unit([1], g, m, k)
     while k < n:
         k2 = min(2 * k, n)
         e = vec_mul(g[:k2], h, m, k2)[k:]
@@ -380,10 +364,16 @@ def poly_divmod_top(f, g, m, p, npow):
 
 def series_div_unit(f, g, m, cap):
     """Power-series division f/g where g[0] is a unit mod m; exact to cap."""
-    if cap < SERIES_NEWTON_MIN or min(len(g), cap) < NEWTON_MIN_G:
-        return _schoolbook_series_div(f, g, m, cap)
-    out = vec_mul(f, series_inverse(g, m, cap), m, cap)
-    return out + [0] * (cap - len(out))
+    ginv0 = pow(g[0], -1, m)
+    out = [0] * cap
+    for i in range(cap):
+        acc = f[i] if i < len(f) else 0
+        for j in range(1, min(i, len(g) - 1) + 1):
+            gj = g[j]
+            if gj and out[i - j]:
+                acc -= gj * out[i - j]
+        out[i] = (acc * ginv0) % m
+    return out
 
 
 # -- elementary number theory on ints ----------------------------------------
