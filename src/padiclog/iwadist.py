@@ -280,20 +280,18 @@ class IwaSeries:
         prec = min(x.prec, y.prec)
         cap = min(x.deg_cap, y.deg_cap)
         m = x.ctx.p ** prec
-        for i in range(cap):
-            if (x.a[i] - y.a[i]) % m:
-                return False
-            xb = x.b[i] if x.b else 0
-            yb = y.b[i] if y.b else 0
-            if (xb - yb) % m:
-                return False
-        return True
+        xs, ys = x.a[:cap], y.a[:cap]
+        if x.b or y.b:
+            xs += x.b[:cap] if x.b else [0] * cap
+            ys += y.b[:cap] if y.b else [0] * cap
+        return not any([(u - v) % m for u, v in zip(xs, ys)])
 
     def divide_exact_p(self, k):
         """Divide the value by p^k.  Uses denom_exp first, then exact division."""
         if k <= self.denom_exp:
-            return IwaSeries(self.ctx, self.a, self.b, self.prec, self.deg_cap,
-                             self.denom_exp - k, self.growth)
+            return IwaSeries._reduced(self.ctx, self.a, self.b, self.prec,
+                                      self.deg_cap, self.denom_exp - k,
+                                      self.growth)
         k = k - self.denom_exp
         pk = self.ctx.p ** k
         if any(c % pk for c in self.a) or (self.b and any(c % pk for c in self.b)):
@@ -303,32 +301,32 @@ class IwaSeries:
                          self.prec - k, self.deg_cap, 0, self.growth)
 
     def with_growth(self, r):
-        return IwaSeries(self.ctx, self.a, self.b, self.prec, self.deg_cap,
-                         self.denom_exp, Fraction(r))
+        return IwaSeries._reduced(self.ctx, self.a, self.b, self.prec,
+                                  self.deg_cap, self.denom_exp, Fraction(r))
 
     def widen(self, new_cap):
         """Zero-pad to a larger window; exact for polynomial representatives."""
         if new_cap <= self.deg_cap:
             return self
         pad = [0] * (new_cap - self.deg_cap)
-        return IwaSeries(self.ctx, self.a + pad, self.b + pad if self.b else None,
-                         self.prec, new_cap, self.denom_exp, self.growth)
+        return IwaSeries._reduced(self.ctx, self.a + pad,
+                                  self.b + pad if self.b else None, self.prec,
+                                  new_cap, self.denom_exp, self.growth)
 
     def times_p(self, k):
         """Multiply the value by p^k (k may be negative)."""
         if k == 0:
             return self
-        if k < 0:
-            return IwaSeries(self.ctx, self.a, self.b, self.prec, self.deg_cap,
-                             self.denom_exp - k, self.growth)
-        if k <= self.denom_exp:
-            return IwaSeries(self.ctx, self.a, self.b, self.prec, self.deg_cap,
-                             self.denom_exp - k, self.growth)
+        if k < 0 or k <= self.denom_exp:
+            # only the denominator moves
+            return IwaSeries._reduced(self.ctx, self.a, self.b, self.prec,
+                                      self.deg_cap, self.denom_exp - k,
+                                      self.growth)
         pk = self.ctx.p ** (k - self.denom_exp)
         m = self.modulus()
-        return IwaSeries(self.ctx, _poly.vec_scale(self.a, pk, m),
-                         _poly.vec_scale(self.b, pk, m) if self.b else None,
-                         self.prec, self.deg_cap, 0, self.growth)
+        return IwaSeries._reduced(self.ctx, _poly.vec_scale(self.a, pk, m),
+                                  _poly.vec_scale(self.b, pk, m) if self.b else None,
+                                  self.prec, self.deg_cap, 0, self.growth)
 
     def to_json(self):
         out = {"var": "X", "p": self.ctx.p, "deg_cap": self.deg_cap,

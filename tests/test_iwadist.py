@@ -396,3 +396,95 @@ def test_unit_comparison_columns_match_poly_reduce(monkeypatch):
         u = equal_up_to_unit_mod(f, g, 1, prec=prec, extra_ideals=(window,))
         assert [c % 5 ** min(prec, 6) for c in u.a[:3]] == [1, 2, 1]
     assert seen == [5, 5] * 3
+
+
+def rand_series(rng, ctx, cap=None, ext=True):
+    """A series with random fields: precision above the context's too, a
+    w-part when the context has one, a denominator and a growth tag."""
+    p = ctx.p
+    cap = rng.randint(1, 9) if cap is None else cap
+    prec = rng.randint(1, ctx.prec + 3)
+    m = p ** (prec + 1)
+
+    def part():
+        return [rng.randrange(m) * p ** rng.randint(0, 2) for _ in range(cap)]
+    b = part() if ext and ctx.ext and rng.random() < 0.6 else None
+    return IwaSeries(ctx, part(), b, prec, cap, rng.randint(0, 3),
+                     Fraction(rng.randint(-2, 4), rng.randint(1, 3)))
+
+
+def fields(s):
+    return s.ctx, s.a, s.b, s.prec, s.deg_cap, s.denom_exp, s.growth
+
+
+def test_pass_through_ops_build_canonical_series():
+    # widen, with_growth, the denominator-only times_p and divide_exact_p
+    # keep the series' own reduced vectors; the fields must be those the
+    # checked constructor built from them, and the input must not change
+    from padiclog.padic import RAMIFIED, UNRAMIFIED
+    rng = random.Random(79)
+    ctxs = [PrimeCtx(3, 6), PrimeCtx(5, 5, (UNRAMIFIED, 2)),
+            PrimeCtx(3, 6, (RAMIFIED, 2))]
+    built = 0
+    for ctx in ctxs:
+        for _ in range(40):
+            x = rand_series(rng, ctx)
+            before = [list(v) if isinstance(v, list) else v for v in fields(x)]
+            a, b, prec, cap, d, g = fields(x)[1:]
+            half = Fraction(5, 2)
+            cases = [(x.widen(cap + 3), (a + [0] * 3, b + [0] * 3 if b else None,
+                                         prec, cap + 3, d, g)),
+                     (x.with_growth(half), (a, b, prec, cap, d, half))]
+            cases += [(x.times_p(k), (a, b, prec, cap, d - k, g))
+                      for k in range(-2, d + 1) if k]
+            cases += [(x.divide_exact_p(k), (a, b, prec, cap, d - k, g))
+                      for k in range(d + 1)]
+            for out, want in cases:
+                assert fields(out) == fields(IwaSeries(ctx, *want))
+                assert type(out.growth) is Fraction
+                built += 1
+            assert [list(v) if isinstance(v, list) else v
+                    for v in fields(x)] == before
+    assert built > 600
+
+
+def ref_eq(x, y):
+    """The coefficient loop `IwaSeries.__eq__` compared with."""
+    if isinstance(y, int):
+        y = IwaSeries.const(x.ctx, y, x.deg_cap, x.prec)
+    x, y = x._aligned(y)
+    m = x.ctx.p ** min(x.prec, y.prec)
+    for i in range(min(x.deg_cap, y.deg_cap)):
+        if (x.a[i] - y.a[i]) % m:
+            return False
+        if ((x.b[i] if x.b else 0) - (y.b[i] if y.b else 0)) % m:
+            return False
+    return True
+
+
+def test_eq_matches_coefficient_loop():
+    # pairs that agree at the lower precision, in the window both hold or
+    # after a denominator shift, and pairs that differ in one part only
+    from padiclog.padic import RAMIFIED, UNRAMIFIED
+    rng = random.Random(80)
+    ctxs = [PrimeCtx(3, 6), PrimeCtx(5, 5, (UNRAMIFIED, 2)),
+            PrimeCtx(3, 6, (RAMIFIED, 2))]
+    outcomes = set()
+    for ctx in ctxs:
+        p = ctx.p
+        for _ in range(80):
+            x = rand_series(rng, ctx)
+            lo = rng.randint(1, x.prec)
+            noise = [p ** lo * rng.randrange(4) for _ in x.a]
+            near = IwaSeries(ctx, [c + e for c, e in zip(x.a, noise)],
+                             x.b, lo, x.deg_cap, x.denom_exp, x.growth)
+            ys = [near, x.normalize(), x.rescale(1), x.widen(x.deg_cap + 2),
+                  -x, x * p, rand_series(rng, ctx, x.deg_cap), 1, 0,
+                  IwaSeries(ctx, x.a, None, x.prec, x.deg_cap, x.denom_exp),
+                  IwaSeries(ctx, x.a[:-1], x.b, x.prec, x.deg_cap - 1,
+                            x.denom_exp)]
+            for y in ys:
+                got = x == y
+                assert got == ref_eq(x, y)
+                outcomes.add(got)
+    assert outcomes == {True, False}
