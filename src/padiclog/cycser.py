@@ -7,7 +7,8 @@ identifies group-ring elements over (Z/p^(n+1))^* with the psi = 0 part of
 the truncation, via the exact unipotent (1+pi)-basis change: in the
 variable Y = 1+pi, phi is Y -> Y^p and `mellin_read` takes the group-ring
 coefficients straight off the Y-coefficients, so a caller already holding
-Y-coefficients (as `logmat` does) skips the basis change.
+Y-coefficients (as `logmat` does) skips the basis change and needs only the
+psi = 0 test, `check_psi_zero`.
 
 Series here are `IwaSeries` read in the variable pi: base-valued, with
 denom_exp 0.  A w-part or a p-denominator raises ValueError.
@@ -208,12 +209,16 @@ def mellin_read(ctx, n, bs, prec):
     """
     p = ctx.p
     m = p ** prec
-    coeffs = {}
-    for j, b in enumerate(bs):
-        b %= m
-        if j % p == 0:
-            if b:
-                raise NotInImage("psi-component survives at (1+pi)^%d" % j)
-        elif b:
-            coeffs[j] = b
+    check_psi_zero(bs, p, m)
+    coeffs = {j: b % m for j, b in enumerate(bs) if j % p and b % m}
     return FiniteGroupRingElt(ctx, n, coeffs, prec)
+
+
+def check_psi_zero(bs, p, m):
+    """The psi = 0 condition on (1+pi)-basis coefficients bs mod m: raise
+    NotInImage at the first position divisible by p that is nonzero."""
+    if not any(bs[::p]):
+        return
+    for j, b in zip(range(0, len(bs), p), bs[::p]):
+        if b % m:
+            raise NotInImage("psi-component survives at (1+pi)^%d" % j)

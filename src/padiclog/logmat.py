@@ -10,22 +10,37 @@ matrix is the finite-level Mellin inverse of
 computed integrally at boosted precision (the A-power denominators are
 tracked as one explicit p-power) and projected to a Delta-isotypic component.
 
-The product runs on exact int vectors in the variable Y = 1+pi.  Each
-nonconstant entry of P^(-1) changes basis once; phi is then Y -> Y^p, the
-2x2 products are untruncated, and 1+pi is a shift.  Truncation mod pi^cap
-is reduction mod (Y-1)^cap, a ring map, so it is applied once per output
+The whole path runs on exact int vectors in the variable Y = 1+pi.  In Y,
+q = phi(pi)/pi = (Y^p - 1)/(Y - 1) = 1 + Y + ... + Y^(p-1), so the one
+nonconstant entry -eps q^(k+1) of P^(-1) is born in Y as an int vector of
+degree (k+1)(p-1), and A enters through its int entries
+(`log_matrix_ap0`); a caller-supplied lift in pi changes basis once per
+nonconstant entry (`log_matrix_from_wach`).  phi is then Y -> Y^p, the 2x2
+products are untruncated, and 1+pi is a shift.  Truncation mod pi^cap is
+reduction mod (Y-1)^cap, a ring map, so it is applied once per output
 entry, and only when the entry's degree reaches cap (for a_p = 0, when
-k >= p+1): one division by (Y-1)^cap, `_poly.onepx_rem`.  The Mellin
-inverse reads the group-ring coefficients off the Y-coefficients
-(`cycser.mellin_read`).
+k >= p+1): one division by (Y-1)^cap, `_poly.onepx_rem`.
+
+The Mellin inverse and the Delta-projection are one pass over the
+Y-coefficients.  Positions divisible by p must vanish (psi = 0,
+`cycser.check_psi_zero`); the others are the group-ring coefficients, and
+the units mod p^(n+2) fall into p-1 cosets t (1+p)^e of the Teichmuller
+representatives t, so [t (1+p)^e] -> theta(t) (1+X)^e sums each coset
+straight into the (1+X)-basis vector of the entry (`_project`, which
+`groupring_to_iwa` shares).  One basis change per nonzero entry takes it to
+the X basis.
 
 The product carries only the nonzero entries.  For a_p = 0 every factor
 phi^i(P^(-1)) is antidiagonal with the constant 1 in one corner, so the
 product and A^(n+1) are diagonal or antidiagonal: half of the entries are
-structural zeros.  `log_matrix_from_wach` marks zero entries as None once
-and skips every term, Mellin read and Delta-projection they would feed.
-Precisions are tracked as if the zeros were carried, so the output is the
-same as the dense computation's; a dense lift takes the same path.
+structural zeros.  They are marked None once and skip every term, Mellin
+read and Delta-projection they would feed.  Precisions are tracked as if
+the zeros were carried, so the output is the same as the dense
+computation's; a dense lift takes the same path.
+
+Q_g^(-1) is constant, so Q_g^(-1) M (`qinv_times`) is one pass per entry
+that scales and adds the int vectors of a column of M; the zeros of M add
+only their precision, denominator and growth.
 
 The general Fontaine-Laffaille-style case has no explicit Frobenius lift
 formula here; `log_matrix_from_wach` accepts a caller-supplied lift instead.
@@ -34,9 +49,10 @@ formula here; `log_matrix_from_wach` accepts a caller-supplied lift instead.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from padiclog import _poly
-from padiclog.cycser import _check_base, mellin_read, q_series
+from padiclog.cycser import _check_base, check_psi_zero, q_series
 from padiclog.iwadist import (InsufficientDegree, IwaSeries, delta,
                               divide_exact, log_tw, twist)
 from padiclog.padic import (PadicElt, PadicError, PrimeCtx, inv_scaled, is_qr,
@@ -251,6 +267,24 @@ def _q_power(ctx, e, deg_cap, prec):
     return IwaSeries(ctx, qe, None, prec, deg_cap)
 
 
+def _aprime_ap0(params, wctx):
+    """A' = [[0, -1/(eps p^(k+1))], [1, 0]] over wctx, 1/eps at its precision."""
+    k = params.k
+    einv = PadicElt(wctx, params.eps.a, params.eps.b, wctx.prec).inv()
+    return ScaledConstMatrix(
+        [[wctx.zero(), -einv], [wctx.from_int(wctx.p ** (k + 1)), wctx.zero()]],
+        k + 1)
+
+
+def _q_power_y(p, e, m):
+    """q^e mod m in Y = 1+pi.  There q = phi(pi)/pi = (Y^p - 1)/(Y - 1) is
+    1 + Y + ... + Y^(p-1), so q^e is an int vector of degree e (p-1)."""
+    qe = [1]
+    for _ in range(e):
+        qe = _poly.vec_mul(qe, [1] * p, m, len(qe) + p - 1)
+    return qe
+
+
 def wach_matrices_ap0(params, deg_cap, prec=None):
     """(A', P'^(-1)) for a_p = 0: A' = [[0, -1/(eps p^(k+1))], [1, 0]] and
     P'^(-1) = [[0, 1], [-eps q^(k+1), 0]].
@@ -265,10 +299,7 @@ def wach_matrices_ap0(params, deg_cap, prec=None):
     if prec is None:
         prec = ctx.prec
     wctx = PrimeCtx(ctx.p, prec, ctx.ext)
-    einv = PadicElt(wctx, params.eps.a, params.eps.b, prec).inv()
-    aprime = ScaledConstMatrix(
-        [[wctx.zero(), -einv], [wctx.from_int(ctx.p ** (k + 1)), wctx.zero()]],
-        k + 1)
+    aprime = _aprime_ap0(params, wctx)
     qk = _q_power(wctx, k + 1, deg_cap, prec)
     m = ctx.p ** prec
     negeps = (-params.eps.a) % m
@@ -299,34 +330,53 @@ def p_prime_ap0(params, deg_cap, prec=None):
     return num, qk
 
 
+def _cosets(ctx, lvl, theta_index, m):
+    """The units mod p^(lvl+1) as p-1 cosets (w, row) of the Teichmuller
+    representatives t: row lists t (1+p)^e mod p^(lvl+1) for e < p^lvl, and
+    w is theta(t) mod m, 1 for the trivial character."""
+    p = ctx.p
+    q = p ** (lvl + 1)
+    # (1+p)^e for e < p^lvl, p times as many per round: e = j p^i + e'
+    upow = [1]
+    for i in range(lvl):
+        steps = [pow(1 + p, j * p ** i, q) for j in range(p)]
+        upow = [x * g % q for g in steps for x in upow]
+    out = []
+    for r in range(1, p):
+        t = pow(r, p ** lvl, q)
+        w = 1
+        if theta_index % (p - 1):
+            w = pow(teichmuller(ctx, r).a, theta_index, m)
+        out.append((w, [t * x % q for x in upow]))
+    return out
+
+
+def _project(ys, cosets, m):
+    """The Delta-projection of sum_a ys[a] [a] mod m, a over the units mod
+    p^(lvl+1), as the coefficients of an IwaSeries: [t (1+p)^e] goes to
+    theta(t) (1+X)^e, so each coset is one pass over ys."""
+    bs = None
+    for w, row in cosets:
+        col = [ys[a] for a in row] if w == 1 else [w * ys[a] for a in row]
+        bs = col if bs is None else list(map(add, bs, col))
+    return _poly.from_onepx_basis(bs, m, len(bs))
+
+
 def groupring_to_iwa(lam, theta_index=0, out_ctx=None):
     """Project a level-L group-ring element to a Delta-isotypic IwaSeries.
 
-    Each unit a mod p^(L+1) splits as tau(a) * <a> with tau(a) = a^(p^L)
-    the Teichmuller part; the component map sends [a] to
+    Each unit a mod p^(L+1) splits as tau(a) * <a> with tau(a) the
+    Teichmuller part; the component map sends [a] to
     theta(tau(a)) (1+X)^dlog(<a>).
     """
     ctx = lam.ctx if out_ctx is None else out_ctx
     p = lam.ctx.p
     lvl = lam.level
-    q = p ** (lvl + 1)
     m = p ** lam.prec
-    bs = [0] * (p ** lvl)
-    if lam.coeffs:
-        u = 1 + p
-        dlog = {}
-        x = 1
-        for e in range(p ** lvl):
-            dlog[x] = e
-            x = x * u % q
-        for a, c in lam.coeffs.items():
-            t = pow(a, p ** lvl, q)
-            e = dlog[a * pow(t, -1, q) % q]
-            if theta_index % (p - 1) != 0:
-                tv = teichmuller(lam.ctx, a % p).a
-                c = c * pow(tv, theta_index, m)
-            bs[e] = (bs[e] + c) % m
-    coeffs = _poly.from_onepx_basis(bs, m, p ** lvl)
+    ys = [0] * p ** (lvl + 1)
+    for a, c in lam.coeffs.items():
+        ys[a] = c
+    coeffs = _project(ys, _cosets(lam.ctx, lvl, theta_index, m), m)
     return IwaSeries(ctx, coeffs, None, lam.prec, p ** lvl)
 
 
@@ -362,35 +412,25 @@ def _phi_y(v, p):
     return out
 
 
-def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
-                         theta_index=0, out_ctx=None, provenance=""):
-    """Mellin inverse of (1+pi) A^(n+1) phi^n(P^(-1)) ... phi(P^(-1)) at level n.
+def _int_corners(a_scaled):
+    """The int entries of A; A enters through them, as P^(-1) does through
+    `_to_y`, so a w-part is rejected."""
+    if any(e.b for row in a_scaled.num for e in row):
+        raise ValueError("expected a base-valued series with denom_exp 0")
+    return [[e.a for e in row] for row in a_scaled.num]
 
-    a_scaled: ScaledConstMatrix for A; pinv: 2x2 base-valued IwaSeries in pi
-    (denom_exp 0) for p^pinv_scale * P^(-1).  The group-ring representation
-    level is n+1, so the returned entries are polynomials of degree < p^(n+1)
-    carrying the level-n congruence content.
 
-    The product runs on exact int vectors in Y = 1+pi, where phi is
-    Y -> Y^p and the Mellin inverse reads its group-ring coefficients off
-    the Y-coefficients.  Zero entries of pinv are marked None once and
-    skipped at every stage; precisions are tracked as if the zeros were
-    carried, so the output is that of the dense computation.
-    """
+def _log_matrix_y(ctx_work, araw, cur, pinv_prec, scale, n, theta_index,
+                  out_ctx, provenance, growth):
+    """The product core of `log_matrix_from_wach` on P^(-1) given in Y: cur
+    holds its entries as int vectors (None for zero) at precisions pinv_prec,
+    araw the int entries of A.  The entries get denom_exp scale and growth."""
     p = ctx_work.p
     rep = n + 1
     cap = p ** (rep + 1)
-    if any(e.deg_cap < cap for row in pinv for e in row):
-        raise ValueError("pinv entries need deg_cap >= p^(n+2) = %d" % cap)
-    if any(e.b for row in a_scaled.num for e in row):
-        # A enters through its int parts, as pinv does through _to_y
-        raise ValueError("expected a base-valued series with denom_exp 0")
-    scale = a_scaled.p_exp * (n + 1) + pinv_scale * n
     # every output precision is at most ctx_work.prec, so one modulus serves
     m = ctx_work.modulus
     # prod = phi^n(P~) * phi^(n-1)(P~) * ... * phi(P~); phi keeps precisions
-    pinv_prec = [[e.prec for e in row] for row in pinv]
-    cur = [[None if e.is_zero() else _to_y(e, m) for e in row] for row in pinv]
     prod = None
     for _ in range(n):
         cur = [[None if e is None else _phi_y(e, p) for e in row] for row in cur]
@@ -404,12 +444,12 @@ def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
         prod, precs = [[[1], None], [None, [1]]], [[ctx_work.prec] * 2] * 2
     # A~^(n+1) acting on the left
     an = [[1, 0], [0, 1]]
-    araw = [[a_scaled.num[i][j].a for j in range(2)] for i in range(2)]
     for _ in range(n + 1):
         an = [[(an[i][0] * araw[0][j] + an[i][1] * araw[1][j]) % m
                for j in range(2)] for i in range(2)]
     an = [[[c] if c else None for c in row] for row in an]
-    zero_ctx = ctx_work if out_ctx is None else out_ctx
+    ent_ctx = ctx_work if out_ctx is None else out_ctx
+    cosets = None
     out = []
     for i in range(2):
         orow = []
@@ -418,18 +458,48 @@ def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
             # the dense (1+pi) * (prod[0][j] an[i][0] + prod[1][j] an[i][1])
             # reads both entries of column j, zero or not
             prec = min(ctx_work.prec, precs[0][j], precs[1][j])
+            mp = p ** prec
             if s is None:
-                ent = IwaSeries.zero(zero_ctx, p ** rep, prec)
+                vec = [0] * p ** rep
             else:
                 # the factor 1+pi = Y is a shift; truncation mod pi^cap is a
                 # ring map, so the exact product is reduced only here
                 ys = _poly.onepx_rem([0] + s, cap, p, ctx_work.prec)
-                lam = mellin_read(ctx_work, rep, ys, prec)
-                ent = groupring_to_iwa(lam, theta_index, out_ctx)
-            ent.denom_exp = scale
+                # the Mellin inverse reads the Y-coefficients: psi = 0 at the
+                # positions divisible by p, the group ring at the others
+                check_psi_zero(ys, p, mp)
+                # theta weights mod m serve every entry precision
+                cosets = cosets or _cosets(ctx_work, rep, theta_index, m)
+                vec = _project(ys, cosets, mp)
+            ent = IwaSeries._reduced(ent_ctx, vec, None, prec, p ** rep, scale,
+                                     growth)
             orow.append(ent.normalize())
         out.append(orow)
     return LogMatrix(out, level=n, provenance=provenance, rep_level=rep)
+
+
+def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
+                         theta_index=0, out_ctx=None, provenance=""):
+    """Mellin inverse of (1+pi) A^(n+1) phi^n(P^(-1)) ... phi(P^(-1)) at level n.
+
+    a_scaled: ScaledConstMatrix for A; pinv: 2x2 base-valued IwaSeries in pi
+    (denom_exp 0) for p^pinv_scale * P^(-1).  The group-ring representation
+    level is n+1, so the returned entries are polynomials of degree < p^(n+1)
+    carrying the level-n congruence content.
+
+    Each nonzero entry of pinv goes to Y = 1+pi once; the product core
+    `_log_matrix_y`, which `log_matrix_ap0` also runs, does the rest.
+    """
+    cap = ctx_work.p ** (n + 2)
+    if any(e.deg_cap < cap for row in pinv for e in row):
+        raise ValueError("pinv entries need deg_cap >= p^(n+2) = %d" % cap)
+    araw = _int_corners(a_scaled)
+    m = ctx_work.modulus
+    cur = [[None if e.is_zero() else _to_y(e, m) for e in row] for row in pinv]
+    pinv_prec = [[e.prec for e in row] for row in pinv]
+    scale = a_scaled.p_exp * (n + 1) + pinv_scale * n
+    return _log_matrix_y(ctx_work, araw, cur, pinv_prec, scale, n, theta_index,
+                         out_ctx, provenance, Fraction(0))
 
 
 MAX_REP_DEGREE = 4096
@@ -442,28 +512,30 @@ def log_matrix_ap0(params, n, theta_index=0, prec=None):
     entries are good to roughly the requested precision after the tracked
     denominators are stripped.  The representation needs p^(n+2) stored
     coefficients, which caps the supported level per prime.
+
+    P'^(-1) = [[0, 1], [-eps q^(k+1), 0]] is built in Y = 1+pi, where its
+    one nonconstant entry is an exact int vector (`_q_power_y`).
     """
     if params.mode != AP_ZERO:
         raise WrongMode("log_matrix_ap0 requires a_p = 0 mode")
     ctx = params.ctx
     k = params.k
-    if ctx.p ** (n + 2) > MAX_REP_DEGREE:
+    p = ctx.p
+    if p ** (n + 2) > MAX_REP_DEGREE:
         raise InsufficientDegree(
             "level %d needs %d coefficients (budget %d)"
-            % (n, ctx.p ** (n + 2), MAX_REP_DEGREE))
+            % (n, p ** (n + 2), MAX_REP_DEGREE))
     if prec is None:
         prec = ctx.prec
     scale = (k + 1) * (n + 1)
     wp = prec + scale
-    ctx_work = PrimeCtx(ctx.p, wp, ctx.ext)
-    cap = ctx.p ** (n + 2)
-    a_scaled, pinv = wach_matrices_ap0(params, cap, wp)
-    mat = log_matrix_from_wach(ctx_work, a_scaled, pinv, 0, n, k, theta_index,
-                               out_ctx=ctx, provenance="ap-zero level %d" % n)
-    for row in mat.entries:
-        for s in row:
-            s.growth = Fraction(k + 1, 2)
-    return mat
+    ctx_work = PrimeCtx(p, wp, ctx.ext)
+    araw = _int_corners(_aprime_ap0(params, ctx_work))
+    m = ctx_work.modulus
+    c = _poly.vec_scale(_q_power_y(p, k + 1, m), -params.eps.a, m)
+    return _log_matrix_y(ctx_work, araw, [[None, [1]], [c, None]],
+                         [[wp] * 2] * 2, scale, n, theta_index, ctx,
+                         "ap-zero level %d" % n, Fraction(k + 1, 2))
 
 
 def window_ideal(mat, deg_cap=None):
@@ -476,16 +548,72 @@ def window_ideal(mat, deg_cap=None):
     return _omega(ctx, lvl, deg_cap)
 
 
+def _scaled_column(row, col):
+    """row[0] col[0] + row[1] col[1] for constant series row[t] and series
+    col[t], with the fields `LogMatrix.__matmul__` gives once row is widened
+    to col's window: one pass scales and adds the int vectors of col.
+
+    A zero entry of col adds only its precision, denominator and growth.
+    As in `_aligned`, a term whose denominator is raised by s is scaled by
+    p^s, and its precision rises by s, up to the context's.
+    """
+    ctx = row[0].ctx
+    wsq = ctx.wsq()
+    denoms = [c.denom_exp + f.denom_exp for c, f in zip(row, col)]
+    d = max(denoms)
+    precs = [min(c.prec, f.prec) if d == dt else
+             min(c.prec + d - dt, f.prec + d - dt, ctx.prec)
+             for c, f, dt in zip(row, col, denoms)]
+    prec = min(precs)
+    cap = min(f.deg_cap for f in col)
+    m = ctx.p ** prec
+    # (scalar, vector) terms of the base part and of the w-part
+    pa, pb = [], []
+    for c, f, dt in zip(row, col, denoms):
+        if f.is_zero():
+            continue
+        if f.b and wsq is None:
+            raise ValueError("extension coefficients without an extension")
+        s = ctx.p ** (d - dt)
+        ca, cb = c.a[0] * s, (c.b[0] * s if c.b else 0)
+        pa.append((ca, f.a[:cap]))
+        if cb:
+            pb.append((cb, f.a[:cap]))
+        if f.b:
+            pb.append((ca, f.b[:cap]))
+            pa.append((cb * wsq, f.b[:cap]))
+    a = _lin_comb(pa, m, cap)
+    b = _lin_comb(pb, m, cap) if pb else None
+    return IwaSeries._reduced(ctx, a, b, prec, cap, d,
+                              max(c.growth + f.growth for c, f in zip(row, col)))
+
+
+def _lin_comb(terms, m, cap):
+    """sum c v mod m over the (c, v) terms, as a vector of length cap."""
+    if not terms:
+        return [0] * cap
+    (c, v), *rest = terms
+    if not rest:
+        return [c * x % m for x in v]
+    acc = [c * x for x in v]
+    for c, v in rest:
+        acc = [y + c * x for y, x in zip(acc, v)]
+    return [y % m for y in acc]
+
+
 def qinv_times(params, mat):
-    """Q_g^(-1) * M for a 2x2 logarithmic matrix M."""
-    qi = q_matrix_inv(params, "g")
-    cap = max(e.deg_cap for row in mat.entries for e in row)
-    qi = qi.map(lambda s: s.widen(cap))
-    qi.level = mat.level
-    out = qi @ mat
-    out.provenance = "Qg^-1 * " + (mat.provenance or "M")
-    out.rep_level = mat.rep_level
-    return out
+    """Q_g^(-1) * M for a 2x2 logarithmic matrix M.
+
+    Q_g^(-1) is constant, so each entry of the product is one pass over a
+    column of M (`_scaled_column`), with the fields of
+    `q_matrix_inv(params, "g")` widened to M's window, times M.
+    """
+    assert mat.dim == 2
+    qi = q_matrix_inv(params, "g").entries
+    cols = [[mat.entries[0][j], mat.entries[1][j]] for j in range(2)]
+    out = [[_scaled_column(qi[i], cols[j]) for j in range(2)] for i in range(2)]
+    return LogMatrix(out, mat.level, "Qg^-1 * " + (mat.provenance or "M"),
+                     mat.rep_level)
 
 
 def semi_ordinary_block(mg, k_f, u_f, lower_left, n_trunc=None):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padiclog import _poly
-from padiclog.cycser import frobenius
+from padiclog.cycser import NotInImage, frobenius
 from padiclog.iwadist import (
     CharPoint, IwaSeries, NoUnitWitness, delta, equal_up_to_unit_mod, eval_at,
     halflog, is_unit, log_tw, omega_tw, poly_reduce,
@@ -448,13 +448,14 @@ def test_semi_ordinary_block_nontrivial_unit():
 
 # -- the Wach product against the pi-basis loops --------------------------------
 #
-# `log_matrix_from_wach` runs the product on int vectors in Y = 1+pi, marks
-# the zero entries of P^(-1) once and skips every term, Mellin read and
-# projection they would feed.  The references below are the dense pi-basis
-# loop (every entry through every stage), the sparse pi-basis loop with one
-# `frobenius` per nonconstant entry and level that the Y-basis product
-# replaced, and the iterated-power Teichmuller split of `groupring_to_iwa`;
-# each must give identical JSON.
+# `log_matrix_from_wach` and `log_matrix_ap0` run the product on int vectors
+# in Y = 1+pi, mark the zero entries of P^(-1) once and skip every term,
+# Mellin read and projection they would feed; the Mellin read and the
+# Delta-projection are one pass over the Teichmuller cosets.  The references
+# below are the dense pi-basis loop (every entry through every stage), the
+# sparse pi-basis loop with one `frobenius` per nonconstant entry and level,
+# a `mellin_inverse` per entry and the dict-and-dlog projection with an
+# iterated-power Teichmuller split; each must give identical JSON.
 
 
 def ref_groupring_to_iwa(lam, theta_index=0, out_ctx=None):
@@ -585,8 +586,8 @@ def ref_log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
                 h = opp * s
                 if h.prec != prec:
                     h = IwaSeries(ctx_work, h.a, None, prec, cap)
-                ent = groupring_to_iwa(mellin_inverse(h, rep), theta_index,
-                                       out_ctx)
+                ent = ref_groupring_to_iwa(mellin_inverse(h, rep), theta_index,
+                                           out_ctx)
             ent.denom_exp = scale
             orow.append(ent.normalize())
         out.append(orow)
@@ -720,25 +721,27 @@ def test_groupring_teichmuller_power_matches_loop():
 
 
 def test_ap0_skips_zero_and_constant_entries(monkeypatch):
-    # P'^(-1) = [[0, 1], [-eps q^(k+1), 0]]: only the one nonconstant entry
-    # goes to the Y basis, phi is a substitution Y -> Y^p with no frobenius
-    # call, and the product with A^(n+1) keeps two nonzero entries
+    # P'^(-1) = [[0, 1], [-eps q^(k+1), 0]] is born in Y, phi is Y -> Y^p
+    # with no frobenius call, and the product with A^(n+1) keeps two
+    # nonzero entries: one (1+X)-basis change each, at p^(n+1) coefficients
     import padiclog.cycser as cycser
-    import padiclog.logmat as logmat
-    calls = {"to_onepx_basis": 0, "frobenius": 0, "mellin_read": 0,
-             "groupring_to_iwa": 0}
-    homes = {"to_onepx_basis": _poly, "frobenius": cycser}
-    for name in calls:
-        home = homes.get(name, logmat)
+    calls = {"to_onepx_basis": [], "from_onepx_basis": [], "frobenius": []}
+    homes = {"to_onepx_basis": _poly, "from_onepx_basis": _poly,
+             "frobenius": cycser}
+    for name, home in homes.items():
         fn = getattr(home, name)
 
         def counted(*a, _fn=fn, _name=name, **kw):
-            calls[_name] += 1
-            return _fn(*a, **kw)
+            out = _fn(*a, **kw)
+            calls[_name].append(len(out))
+            return out
         monkeypatch.setattr(home, name, counted)
-    log_matrix_ap0(params_ap0(3, 12, 0), 3)
-    assert calls == {"to_onepx_basis": 1, "frobenius": 0, "mellin_read": 2,
-                     "groupring_to_iwa": 2}
+    for n in (1, 3):
+        for name in calls:
+            calls[name].clear()
+        log_matrix_ap0(params_ap0(3, 12, 0), n)
+        assert calls == {"to_onepx_basis": [], "frobenius": [],
+                         "from_onepx_basis": [3 ** (n + 1)] * 2}
 
 
 def reduction_spy(monkeypatch):
@@ -754,6 +757,46 @@ def reduction_spy(monkeypatch):
     return seen
 
 
+def ref_log_matrix_ap0(pr, n, theta_index=0):
+    """`log_matrix_ap0` as the pi-basis loop on `wach_matrices_ap0`."""
+    p, k = pr.ctx.p, pr.k
+    wp = pr.ctx.prec + (k + 1) * (n + 1)
+    a_scaled, pinv = wach_matrices_ap0(pr, p ** (n + 2), wp)
+    mat = ref_log_matrix_from_wach(PrimeCtx(p, wp, pr.ctx.ext), a_scaled, pinv,
+                                   0, n, k, theta_index, out_ctx=pr.ctx,
+                                   provenance="ap-zero level %d" % n)
+    for row in mat.entries:
+        for s in row:
+            s.growth = Fraction(k + 1, 2)
+    return mat
+
+
+def ref_qinv_times(pr, mat):
+    """Q_g^(-1) M as the dense product of widened constant series."""
+    cap = max(e.deg_cap for row in mat.entries for e in row)
+    qi = q_matrix_inv(pr, "g").map(lambda s: s.widen(cap))
+    qi.level = mat.level
+    out = qi @ mat
+    out.provenance = "Qg^-1 * " + (mat.provenance or "M")
+    out.rep_level = mat.rep_level
+    return out
+
+
+def ap0_outcome(p, n, k, eps, prec, theta, ref):
+    """The views of M and Q_g^(-1) M (levels included), or what was raised."""
+    try:
+        pr = params_ap0(p, prec, k, eps)
+        if ref:
+            mat = ref_log_matrix_ap0(pr, n, theta)
+            qm = ref_qinv_times(pr, mat)
+        else:
+            mat = log_matrix_ap0(pr, n, theta)
+            qm = qinv_times(pr, mat)
+    except (PadicError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [view(m) + (m.level, m.rep_level) for m in (mat, qm)]
+
+
 # every a_p = 0 case with p^(n+2) <= 729, weights past p+1 included
 AP0_SWEEP = [(p, n, k) for p in (3, 5, 7) for n in range(5)
              if p ** (n + 2) <= 729 for k in range(p + 3)]
@@ -761,22 +804,99 @@ AP0_SWEEP = [(p, n, k) for p in (3, 5, 7) for n in range(5)
 
 @pytest.mark.parametrize("p,n,k", AP0_SWEEP)
 def test_ap0_sweep_matches_pi_loop(p, n, k, monkeypatch):
-    import padiclog.logmat as logmat
     seen = reduction_spy(monkeypatch)
+    psi = 0
     for prec in (3, 8, 12):
-        for eps in (1, 2):
+        for eps in (1, -1, 2):
             for theta in (0, 1):
-                def run():
-                    return log_matrix_ap0(params_ap0(p, prec, k, eps), n, theta)
-                got = outcome(run)
-                with monkeypatch.context() as mp:
-                    mp.setattr(logmat, "log_matrix_from_wach",
-                               ref_log_matrix_from_wach)
-                    want = outcome(run)
+                got = ap0_outcome(p, n, k, eps, prec, theta, False)
+                want = ap0_outcome(p, n, k, eps, prec, theta, True)
                 assert got == want, (prec, eps, theta)
+                psi += got[0] is NotInImage
     # the largest entry, (1+pi) phi^n(c) phi^(n-2)(c) ... with c of degree
-    # (k+1)(p-1), reaches degree p^(n+2) exactly when k >= p+1
-    assert (seen[0] > 0) == (n > 0 and k > p)
+    # (k+1)(p-1), reaches degree p^(n+2) exactly when k >= p+1, and then a
+    # psi-component survives (ROADMAP item 2)
+    assert (seen[0] > 0) == (n > 0 and k > p) == (psi > 0)
+
+
+@pytest.mark.parametrize("p,n,k,prec", [(3, 1, 0, 4), (3, 1, 1, 4), (3, 1, 2, 4),
+                                        (5, 2, 1, 4), (7, 2, 0, 5)])
+def test_ap0_small_precision_and_large_window_match_pi_loop(p, n, k, prec):
+    # `logmatrix --p 3 --level 1 --prec 4`, and the largest window, 7^4
+    for eps in (1, -1, 2):
+        for theta in (0, 1):
+            got = ap0_outcome(p, n, k, eps, prec, theta, False)
+            assert got == ap0_outcome(p, n, k, eps, prec, theta, True)
+
+
+def rand_entry(rng, ctx):
+    """A matrix entry: zero, or random int parts with a w-part (also in a
+    context without an extension, which the product rejects), at a random
+    precision, window, denominator and growth tag."""
+    p = ctx.p
+    cap = rng.randint(1, 10)
+    prec = rng.randint(1, ctx.prec + 3)
+    if rng.random() < 0.25:
+        return IwaSeries.zero(ctx, cap, prec)
+    m = p ** prec
+
+    def part():
+        return [rng.randrange(m) * p ** rng.randint(0, 1) for _ in range(cap)]
+    w = rng.random() < (0.5 if ctx.ext else 0.05)
+    return IwaSeries(ctx, part(), part() if w else None, prec, cap,
+                     rng.randint(0, 3), Fraction(rng.randint(0, 4), 2))
+
+
+def test_qinv_times_random_matrices_match_product():
+    # zeros, w-parts, denominators that force a rescale of the other term,
+    # precisions above the context's and unequal windows, over the plain,
+    # unramified and ramified contexts a_p = 0 declares
+    rng = random.Random(408)
+    kinds = set()
+    for p in (3, 5):
+        for k in range(4):
+            for eps in (1, -1, 2):
+                try:
+                    pr = params_ap0(p, rng.randint(3, 9), k, eps)
+                except PadicError:
+                    continue
+                kinds.add(pr.ctx.ext and pr.ctx.ext[0])
+                for _ in range(8):
+                    ents = [[rand_entry(rng, pr.ctx) for _ in range(2)]
+                            for _ in range(2)]
+                    mat = LogMatrix(ents, rng.choice((None, 2)),
+                                    rng.choice(("", "M'")), rng.choice((None, 3)))
+                    got = outcome(qinv_times, pr, mat)
+                    want = outcome(ref_qinv_times, pr, mat)
+                    assert got == want
+                    if type(got) is not tuple:
+                        assert qinv_times(pr, mat).rep_level == mat.rep_level
+    assert kinds == {None, "unramified", "ramified"}
+
+
+def test_q_power_y_matches_wach_entry():
+    # wach_matrices_ap0 builds -eps q^(k+1) in pi, truncated at its window;
+    # in Y the exact entry agrees with it mod (Y-1)^cap, and equals it when
+    # the window holds its degree (k+1)(p-1)
+    from padiclog.logmat import _q_power_y
+    built = 0
+    for p in (3, 5, 7):
+        for k in range(p + 3):
+            for eps in (1, -1, 2):
+                try:
+                    pr = params_ap0(p, 7, k, eps)
+                except PadicError:      # no alpha with alpha^2 = -eps p^(k+1)
+                    continue
+                built += 1
+                m = pr.ctx.modulus
+                deg = (k + 1) * (p - 1)
+                want = _poly.vec_scale(_q_power_y(p, k + 1, m), -eps, m)
+                assert len(want) == deg + 1 and want[-1] == -eps % m
+                for cap in (deg + 1, deg + p, max(2, deg - p)):
+                    entry = wach_matrices_ap0(pr, cap)[1][1][0]
+                    ys = _poly.to_onepx_basis(entry.a, m)
+                    assert ys == _poly.onepx_rem(want, cap, p, 7), (p, k, cap)
+    assert built > 30
 
 
 def test_from_wach_random_lifts_match_pi_loop(monkeypatch):
