@@ -217,8 +217,7 @@ def mellin_read(ctx, n, bs, prec):
 def check_psi_zero(bs, p, m):
     """The psi = 0 condition on (1+pi)-basis coefficients bs mod m: raise
     NotInImage at the first position divisible by p that is nonzero."""
-    if not any(bs[::p]):
-        return
-    for j, b in zip(range(0, len(bs), p), bs[::p]):
-        if b % m:
-            raise NotInImage("psi-component survives at (1+pi)^%d" % j)
+    if any(bs[::p]):
+        for j in range(0, len(bs), p):
+            if bs[j] % m:
+                raise NotInImage("psi-component survives at (1+pi)^%d" % j)
