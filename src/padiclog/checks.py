@@ -18,14 +18,14 @@ from padiclog.iwadist import (IwaSeries, NoUnitWitness, delta,
                               equal_up_to_unit_mod, halflog, is_unit, log_tw,
                               omega, omega_tw, phi_cyc, poly_reduce,
                               solve_series_div)
-from padiclog.logmat import (CrystalParams, log_matrix_ap0, qinv_times,
-                             window_ideal)
+from padiclog.logmat import CrystalParams, log_matrix_ap0, window_ideal
 from padiclog.padic import PrimeCtx, inv_scaled
 from padiclog.qexp import (ImagQuadCtx, dirichlet_from_euler, kronecker,
                            theta_series)
 from padiclog.regdiv import MSeries, SpecFamily, chevalley_check
 from padiclog.split import (AlphaBetaPair, NoBoundedSolution, SignedPair,
-                            antisym_factor, forward, signed_split)
+                            SplitOperator, antisym_factor, forward,
+                            signed_split)
 
 
 def check_cyclotomic_identities(seed=0):
@@ -184,7 +184,7 @@ def check_signed_split(seed=0, trials=100, prec=12):
     rng = random.Random(seed)
     pr = CrystalParams.ap_zero(3, prec, 0)
     n = 3
-    qm = qinv_times(pr, log_matrix_ap0(pr, n))
+    op = SplitOperator.build(pr, n)
     ctx = pr.ctx
     deg = 3 ** n - 1
     fails = 0
@@ -195,7 +195,7 @@ def check_signed_split(seed=0, trials=100, prec=12):
                       None, None, deg + 1),
             IwaSeries(ctx, [rng.randrange(ctx.modulus) for _ in range(deg + 1)],
                       None, None, deg + 1), n)
-        got = signed_split(forward(pair, qm), qm, n, params=pr)
+        got = signed_split(forward(pair, op), op, n)
         jointp = min(got.plus.prec, got.minus.prec)
         min_prec = min(min_prec, jointp)
         if not (got.plus == pair.plus and got.minus == pair.minus
@@ -205,7 +205,7 @@ def check_signed_split(seed=0, trials=100, prec=12):
     try:
         one = IwaSeries.const(ctx, 1, 4)
         z = IwaSeries.zero(ctx, 4)
-        signed_split(AlphaBetaPair(one, z, n), qm, n, params=pr)
+        signed_split(AlphaBetaPair(one, z, n), op, n)
     except NoBoundedSolution:
         rejected = True
     return {"suite": "signed-split", "pass": fails == 0 and rejected,
@@ -222,7 +222,8 @@ def check_antisym(seed=0, trials=100, prec=12):
     rng = random.Random(seed)
     pr = CrystalParams.ap_zero(3, prec, 0)
     k, n = 0, 2
-    qm = qinv_times(pr, log_matrix_ap0(pr, n))
+    op = SplitOperator.build(pr, n)
+    qm = op.qinv_m
     ctx = pr.ctx
     wide = 70
     det = (qm.entry(0, 0).widen(wide) * qm.entry(1, 1).widen(wide)
@@ -231,7 +232,7 @@ def check_antisym(seed=0, trials=100, prec=12):
     for _ in range(trials):
         g = IwaSeries(ctx, [rng.randrange(ctx.modulus) for _ in range(7)],
                       None, None, wide)
-        got = antisym_factor(det * g, pr, qm)
+        got = antisym_factor(det * g, pr, op)
         if got != g.normalize():
             fails += 1
     # geo shape: L = (log_tw/(beta - alpha)) G
@@ -243,7 +244,7 @@ def check_antisym(seed=0, trials=100, prec=12):
     g = IwaSeries(ctx, [rng.randrange(ctx.modulus) for _ in range(6)],
                   None, None, wide)
     lval = ((lt * g) * binv).times_p(-e)
-    got = antisym_factor(lval, pr, qm)
+    got = antisym_factor(lval, pr, op)
     want = (delta(ctx, k + 1, got.deg_cap) * g.widen(got.deg_cap)).times_p(p_power)
     ratio = solve_series_div(got.normalize(), want.normalize()).normalize()
     geo_ok = is_unit(ratio) and p_power == k + 1

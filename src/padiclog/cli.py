@@ -21,7 +21,8 @@ from padiclog.padic import PadicError, PrimeCtx, check_fields
 from padiclog.qexp import (ImagQuadCtx, deplete, eisenstein_depleted,
                            theta_series)
 from padiclog.regdiv import MSeries, SpecFamily, chevalley_check
-from padiclog.split import AlphaBetaPair, antisym_factor, signed_split
+from padiclog.split import (AlphaBetaPair, antisym_factor, signed_split,
+                            split_operator)
 from padiclog.galimg import MatGroupGen, closure, find_tau, goursat_product_check
 import padiclog.iwadist as iwadist
 
@@ -114,17 +115,20 @@ def cmd_logmatrix(args):
     return 0
 
 
+def _cached_operator(spec):
+    """g's splitting operator for a split/antisym request, from the cache."""
+    return split_operator(spec["p"], spec.get("prec", 12), spec["k"],
+                          spec.get("eps", 1), spec["level"])
+
+
 def cmd_split(args):
     spec = _load(args.input, p="nat", prec="nat", k="nat", eps="int",
                  level="nat", denom_exp="nat", alpha="object", beta="object")
-    pr = CrystalParams.ap_zero(spec["p"], spec.get("prec", 12), spec["k"],
-                               spec.get("eps", 1))
+    op = _cached_operator(spec)
     n = spec["level"]
-    qm = qinv_times(pr, log_matrix_ap0(pr, n))
-    ab = AlphaBetaPair(iwadist.from_json(spec["alpha"], pr.ctx),
-                       iwadist.from_json(spec["beta"], pr.ctx), n)
-    pair = signed_split(ab, qm, n, params=pr,
-                        denom_budget=spec.get("denom_exp", 0))
+    ab = AlphaBetaPair(iwadist.from_json(spec["alpha"], op.ctx),
+                       iwadist.from_json(spec["beta"], op.ctx), n)
+    pair = signed_split(ab, op, n, denom_budget=spec.get("denom_exp", 0))
     _emit({"plus": pair.plus.to_json(), "minus": pair.minus.to_json(),
            "level": n}, args)
     return 0
@@ -133,11 +137,9 @@ def cmd_split(args):
 def cmd_antisym(args):
     spec = _load(args.input, p="nat", prec="nat", k="nat", eps="int",
                  level="nat", L="object")
-    pr = CrystalParams.ap_zero(spec["p"], spec.get("prec", 12), spec["k"],
-                               spec.get("eps", 1))
-    qm = qinv_times(pr, log_matrix_ap0(pr, spec["level"]))
-    lval = iwadist.from_json(spec["L"], pr.ctx)
-    out = antisym_factor(lval, pr, qm)
+    op = _cached_operator(spec)
+    lval = iwadist.from_json(spec["L"], op.ctx)
+    out = antisym_factor(lval, op.params, op)
     _emit(out.to_json(), args)
     return 0
 

@@ -10,12 +10,24 @@ Splitting divides those combinations by the matrix entries (unit constant
 terms, so the power-series division is exact at truncation) after checking
 the parity divisibility certificate: the difference must vanish on the
 odd-order part of the congruence locus, the sum on the even-order part.
+
+The matrix depends only on g's (p, k, eps), the level and the precision, so
+a `SplitOperator` holds it with what every request reads from it: the
+recovered pair (M21, M12) and the largest entry degree.  `split_operator`
+builds one per key (p, prec, k, eps, level) and keeps the 8 most recently
+used (`functools.lru_cache`), so a run of requests against one form g builds
+its operator once.  An operator's size grows with p^(n+2) and prec; at the
+default prec 12 a p=3 n=5 operator takes about 0.15 MB.  A key whose build
+fails raises every time and is not kept.
 """
 
 from __future__ import annotations
 
+import functools
+
 from padiclog.iwadist import (CharPoint, IwaSeries, NotDivisible, eval_at,
                               phi_tw, poly_reduce, solve_series_div)
+from padiclog.logmat import CrystalParams, log_matrix_ap0, qinv_times
 from padiclog.padic import PadicError
 
 
@@ -55,13 +67,60 @@ class AlphaBetaPair:
         return "AlphaBetaPair(level=%d)" % self.level
 
 
+class SplitOperator:
+    """Q^(-1)M' with what splitting reads from it, for one form g and level.
+
+    Holds the params, the matrix `qinv_m`, the pair (M21, M12) recovered from
+    it (`_entry_base_parts`, so its row-shape check runs once per operator)
+    and `deg_m`, the largest degree of an entry.  No caller mutates these
+    series, so one operator serves any number of requests.
+    """
+
+    def __init__(self, params, qinv_m):
+        self.params = params
+        self.qinv_m = qinv_m
+        self.ctx = qinv_m.entry(0, 1).ctx
+        self.m21, self.m12 = _entry_base_parts(params, qinv_m)
+        self.deg_m = _max_degree(qinv_m)
+
+    @classmethod
+    def build(cls, params, n):
+        """The level-n operator of params, built from the log matrix."""
+        return cls(params, qinv_times(params, log_matrix_ap0(params, n)))
+
+
+@functools.lru_cache(maxsize=8)
+def split_operator(p, prec, k, eps, level):
+    """The a_p = 0 operator of g = (p, k, eps) at level, built once per key
+    while it stays among the 8 most recently used."""
+    return SplitOperator.build(CrystalParams.ap_zero(p, prec, k, eps), level)
+
+
+def _operator(qinv_m, params):
+    """qinv_m itself when it is a SplitOperator, else one built from the
+    matrix and params (not cached)."""
+    if isinstance(qinv_m, SplitOperator):
+        return qinv_m
+    if params is None:
+        raise ValueError("params with the eigenvalue alpha are required")
+    return SplitOperator(params, qinv_m)
+
+
+def _max_degree(mat):
+    return max(e.degree() for row in mat.entries for e in row)
+
+
 def forward(pair, qinv_m):
     """[L_alpha; L_beta] = (Q^-1 M') [L+; L-], without truncation loss.
 
-    All four inputs are polynomial representatives, so widening the window to
-    the full product degree keeps the images exact.
+    qinv_m is the matrix Q^-1 M' or a SplitOperator holding it.  All four
+    inputs are polynomial representatives, so widening the window to the
+    full product degree keeps the images exact.
     """
-    deg_m = max(qinv_m.entry(i, j).degree() for i in range(2) for j in range(2))
+    if isinstance(qinv_m, SplitOperator):
+        qinv_m, deg_m = qinv_m.qinv_m, qinv_m.deg_m
+    else:
+        deg_m = _max_degree(qinv_m)
     deg_v = max(pair.plus.degree(), pair.minus.degree(), 0)
     cap = deg_m + deg_v + 2
     ents = [[qinv_m.entry(i, j).widen(cap) for j in range(2)] for i in range(2)]
@@ -115,14 +174,14 @@ def _rem_visible(f, g, threshold):
 def signed_split(ab, qinv_m, n, params=None, denom_budget=0):
     """Solve (Q^-1 M') [L+; L-] = [L_alpha; L_beta] for a bounded pair.
 
-    Raises NoBoundedSolution when a parity-divisibility certificate fails,
-    which is exactly the obstruction for inputs outside the bounded image.
+    qinv_m is the matrix, with params required, or a SplitOperator, whose
+    own params are used.  Raises NoBoundedSolution when a parity-divisibility
+    certificate fails, which is exactly the obstruction for inputs outside
+    the bounded image.
     """
-    if params is None:
-        raise ValueError("params with the eigenvalue alpha are required")
+    op = _operator(qinv_m, params)
+    params, ctx, m21, m12 = op.params, op.ctx, op.m21, op.m12
     k = params.k
-    ctx = qinv_m.entry(0, 1).ctx
-    m21, m12 = _entry_base_parts(params, qinv_m)
     diff = (ab.alpha_comp - ab.beta_comp) * params.alpha
     tot = ab.alpha_comp + ab.beta_comp
     cap = max(diff.deg_cap, 8)
@@ -160,11 +219,11 @@ def antisym_factor(lval, params, qinv_m):
     Conjugating an antisymmetric 2x2 matrix by T multiplies the off-diagonal
     entry by det(T), so recovering the sharp-flat pairing value from the
     eigenvalue-indexed one divides by det(Q^-1 M') = (alpha beta/(alpha-beta))
-    / det(M').
+    / det(M').  qinv_m is the matrix or a SplitOperator, as in `signed_split`.
     """
-    cap = max(e.degree() for row in qinv_m.entries for e in row) * 2 + \
-        max(lval.degree(), 0) + 2
-    m21, m12 = _entry_base_parts(params, qinv_m)
+    op = _operator(qinv_m, params)
+    params, m21, m12 = op.params, op.m21, op.m12
+    cap = op.deg_m * 2 + max(lval.degree(), 0) + 2
     if m21.is_zero() or m12.is_zero():
         raise NotDivisible("determinant vanishes at precision")
     # det(Q^-1 M') = 2 M12 M21 / alpha, and both entries divide exactly on
