@@ -11,15 +11,19 @@ under the generators, the product criterion compares the closure order with
 the product of the projection orders, solvability follows the derived series
 through normal closures of commutators, and the distinguished 4x4 elements are
 certified by their minimal polynomial (X-1)^2 (X+1)^2 together with the rank
-of t - 1.  Ranks (hence invertibility) and minimal polynomials come from
-linsolve; an inverse inside a finite group is the power x^(ord x - 1).
+of t - 1.  A closure step is a table lookup: right multiplication by a
+generator g maps each row r of x to r g, and each map memoises the products of
+the rows it has seen (at most p^size of them), so the closure forms every
+row product once per generator.  The SL2 hypothesis is read off the
+generators, since det is multiplicative.  Ranks (hence invertibility) and
+minimal polynomials come from linsolve; an inverse inside a finite group is
+the power x^(ord x - 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import operator
-from functools import partial
 
 from padiclog._poly import isprime
 from padiclog.linsolve import solve_mod_ppow
@@ -111,9 +115,33 @@ class MatGroupGen:
 DEFAULT_BUDGET = 10 ** 7
 
 
-def _bfs_closure(ident, gens, mul, budget):
-    """Breadth-first closure of ident under right multiplication by gens.
+def _right_mul(g, p):
+    """The map x -> x g (mod p) for square int matrices x of g's side.
 
+    A row of x g depends only on the same row of x, so the map keeps its own
+    table of r -> r g and computes each distinct row product once; the table
+    holds at most p^size rows and lives as long as the map.
+    """
+    cols = tuple(zip(*g))
+    rows = {}
+
+    def step(x):
+        out = []
+        for r in x:
+            y = rows.get(r)
+            if y is None:
+                y = rows[r] = tuple(sum(map(operator.mul, r, c)) % p
+                                    for c in cols)
+            out.append(y)
+        return tuple(out)
+
+    return step
+
+
+def _bfs_closure(ident, steps, budget):
+    """Breadth-first closure of ident under the maps in steps.
+
+    Each step is a right multiplication (from _right_mul, or a pair of them).
     Returns the elements in discovery order; BudgetExceeded once more than
     budget elements would be needed.
     """
@@ -123,8 +151,8 @@ def _bfs_closure(ident, gens, mul, budget):
     while i < len(queue):
         x = queue[i]
         i += 1
-        for g in gens:
-            y = mul(x, g)
+        for step in steps:
+            y = step(x)
             if y not in seen:
                 if len(seen) >= budget:
                     raise BudgetExceeded("closure exceeds budget %d" % budget)
@@ -135,38 +163,43 @@ def _bfs_closure(ident, gens, mul, budget):
 
 def closure(group, budget=DEFAULT_BUDGET):
     """Breadth-first product closure; returns the full element list."""
-    return _bfs_closure(mat_identity(group.size), group.gens,
-                        partial(mat_mul, p=group.p), budget)
+    return _bfs_closure(mat_identity(group.size),
+                        [_right_mul(g, group.p) for g in group.gens], budget)
 
 
-def _group_inverse(x, ident, mul):
-    """x^(ord x - 1), the inverse of x in the finite group it generates."""
+def _group_inverse(x, ident, step):
+    """x^(ord x - 1), the inverse of x in the finite group it generates.
+
+    step is right multiplication by x.
+    """
     prev, cur = ident, x
     while cur != ident:
-        prev, cur = cur, mul(cur, x)
+        prev, cur = cur, step(cur)
     return prev
 
 
-def _normal_closure(seeds, gens, ident, mul, budget):
+def _normal_closure(seeds, conj, ident, p, budget):
     """Generators and elements of the normal closure of seeds in <gens>.
 
-    A generator whose conjugate by some g in gens falls outside the
-    subgroup joins the generators; then every g maps the subgroup into
-    itself, which in a finite group makes it normal.  Each new generator
-    at least doubles the subgroup, so there are few closures.
+    conj lists the pairs (g, g^(-1)) for g in gens.  A generator whose
+    conjugate by some g falls outside the subgroup joins the generators;
+    then every g maps the subgroup into itself, which in a finite group makes
+    it normal.  Each new generator at least doubles the subgroup, so there
+    are few closures.
     """
     out = list(dict.fromkeys(x for x in seeds if x != ident))
-    members = set(_bfs_closure(ident, out, mul, budget))
-    conj = [(g, _group_inverse(g, ident, mul)) for g in gens]
+    steps = [_right_mul(x, p) for x in out]
+    members = set(_bfs_closure(ident, steps, budget))
     i = 0
     while i < len(out):
         x = out[i]
         i += 1
         for g, gi in conj:
-            y = mul(mul(g, x), gi)
+            y = mat_mul(mat_mul(g, x, p), gi, p)
             if y not in members:
                 out.append(y)
-                members = set(_bfs_closure(ident, out, mul, budget))
+                steps.append(_right_mul(y, p))
+                members = set(_bfs_closure(ident, steps, budget))
     return out, members
 
 
@@ -180,14 +213,14 @@ def is_solvable(gens, p, budget=DEFAULT_BUDGET):
     (not solvable).
     """
     ident = mat_identity(len(gens[0]))
-    mul = partial(mat_mul, p=p)
     cur = [g for g in gens if g != ident]
     while cur:
-        inverses = [_group_inverse(x, ident, mul) for x in cur]
-        comms = [mul(mul(x, y), mul(xi, yi))
+        inverses = [_group_inverse(x, ident, _right_mul(x, p)) for x in cur]
+        comms = [mat_mul(mat_mul(x, y, p), mat_mul(xi, yi, p), p)
                  for i, (x, xi) in enumerate(zip(cur, inverses))
                  for y, yi in zip(cur[:i], inverses[:i])]
-        derived, members = _normal_closure(comms, cur, ident, mul, budget)
+        derived, members = _normal_closure(comms, list(zip(cur, inverses)),
+                                           ident, p, budget)
         if all(g in members for g in cur):
             return False
         cur = derived
@@ -230,15 +263,19 @@ def goursat_product_check(p, gen_pairs, ext_d=None, budget=DEFAULT_BUDGET):
     g1 = MatGroupGen(p, dim, [a for a, _ in gen_pairs], ext_d)
     g2 = MatGroupGen(p, dim, [b for _, b in gen_pairs], ext_d)
     ident = mat_identity(g1.size)
-    mul = partial(mat_mul, p=p)
-    pairs = _bfs_closure((ident, ident), list(zip(g1.gens, g2.gens)),
-                         lambda x, g: (mul(x[0], g[0]), mul(x[1], g[1])), budget)
-    pr1 = _bfs_closure(ident, g1.gens, mul, budget)
-    pr2 = _bfs_closure(ident, g2.gens, mul, budget)
+    steps1 = [_right_mul(g, p) for g in g1.gens]
+    steps2 = [_right_mul(g, p) for g in g2.gens]
+    pairs = _bfs_closure((ident, ident),
+                         [lambda x, a=a, b=b: (a(x[0]), b(x[1]))
+                          for a, b in zip(steps1, steps2)], budget)
+    pr1 = _bfs_closure(ident, steps1, budget)
+    pr2 = _bfs_closure(ident, steps2, budget)
     q = p if g1.ext_d is None else p * p
     sl2_order = q * (q * q - 1)
+    # every element of pr1 is a product of generators and det is
+    # multiplicative, so det = 1 on pr1 exactly when it is 1 on the generators
     pr1_sl2 = (dim == 2 and len(pr1) == sl2_order and
-               all(_det_is_one(m, p) for m in pr1))
+               all(_det_is_one(g, p) for g in g1.gens))
     return GoursatVerdict(
         full_product=(len(pairs) == len(pr1) * len(pr2)),
         order_h=len(pairs),
@@ -287,23 +324,6 @@ def dihedral_rep(data):
     gens = [((u, 0), (0, v)) for u, v in data.diag_pairs]
     gens += [((0, x), (xp, 0)) for x, xp in data.offk_pairs]
     return MatGroupGen(data.p, 2, gens, data.ext_d)
-
-
-def has_abelian_index2(group, budget=DEFAULT_BUDGET):
-    """True when the closure has an abelian subgroup of index <= 2.
-
-    For monomial 2x2 groups the diagonal part is that subgroup: the elements
-    whose entries (0, 1) and (1, 0) vanish, which over F_p^2 are blocks.
-    """
-    elems = closure(group, budget)
-    b = group.size // group.dim
-    diag = [m for m in elems
-            if not any(x for row in m[:b] for x in row[b:2 * b])
-            and not any(x for row in m[b:2 * b] for x in row[:b])]
-    if len(elems) not in (len(diag), 2 * len(diag)):
-        return False
-    p = group.p
-    return all(mat_mul(a, c, p) == mat_mul(c, a, p) for a in diag for c in diag)
 
 
 def kron(a, b, p):

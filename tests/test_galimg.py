@@ -3,11 +3,107 @@ import pytest
 import random
 
 from padiclog.galimg import (
-    BudgetExceeded, DihedralData, InconsistentCharacter, MatGroupGen,
-    _bfs_closure, _group_inverse, closure, dihedral_rep, embed, find_tau,
-    goursat_product_check, has_abelian_index2, is_solvable, kron, mat_identity,
-    mat_mul, min_poly, mat_rank,
+    BudgetExceeded, DihedralData, GoursatVerdict, InconsistentCharacter,
+    MatGroupGen, closure, dihedral_rep, embed, find_tau, goursat_product_check,
+    is_solvable, kron, mat_identity, mat_mul, min_poly, mat_rank,
 )
+
+
+# -- reference arithmetic: plain loops that share no code with galimg ---------------
+
+
+def ref_mul(a, b, p):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) % p
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def ref_ident(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def ref_bfs(ident, gens, mul, limit=None):
+    """Elements in breadth-first discovery order: the queue is read front to
+    back and each element is multiplied on the right by the generators in
+    their given order.  None once more than limit elements are found."""
+    seen, queue = {ident}, [ident]
+    for x in queue:
+        for g in gens:
+            y = mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                if limit is not None and len(queue) > limit:
+                    return None
+    return queue
+
+
+def ref_closure(gens, p, limit=None):
+    return ref_bfs(ref_ident(len(gens[0])), gens,
+                   lambda a, b: ref_mul(a, b, p), limit)
+
+
+def ref_inverse(m, p):
+    """Gauss-Jordan inverse mod p."""
+    n = len(m)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if a[r][c] % p)
+        a[c], a[piv] = a[piv], a[c]
+        inv = pow(a[c][c], -1, p)
+        a[c] = [x * inv % p for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] % p:
+                f = a[r][c]
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[c])]
+    return tuple(tuple(r[n:]) for r in a)
+
+
+def ref_is_solvable(elements, p):
+    """Derived series by all |G|^2 commutators of each term, the exhaustive loop."""
+    current = list(elements)
+    ident = ref_ident(len(current[0]))
+
+    def mul(a, b):
+        return ref_mul(a, b, p)
+
+    while len(current) > 1:
+        inverses = [ref_inverse(x, p) for x in current]
+        comms = {mul(mul(x, y), mul(xi, yi))
+                 for x, xi in zip(current, inverses)
+                 for y, yi in zip(current, inverses)}
+        derived = ref_bfs(ident, sorted(comms), mul)
+        if len(derived) == len(current):
+            return False
+        current = derived
+    return True
+
+
+def ref_det_is_one(m, p, d):
+    """det == 1 over F_p (d None) or over F_p^2, whose entry (i, j) is read off
+    the first column (a, b) of the block [[a, d b], [b, a]]."""
+    if d is None:
+        return (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p == 1
+
+    def entry(i, j):
+        return m[2 * i][2 * j], m[2 * i + 1][2 * j]
+
+    def fmul(x, y):
+        return (x[0] * y[0] + d * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p
+
+    ad, bc = fmul(entry(0, 0), entry(1, 1)), fmul(entry(0, 1), entry(1, 0))
+    return ((ad[0] - bc[0]) % p, (ad[1] - bc[1]) % p) == (1, 0)
+
+
+def ref_is_tau(t, p):
+    """Minimal polynomial (X-1)^2 (X+1)^2: it kills t, and neither maximal
+    proper divisor (X-1)(X+1)^2 nor (X-1)^2 (X+1) does."""
+    n = len(t)
+    tm = tuple(tuple((t[i][j] - int(i == j)) % p for j in range(n)) for i in range(n))
+    tp = tuple(tuple((t[i][j] + int(i == j)) % p for j in range(n)) for i in range(n))
+    zero = tuple((0,) * n for _ in range(n))
+    tm2, tp2 = ref_mul(tm, tm, p), ref_mul(tp, tp, p)
+    return (ref_mul(tm2, tp2, p) == zero and ref_mul(tm, tp2, p) != zero
+            and ref_mul(tm2, tp, p) != zero)
 
 
 def sl2_gens(p):
@@ -68,8 +164,7 @@ def test_block_embedding_is_a_ring_homomorphism():
                 (f25_mul(neg, f25_mul(m[1][0], di)), f25_mul(m[0][0], di)))
         em = embed(m, 5, 2)
         assert mat_mul(em, embed(minv, 5, 2), 5) == ident
-        assert _group_inverse(em, ident, lambda a, b: mat_mul(a, b, 5)) == \
-            embed(minv, 5, 2)
+        assert ref_inverse(em, 5) == embed(minv, 5, 2)
 
 
 def test_goursat_full_product_cyclic():
@@ -130,17 +225,6 @@ def test_dihedral_rep():
     off = [m for m in grp2.gens if m[0][0] == 0]
     assert (off[0][0][0] * off[0][1][1] - off[0][0][1] * off[0][1][0]) % 7 == \
         (-3 * 5) % 7
-    assert has_abelian_index2(grp2)
-
-
-def test_dihedral_rep_random_has_index2_abelian():
-    rng = random.Random(50)
-    for _ in range(10):
-        p = 7
-        diag = [(rng.randrange(1, p), rng.randrange(1, p)) for _ in range(2)]
-        off = [(rng.randrange(1, p), rng.randrange(1, p))]
-        grp = dihedral_rep(DihedralData(p, diag, off))
-        assert has_abelian_index2(grp)
 
 
 def test_dihedral_inconsistent():
@@ -227,34 +311,12 @@ def test_dihedral_rep_f9():
                      relations=[])
     grp = dihedral_rep(d)
     assert len(closure(grp)) == 32
-    assert has_abelian_index2(grp)
     # (1+s)^2 = 2s and (1+2s)^2 = s: class 0 squared is the added class 1
     DihedralData(3, [((1, 1), (1, 2)), ((0, 2), (0, 1))], [(F9_S, F9_ONE)],
                  ext_d=2, relations=[(0, 0, 1)])
     with pytest.raises(InconsistentCharacter):
         DihedralData(3, [((1, 1), (1, 2)), ((0, 1), (0, 2))], [(F9_S, F9_ONE)],
                      ext_d=2, relations=[(0, 0, 1)])
-
-
-def ref_is_solvable(elements, p):
-    """Derived series by all |G|^2 commutators of each term, the exhaustive loop."""
-    current = list(elements)
-    ident = mat_identity(len(current[0]))
-
-    def mul(a, b):
-        return mat_mul(a, b, p)
-
-    while True:
-        if len(current) == 1:
-            return True
-        inverses = [_group_inverse(x, ident, mul) for x in current]
-        comms = {mul(mul(x, y), mul(xi, yi))
-                 for x, xi in zip(current, inverses)
-                 for y, yi in zip(current, inverses)}
-        derived = _bfs_closure(ident, list(comms), mul, 10 ** 7)
-        if len(derived) == len(current):
-            return False
-        current = derived
 
 
 def test_is_solvable_matches_exhaustive_series():
@@ -272,10 +334,162 @@ def test_is_solvable_matches_exhaustive_series():
     verdicts = []
     for grp in groups:
         verdict = is_solvable(grp.gens, grp.p)
-        assert verdict == ref_is_solvable(closure(grp), grp.p), grp
+        assert verdict == ref_is_solvable(ref_closure(grp.gens, grp.p), grp.p), grp
         verdicts.append(verdict)
     # SL2(F_3) is solvable, SL2(F_5) and SL2(F_7) are perfect
     assert verdicts[:3] == [True, False, False]
     assert all(verdicts[3:])
     # SL2(F_9) is perfect too; its 720 elements are too many for the reference
     assert not is_solvable(MatGroupGen(3, 2, [F9_T1, F9_TS, F9_W], ext_d=2).gens, 3)
+
+
+# -- seeded differential tests against the reference ---------------------------------
+
+# (p, d): F_p when d is None, else F_p^2 = F_p[s]/(s^2 - d)
+FIELDS = [(3, None), (5, None), (7, None), (3, 2), (5, 2)]
+ORDER_LIMIT = 2500      # redraw generator sets whose group is larger
+PAIR_LIMIT = 6000       # and pair sets whose projections multiply to more
+SOLVABLE_LIMIT = 150    # the exhaustive series costs |G|^2 commutators per term
+
+
+def rand_elt(rng, p, d, nonzero=False):
+    while True:
+        x = rng.randrange(p) if d is None else (rng.randrange(p), rng.randrange(p))
+        if not nonzero or x not in (0, (0, 0)):
+            return x
+
+
+def rand_gen(rng, p, d, dim):
+    """One invertible generator: a scalar, or a diagonal, unipotent, monomial,
+    SL2 or (over F_p) arbitrary invertible 2x2 matrix."""
+    def unit():
+        return rand_elt(rng, p, d, nonzero=True)
+
+    zero, one = (0, 0) if d else 0, (1, 0) if d else 1
+    if dim == 1:
+        return ((unit(),),)
+    kinds = ["diag", "unipotent", "monomial"] + (["sl2", "full"] if d is None else [])
+    kind = rng.choice(kinds)
+    if kind == "diag":
+        return ((unit(), zero), (zero, unit()))
+    if kind == "unipotent":
+        return ((one, rand_elt(rng, p, d)), (zero, one))
+    if kind == "monomial":
+        return ((zero, unit()), (unit(), zero))
+    if kind == "sl2":
+        return rng.choice(sl2_gens(p))
+    while True:
+        m = ((rng.randrange(p), rng.randrange(p)), (rng.randrange(p), rng.randrange(p)))
+        if (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p:
+            return m
+
+
+def assert_budget_edge(run, order):
+    """BudgetExceeded at budget = order - 1, none at budget = order."""
+    if order > 1:
+        with pytest.raises(BudgetExceeded):
+            run(order - 1)
+    run(order)
+
+
+@pytest.mark.parametrize("p,d", FIELDS)
+def test_closure_matches_reference_bfs(p, d):
+    rng = random.Random(1000 * p + (d or 0))
+    solvable_checked = 0
+    for trial in range(16):
+        dim = 1 if trial % 4 == 0 else 2
+        while True:
+            grp = MatGroupGen(p, dim, [rand_gen(rng, p, d, dim)
+                                       for _ in range(rng.randint(1, 3))], ext_d=d)
+            want = ref_closure(grp.gens, p, ORDER_LIMIT)
+            if want is not None:
+                break
+        assert closure(grp) == want, grp
+        assert_budget_edge(lambda b: closure(grp, budget=b), len(want))
+        if len(want) <= SOLVABLE_LIMIT:
+            assert is_solvable(grp.gens, p) == ref_is_solvable(want, p), grp
+            solvable_checked += 1
+    assert solvable_checked >= 8
+
+
+def sl2_field_gens(p, d):
+    """Generators of SL2 over F_p or F_9, or None where SL2 is too large."""
+    if d is None:
+        return sl2_gens(p)
+    return [F9_T1, F9_TS, F9_W] if p == 3 else None
+
+
+def signed_monomial(rng, p, d):
+    """A 2x2 monomial matrix with entries +-1: these generate at most 8 elements."""
+    one, minus, zero = ((1, 0), (p - 1, 0), (0, 0)) if d else (1, p - 1, 0)
+    u, v = rng.choice([one, minus]), rng.choice([one, minus])
+    return rng.choice([((u, zero), (zero, v)), ((zero, u), (v, zero))])
+
+
+@pytest.mark.parametrize("p,d", FIELDS)
+def test_goursat_matches_reference(p, d):
+    rng = random.Random(2000 * p + (d or 0))
+    q = p if d is None else p * p
+    for trial in range(10):
+        dim = 1 if trial % 5 == 0 else 2
+        while True:
+            n = rng.randint(1, 3)
+            firsts = [rand_gen(rng, p, d, dim) for _ in range(n)]
+            seconds = [rand_gen(rng, p, d, dim) for _ in range(n)]
+            if dim == 2 and trial % 2 and sl2_field_gens(p, d):
+                firsts = sl2_field_gens(p, d)
+                seconds = [signed_monomial(rng, p, d) for _ in firsts]
+            if trial == 4 and (p, d) == (5, None):
+                seconds = sl2_gens(5)   # perfect, so pr2 is not solvable
+            m = max(len(firsts), len(seconds))
+            firsts += [rand_gen(rng, p, d, dim) for _ in range(m - len(firsts))]
+            seconds += [rand_gen(rng, p, d, dim) for _ in range(m - len(seconds))]
+            pairs = list(zip(firsts, seconds))
+            g1 = MatGroupGen(p, dim, firsts, ext_d=d)
+            g2 = MatGroupGen(p, dim, seconds, ext_d=d)
+            pr1 = ref_closure(g1.gens, p, ORDER_LIMIT)
+            pr2 = ref_closure(g2.gens, p, SOLVABLE_LIMIT)
+            if pr1 and pr2 and len(pr1) * len(pr2) <= PAIR_LIMIT:
+                break
+        ident = ref_ident(g1.size)
+        h = ref_bfs((ident, ident), list(zip(g1.gens, g2.gens)),
+                    lambda x, g: (ref_mul(x[0], g[0], p), ref_mul(x[1], g[1], p)))
+        want = GoursatVerdict(
+            full_product=len(h) == len(pr1) * len(pr2),
+            order_h=len(h), order_pr1=len(pr1), order_pr2=len(pr2),
+            pr2_solvable=ref_is_solvable(pr2, p),
+            pr1_is_sl2=(dim == 2 and len(pr1) == q * (q * q - 1)
+                        and all(ref_det_is_one(m, p, d) for m in pr1)))
+        assert goursat_product_check(p, pairs, ext_d=d) == want, pairs
+        assert_budget_edge(
+            lambda b: goursat_product_check(p, pairs, ext_d=d, budget=b), len(h))
+
+
+def test_find_tau_matches_reference():
+    """4x4 tensor images over F_7: the certificate element is the first
+    element of the breadth-first order with minimal polynomial (X-1)^2 (X+1)^2."""
+    p = 7
+    rng = random.Random(77)
+    ident2 = ((1, 0), (0, 1))
+    found = 0
+    for _ in range(12):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            a, b = rand_gen(rng, p, None, 2), rand_gen(rng, p, None, 2)
+            gens.append(rng.choice([kron(a, b, p), kron(a, ident2, p),
+                                    kron(ident2, b, p)]))
+        want = ref_closure(gens, p, ORDER_LIMIT)
+        if want is None:
+            continue
+        grp = MatGroupGen(p, 4, gens)
+        assert closure(grp) == want
+        assert_budget_edge(lambda b: closure(grp, budget=b), len(want))
+        first = next((t for t in want if ref_is_tau(t, p)), None)
+        cert = find_tau(grp)
+        assert (cert and cert.element) == first
+        if first is not None:
+            assert cert.rank_t_minus_1 == 3 and cert.quotient_rank == 1
+            found += 1
+        if len(want) <= SOLVABLE_LIMIT:
+            assert is_solvable(grp.gens, p) == ref_is_solvable(want, p)
+    assert found >= 2
