@@ -3,8 +3,8 @@
 Modules:
   padic   -- fixed-point p-adic numbers with precision tracking and small
              quadratic extensions
-  cycser  -- the ring O[[pi]] with Frobenius, its trace-type left inverse,
-             the Gamma-action, and the finite-level Mellin transform
+  cycser  -- the level-n group ring and the finite-level Mellin transform
+             on O[[pi]]
   iwadist -- IwaSeries, the one truncated-series type (also the elements of
              O[[pi]] and the values of eval_at in O[z]/Phi_{p^t}), and
              Iwasawa-algebra truncations: omega/Phi/delta families, twists,
@@ -19,15 +19,14 @@ Modules:
   checks  -- the named invariant suites behind `padiclog check`
 """
 
-from padiclog.padic import PadicElt, PrimeCtx, inv, sqrt, teichmuller, val
-from padiclog.cycser import (FiniteGroupRingElt, frobenius, gamma_act, mellin,
-                             mellin_inverse, psi)
+from padiclog.padic import PadicElt, PrimeCtx, sqrt, teichmuller
+from padiclog.cycser import FiniteGroupRingElt, mellin, mellin_inverse
 from padiclog.iwadist import (CharPoint, IwaSeries, delta, divide_exact,
                               equal_up_to_unit_mod, eval_at, halflog, is_unit,
                               log_tw, omega, omega_tw, phi_cyc, phi_tw, twist)
 from padiclog.logmat import (CrystalParams, LogMatrix, log_matrix_ap0,
                              q_fg_block, q_matrix, q_matrix_inv, qinv_times,
-                             semi_ordinary_block, wach_matrices_ap0)
+                             semi_ordinary_block)
 from padiclog.split import (AlphaBetaPair, SignedPair, antisym_factor,
                             forward, logdiv_check, signed_split)
 from padiclog.regdiv import MSeries, SpecFamily, chevalley_check, divides_trunc, specialize
@@ -38,14 +37,13 @@ from padiclog.qexp import (ImagQuadCtx, QExpansion, deplete,
                            nebentype_value, theta_series)
 
 __all__ = [
-    "PadicElt", "PrimeCtx", "inv", "sqrt", "teichmuller", "val",
-    "FiniteGroupRingElt", "frobenius", "gamma_act", "mellin", "mellin_inverse",
-    "psi",
+    "PadicElt", "PrimeCtx", "sqrt", "teichmuller",
+    "FiniteGroupRingElt", "mellin", "mellin_inverse",
     "CharPoint", "IwaSeries", "delta", "divide_exact", "equal_up_to_unit_mod",
     "eval_at", "halflog", "is_unit", "log_tw", "omega", "omega_tw", "phi_cyc",
     "phi_tw", "twist",
     "CrystalParams", "LogMatrix", "log_matrix_ap0", "q_fg_block", "q_matrix",
-    "q_matrix_inv", "qinv_times", "semi_ordinary_block", "wach_matrices_ap0",
+    "q_matrix_inv", "qinv_times", "semi_ordinary_block",
     "AlphaBetaPair", "SignedPair", "antisym_factor", "forward", "logdiv_check",
     "signed_split",
     "MSeries", "SpecFamily", "chevalley_check", "divides_trunc", "specialize",

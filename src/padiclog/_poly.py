@@ -4,10 +4,10 @@ Coefficient vectors are plain int lists reduced modulo a power of p; the
 series classes in cycser/iwadist wrap these with context and precision
 bookkeeping.  Multiplication is one Kronecker product: both vectors are
 packed into one int each and multiplied once.  A substitution
-f(g(X)) mod (m, X^cap) with g of degree 2 or more -- Frobenius, the
-Gamma-action, twists -- goes through the kernel `compose`, built on that
-multiply.  The (1+X)-power basis changes, and with them the Mellin
-transform, are the substitution X -> X+1 (or X -> X-1), which
+f(g(X)) mod (m, X^cap) other than X -> X+1 -- the twists
+X -> u^j (1+X) - 1 and Frobenius -- goes through the kernel `compose`,
+built on that multiply.  The (1+X)-power basis changes, and with them
+the Mellin transform, are the substitution X -> X+1 (or X -> X-1), which
 `taylor_shift` runs on one packed int for every level of its tree.
 Nothing is cached.  The (1+X)-power basis transforms are exact unipotent
 integer maps, which is what makes the finite-level Mellin transform
@@ -32,7 +32,12 @@ import math
 
 
 def pascal_rows(n, modulus):
-    """Rows 0..n-1 of Pascal's triangle reduced mod modulus."""
+    """Rows 0..n-1 of Pascal's triangle reduced mod modulus.
+
+    Nothing in the package calls it; the benchmark's tracer
+    (perfbench/tracer.py) wraps it by name, so it stays until that list
+    changes.
+    """
     rows = [[1]]
     for i in range(1, n):
         prev = rows[-1]

@@ -139,7 +139,7 @@ def cmd_antisym(args):
                  level="nat", L="object")
     op = _cached_operator(spec)
     lval = iwadist.from_json(spec["L"], op.ctx)
-    out = antisym_factor(lval, op.params, op)
+    out = antisym_factor(lval, op)
     _emit(out.to_json(), args)
     return 0
 

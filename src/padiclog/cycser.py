@@ -1,14 +1,13 @@
-"""The ring O[[pi]] at finite truncation with Frobenius, psi and Gamma-action.
+"""The level-n group ring and the finite-level Mellin transform on O[[pi]].
 
-phi(pi) = (1+pi)^p - 1, the trace-type left inverse psi acts on the
-(1+pi)-power basis by (1+pi)^a -> (1+pi)^(a/p) when p | a and kills the rest,
-and Gamma acts through pi -> (1+pi)^a - 1.  The finite-level Mellin transform
-identifies group-ring elements over (Z/p^(n+1))^* with the psi = 0 part of
-the truncation, via the exact unipotent (1+pi)-basis change: in the
-variable Y = 1+pi, phi is Y -> Y^p and `mellin_read` takes the group-ring
-coefficients straight off the Y-coefficients, so a caller already holding
-Y-coefficients (as `logmat` does) skips the basis change and needs only the
-psi = 0 test, `check_psi_zero`.
+The Mellin transform sends [a] in O[(Z/p^(n+1))^*] to (1+pi)^a and
+identifies the group ring with the psi = 0 part of the truncation, psi the
+trace-type left inverse of phi(pi) = (1+pi)^p - 1: the part spanned by the
+(1+pi)^a with p not dividing a.  It is solved exactly through the unipotent
+(1+pi)-basis change: in the variable Y = 1+pi, `mellin_read` takes the
+group-ring coefficients straight off the Y-coefficients, so a caller
+already holding Y-coefficients (as `logmat` does) skips the basis change
+and needs only the psi = 0 test, `check_psi_zero`.
 
 Series here are `IwaSeries` read in the variable pi: base-valued, with
 denom_exp 0.  A w-part or a p-denominator raises ValueError.
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 from padiclog import _poly
 from padiclog.iwadist import InsufficientDegree, IwaSeries
-from padiclog.padic import PadicError, PrecisionLoss
+from padiclog.padic import PadicError
 
 
 class NotInImage(PadicError):
@@ -32,79 +31,22 @@ def _check_base(*series):
             raise ValueError("expected a base-valued series with denom_exp 0")
 
 
-def compose(f, g):
-    """f(g) by Horner; the truncation-degree reference oracle."""
-    _check_base(f, g)
-    cap = min(f.deg_cap, g.deg_cap)
-    prec = min(f.prec, g.prec)
-    out = IwaSeries.zero(f.ctx, cap, prec)
-    for i in range(f.degree(), -1, -1):
-        out = out * g + IwaSeries.const(f.ctx, f.a[i], cap, prec)
-    return out
+def frobenius(f):
+    """phi(f) = f((1+pi)^p - 1), restricted to the stored truncation window.
 
-
-def q_series(ctx, deg_cap, prec=None):
-    """q = phi(pi)/pi = ((1+pi)^p - 1)/pi, an exact polynomial of degree p-1."""
-    np_ = prec if prec is not None else ctx.prec
-    m = ctx.p ** np_
-    row = _poly.pascal_rows(ctx.p + 1, m)[ctx.p]
-    return IwaSeries(ctx, list(row[1:]), None, np_, deg_cap)
-
-
-def xi_series(ctx, deg_cap, prec=None):
-    """xi = p/(q - pi^(p-1)), a unit of the truncated ring."""
-    q = q_series(ctx, deg_cap, prec)
-    m = ctx.p ** q.prec
-    den = list(q.a)
-    den[ctx.p - 1] = (den[ctx.p - 1] - 1) % m
-    # every coefficient of q - pi^(p-1) carries a factor p, so xi = 1/(den/p)
-    if any(c % ctx.p for c in den):
-        raise PrecisionLoss("q - pi^(p-1) is not divisible by p")
-    den = [c // ctx.p for c in den]
-    out = _poly.series_div_unit([1], den, ctx.p ** (q.prec - 1), deg_cap)
-    return IwaSeries(ctx, out, None, q.prec - 1, deg_cap)
-
-
-def _substitute(f, e):
-    """f((1+pi)^e - 1) in the stored truncation window."""
+    Nothing in the package calls it; the benchmark's tracer
+    (perfbench/tracer.py) wraps it by name, so it stays until that list
+    changes.
+    """
     _check_base(f)
+    p = f.ctx.p
+    if f.deg_cap < p:
+        raise InsufficientDegree("deg_cap < p cannot represent phi(pi)")
     m = f.modulus()
-    g = _poly.binom_row_mod(e, min(e + 1, f.deg_cap), f.ctx.p, f.prec, m)
+    g = _poly.binom_row_mod(p, p + 1, p, f.prec, m)
     g[0] = 0
     out = _poly.compose(f.a, g, m, f.deg_cap)
     return IwaSeries(f.ctx, out, None, f.prec, f.deg_cap)
-
-
-def frobenius(f):
-    """phi(f) = f((1+pi)^p - 1), restricted to the stored truncation window."""
-    if f.deg_cap < f.ctx.p:
-        raise InsufficientDegree("deg_cap < p cannot represent phi(pi)")
-    return _substitute(f, f.ctx.p)
-
-
-def psi(f):
-    """Left inverse of phi: keeps (1+pi)^a with p | a and contracts a -> a/p."""
-    _check_base(f)
-    m = f.modulus()
-    bs = _poly.to_onepx_basis(f.a, m)
-    contracted = [0] * f.deg_cap
-    for j in range(0, len(bs), f.ctx.p):
-        contracted[j // f.ctx.p] = bs[j]
-    out = _poly.from_onepx_basis(contracted, m, f.deg_cap)
-    return IwaSeries(f.ctx, out, None, f.prec, f.deg_cap)
-
-
-def gamma_act(a, f):
-    """The Gamma-action pi -> (1+pi)^a - 1 for an integer a coprime to p.
-
-    a is a positive integer representative of the unit (take the canonical
-    residue when acting by an element given mod p^N).
-    """
-    if a < 1:
-        raise ValueError("gamma_act takes a positive representative")
-    if a % f.ctx.p == 0:
-        raise ValueError("gamma_act needs a unit exponent")
-    return _substitute(f, a)
 
 
 class FiniteGroupRingElt:
@@ -129,10 +71,6 @@ class FiniteGroupRingElt:
                 c %= m
                 if c:
                     self.coeffs[a] = c
-
-    def group_order(self):
-        p = self.ctx.p
-        return (p - 1) * p ** self.level
 
     @classmethod
     def delta(cls, ctx, level, a, c=1, prec=None):

@@ -263,16 +263,6 @@ class IwaSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        out = IwaSeries.const(self.ctx, 1, self.deg_cap, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, PadicElt)):
             other = IwaSeries.const(self.ctx, other, self.deg_cap, self.prec)

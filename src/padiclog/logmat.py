@@ -13,37 +13,37 @@ tracked as one explicit p-power) and projected to a Delta-isotypic component.
 The whole path runs on exact int vectors in the variable Y = 1+pi.  In Y,
 q = phi(pi)/pi = (Y^p - 1)/(Y - 1) = 1 + Y + ... + Y^(p-1), so the one
 nonconstant entry -eps q^(k+1) of P^(-1) is born in Y as an int vector of
-degree (k+1)(p-1), and A enters through its int entries
-(`log_matrix_ap0`); a caller-supplied lift in pi changes basis once per
-nonconstant entry (`log_matrix_from_wach`).  phi is then Y -> Y^p, the 2x2
-products are untruncated, and 1+pi is a shift.  Truncation mod pi^cap is
-reduction mod (Y-1)^cap, a ring map, so it is applied once per output
-entry, and only when the entry's degree reaches cap (for a_p = 0, when
-k >= p+1): one division by (Y-1)^cap, `_poly.onepx_rem`.
+degree (k+1)(p-1), and A enters through its int entries (`_aprime_ap0`).
+phi is then Y -> Y^p, the 2x2 products are untruncated, and 1+pi is a
+shift.  Truncation mod pi^cap is reduction mod (Y-1)^cap, a ring map, so it
+is applied once per output entry, and only when the entry's degree reaches
+cap (for a_p = 0, when k >= p+1): one division by (Y-1)^cap,
+`_poly.onepx_rem`.
 
 The Mellin inverse and the Delta-projection are one pass over the
 Y-coefficients.  Positions divisible by p must vanish (psi = 0,
 `cycser.check_psi_zero`); the others are the group-ring coefficients, and
 the units mod p^(n+2) fall into p-1 cosets t (1+p)^e of the Teichmuller
 representatives t, so [t (1+p)^e] -> theta(t) (1+X)^e sums each coset
-straight into the (1+X)-basis vector of the entry (`_project`, which
-`groupring_to_iwa` shares).  One basis change per nonzero entry takes it to
-the X basis.
+straight into the (1+X)-basis vector of the entry (`_project`).  One basis
+change per nonzero entry takes it to the X basis.
 
 The product carries only the nonzero entries.  For a_p = 0 every factor
 phi^i(P^(-1)) is antidiagonal with the constant 1 in one corner, so the
 product and A^(n+1) are diagonal or antidiagonal: half of the entries are
 structural zeros.  They are marked None once and skip every term, Mellin
-read and Delta-projection they would feed.  Precisions are tracked as if
-the zeros were carried, so the output is the same as the dense
-computation's; a dense lift takes the same path.
+read and Delta-projection they would feed.  Every entry of P^(-1) is known
+at the working precision, so a skipped zero lowers no precision and the
+output is the same as the dense computation's.
 
 Q_g^(-1) is constant, so Q_g^(-1) M (`qinv_times`) is one pass per entry
 that scales and adds the int vectors of a column of M; the zeros of M add
 only their precision, denominator and growth.
 
 The general Fontaine-Laffaille-style case has no explicit Frobenius lift
-formula here; `log_matrix_from_wach` accepts a caller-supplied lift instead.
+formula here, so only a_p = 0 builds a logarithmic matrix; the
+distinct-eigenvalue mode (`CrystalParams.fl_supplied`) carries an ordinary
+form's eigenvalues for `q_matrix(params, "f")`.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from fractions import Fraction
 from operator import add
 
 from padiclog import _poly
-from padiclog.cycser import _check_base, check_psi_zero, q_series
+from padiclog.cycser import check_psi_zero
 from padiclog.iwadist import (InsufficientDegree, IwaSeries, delta,
                               divide_exact, log_tw, twist)
 from padiclog.padic import (PadicElt, PadicError, PrimeCtx, inv_scaled, is_qr,
@@ -91,7 +91,7 @@ class CrystalParams:
 
     @classmethod
     def fl_supplied(cls, ctx, k, eps, alpha, beta):
-        """Distinct-eigenvalue mode; the Frobenius lift must come from the caller."""
+        """Distinct-eigenvalue mode, for the eigenvalues of an ordinary form."""
         if (alpha - beta).is_zero():
             raise DegenerateEigenvalues("alpha = beta at working precision")
         return cls(ctx, k, eps, alpha, beta, FL_SUPPLIED)
@@ -240,40 +240,11 @@ def q_matrix_inv(params, which="g"):
     return LogMatrix(rows)
 
 
-class ScaledConstMatrix:
-    """p^(-p_exp) times an integral constant 2x2 matrix."""
-
-    def __init__(self, num, p_exp):
-        self.num = num  # 2x2 of PadicElt
-        self.p_exp = p_exp
-
-    def det_scaled(self):
-        """(integral determinant, p_exp of the denominator)."""
-        d = self.num[0][0] * self.num[1][1] - self.num[0][1] * self.num[1][0]
-        return d, 2 * self.p_exp
-
-
-def _q_power(ctx, e, deg_cap, prec):
-    """q^e as a series in pi at precision prec.
-
-    The powers are multiplied at their exact degree e (p-1) and padded to
-    deg_cap once.
-    """
-    m = ctx.p ** prec
-    q = q_series(ctx, ctx.p, prec).a
-    qe = [1]
-    for _ in range(e):
-        qe = _poly.vec_mul(qe, q, m, deg_cap)
-    return IwaSeries(ctx, qe, None, prec, deg_cap)
-
-
-def _aprime_ap0(params, wctx):
-    """A' = [[0, -1/(eps p^(k+1))], [1, 0]] over wctx, 1/eps at its precision."""
-    k = params.k
-    einv = PadicElt(wctx, params.eps.a, params.eps.b, wctx.prec).inv()
-    return ScaledConstMatrix(
-        [[wctx.zero(), -einv], [wctx.from_int(wctx.p ** (k + 1)), wctx.zero()]],
-        k + 1)
+def _aprime_ap0(params, m):
+    """The int entries of p^(k+1) A' mod m, for A' = [[0, -1/(eps p^(k+1))],
+    [1, 0]]: [[0, -1/eps], [p^(k+1), 0]], 1/eps taken mod m."""
+    return [[0, -pow(params.eps.a, -1, m) % m],
+            [params.ctx.p ** (params.k + 1) % m, 0]]
 
 
 def _q_power_y(p, e, m):
@@ -283,51 +254,6 @@ def _q_power_y(p, e, m):
     for _ in range(e):
         qe = _poly.vec_mul(qe, [1] * p, m, len(qe) + p - 1)
     return qe
-
-
-def wach_matrices_ap0(params, deg_cap, prec=None):
-    """(A', P'^(-1)) for a_p = 0: A' = [[0, -1/(eps p^(k+1))], [1, 0]] and
-    P'^(-1) = [[0, 1], [-eps q^(k+1), 0]].
-
-    Both live over a context at precision prec (default: the parameters'),
-    and 1/eps is taken at that precision.
-    """
-    if params.mode != AP_ZERO:
-        raise WrongMode("explicit Wach matrices exist only in a_p = 0 mode")
-    ctx = params.ctx
-    k = params.k
-    if prec is None:
-        prec = ctx.prec
-    wctx = PrimeCtx(ctx.p, prec, ctx.ext)
-    aprime = _aprime_ap0(params, wctx)
-    qk = _q_power(wctx, k + 1, deg_cap, prec)
-    m = ctx.p ** prec
-    negeps = (-params.eps.a) % m
-    pinv = [[IwaSeries.zero(wctx, deg_cap, prec),
-             IwaSeries.const(wctx, 1, deg_cap, prec)],
-            [IwaSeries(wctx, _poly.vec_scale(qk.a, negeps, m), None, prec, deg_cap),
-             IwaSeries.zero(wctx, deg_cap, prec)]]
-    return aprime, pinv
-
-
-def p_prime_ap0(params, deg_cap, prec=None):
-    """P'_g itself: [[0, -1/(eps q^(k+1))], [1, 0]], as (num matrix, q-power scale).
-
-    Returned in scaled form (q^(k+1) * P'_g is integral); mainly used to check
-    P' * P'^(-1) = 1 and P' = A' mod pi.
-    """
-    if params.mode != AP_ZERO:
-        raise WrongMode("explicit Wach matrices exist only in a_p = 0 mode")
-    ctx = params.ctx
-    if prec is None:
-        prec = ctx.prec
-    qk = _q_power(ctx, params.k + 1, deg_cap, prec)
-    einv = params.eps.inv().a
-    m = ctx.p ** prec
-    num = [[IwaSeries.zero(ctx, deg_cap, prec),
-            IwaSeries.const(ctx, (-einv) % m, deg_cap, prec)],
-           [qk, IwaSeries.zero(ctx, deg_cap, prec)]]
-    return num, qk
 
 
 def _cosets(ctx, lvl, theta_index, m):
@@ -362,24 +288,6 @@ def _project(ys, cosets, m):
     return _poly.from_onepx_basis(bs, m, len(bs))
 
 
-def groupring_to_iwa(lam, theta_index=0, out_ctx=None):
-    """Project a level-L group-ring element to a Delta-isotypic IwaSeries.
-
-    Each unit a mod p^(L+1) splits as tau(a) * <a> with tau(a) the
-    Teichmuller part; the component map sends [a] to
-    theta(tau(a)) (1+X)^dlog(<a>).
-    """
-    ctx = lam.ctx if out_ctx is None else out_ctx
-    p = lam.ctx.p
-    lvl = lam.level
-    m = p ** lam.prec
-    ys = [0] * p ** (lvl + 1)
-    for a, c in lam.coeffs.items():
-        ys[a] = c
-    coeffs = _project(ys, _cosets(lam.ctx, lvl, theta_index, m), m)
-    return IwaSeries(ctx, coeffs, None, lam.prec, p ** lvl)
-
-
 def _dot(pairs, m):
     """Sum mod m of the untruncated products x * y of int vectors over the
     pairs, where None is a zero factor: a term with a zero factor is
@@ -392,114 +300,11 @@ def _dot(pairs, m):
     return acc
 
 
-def _prec_meet(A, B):
-    """Entry precisions of a dense 2x2 product: its sums read every factor."""
-    return [[min(A[i][0], A[i][1], B[0][j], B[1][j]) for j in range(2)]
-            for i in range(2)]
-
-
-def _to_y(f, m):
-    """The coefficients of f in Y = 1+pi, at the degree of f."""
-    _check_base(f)
-    a = _poly.vec_trim(f.a)
-    return a if len(a) < 2 else _poly.to_onepx_basis(a, m)
-
-
 def _phi_y(v, p):
     """phi on Y-coefficients: Y -> Y^p moves coefficient j to j p."""
     out = [0] * ((len(v) - 1) * p + 1)
     out[::p] = v
     return out
-
-
-def _int_corners(a_scaled):
-    """The int entries of A; A enters through them, as P^(-1) does through
-    `_to_y`, so a w-part is rejected."""
-    if any(e.b for row in a_scaled.num for e in row):
-        raise ValueError("expected a base-valued series with denom_exp 0")
-    return [[e.a for e in row] for row in a_scaled.num]
-
-
-def _log_matrix_y(ctx_work, araw, cur, pinv_prec, scale, n, theta_index,
-                  out_ctx, provenance, growth):
-    """The product core of `log_matrix_from_wach` on P^(-1) given in Y: cur
-    holds its entries as int vectors (None for zero) at precisions pinv_prec,
-    araw the int entries of A.  The entries get denom_exp scale and growth."""
-    p = ctx_work.p
-    rep = n + 1
-    cap = p ** (rep + 1)
-    # every output precision is at most ctx_work.prec, so one modulus serves
-    m = ctx_work.modulus
-    # prod = phi^n(P~) * phi^(n-1)(P~) * ... * phi(P~); phi keeps precisions
-    prod = None
-    for _ in range(n):
-        cur = [[None if e is None else _phi_y(e, p) for e in row] for row in cur]
-        if prod is None:
-            prod, precs = cur, pinv_prec
-        else:
-            prod = [[_dot(((cur[i][t], prod[t][j]) for t in range(2)), m)
-                     for j in range(2)] for i in range(2)]
-            precs = _prec_meet(pinv_prec, precs)
-    if prod is None:
-        prod, precs = [[[1], None], [None, [1]]], [[ctx_work.prec] * 2] * 2
-    # A~^(n+1) acting on the left
-    an = [[1, 0], [0, 1]]
-    for _ in range(n + 1):
-        an = [[(an[i][0] * araw[0][j] + an[i][1] * araw[1][j]) % m
-               for j in range(2)] for i in range(2)]
-    an = [[[c] if c else None for c in row] for row in an]
-    ent_ctx = ctx_work if out_ctx is None else out_ctx
-    cosets = None
-    out = []
-    for i in range(2):
-        orow = []
-        for j in range(2):
-            s = _dot(((prod[t][j], an[i][t]) for t in range(2)), m)
-            # the dense (1+pi) * (prod[0][j] an[i][0] + prod[1][j] an[i][1])
-            # reads both entries of column j, zero or not
-            prec = min(ctx_work.prec, precs[0][j], precs[1][j])
-            mp = p ** prec
-            if s is None:
-                vec = [0] * p ** rep
-            else:
-                # the factor 1+pi = Y is a shift; truncation mod pi^cap is a
-                # ring map, so the exact product is reduced only here
-                ys = _poly.onepx_rem([0] + s, cap, p, ctx_work.prec)
-                # the Mellin inverse reads the Y-coefficients: psi = 0 at the
-                # positions divisible by p, the group ring at the others
-                check_psi_zero(ys, p, mp)
-                # theta weights mod m serve every entry precision
-                cosets = cosets or _cosets(ctx_work, rep, theta_index, m)
-                vec = _project(ys, cosets, mp)
-            ent = IwaSeries._reduced(ent_ctx, vec, None, prec, p ** rep, scale,
-                                     growth)
-            orow.append(ent.normalize())
-        out.append(orow)
-    return LogMatrix(out, level=n, provenance=provenance, rep_level=rep)
-
-
-def log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
-                         theta_index=0, out_ctx=None, provenance=""):
-    """Mellin inverse of (1+pi) A^(n+1) phi^n(P^(-1)) ... phi(P^(-1)) at level n.
-
-    a_scaled: ScaledConstMatrix for A; pinv: 2x2 base-valued IwaSeries in pi
-    (denom_exp 0) for p^pinv_scale * P^(-1).  The group-ring representation
-    level is n+1, so the returned entries are polynomials of degree < p^(n+1)
-    carrying the level-n congruence content.
-
-    Each nonzero entry of pinv goes to Y = 1+pi once; the product core
-    `_log_matrix_y`, which `log_matrix_ap0` also runs, does the rest.
-    """
-    cap = ctx_work.p ** (n + 2)
-    if any(e.deg_cap < cap for row in pinv for e in row):
-        raise ValueError("pinv entries need deg_cap >= p^(n+2) = %d" % cap)
-    araw = _int_corners(a_scaled)
-    m = ctx_work.modulus
-    cur = [[None if e.is_zero() else _to_y(e, m) for e in row] for row in pinv]
-    pinv_prec = [[e.prec for e in row] for row in pinv]
-    scale = a_scaled.p_exp * (n + 1) + pinv_scale * n
-    return _log_matrix_y(ctx_work, araw, cur, pinv_prec, scale, n, theta_index,
-                         out_ctx, provenance, Fraction(0))
 
 
 MAX_REP_DEGREE = 4096
@@ -514,7 +319,9 @@ def log_matrix_ap0(params, n, theta_index=0, prec=None):
     coefficients, which caps the supported level per prime.
 
     P'^(-1) = [[0, 1], [-eps q^(k+1), 0]] is built in Y = 1+pi, where its
-    one nonconstant entry is an exact int vector (`_q_power_y`).
+    one nonconstant entry is an exact int vector (`_q_power_y`).  All of its
+    entries are taken at the working precision, so every output entry is
+    stored at it before `normalize` strips its denominator.
     """
     if params.mode != AP_ZERO:
         raise WrongMode("log_matrix_ap0 requires a_p = 0 mode")
@@ -530,12 +337,54 @@ def log_matrix_ap0(params, n, theta_index=0, prec=None):
     scale = (k + 1) * (n + 1)
     wp = prec + scale
     ctx_work = PrimeCtx(p, wp, ctx.ext)
-    araw = _int_corners(_aprime_ap0(params, ctx_work))
     m = ctx_work.modulus
+    rep = n + 1
+    cap = p ** (rep + 1)
     c = _poly.vec_scale(_q_power_y(p, k + 1, m), -params.eps.a, m)
-    return _log_matrix_y(ctx_work, araw, [[None, [1]], [c, None]],
-                         [[wp] * 2] * 2, scale, n, theta_index, ctx,
-                         "ap-zero level %d" % n, Fraction(k + 1, 2))
+    cur = [[None, [1]], [c, None]]
+    # prod = phi^n(P~) * phi^(n-1)(P~) * ... * phi(P~)
+    prod = None
+    for _ in range(n):
+        cur = [[None if e is None else _phi_y(e, p) for e in row] for row in cur]
+        if prod is None:
+            prod = cur
+        else:
+            prod = [[_dot(((cur[i][t], prod[t][j]) for t in range(2)), m)
+                     for j in range(2)] for i in range(2)]
+    if prod is None:
+        prod = [[[1], None], [None, [1]]]
+    # A~^(n+1) acting on the left
+    araw = _aprime_ap0(params, m)
+    an = [[1, 0], [0, 1]]
+    for _ in range(n + 1):
+        an = [[(an[i][0] * araw[0][j] + an[i][1] * araw[1][j]) % m
+               for j in range(2)] for i in range(2)]
+    an = [[[a] if a else None for a in row] for row in an]
+    growth = Fraction(k + 1, 2)
+    cosets = None
+    out = []
+    for i in range(2):
+        orow = []
+        for j in range(2):
+            s = _dot(((prod[t][j], an[i][t]) for t in range(2)), m)
+            if s is None:
+                vec = [0] * p ** rep
+            else:
+                # the factor 1+pi = Y is a shift; truncation mod pi^cap is a
+                # ring map, so the exact product is reduced only here
+                ys = _poly.onepx_rem([0] + s, cap, p, wp)
+                # the Mellin inverse reads the Y-coefficients: psi = 0 at the
+                # positions divisible by p, the group ring at the others
+                check_psi_zero(ys, p, m)
+                # theta weights are Teichmuller lifts at the working precision
+                cosets = cosets or _cosets(ctx_work, rep, theta_index, m)
+                vec = _project(ys, cosets, m)
+            ent = IwaSeries._reduced(ctx, vec, None, wp, p ** rep, scale,
+                                     growth)
+            orow.append(ent.normalize())
+        out.append(orow)
+    return LogMatrix(out, level=n, provenance="ap-zero level %d" % n,
+                     rep_level=rep)
 
 
 def window_ideal(mat, deg_cap=None):

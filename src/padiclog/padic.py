@@ -301,10 +301,6 @@ def check_fields(obj, where, **kinds):
     return obj
 
 
-def val(x):
-    return x.val()
-
-
 def inv_scaled(x):
     """(y, e) with x^(-1) = p^(-e) * y, y integral and e = ceil(val(x)).
 
@@ -327,10 +323,6 @@ def inv_scaled(x):
     unit = nrm.divide_exact_p(nv)
     y = (conj * unit.inv()).divide_exact_p(nv - e)
     return y, e
-
-
-def inv(x):
-    return x.inv()
 
 
 def teichmuller(ctx, a):

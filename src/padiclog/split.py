@@ -96,16 +96,6 @@ def split_operator(p, prec, k, eps, level):
     return SplitOperator.build(CrystalParams.ap_zero(p, prec, k, eps), level)
 
 
-def _operator(qinv_m, params):
-    """qinv_m itself when it is a SplitOperator, else one built from the
-    matrix and params (not cached)."""
-    if isinstance(qinv_m, SplitOperator):
-        return qinv_m
-    if params is None:
-        raise ValueError("params with the eigenvalue alpha are required")
-    return SplitOperator(params, qinv_m)
-
-
 def _max_degree(mat):
     return max(e.degree() for row in mat.entries for e in row)
 
@@ -113,14 +103,11 @@ def _max_degree(mat):
 def forward(pair, qinv_m):
     """[L_alpha; L_beta] = (Q^-1 M') [L+; L-], without truncation loss.
 
-    qinv_m is the matrix Q^-1 M' or a SplitOperator holding it.  All four
-    inputs are polynomial representatives, so widening the window to the
-    full product degree keeps the images exact.
+    qinv_m is the matrix Q^-1 M' (a SplitOperator holds it as `qinv_m`).
+    All four inputs are polynomial representatives, so widening the window
+    to the full product degree keeps the images exact.
     """
-    if isinstance(qinv_m, SplitOperator):
-        qinv_m, deg_m = qinv_m.qinv_m, qinv_m.deg_m
-    else:
-        deg_m = _max_degree(qinv_m)
+    deg_m = _max_degree(qinv_m)
     deg_v = max(pair.plus.degree(), pair.minus.degree(), 0)
     cap = deg_m + deg_v + 2
     ents = [[qinv_m.entry(i, j).widen(cap) for j in range(2)] for i in range(2)]
@@ -171,15 +158,13 @@ def _rem_visible(f, g, threshold):
     return mv < min(threshold, r.prec)
 
 
-def signed_split(ab, qinv_m, n, params=None, denom_budget=0):
+def signed_split(ab, op, n, denom_budget=0):
     """Solve (Q^-1 M') [L+; L-] = [L_alpha; L_beta] for a bounded pair.
 
-    qinv_m is the matrix, with params required, or a SplitOperator, whose
-    own params are used.  Raises NoBoundedSolution when a parity-divisibility
-    certificate fails, which is exactly the obstruction for inputs outside
-    the bounded image.
+    op is the SplitOperator of Q^-1 M'.  Raises NoBoundedSolution when a
+    parity-divisibility certificate fails, which is exactly the obstruction
+    for inputs outside the bounded image.
     """
-    op = _operator(qinv_m, params)
     params, ctx, m21, m12 = op.params, op.ctx, op.m21, op.m12
     k = params.k
     diff = (ab.alpha_comp - ab.beta_comp) * params.alpha
@@ -213,15 +198,14 @@ def signed_split(ab, qinv_m, n, params=None, denom_budget=0):
     return pair
 
 
-def antisym_factor(lval, params, qinv_m):
+def antisym_factor(lval, op):
     """L / det(Q^-1 M'): the antisymmetric-pairing factorization.
 
     Conjugating an antisymmetric 2x2 matrix by T multiplies the off-diagonal
     entry by det(T), so recovering the sharp-flat pairing value from the
     eigenvalue-indexed one divides by det(Q^-1 M') = (alpha beta/(alpha-beta))
-    / det(M').  qinv_m is the matrix or a SplitOperator, as in `signed_split`.
+    / det(M').  op is the SplitOperator of Q^-1 M', as in `signed_split`.
     """
-    op = _operator(qinv_m, params)
     params, m21, m12 = op.params, op.m21, op.m12
     cap = op.deg_m * 2 + max(lval.degree(), 0) + 2
     if m21.is_zero() or m12.is_zero():

@@ -4,9 +4,8 @@ import random
 
 from padiclog.iwadist import IwaSeries, delta, is_unit, log_tw, equal_up_to_unit_mod
 from padiclog.logmat import CrystalParams, log_matrix_ap0, qinv_times, window_ideal
-from padiclog.padic import val
 from padiclog.qexp import ImagQuadCtx, nebentype_value, theta_series
-from padiclog.split import SignedPair, forward, signed_split
+from padiclog.split import SignedPair, SplitOperator, forward, signed_split
 
 
 def test_theta_to_logmatrix_pipeline():
@@ -22,7 +21,7 @@ def test_theta_to_logmatrix_pipeline():
     pr = CrystalParams.ap_zero(p, 10, k, eps)
     # alpha^2 = -eps p^(k+1) = p^4, honest Hecke-pair of the stabilization
     assert pr.alpha * pr.alpha == -eps * p ** (k + 1)
-    assert val(pr.alpha) == (k + 1) / 2
+    assert pr.alpha.val() == (k + 1) / 2
     m = log_matrix_ap0(pr, 1)
     assert m.entry(0, 0).is_zero() and m.entry(1, 1).is_zero()
     det = -(m.entry(0, 1) * m.entry(1, 0))
@@ -43,6 +42,7 @@ def test_p5_matrix_and_split():
     m = log_matrix_ap0(pr, n)
     assert m.entry(0, 0).is_zero() and m.entry(1, 1).is_zero()
     qm = qinv_times(pr, m)
+    op = SplitOperator(pr, qm)
     rng = random.Random(70)
     for _ in range(3):
         pair = SignedPair(
@@ -50,6 +50,6 @@ def test_p5_matrix_and_split():
                       None, None, 20),
             IwaSeries(pr.ctx, [rng.randrange(pr.ctx.modulus) for _ in range(20)],
                       None, None, 20), n)
-        got = signed_split(forward(pair, qm), qm, n, params=pr)
+        got = signed_split(forward(pair, qm), op, n)
         assert got.plus == pair.plus
         assert got.minus == pair.minus

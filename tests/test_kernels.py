@@ -7,9 +7,8 @@ composition on the schoolbook multiply, the schoolbook long division that
 `_poly` used before its Newton inverse, the schoolbook power-series
 division, and evaluation at random points where a quadratic reference would
 be too slow.
-The callers of the kernel (`frobenius`, `gamma_act`, `twist`, `mellin`,
-`phi_cyc`) are checked against the per-row and basis-change formulas they
-replaced.
+The callers of the kernel (`twist`, `mellin`, `phi_cyc`) are checked
+against the per-row and basis-change formulas they replaced.
 """
 
 import ast
@@ -26,8 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 import padiclog
 from padiclog import _poly
-from padiclog.cycser import (FiniteGroupRingElt, compose, frobenius, gamma_act,
-                             mellin)
+from padiclog.cycser import FiniteGroupRingElt, mellin
 from padiclog.iwadist import IwaSeries, phi_cyc, twist, ucyc
 from padiclog.padic import UNRAMIFIED, PrimeCtx
 
@@ -412,26 +410,6 @@ def test_compose_matches_horner(m):
 
 
 # -- the callers ---------------------------------------------------------------------
-
-
-def one_plus_pi_pow(ctx, e, cap):
-    """(1+pi)^e truncated at cap, at the context precision."""
-    return IwaSeries(ctx, _poly.onepx_pow(e, cap, ctx.p, ctx.prec), None,
-                     ctx.prec, cap)
-
-
-@pytest.mark.parametrize("p,prec", [(3, 12), (5, 10), (7, 20)])
-def test_frobenius_and_gamma_act_match_horner(p, prec):
-    ctx = PrimeCtx(p, prec)
-    rng = random.Random(p)
-    for cap in (p, p + 1, 2 * p + 3, 40, 81):
-        f = IwaSeries(ctx, rand_vec(rng, cap, ctx.modulus), None, None, cap)
-        phi_pi = one_plus_pi_pow(ctx, p, cap) - IwaSeries.const(ctx, 1, cap)
-        assert frobenius(f).a == compose(f, phi_pi).a
-        for a in (1, 2, p + 1, p * p + p - 1, 10 ** 6 + 1):
-            if a % p:
-                ga = one_plus_pi_pow(ctx, a, cap) - IwaSeries.const(ctx, 1, cap)
-                assert gamma_act(a, f).a == compose(f, ga).a
 
 
 def ref_twist_vec(vec, c, m, n):

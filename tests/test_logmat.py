@@ -1,22 +1,21 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from padiclog import _poly
-from padiclog.cycser import NotInImage, frobenius
+from padiclog.cycser import NotInImage, mellin_inverse
 from padiclog.iwadist import (
     CharPoint, IwaSeries, NoUnitWitness, delta, equal_up_to_unit_mod, eval_at,
     halflog, is_unit, log_tw, omega_tw, poly_reduce,
 )
 from padiclog.logmat import (
-    AP_ZERO, CrystalParams, DegenerateEigenvalues, LogMatrix, ScaledConstMatrix,
-    WrongMode, combined, const_matrix, groupring_to_iwa, log_matrix_ap0,
-    log_matrix_from_wach, p_prime_ap0, q_fg_block, q_fg_inv_block, q_matrix,
-    q_matrix_inv, qinv_times, semi_ordinary_block, wach_matrices_ap0,
-    window_ideal,
+    AP_ZERO, CrystalParams, DegenerateEigenvalues, LogMatrix, WrongMode,
+    combined, const_matrix, log_matrix_ap0, q_fg_block, q_fg_inv_block,
+    q_matrix, q_matrix_inv, qinv_times, semi_ordinary_block, window_ideal,
 )
-from padiclog.padic import PadicElt, PadicError, PrimeCtx, val
+from padiclog.padic import PadicError, PrimeCtx
 
 
 def one_plus_pi_pow(ctx, e, cap):
@@ -33,7 +32,7 @@ def test_ap0_params_eigenvalues():
     for (p, k, eps) in ((3, 0, 1), (3, 1, 1), (5, 0, 2), (5, 1, 1), (3, 2, 1)):
         pr = params_ap0(p, 10, k, eps)
         assert pr.alpha * pr.alpha == -eps * p ** (k + 1)
-        assert val(pr.alpha) == Fraction(k + 1, 2)
+        assert pr.alpha.val() == Fraction(k + 1, 2)
 
 
 def test_q_matrix_ap0_shape():
@@ -88,34 +87,12 @@ def test_q_matrix_degenerate():
         q_matrix(pr, "g")
 
 
-def test_wach_matrices_ap0():
-    pr = params_ap0(3, 10, 1)
-    ctx = pr.ctx
-    aprime, pinv = wach_matrices_ap0(pr, 30)
-    # P'_g * P'_g^(-1) = identity over the pi-series truncation
-    pnum, qk = p_prime_ap0(pr, 30)
-    prod = [[None] * 2 for _ in range(2)]
-    for i in range(2):
-        for j in range(2):
-            prod[i][j] = pnum[i][0] * pinv[0][j] + pnum[i][1] * pinv[1][j]
-    # q^(k+1) * P' * P'^(-1) should equal q^(k+1) * 1
-    assert prod[0][0] == qk and prod[1][1] == qk
-    assert prod[0][1].is_zero() and prod[1][0].is_zero()
-    # A' = P' mod pi: compare p^(k+1)-scaled numerators at pi = 0
-    assert aprime.num[0][1] * (-1) == pr.eps.inv()
-    assert pnum[0][1].coeff(0) * ctx.from_int(3 ** 2) == aprime.num[0][1] * qk.coeff(0)
-    # det A' = -1/(eps p^(k+1)): scaled determinant has the p-power split off
-    d, e = aprime.det_scaled()
-    assert e == 2 * (pr.k + 1)
-    assert d == pr.eps.inv() * ctx.from_int(3 ** (pr.k + 1))
-
-
-def test_wach_matrices_wrong_mode():
+def test_log_matrix_ap0_wrong_mode():
     ctx = PrimeCtx(5, 8)
     pr = CrystalParams(ctx, 0, ctx.one(), ctx.from_int(2),
                        ctx.from_int(pow(2, -1, 5 ** 8) * 5 % 5 ** 8), "FL-supplied")
     with pytest.raises(WrongMode):
-        wach_matrices_ap0(pr, 10)
+        log_matrix_ap0(pr, 1)
 
 
 def test_log_matrix_antidiagonal():
@@ -206,46 +183,6 @@ def test_det_identity():
         assert is_unit(u)
 
 
-def test_log_matrix_from_wach_synthetic():
-    # a user-supplied Frobenius lift with the same reduction and determinant
-    # pattern: P_new^(-1) = phi(U)^(-1) P'^(-1) U for unipotent U
-    pr = params_ap0(3, 8, 0)
-    k, n = 0, 2
-    scale_prec = 8 + (k + 1) * (n + 1 + 1)
-    ctxw = PrimeCtx(3, scale_prec)
-    cap = 3 ** (n + 2 + 1)
-    epsw = PadicElt(ctxw, pr.eps.a, 0)
-    from padiclog.cycser import q_series
-    q = q_series(ctxw, cap)
-    one = IwaSeries.const(ctxw, 1, cap)
-    zero = IwaSeries.zero(ctxw, cap)
-    pi = IwaSeries.gen(ctxw, cap)
-    pinv = [[zero, one], [(-1) * q, zero]]
-    phi_pi = frobenius(pi)
-    # U = [[1, pi], [0, 1]]
-    def umul(mat):
-        # phi(U)^(-1) * mat * U
-        a, b, c, d = mat[0][0], mat[0][1], mat[1][0], mat[1][1]
-        r = [[a - phi_pi * c, b - phi_pi * d], [c, d]]
-        return [[r[0][0], r[0][0] * pi + r[0][1]], [r[1][0], r[1][0] * pi + r[1][1]]]
-    pinv2 = umul(pinv)
-    einv = epsw.inv()
-    a_scaled = ScaledConstMatrix(
-        [[ctxw.zero(), -einv], [ctxw.from_int(3 ** (k + 1)), ctxw.zero()]], k + 1)
-    m1 = log_matrix_from_wach(ctxw, a_scaled, pinv2, 0, n, k, out_ctx=pr.ctx)
-    m2 = log_matrix_from_wach(ctxw, a_scaled, pinv2, 0, n + 1, k, out_ctx=pr.ctx)
-    ideal = omega_tw(pr.ctx, n, k + 1, m2.entry(0, 1).deg_cap)
-    for i in range(2):
-        for j in range(2):
-            a, b = m1.entry(i, j), m2.entry(i, j)
-            d = max(a.denom_exp, b.denom_exp)
-            a2, b2 = a.rescale(d - a.denom_exp), b.rescale(d - b.denom_exp)
-            diff = IwaSeries(pr.ctx, b2.a, None, b2.prec, b2.deg_cap) - \
-                IwaSeries(pr.ctx, a2.a, None, a2.prec, b2.deg_cap)
-            r = poly_reduce(diff, ideal)
-            assert r.min_val() == float("inf") or r.min_val() - d >= 0
-
-
 def test_semi_ordinary_block():
     pr = params_ap0(3, 8, 0)
     mg = log_matrix_ap0(pr, 2)
@@ -312,20 +249,6 @@ def test_combined_block_structure():
             assert got.entry(i, j) == want.entry(i, j)
         for j in (2, 3):
             assert got.entry(i, j).is_zero()
-
-
-def test_groupring_roundtrip_constant():
-    from padiclog.cycser import FiniteGroupRingElt
-    ctx = PrimeCtx(3, 8)
-    lam = FiniteGroupRingElt.delta(ctx, 2, 1, c=5)
-    s = groupring_to_iwa(lam)
-    assert s == IwaSeries.const(ctx, 5, s.deg_cap)
-    # a generator with trivial Teichmuller part maps to (1+X)^dlog
-    u = 1 + 3
-    lam2 = FiniteGroupRingElt.delta(ctx, 2, u)
-    s2 = groupring_to_iwa(lam2)
-    x = IwaSeries.gen(ctx, s2.deg_cap)
-    assert s2 == x + 1
 
 
 def test_q_matrix_fl_supplied_random():
@@ -446,16 +369,17 @@ def test_semi_ordinary_block_nontrivial_unit():
     assert blk.entry(2, 0) == ll and blk.entry(3, 1) == ll
 
 
-# -- the Wach product against the pi-basis loops --------------------------------
+# -- the log matrix against the pi-basis loop -----------------------------------
 #
-# `log_matrix_from_wach` and `log_matrix_ap0` run the product on int vectors
-# in Y = 1+pi, mark the zero entries of P^(-1) once and skip every term,
-# Mellin read and projection they would feed; the Mellin read and the
-# Delta-projection are one pass over the Teichmuller cosets.  The references
-# below are the dense pi-basis loop (every entry through every stage), the
-# sparse pi-basis loop with one `frobenius` per nonconstant entry and level,
-# a `mellin_inverse` per entry and the dict-and-dlog projection with an
-# iterated-power Teichmuller split; each must give identical JSON.
+# `log_matrix_ap0` runs the product on int vectors in Y = 1+pi, marks the
+# zero entries of P^(-1) once and skips every term, Mellin read and
+# projection they would feed; the Mellin read and the Delta-projection are
+# one pass over the Teichmuller cosets.  The reference below builds P^(-1)
+# in pi itself (q from its binomial row), applies phi by substitution to
+# each nonconstant entry and level, truncates at pi^(p^(n+2)) after every
+# product, and takes a `mellin_inverse` per entry and the dict-and-dlog
+# projection with an iterated-power Teichmuller split; both must give
+# identical JSON.
 
 
 def ref_groupring_to_iwa(lam, theta_index=0, out_ctx=None):
@@ -489,121 +413,10 @@ def ref_groupring_to_iwa(lam, theta_index=0, out_ctx=None):
     return IwaSeries(ctx, coeffs, None, lam.prec, p ** lvl)
 
 
-def dense_log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
-                               theta_index=0, out_ctx=None, provenance=""):
-    from padiclog.cycser import mellin_inverse
-
-    def mul(A, B):
-        return [[A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2)]
-                for i in range(2)]
-
-    p = ctx_work.p
-    rep = n + 1
-    cap = p ** (rep + 1)
-    scale = a_scaled.p_exp * (n + 1) + pinv_scale * n
-    prod = None
-    cur = pinv
-    for i in range(1, n + 1):
-        cur = [[frobenius(e) for e in row] for row in cur]
-        prod = cur if prod is None else mul(cur, prod)
-    if prod is None:
-        prod = [[IwaSeries.const(ctx_work, 1, cap), IwaSeries.zero(ctx_work, cap)],
-                [IwaSeries.zero(ctx_work, cap), IwaSeries.const(ctx_work, 1, cap)]]
-    an = [[1, 0], [0, 1]]
-    araw = [[a_scaled.num[i][j].a for j in range(2)] for i in range(2)]
-    m = ctx_work.modulus
-    for _ in range(n + 1):
-        an = [[(an[i][0] * araw[0][j] + an[i][1] * araw[1][j]) % m
-               for j in range(2)] for i in range(2)]
-    opp = one_plus_pi_pow(ctx_work, 1, cap)
-    out = []
-    for i in range(2):
-        orow = []
-        for j in range(2):
-            s = opp * (prod[0][j] * an[i][0] + prod[1][j] * an[i][1])
-            lam = mellin_inverse(s, rep)
-            e = ref_groupring_to_iwa(lam, theta_index, out_ctx)
-            e.denom_exp = scale
-            orow.append(e.normalize())
-        out.append(orow)
-    return LogMatrix(out, level=n, provenance=provenance, rep_level=rep)
-
-
-def ref_log_matrix_from_wach(ctx_work, a_scaled, pinv, pinv_scale, n, k,
-                             theta_index=0, out_ctx=None, provenance=""):
-    """The sparse pi-basis loop: zeros as None, phi by `frobenius` on each
-    nonconstant entry, truncation at pi^(p^(n+2)) after every product and
-    one `mellin_inverse` per nonzero output entry."""
-    from padiclog.cycser import mellin_inverse
-
-    def dot(pairs):
-        acc = None
-        for x, y in pairs:
-            if x is not None and y is not None:
-                acc = x * y if acc is None else acc + x * y
-        return acc
-
-    p = ctx_work.p
-    rep = n + 1
-    cap = p ** (rep + 1)
-    if any(e.deg_cap < cap for row in pinv for e in row):
-        raise ValueError("pinv entries need deg_cap >= p^(n+2) = %d" % cap)
-    scale = a_scaled.p_exp * (n + 1) + pinv_scale * n
-    pinv_prec = [[e.prec for e in row] for row in pinv]
-    cur = [[None if e.is_zero() else e for e in row] for row in pinv]
-    prod = None
-    for _ in range(n):
-        cur = [[e if e is None or not (e.b or any(e.a[1:])) else frobenius(e)
-                for e in row] for row in cur]
-        if prod is None:
-            prod, precs = cur, pinv_prec
-        else:
-            prod = [[dot((cur[i][t], prod[t][j]) for t in range(2))
-                     for j in range(2)] for i in range(2)]
-            precs = [[min(pinv_prec[i][0], pinv_prec[i][1], precs[0][j],
-                          precs[1][j]) for j in range(2)] for i in range(2)]
-    if prod is None:
-        one = IwaSeries.const(ctx_work, 1, cap)
-        prod, precs = [[one, None], [None, one]], [[ctx_work.prec] * 2] * 2
-    an = [[1, 0], [0, 1]]
-    araw = [[a_scaled.num[i][j].a for j in range(2)] for i in range(2)]
-    m = ctx_work.modulus
-    for _ in range(n + 1):
-        an = [[(an[i][0] * araw[0][j] + an[i][1] * araw[1][j]) % m
-               for j in range(2)] for i in range(2)]
-    an = [[c or None for c in row] for row in an]
-    opp = one_plus_pi_pow(ctx_work, 1, cap)
-    zero_ctx = ctx_work if out_ctx is None else out_ctx
-    out = []
-    for i in range(2):
-        orow = []
-        for j in range(2):
-            s = dot((prod[t][j], an[i][t]) for t in range(2))
-            prec = min(ctx_work.prec, precs[0][j], precs[1][j])
-            if s is None:
-                ent = IwaSeries.zero(zero_ctx, p ** rep, prec)
-            else:
-                h = opp * s
-                if h.prec != prec:
-                    h = IwaSeries(ctx_work, h.a, None, prec, cap)
-                ent = ref_groupring_to_iwa(mellin_inverse(h, rep), theta_index,
-                                           out_ctx)
-            ent.denom_exp = scale
-            orow.append(ent.normalize())
-        out.append(orow)
-    return LogMatrix(out, level=n, provenance=provenance, rep_level=rep)
-
-
 def view(mat):
     """JSON of a matrix, with the context of every entry."""
     return mat.to_json(), [[(e.ctx.prec, e.ctx.ext) for e in row]
                            for row in mat.entries]
-
-
-def both_json(*args, **kw):
-    got = log_matrix_from_wach(*args, **kw)
-    want = dense_log_matrix_from_wach(*args, **kw)
-    return view(got), view(want)
 
 
 def outcome(fn, *args, **kw):
@@ -614,133 +427,24 @@ def outcome(fn, *args, **kw):
         return type(exc), str(exc)
 
 
-AP0_SHAPES = [(p, n) for p in (3, 5, 7) for n in range(4) if p ** (n + 2) <= 4096]
-
-
-@pytest.mark.parametrize("p,n", AP0_SHAPES)
-def test_from_wach_ap0_matches_dense(p, n):
-    # the a_p = 0 lifts exactly as log_matrix_ap0 builds them
-    prec = 6
-    for k in (0, 1, 2):
-        for eps in (1, 2):
-            pr = params_ap0(p, prec, k, eps)
-            wp = prec + (k + 1) * (n + 1)
-            ctxw = PrimeCtx(p, wp, pr.ctx.ext)
-            a_scaled, pinv = wach_matrices_ap0(pr, p ** (n + 2), wp)
-            theta = (k + eps) % 2
-            got, want = both_json(ctxw, a_scaled, pinv, 0, n, k, theta,
-                                  out_ctx=pr.ctx, provenance="t")
-            assert got == want, (p, n, k, eps)
-
-
-def rand_pi(rng, ctx, cap, shape):
-    """A random series in pi of the given shape: zero, constant or polynomial,
-    at a random precision <= the context's and a window >= cap."""
-    prec = rng.randint(max(1, ctx.prec - 3), ctx.prec)
-    wide = cap + rng.choice((0, 0, 1, ctx.p))
-    m = ctx.p ** prec
-    if shape == "zero":
-        return IwaSeries.zero(ctx, wide, prec)
-    if shape == "const":
-        return IwaSeries.const(ctx, rng.randrange(1, m), wide, prec)
-    # "deep": a degree at or near the window, so that products pass it
-    deg = rng.randint(wide - 3, wide - 1) if shape == "deep" else rng.randint(1, 6)
-    coeffs = [rng.randrange(m) for _ in range(deg)] + [rng.randrange(1, m)]
-    return IwaSeries(ctx, coeffs, None, prec, wide)
-
-
-def rand_wach_case(rng, shapes):
-    p = rng.choice((3, 5))
-    n = rng.randint(0, 2 if p == 3 else 1)
-    ctx = PrimeCtx(p, rng.randint(5, 9))
-    cap = p ** (n + 2)
-    pinv = [[rand_pi(rng, ctx, cap, shapes[2 * i + j]) for j in range(2)]
-            for i in range(2)]
-    num = [[ctx.from_int(rng.choice((0, 1, rng.randrange(ctx.modulus))))
-            for _ in range(2)] for _ in range(2)]
-    a_scaled = ScaledConstMatrix(num, rng.randint(0, 2))
-    out_ctx = rng.choice((None, PrimeCtx(p, ctx.prec - 1)))
-    return (ctx, a_scaled, pinv, rng.randint(0, 1), n, rng.randint(0, 2),
-            rng.randint(0, p - 1), out_ctx)
-
-
-def test_from_wach_random_dense_matches():
-    rng = random.Random(404)
-    for _ in range(30):
-        args = rand_wach_case(rng, ["poly"] * 4)
-        got, want = both_json(*args[:6], theta_index=args[6], out_ctx=args[7])
-        assert got == want
-
-
-def test_from_wach_zero_patterns_match():
-    # every zero pattern, with constants and polynomials in the other
-    # entries at mixed precisions: a skipped zero factor must still lower
-    # the precision of the entries it meets, as in the dense sums
-    rng = random.Random(405)
-    patterns = [[("zero", "const", "poly")[(mask >> (2 * i)) % 3]
-                 for i in range(4)] for mask in range(81)]
-    patterns += [["zero", "zero", "poly", "const"],     # an all-zero row
-                 ["const", "zero", "zero", "const"],    # constants only
-                 ["zero"] * 4]
-    for shapes in patterns:
-        args = rand_wach_case(rng, shapes)
-        got, want = both_json(*args[:6], theta_index=args[6], out_ctx=args[7])
-        assert got == want, shapes
-
-
-def test_from_wach_rejects_narrow_entry():
-    pr = params_ap0(3, 6, 0)
-    a_scaled, pinv = wach_matrices_ap0(pr, 27)
-    pinv[1][0] = IwaSeries.zero(pr.ctx, 9)
-    with pytest.raises(ValueError):
-        log_matrix_from_wach(pr.ctx, a_scaled, pinv, 0, 1, 0)
-
-
-def test_groupring_teichmuller_power_matches_loop():
-    from padiclog.cycser import FiniteGroupRingElt
-    rng = random.Random(406)
-    for p in (3, 5, 7):
-        ctx = PrimeCtx(p, 8)
-        for lvl in range(1, 5):
-            if p ** lvl > 2401:
-                continue
-            q = p ** (lvl + 1)
-            for theta in (0, 1, p - 2):
-                units = [a for a in rng.sample(range(1, q), min(q - 1, 12))
-                         if a % p]
-                lam = FiniteGroupRingElt(
-                    ctx, lvl, {a: rng.randrange(ctx.modulus) for a in units},
-                    rng.randint(3, 8))
-                out_ctx = rng.choice((None, PrimeCtx(p, 6)))
-                got = groupring_to_iwa(lam, theta, out_ctx)
-                want = ref_groupring_to_iwa(lam, theta, out_ctx)
-                assert got.to_json() == want.to_json()
-        empty = FiniteGroupRingElt(ctx, 2)
-        assert groupring_to_iwa(empty, 1).to_json() == \
-            ref_groupring_to_iwa(empty, 1).to_json()
-
-
 def test_ap0_skips_zero_and_constant_entries(monkeypatch):
-    # P'^(-1) = [[0, 1], [-eps q^(k+1), 0]] is born in Y, phi is Y -> Y^p
-    # with no frobenius call, and the product with A^(n+1) keeps two
-    # nonzero entries: one (1+X)-basis change each, at p^(n+1) coefficients
-    import padiclog.cycser as cycser
-    calls = {"to_onepx_basis": [], "from_onepx_basis": [], "frobenius": []}
-    homes = {"to_onepx_basis": _poly, "from_onepx_basis": _poly,
-             "frobenius": cycser}
-    for name, home in homes.items():
-        fn = getattr(home, name)
+    # P'^(-1) = [[0, 1], [-eps q^(k+1), 0]] is born in Y, phi is Y -> Y^p,
+    # and the product with A^(n+1) keeps two nonzero entries: one
+    # (1+X)-basis change each, at p^(n+1) coefficients
+    calls = {"to_onepx_basis": [], "from_onepx_basis": []}
+    for name in calls:
+        fn = getattr(_poly, name)
 
         def counted(*a, _fn=fn, _name=name, **kw):
             out = _fn(*a, **kw)
             calls[_name].append(len(out))
             return out
-        monkeypatch.setattr(home, name, counted)
+        monkeypatch.setattr(_poly, name, counted)
     for n in (1, 3):
         for name in calls:
             calls[name].clear()
         log_matrix_ap0(params_ap0(3, 12, 0), n)
-        assert calls == {"to_onepx_basis": [], "frobenius": [],
+        assert calls == {"to_onepx_basis": [],
                          "from_onepx_basis": [3 ** (n + 1)] * 2}
 
 
@@ -757,18 +461,83 @@ def reduction_spy(monkeypatch):
     return seen
 
 
+def ref_wach_entry(pr, cap, prec):
+    """-eps q^(k+1) in pi at precision prec and window cap, the one
+    nonconstant entry of P'^(-1), with q = ((1+pi)^p - 1)/pi read off the
+    binomial row of (1+pi)^p."""
+    p = pr.ctx.p
+    ctx = PrimeCtx(p, prec, pr.ctx.ext)
+    q = IwaSeries(ctx, [comb(p, i + 1) for i in range(p)], None, prec, cap)
+    entry = IwaSeries.const(ctx, -pr.eps.a, cap, prec)
+    for _ in range(pr.k + 1):
+        entry = entry * q
+    return entry
+
+
+def ref_phi(f):
+    """phi(f) = f((1+pi)^p - 1) in f's window, by substitution."""
+    p, m = f.ctx.p, f.modulus()
+    g = [comb(p, i) % m for i in range(p + 1)]
+    g[0] = 0
+    return IwaSeries(f.ctx, _poly.compose(f.a, g, m, f.deg_cap), None, f.prec,
+                     f.deg_cap)
+
+
 def ref_log_matrix_ap0(pr, n, theta_index=0):
-    """`log_matrix_ap0` as the pi-basis loop on `wach_matrices_ap0`."""
+    """`log_matrix_ap0` as the sparse pi-basis loop: zeros as None, phi on
+    each nonconstant entry, truncation at pi^(p^(n+2)) after every product
+    and one `mellin_inverse` per nonzero output entry."""
+
+    def dot(pairs):
+        acc = None
+        for x, y in pairs:
+            if x is not None and y is not None:
+                acc = x * y if acc is None else acc + x * y
+        return acc
+
     p, k = pr.ctx.p, pr.k
-    wp = pr.ctx.prec + (k + 1) * (n + 1)
-    a_scaled, pinv = wach_matrices_ap0(pr, p ** (n + 2), wp)
-    mat = ref_log_matrix_from_wach(PrimeCtx(p, wp, pr.ctx.ext), a_scaled, pinv,
-                                   0, n, k, theta_index, out_ctx=pr.ctx,
-                                   provenance="ap-zero level %d" % n)
-    for row in mat.entries:
-        for s in row:
-            s.growth = Fraction(k + 1, 2)
-    return mat
+    rep = n + 1
+    cap = p ** (rep + 1)
+    scale = (k + 1) * rep
+    wp = pr.ctx.prec + scale
+    ctx = PrimeCtx(p, wp, pr.ctx.ext)
+    m = ctx.modulus
+    cur = [[None, IwaSeries.const(ctx, 1, cap)],
+           [ref_wach_entry(pr, cap, wp), None]]
+    prod = None
+    for _ in range(n):
+        cur = [[e if e is None or not any(e.a[1:]) else ref_phi(e) for e in row]
+               for row in cur]
+        prod = cur if prod is None else [
+            [dot((cur[i][t], prod[t][j]) for t in range(2)) for j in range(2)]
+            for i in range(2)]
+    if prod is None:
+        one = IwaSeries.const(ctx, 1, cap)
+        prod = [[one, None], [None, one]]
+    # p^(k+1) A' = [[0, -1/eps], [p^(k+1), 0]]
+    araw = [[0, -pow(pr.eps.a, -1, m)], [p ** (k + 1), 0]]
+    an = [[1, 0], [0, 1]]
+    for _ in range(n + 1):
+        an = [[(an[i][0] * araw[0][j] + an[i][1] * araw[1][j]) % m
+               for j in range(2)] for i in range(2)]
+    an = [[c or None for c in row] for row in an]
+    opp = one_plus_pi_pow(ctx, 1, cap)
+    out = []
+    for i in range(2):
+        orow = []
+        for j in range(2):
+            s = dot((prod[t][j], an[i][t]) for t in range(2))
+            if s is None:
+                ent = IwaSeries.zero(pr.ctx, p ** rep, wp)
+            else:
+                ent = ref_groupring_to_iwa(mellin_inverse(opp * s, rep),
+                                           theta_index, pr.ctx)
+            ent.denom_exp = scale
+            ent.growth = Fraction(k + 1, 2)
+            orow.append(ent.normalize())
+        out.append(orow)
+    return LogMatrix(out, level=n, provenance="ap-zero level %d" % n,
+                     rep_level=rep)
 
 
 def ref_qinv_times(pr, mat):
@@ -820,11 +589,13 @@ def test_ap0_sweep_matches_pi_loop(p, n, k, monkeypatch):
 
 
 @pytest.mark.parametrize("p,n,k,prec", [(3, 1, 0, 4), (3, 1, 1, 4), (3, 1, 2, 4),
-                                        (5, 2, 1, 4), (7, 2, 0, 5)])
+                                        (5, 2, 1, 4), (7, 2, 0, 5), (5, 3, 0, 4)])
 def test_ap0_small_precision_and_large_window_match_pi_loop(p, n, k, prec):
-    # `logmatrix --p 3 --level 1 --prec 4`, and the largest window, 7^4
+    # `logmatrix --p 3 --level 1 --prec 4`, and the largest windows, 7^4 and
+    # 5^5; theta = p-2 puts a nontrivial Teichmuller power on every coset but
+    # the principal one, the only one a product (1+pi) phi(...) reaches
     for eps in (1, -1, 2):
-        for theta in (0, 1):
+        for theta in sorted({0, 1, p - 2}):
             got = ap0_outcome(p, n, k, eps, prec, theta, False)
             assert got == ap0_outcome(p, n, k, eps, prec, theta, True)
 
@@ -875,7 +646,7 @@ def test_qinv_times_random_matrices_match_product():
 
 
 def test_q_power_y_matches_wach_entry():
-    # wach_matrices_ap0 builds -eps q^(k+1) in pi, truncated at its window;
+    # the pi-basis reference builds -eps q^(k+1) truncated at its window;
     # in Y the exact entry agrees with it mod (Y-1)^cap, and equals it when
     # the window holds its degree (k+1)(p-1)
     from padiclog.logmat import _q_power_y
@@ -893,49 +664,7 @@ def test_q_power_y_matches_wach_entry():
                 want = _poly.vec_scale(_q_power_y(p, k + 1, m), -eps, m)
                 assert len(want) == deg + 1 and want[-1] == -eps % m
                 for cap in (deg + 1, deg + p, max(2, deg - p)):
-                    entry = wach_matrices_ap0(pr, cap)[1][1][0]
+                    entry = ref_wach_entry(pr, cap, 7)
                     ys = _poly.to_onepx_basis(entry.a, m)
                     assert ys == _poly.onepx_rem(want, cap, p, 7), (p, k, cap)
     assert built > 30
-
-
-def test_from_wach_random_lifts_match_pi_loop(monkeypatch):
-    # zero, constant, low-degree and near-window entries in every position
-    seen = reduction_spy(monkeypatch)
-    rng = random.Random(407)
-    for _ in range(60):
-        shapes = [rng.choice(("zero", "const", "poly", "deep")) for _ in range(4)]
-        args = rand_wach_case(rng, shapes)
-        kw = {"theta_index": args[6], "out_ctx": args[7]}
-        got = outcome(log_matrix_from_wach, *args[:6], **kw)
-        want = outcome(ref_log_matrix_from_wach, *args[:6], **kw)
-        assert got == want, shapes
-    assert seen[0] > 0
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_from_wach_rejects_w_part_and_denominator(n):
-    pr = params_ap0(3, 6, 0)
-    a_scaled, pinv = wach_matrices_ap0(pr, 3 ** (n + 2))
-    e = pinv[1][0]
-    for i, j, bad in ((1, 0, IwaSeries(e.ctx, e.a, e.a, e.prec, e.deg_cap)),
-                      (1, 0, e.rescale(1)),
-                      (0, 1, IwaSeries.const(e.ctx, 1, e.deg_cap).rescale(1))):
-        lift = [row[:] for row in pinv]
-        lift[i][j] = bad
-        with pytest.raises(ValueError,
-                           match="expected a base-valued series with denom_exp 0"):
-            log_matrix_from_wach(pr.ctx, a_scaled, lift, 0, n, 0)
-
-
-@pytest.mark.parametrize("n", [0, 1])
-def test_from_wach_rejects_w_part_of_a(n):
-    # the ramified context of a_p = 0 has a w; A[0][0] + w is no base value
-    pr = params_ap0(3, 6, 0)
-    a_scaled, pinv = wach_matrices_ap0(pr, 3 ** (n + 2))
-    num = [row[:] for row in a_scaled.num]
-    num[0][0] = num[0][0] + PadicElt(pr.ctx, 0, 1)
-    bad = ScaledConstMatrix(num, a_scaled.p_exp)
-    with pytest.raises(ValueError,
-                       match="expected a base-valued series with denom_exp 0"):
-        log_matrix_from_wach(pr.ctx, bad, pinv, 0, n, 0)

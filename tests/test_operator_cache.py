@@ -40,9 +40,9 @@ def _requests(tmp_path, key, seed):
         return IwaSeries(ctx, [rng.randrange(ctx.modulus) for _ in range(n)],
                          None, None, cap)
 
-    ab = forward(SignedPair(rand(deg, deg), rand(deg, deg), level), op)
-    wide = 2 * op.deg_m + 10
     q = op.qinv_m
+    ab = forward(SignedPair(rand(deg, deg), rand(deg, deg), level), q)
+    wide = 2 * op.deg_m + 10
     det = (q.entry(0, 0).widen(wide) * q.entry(1, 1).widen(wide)
            - q.entry(0, 1).widen(wide) * q.entry(1, 0).widen(wide))
     specs = [("split", dict(_base(key), alpha=ab.alpha_comp.to_json(),

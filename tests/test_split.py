@@ -7,8 +7,8 @@ from padiclog.iwadist import (IwaSeries, delta, halflog, is_unit, log_tw,
 from padiclog.logmat import CrystalParams, log_matrix_ap0, qinv_times
 from padiclog.padic import PrimeCtx, inv_scaled
 from padiclog.split import (AlphaBetaPair, NoBoundedSolution, SignedPair,
-                            antisym_factor, forward, logdiv_check,
-                            parity_products, signed_split)
+                            SplitOperator, antisym_factor, forward,
+                            logdiv_check, parity_products, signed_split)
 
 
 def setup_ap0(p=3, prec=8, k=0, n=2):
@@ -56,12 +56,13 @@ def test_forward_growth_bound():
 
 def test_split_roundtrip():
     pr, qm = setup_ap0(p=3, prec=8, k=0, n=2)
+    op = SplitOperator(pr, qm)
     rng = random.Random(32)
     for _ in range(25):
         pair = SignedPair(rand_bounded(pr.ctx, 8, rng),
                           rand_bounded(pr.ctx, 8, rng), 2)
         ab = forward(pair, qm)
-        got = signed_split(ab, qm, 2, params=pr)
+        got = signed_split(ab, op, 2)
         assert got.plus == pair.plus
         assert got.minus == pair.minus
         # and the other composition gives back the input pair of images
@@ -72,12 +73,13 @@ def test_split_roundtrip():
 
 def test_split_roundtrip_k1():
     pr, qm = setup_ap0(p=3, prec=10, k=1, n=2)
+    op = SplitOperator(pr, qm)
     rng = random.Random(33)
     for _ in range(5):
         pair = SignedPair(rand_bounded(pr.ctx, 12, rng),
                           rand_bounded(pr.ctx, 12, rng), 2)
         ab = forward(pair, qm)
-        got = signed_split(ab, qm, 2, params=pr)
+        got = signed_split(ab, op, 2)
         assert got.plus == pair.plus
         assert got.minus == pair.minus
 
@@ -85,7 +87,7 @@ def test_split_roundtrip_k1():
 def test_split_zero():
     pr, qm = setup_ap0()
     z = IwaSeries.zero(pr.ctx, 4)
-    out = signed_split(AlphaBetaPair(z, z, 2), qm, 2, params=pr)
+    out = signed_split(AlphaBetaPair(z, z, 2), SplitOperator(pr, qm), 2)
     assert out.plus.is_zero() and out.minus.is_zero()
 
 
@@ -94,7 +96,7 @@ def test_split_rejects_constant():
     one = IwaSeries.const(pr.ctx, 1, 4)
     z = IwaSeries.zero(pr.ctx, 4)
     with pytest.raises(NoBoundedSolution):
-        signed_split(AlphaBetaPair(one, z, 3), qm, 3, params=pr)
+        signed_split(AlphaBetaPair(one, z, 3), SplitOperator(pr, qm), 3)
 
 
 def test_parity_products():
@@ -130,13 +132,14 @@ def test_antisym_factor_roundtrip():
     wide = 70
     det = (qm.entry(0, 0).widen(wide) * qm.entry(1, 1).widen(wide)
            - qm.entry(0, 1).widen(wide) * qm.entry(1, 0).widen(wide))
+    op = SplitOperator(pr, qm)
     for _ in range(10):
         g = rand_bounded(pr.ctx, 6, rng, cap=wide)
         lval = det * g
-        got = antisym_factor(lval, pr, qm)
+        got = antisym_factor(lval, op)
         assert got == g.normalize()
     z = IwaSeries.zero(pr.ctx, wide)
-    assert antisym_factor(z, pr, qm).is_zero()
+    assert antisym_factor(z, op).is_zero()
 
 
 def test_antisym_factor_geo_shape():
@@ -153,7 +156,7 @@ def test_antisym_factor_geo_shape():
     binv, e = inv_scaled(pr.beta - pr.alpha)
     g = rand_bounded(ctx, 5, rng, cap=2 * cap)
     lval = ((lt * g) * binv).times_p(-e)
-    got = antisym_factor(lval, pr, qm)
+    got = antisym_factor(lval, SplitOperator(pr, qm))
     want_core = (delta(ctx, k + 1, got.deg_cap) * g.widen(got.deg_cap)).times_p(k + 1)
     # got = unit * p^(k+1) * delta * G: the ratio against delta*G*p^(k+1)
     # is a unit series of the truncated algebra
@@ -188,6 +191,6 @@ def test_denominator_budget():
     pair = SignedPair(rand_bounded(pr.ctx, 8, rng),
                       rand_bounded(pr.ctx, 8, rng), 2, denom_budget=1)
     ab = forward(pair, qm)
-    got = signed_split(ab, qm, 2, params=pr, denom_budget=1)
+    got = signed_split(ab, SplitOperator(pr, qm), 2, denom_budget=1)
     assert got.plus.normalize().denom_exp <= 1
     assert got.minus.normalize().denom_exp <= 1
