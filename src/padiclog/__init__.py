@@ -11,7 +11,7 @@ Modules:
              Pollack half-logarithms, evaluation and up-to-unit comparison
   logmat  -- logarithmic matrices from a_p = 0 Frobenius data, block forms
   split   -- signed splitting through a logarithmic matrix, antisymmetric
-             factorization, log-divisibility test
+             factorization
   regdiv  -- divisibility checking in truncated multivariate series rings
              over Z_p (int coefficients mod p^prec)
   galimg  -- finite matrix-group enumeration, product criteria, tau search
@@ -28,7 +28,7 @@ from padiclog.logmat import (CrystalParams, LogMatrix, log_matrix_ap0,
                              q_fg_block, q_matrix, q_matrix_inv, qinv_times,
                              semi_ordinary_block)
 from padiclog.split import (AlphaBetaPair, SignedPair, antisym_factor,
-                            forward, logdiv_check, signed_split)
+                            forward, signed_split)
 from padiclog.regdiv import MSeries, SpecFamily, chevalley_check, divides_trunc, specialize
 from padiclog.galimg import (DihedralData, MatGroupGen, closure, dihedral_rep,
                              find_tau, goursat_product_check)
@@ -44,8 +44,7 @@ __all__ = [
     "phi_tw", "twist",
     "CrystalParams", "LogMatrix", "log_matrix_ap0", "q_fg_block", "q_matrix",
     "q_matrix_inv", "qinv_times", "semi_ordinary_block",
-    "AlphaBetaPair", "SignedPair", "antisym_factor", "forward", "logdiv_check",
-    "signed_split",
+    "AlphaBetaPair", "SignedPair", "antisym_factor", "forward", "signed_split",
     "MSeries", "SpecFamily", "chevalley_check", "divides_trunc", "specialize",
     "DihedralData", "MatGroupGen", "closure", "dihedral_rep", "find_tau",
     "goursat_product_check",

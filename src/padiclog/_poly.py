@@ -17,8 +17,10 @@ division by (Y-1)^cap, Y = 1+X (`onepx_rem`), with no basis change.
 Division by a polynomial with a unit leading coefficient (`poly_divmod_top`)
 also runs on that multiply: the quotient is one product with the inverse of
 the reversed divisor, built by Newton doubling (`series_inverse`), and the
-remainder one more.  Short divisors and quotients keep the schoolbook loop,
-as does power-series division by a unit constant term (`series_div_unit`).
+remainder one more (`divmod_held`, which also serves a caller that holds a
+fixed divisor with its inverse as a `HeldDivisor`).  Short divisors and
+quotients keep the schoolbook loop, as does power-series division by a unit
+constant term (`series_div_unit`).
 
 The elementary number theory the package needs around that core -- primality,
 the Jacobi symbol, square roots modulo a prime and the cyclotomic
@@ -104,17 +106,21 @@ def vec_mul(xs, ys, m, cap):
 
 
 def vec_trim(xs):
-    """xs without its trailing zeros.
+    """xs without its trailing zeros."""
+    return xs[:trimmed_len(xs, len(xs))]
+
+
+def trimmed_len(xs, n):
+    """The length of xs[:n] without its trailing zeros.
 
     Whole chunks of zeros are skipped by `any`, at C speed; the last run
     shorter than a chunk goes one step at a time.
     """
-    n = len(xs)
     while n >= 64 and not any(xs[n - 64:n]):
         n -= 64
     while n and xs[n - 1] == 0:
         n -= 1
-    return xs[:n]
+    return n
 
 
 def compose(f, g, m, cap):
@@ -308,16 +314,22 @@ DIV_NEWTON_MIN_Q = 10
 INV_SCHOOLBOOK = 16
 
 
-def series_inverse(g, m, n):
+def series_inverse(g, m, n, start=None):
     """1/g mod (m, X^n) for g[0] a unit mod m.
 
     Newton doubling on `vec_mul` (von zur Gathen and Gerhard, "Modern
     Computer Algebra", 9.1): if h = 1/g mod X^k, then g h = 1 + X^k e and
     h - X^k (h e) = 1/g mod X^(2k), two products per doubling.  The first
-    INV_SCHOOLBOOK coefficients come from `series_div_unit`.
+    coefficients are `start`, 1/g mod X^len(start) at a modulus that m
+    divides, when it is given, else INV_SCHOOLBOOK coefficients of
+    `series_div_unit`.  `start` itself is not changed.
     """
-    k = min(n, INV_SCHOOLBOOK)
-    h = series_div_unit([1], g, m, k)
+    if start:
+        k = min(n, len(start))
+        h = [c % m for c in start[:k]]
+    else:
+        k = min(n, INV_SCHOOLBOOK)
+        h = series_div_unit([1], g, m, k)
     while k < n:
         k2 = min(2 * k, n)
         e = vec_mul(g[:k2], h, m, k2)[k:]
@@ -362,9 +374,93 @@ def poly_divmod_top(f, g, m, p, npow):
                 for j, gj in enumerate(g, i - dg):
                     r[j] = (r[j] - qc * gj) % m
         return q, vec_trim(r[:dg])
-    q = vec_mul(r[dg:][::-1], series_inverse(g[::-1], m, dq), m, dq)[::-1]
-    rem = vec_trim([(x - y) % m for x, y in zip(r, vec_mul(q, g, m, dg))])
-    return q + [0] * (qlen - len(q)), rem
+    q, rem = divmod_held(r, HeldDivisor(g, m, dq), m)
+    return q + [0] * (qlen - len(q)), vec_trim(rem)
+
+
+def _slot_bytes(bound, mod, terms):
+    """Bytes per packed slot for a product of a vector below bound and one
+    below mod, with at most `terms` products in a coefficient."""
+    return (bound.bit_length() + mod.bit_length() + terms.bit_length() + 7) // 8
+
+
+def _pack(xs, k):
+    """sum_i xs[i] 2^(8 k i), for 0 <= xs[i] < 2^(8 k)."""
+    return int.from_bytes(b"".join([x.to_bytes(k, "little") for x in xs]), "little")
+
+
+def _unpack(x, k, n):
+    """The n k-byte slots of x, lowest first: the inverse of _pack."""
+    buf = x.to_bytes(k * n, "little")
+    return [int.from_bytes(buf[i:i + k], "little") for i in range(0, k * n, k)]
+
+
+class HeldDivisor:
+    """A divisor g held for repeated division by `divmod_held`.
+
+    `g` is the divisor reduced mod `mod` and trimmed.  When its leading
+    coefficient is a unit, `rpack` holds the inverse of the reversed g mod
+    (mod, X^length) (`series_inverse`) and `gpack` holds g, both packed at
+    `slot` bytes a coefficient: a slot holds every product coefficient of a
+    dividend below `bound` with the inverse, and of a quotient below mod
+    with g.  Otherwise (g zero, or its top coefficient not a unit) both are
+    None.  Nothing changes these after they are built.
+    """
+
+    __slots__ = ("g", "mod", "bound", "length", "slot", "gpack", "rpack")
+
+    def __init__(self, g, mod, length, bound=0):
+        self.g = g = vec_trim([c % mod for c in g])
+        self.mod = mod
+        self.bound = max(bound, mod)
+        self.length = length
+        self.slot = self.gpack = self.rpack = None
+        if g and math.gcd(g[-1], mod) == 1:
+            self.slot = _slot_bytes(self.bound, mod, max(length, len(g)))
+            self.gpack = _pack(g, self.slot)
+            self.rpack = _pack(series_inverse(g[::-1], mod, length), self.slot)
+
+    def reciprocal(self):
+        """The held inverse of the reversed g, as a list (None if none)."""
+        if self.rpack is None:
+            return None
+        return _unpack(self.rpack, self.slot, self.length)
+
+
+def divmod_held(r, held, m, quotient=True):
+    """(q, rem) with r = q g + rem mod m, for g held as `held`.
+
+    r is a list of ints in [0, held.bound) at least as long as g; its top
+    entries may be zero mod m (q then ends in zeros), and m divides
+    held.mod.  q has len(r) - deg(g) coefficients mod m, only the lowest
+    deg(g) of them when `quotient` is false; rem has deg(g) coefficients
+    mod m, untrimmed.  Two packed products (von zur Gathen and Gerhard,
+    "Modern Computer Algebra", 9.1): rev(q) = rev(r) rinv mod X^len(q), with
+    rinv the held reciprocal, and rem = r - q g mod X^deg(g), for which q's
+    low deg(g) coefficients suffice.  A quotient longer than rinv extends a
+    local copy of it by Newton steps.
+    """
+    g = held.g
+    dg = len(g) - 1
+    dq = len(r) - dg
+    k, rpack, gpack = held.slot, held.rpack, held.gpack
+    if dq > held.length:
+        rinv = series_inverse(g[::-1], m, dq, held.reciprocal())
+        k = _slot_bytes(held.bound, held.mod, max(dq, len(g)))
+        rpack, gpack = _pack(rinv, k), _pack(g, k)
+    unpack = int.from_bytes
+    # r[dg:] as big-endian slots read as one big-endian int: rev(r) packed
+    x = unpack(b"".join([c.to_bytes(k, "big") for c in r[dg:]]), "big")
+    nq = dq if quotient else min(dq, dg)
+    # slots dq-1 .. dq-nq of rev(r) rinv, highest first: q[0] .. q[nq-1]
+    low = (1 << 8 * k * dq) - 1
+    buf = ((x * (rpack & low) & low) >> 8 * k * (dq - nq)).to_bytes(k * nq, "big")
+    q = [unpack(buf[i:i + k], "big") % m for i in range(0, k * nq, k)]
+    buf = ((_pack(q[:dg], k) * gpack) & ((1 << 8 * k * dg) - 1)
+           ).to_bytes(k * dg, "little")
+    rem = [(c - unpack(buf[i:i + k], "little")) % m
+           for c, i in zip(r, range(0, k * dg, k))]
+    return q, rem
 
 
 def series_div_unit(f, g, m, cap):

@@ -22,7 +22,7 @@ the power x^(ord x - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 import operator
 
 from padiclog._poly import isprime
@@ -241,8 +241,7 @@ def _det_is_one(m, p):
     return det == mat_identity(h)
 
 
-@dataclass
-class GoursatVerdict:
+class GoursatVerdict(NamedTuple):
     full_product: bool
     order_h: int
     order_pr1: int
@@ -368,8 +367,7 @@ def _target_minpoly(p):
     return [1 % p, 0, (-2) % p, 0, 1]
 
 
-@dataclass
-class TauCertificate:
+class TauCertificate(NamedTuple):
     element: tuple
     minpoly: list
     rank_t_minus_1: int

@@ -121,10 +121,10 @@ class IwaSeries:
         return self.b is not None
 
     def degree(self):
-        for i in range(self.deg_cap - 1, -1, -1):
-            if self.a[i] or (self.b and self.b[i]):
-                return i
-        return -1
+        d = _poly.trimmed_len(self.a, self.deg_cap)
+        if self.b:
+            d = max(d, _poly.trimmed_len(self.b, self.deg_cap))
+        return d - 1
 
     def is_zero(self):
         # a kept w-part is nonzero (see __init__)

@@ -13,7 +13,7 @@ inversion of the local factors (constant terms 1, so no division happens).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from padiclog._poly import cyclotomic, isprime, jacobi
 from padiclog.padic import PadicError
@@ -136,8 +136,7 @@ class ImagQuadCtx:
         return gcd(nrm, self.cond) == 1
 
 
-@dataclass
-class QExpansion:
+class QExpansion(NamedTuple):
     """Coefficients a_1..a_nmax over a declared ring."""
 
     ring: str

