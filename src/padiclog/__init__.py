@@ -19,7 +19,7 @@ Modules:
   checks  -- the named invariant suites behind `padiclog check`
 """
 
-from padiclog.padic import PadicElt, PrimeCtx, sqrt, teichmuller
+from padiclog.padic import PadicElt, PrimeCtx, sqrt
 from padiclog.cycser import FiniteGroupRingElt, mellin, mellin_inverse
 from padiclog.iwadist import (CharPoint, IwaSeries, delta, divide_exact,
                               equal_up_to_unit_mod, eval_at, halflog, is_unit,
@@ -37,7 +37,7 @@ from padiclog.qexp import (ImagQuadCtx, QExpansion, deplete,
                            nebentype_value, theta_series)
 
 __all__ = [
-    "PadicElt", "PrimeCtx", "sqrt", "teichmuller",
+    "PadicElt", "PrimeCtx", "sqrt",
     "FiniteGroupRingElt", "mellin", "mellin_inverse",
     "CharPoint", "IwaSeries", "delta", "divide_exact", "equal_up_to_unit_mod",
     "eval_at", "halflog", "is_unit", "log_tw", "omega", "omega_tw", "phi_cyc",

@@ -3,16 +3,16 @@
 Coefficient vectors are plain int lists reduced modulo a power of p; the
 series classes in cycser/iwadist wrap these with context and precision
 bookkeeping.  Multiplication is one Kronecker product: both vectors are
-packed into one int each and multiplied once.  A substitution
-f(g(X)) mod (m, X^cap) other than X -> X+1 -- the twists
-X -> u^j (1+X) - 1 and Frobenius -- goes through the kernel `compose`,
-built on that multiply.  The (1+X)-power basis changes, and with them
-the Mellin transform, are the substitution X -> X+1 (or X -> X-1), which
-`taylor_shift` runs on one packed int for every level of its tree.
-Nothing is cached.  The (1+X)-power basis transforms are exact unipotent
-integer maps, which is what makes the finite-level Mellin transform
-invertible.  Truncation mod X^cap of a vector held in that basis is one
-division by (Y-1)^cap, Y = 1+X (`onepx_rem`), with no basis change.
+packed into one int each and multiplied once.  There is one substitution
+kernel, `taylor_shift`: f(a + bX) mod (m, X^n) for a linear a + bX, on
+one packed int for every level of its tree.  The twists
+X -> u^j (1+X) - 1 call it directly; the (1+X)-power basis changes, and
+with them the Mellin transform, are its shift X -> X+1 (or X -> X-1), and
+Frobenius is Y -> Y^p between two of them.  Nothing is cached.  The
+(1+X)-power basis transforms are exact unipotent integer maps, which is
+what makes the finite-level Mellin transform invertible.  Truncation mod
+X^cap of a vector held in that basis is one division by (Y-1)^cap,
+Y = 1+X (`onepx_rem`), with no basis change.
 
 Division by a polynomial with a unit leading coefficient (`poly_divmod_top`)
 also runs on that multiply: the quotient is one product with the inverse of
@@ -123,43 +123,6 @@ def trimmed_len(xs, n):
     return n
 
 
-def compose(f, g, m, cap):
-    """f(g(X)) mod (m, X^cap), for the substitutions other than X -> X+1.
-
-    Runs bottom-up over halves of f.  The level-k blocks are
-    sum_{i < 2^k} f[t 2^k + i] g^i, held in one flat list at a common
-    width w, and each pair (lo, hi) merges into lo + g^(2^k) hi.  The hi
-    blocks of a level are laid out at a stride wide enough that their
-    products with g^(2^k) cannot overlap, so a level costs one vec_mul.
-    """
-    cur = vec_trim([c % m for c in f])
-    w = 1
-    gk = vec_trim([c % m for c in g[:cap]])
-    while len(cur) > w:
-        if not gk:
-            # g^(2^k) = 0 mod X^cap: every block but the first vanishes
-            cur = cur[:w]
-            break
-        cur += [0] * (-len(cur) % (2 * w))
-        stride = w + len(gk) - 1
-        pad = [0] * (stride - w)
-        lo, hi = [], []
-        for t in range(0, len(cur), 2 * w):
-            lo += cur[t:t + w]
-            lo += pad
-            hi += cur[t + w:t + 2 * w]
-            hi += pad
-        cur = [(x + y) % m for x, y in zip(vec_mul(hi, gk, m, len(hi)), lo)]
-        w = stride
-        if w > cap:
-            cur = [c for t in range(0, len(cur), w) for c in cur[t:t + cap]]
-            w = cap
-        if len(cur) > w:
-            gk = vec_trim(vec_mul(gk, gk, m, cap))
-    cur = cur[:cap]
-    return cur + [0] * (cap - len(cur))
-
-
 def _slot_folds(m, k, size):
     """The folds that take every k-byte slot of a size-slot int from below
     2^(8k) to below 2^(bits(m) + 3), mod m, as (h, 2^h mod m, mask of the
@@ -182,35 +145,41 @@ def _slot_folds(m, k, size):
     return out
 
 
-def taylor_shift(bs, m, n):
-    """sum_j bs[j] (1+X)^j mod (m, X^n): the substitution X -> X+1.
+def taylor_shift(bs, a, b, m, n):
+    """sum_j bs[j] (a + bX)^j mod (m, X^n): the substitution X -> a + bX.
 
-    The radix-2 tree of `compose` with g = 1+X, on one packed int.  The
-    level blocks sum_{i < w} bs[t w + i] (1+X)^i, w = 2^level, have degree
-    < w, so they stay in place at slots t w .. t w + w - 1; a level splits
-    the even and odd blocks with one alternating mask and one shift and
-    merges them as even + (1+X)^w odd, one multiply and one add.
+    A radix-2 tree on one packed int (von zur Gathen and Gerhard, "Fast
+    algorithms for Taylor shifts and certain difference equations", 1997).
+    With g = a + bX, the level blocks sum_{i < w} bs[t w + i] g^i,
+    w = 2^level, have degree < w, so they stay in place at slots
+    t w .. t w + w - 1; a level splits the even and odd blocks with one
+    alternating mask and one shift and merges them as even + g^w odd, one
+    multiply and one add.
 
     The slot holds 2 bits(m) + 6 + bits(len) bits, enough for a merge of
-    values below 2^(bits(m) + 3).  While the exact values (below m 2^(2w)
-    after the merge) fit the slot, the levels run in integers with no
-    reduction.  Above that, each level first folds the int and (1+X)^w
-    down to slots below 2^(bits(m) + 3), in place: a fold keeps each slot
-    v congruent mod m as (v >> h) (2^h mod m) + (v mod 2^h), with h set so
+    values below 2^(bits(m) + 3).  For the shift X -> X+1, while the exact
+    values (below m 2^(2w) after the merge) fit the slot, the levels run in
+    integers with no reduction; any other (a, b) leaves that range after
+    one level.  Above it, each level first folds the int and g^w down to
+    slots below 2^(bits(m) + 3), in place: a fold keeps each slot v
+    congruent mod m as (v >> h) (2^h mod m) + (v mod 2^h), with h set so
     the bound on the slot falls from b to about (b + bits(m))/2 bits.  Only
-    the output is reduced mod m.  The whole trimmed input is shifted before
-    the cut to n: its coefficients of degree >= n still reach low degrees.
+    the output is reduced mod m.  The whole trimmed input is substituted
+    before the cut to n: its coefficients of degree >= n still reach low
+    degrees.
     """
-    cur = vec_trim([b % m for b in bs])
+    cur = vec_trim([c % m for c in bs])
     size = len(cur)
     bm = m.bit_length()
     k = (2 * bm + 6 + size.bit_length() + 7) // 8
     x = int.from_bytes(b"".join([c.to_bytes(k, "little") for c in cur]), "little")
-    g = (1 << 8 * k) + 1
+    a, b = a % m, b % m
+    g = (b << 8 * k) + a
+    general = (a, b) != (1, 1)
     folds = None
     w = 1
     while w < size:
-        if bm + 2 * w > 8 * k:
+        if general and w > 1 or bm + 2 * w > 8 * k:
             folds = folds or _slot_folds(m, k, size)
             for h, c, lo, hi in folds:
                 x = (x & lo) + (x >> h & hi) * c
@@ -237,14 +206,14 @@ def to_onepx_basis(coeffs, m, n=None):
     """
     flipped = list(coeffs)
     flipped[1::2] = [-c for c in flipped[1::2]]
-    out = taylor_shift(flipped, m, len(coeffs) if n is None else n)
+    out = taylor_shift(flipped, 1, 1, m, len(coeffs) if n is None else n)
     out[1::2] = [-c % m for c in out[1::2]]
     return out
 
 
 def from_onepx_basis(bs, m, n=None):
     """Inverse of to_onepx_basis: (1+X)^j = sum_i C(j,i) X^i."""
-    return taylor_shift(bs, m, len(bs) if n is None else n)
+    return taylor_shift(bs, 1, 1, m, len(bs) if n is None else n)
 
 
 def onepx_rem(ys, cap, p, npow):

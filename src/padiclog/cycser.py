@@ -32,7 +32,8 @@ def _check_base(*series):
 
 
 def frobenius(f):
-    """phi(f) = f((1+pi)^p - 1), restricted to the stored truncation window.
+    """phi(f) = f((1+pi)^p - 1), restricted to the stored truncation window:
+    Y -> Y^p on the (1+pi)-basis coefficients, Y = 1+pi.
 
     Nothing in the package calls it; the benchmark's tracer
     (perfbench/tracer.py) wraps it by name, so it stays until that list
@@ -43,9 +44,11 @@ def frobenius(f):
     if f.deg_cap < p:
         raise InsufficientDegree("deg_cap < p cannot represent phi(pi)")
     m = f.modulus()
-    g = _poly.binom_row_mod(p, p + 1, p, f.prec, m)
-    g[0] = 0
-    out = _poly.compose(f.a, g, m, f.deg_cap)
+    # f = F(Y) in Y = 1+pi, and phi(f) = F(Y^p)
+    bs = _poly.to_onepx_basis(f.a, m)
+    spread = [0] * ((len(bs) - 1) * p + 1)
+    spread[::p] = bs
+    out = _poly.from_onepx_basis(spread, m, f.deg_cap)
     return IwaSeries(f.ctx, out, None, f.prec, f.deg_cap)
 
 

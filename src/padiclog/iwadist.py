@@ -401,10 +401,9 @@ def twist(f, j):
     """Tw^j: the substitution X -> u^j (1+X) - 1."""
     m = f.modulus()
     c = pow(ucyc(f.ctx), j, m)
-    g = [c - 1, c]
-    b = _poly.compose(f.b, g, m, f.deg_cap) if f.b else None
-    return IwaSeries(f.ctx, _poly.compose(f.a, g, m, f.deg_cap), b, f.prec,
-                     f.deg_cap, f.denom_exp, f.growth)
+    b = _poly.taylor_shift(f.b, c - 1, c, m, f.deg_cap) if f.b else None
+    return IwaSeries(f.ctx, _poly.taylor_shift(f.a, c - 1, c, m, f.deg_cap), b,
+                     f.prec, f.deg_cap, f.denom_exp, f.growth)
 
 
 def twisted_product(ctx, base, m_twists):

@@ -1,14 +1,42 @@
 """Linear algebra over Z/p^N.
 
 Diagonalizes by always pivoting on a minimal-valuation entry, so the row and
-column eliminations are exact unit divisions.  Solutions come back together
+column eliminations are exact unit divisions.  The pivot rule is part of the
+output, since the solution and the kernel basis returned depend on it: the
+first unit in row-major order over the rows and columns not yet pivoted on,
+else the first entry of least valuation in that order.  How the search finds
+it may change; which entry it picks may not.  Solutions come back together
 with a kernel basis, which callers use to adjust representatives (e.g. to
 force a unit constant term).
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from padiclog._poly import _vp
+
+
+def _pivot(a, free_r, free_c, p, m):
+    """(row, column) of the pivot among the free rows and columns, or None
+    when they are all zero.  A row is scanned for a unit entry by `e % p`;
+    only a row without one, and only while no earlier row has reached
+    valuation 1, has its least valuation w found, as gcd(m, row) = p^w."""
+    best, least = None, m
+    for i in free_r:
+        row = a[i]
+        for j in free_c:
+            if row[j] % p:
+                return i, j
+        if least > p:
+            g = gcd(m, *map(row.__getitem__, free_c))
+            if g < least:
+                least = g
+                for j in free_c:
+                    if row[j] % (g * p):
+                        best = i, j
+                        break
+    return best
 
 
 def solve_mod_ppow(rows, rhs, p, npow):
@@ -18,72 +46,71 @@ def solve_mod_ppow(rows, rhs, p, npow):
     with kernel a list of generators of the solution lattice mod p^npow and
     loss the largest pivot valuation (the intrinsic precision cost of the
     back-substitution), or None when the system is inconsistent.
+
+    No step reads a pivoted row or column of A again, so a row step updates
+    only the free columns of the free rows.  After a pivot's row step its
+    column is zero off the pivot row, so its column step would change only
+    the pivot row: it updates v alone.  v is kept by columns, and column j
+    of v is supported on j and the pivot columns so far.
     """
     m = p ** npow
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     a = [[c % m for c in row] for row in rows]
     b = [c % m for c in rhs]
-    # column operations tracked through v: x = v * y
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-    pivots = []
+    # column operations tracked through v, kept by columns: x = v * y
+    v = [[0] * j + [1] + [0] * (nc - j - 1) for j in range(nc)]
+    pivots, support = [], []
     # rows and columns not yet pivoted on, in increasing order
     free_r, free_c = list(range(nr)), list(range(nc))
     while True:
-        best, bv = None, npow
-        for i in free_r:
-            row = a[i]
-            for j in free_c:
-                e = row[j]
-                if e:
-                    w = _vp(e, p, npow)
-                    if w < bv:
-                        best, bv = (i, j), w
-                        if w == 0:
-                            break
-            if best and bv == 0:
-                break
+        best = _pivot(a, free_r, free_c, p, m)
         if best is None:
             break
         pi, pj = best
         free_r.remove(pi)
         free_c.remove(pj)
-        piv = a[pi][pj]
-        unit = piv // p ** bv
-        uinv = pow(unit, -1, m)
+        prow = a[pi]
+        bv = _vp(prow[pj], p, npow)
+        pbv = p ** bv
+        mq = m // pbv
+        uinv = pow(prow[pj] // pbv, -1, m)
         # clear the pivot column (row ops touch b as well)
-        for i in range(nr):
-            if i == pi or a[i][pj] == 0:
-                continue
-            q = ((a[i][pj] // p ** bv) * uinv) % (m // p ** bv)
-            for j in range(nc):
-                a[i][j] = (a[i][j] - q * a[pi][j]) % m
-            b[i] = (b[i] - q * b[pi]) % m
+        bp = b[pi]
+        for i in free_r:
+            row = a[i]
+            if row[pj]:
+                q = (row[pj] // pbv) * uinv % mq
+                for j in free_c:
+                    row[j] = (row[j] - q * prow[j]) % m
+                b[i] = (b[i] - q * bp) % m
         # clear the pivot row (column ops touch v)
-        for j in range(nc):
-            if j == pj or a[pi][j] == 0:
-                continue
-            q = ((a[pi][j] // p ** bv) * uinv) % (m // p ** bv)
-            for i in range(nr):
-                a[i][j] = (a[i][j] - q * a[i][pj]) % m
-            for i in range(nc):
-                v[i][j] = (v[i][j] - q * v[i][pj]) % m
+        support.append(pj)
+        pcol = v[pj]
+        for j in free_c:
+            if prow[j]:
+                q = (prow[j] // pbv) * uinv % mq
+                col = v[j]
+                for t in support:
+                    col[t] = (col[t] - q * pcol[t]) % m
         pivots.append((pi, pj, bv, uinv))
     # consistency of untouched rows
     for i in free_r:
-        if b[i] % m:
+        if b[i]:
             return None
-    y = [0] * nc
+    x = [0] * nc
     for pi, pj, bv, uinv in pivots:
         c = b[pi]
         if c % p ** bv:
             return None
-        y[pj] = ((c // p ** bv) * uinv) % m
-    x = [sum(v[i][j] * y[j] for j in range(nc)) % m for i in range(nc)]
+        y = (c // p ** bv) * uinv % m
+        if y:
+            x = [s + y * t for s, t in zip(x, v[pj])]
+    x = [s % m for s in x]
     # kernel generators in y are one-hot (p^(npow - bv) at each lossy pivot,
     # then 1 at every free column), so through v each is a scaled column of v
     kernel_y = [(pj, p ** (npow - bv)) for _, pj, bv, _ in pivots if bv > 0]
     kernel_y += [(j, 1) for j in free_c]
-    kernel = [[v[i][j] * g % m for i in range(nc)] for j, g in kernel_y]
+    kernel = [[c * g % m for c in v[j]] for j, g in kernel_y]
     loss = max((bv for _, _, bv, _ in pivots), default=0)
     return x, kernel, loss

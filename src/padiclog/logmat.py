@@ -8,7 +8,8 @@ matrix is the finite-level Mellin inverse of
     (1+pi) * A^(n+1) * phi^n(P^(-1)) ... phi(P^(-1)),
 
 computed integrally at boosted precision (the A-power denominators are
-tracked as one explicit p-power) and projected to a Delta-isotypic component.
+tracked as one explicit p-power) and projected to the trivial
+Delta-isotypic component.
 
 The whole path runs on exact int vectors in the variable Y = 1+pi.  In Y,
 q = phi(pi)/pi = (Y^p - 1)/(Y - 1) = 1 + Y + ... + Y^(p-1), so the one
@@ -23,10 +24,12 @@ cap (for a_p = 0, when k >= p+1): one division by (Y-1)^cap,
 The Mellin inverse and the Delta-projection are one pass over the
 Y-coefficients.  Positions divisible by p must vanish (psi = 0,
 `cycser.check_psi_zero`); the others are the group-ring coefficients, and
-the units mod p^(n+2) fall into p-1 cosets t (1+p)^e of the Teichmuller
-representatives t, so [t (1+p)^e] -> theta(t) (1+X)^e sums each coset
-straight into the (1+X)-basis vector of the entry (`_project`).  One basis
-change per nonzero entry takes it to the X basis.
+the product (1+pi) phi(...) is supported on the Y-exponents = 1 mod p,
+the principal coset (1+p)^e of the units mod p^(n+2), and mass anywhere
+else raises (`_check_principal`).  So the trivial-character projection
+[(1+p)^e] -> (1+X)^e reads that coset straight into the (1+X)-basis vector
+of the entry, and one basis change per nonzero entry takes it to the X
+basis.
 
 The product carries only the nonzero entries.  For a_p = 0 every factor
 phi^i(P^(-1)) is antidiagonal with the constant 1 in one corner, so the
@@ -49,14 +52,13 @@ form's eigenvalues for `q_matrix(params, "f")`.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 
 from padiclog import _poly
-from padiclog.cycser import check_psi_zero
+from padiclog.cycser import NotInImage, check_psi_zero
 from padiclog.iwadist import (InsufficientDegree, IwaSeries, delta,
                               divide_exact, log_tw, twist)
 from padiclog.padic import (PadicElt, PadicError, PrimeCtx, inv_scaled, is_qr,
-                            sqrt, teichmuller)
+                            sqrt)
 
 
 class WrongMode(PadicError):
@@ -256,36 +258,27 @@ def _q_power_y(p, e, m):
     return qe
 
 
-def _cosets(ctx, lvl, theta_index, m):
-    """The units mod p^(lvl+1) as p-1 cosets (w, row) of the Teichmuller
-    representatives t: row lists t (1+p)^e mod p^(lvl+1) for e < p^lvl, and
-    w is theta(t) mod m, 1 for the trivial character."""
-    p = ctx.p
+def _principal_coset(p, lvl):
+    """The units = 1 mod p, mod p^(lvl+1), as (1+p)^e for e < p^lvl."""
     q = p ** (lvl + 1)
     # (1+p)^e for e < p^lvl, p times as many per round: e = j p^i + e'
     upow = [1]
     for i in range(lvl):
         steps = [pow(1 + p, j * p ** i, q) for j in range(p)]
         upow = [x * g % q for g in steps for x in upow]
-    out = []
-    for r in range(1, p):
-        t = pow(r, p ** lvl, q)
-        w = 1
-        if theta_index % (p - 1):
-            w = pow(teichmuller(ctx, r).a, theta_index, m)
-        out.append((w, [t * x % q for x in upow]))
-    return out
+    return upow
 
 
-def _project(ys, cosets, m):
-    """The Delta-projection of sum_a ys[a] [a] mod m, a over the units mod
-    p^(lvl+1), as the coefficients of an IwaSeries: [t (1+p)^e] goes to
-    theta(t) (1+X)^e, so each coset is one pass over ys."""
-    bs = None
-    for w, row in cosets:
-        col = [ys[a] for a in row] if w == 1 else [w * ys[a] for a in row]
-        bs = col if bs is None else list(map(add, bs, col))
-    return _poly.from_onepx_basis(bs, m, len(bs))
+def _check_principal(ys, p, m):
+    """Raise NotInImage at the first Y-exponent other than 0 and 1 mod p
+    with a nonzero coefficient: the group-ring element must lie on the
+    principal coset."""
+    for r in range(2, p):
+        if any(ys[r::p]):
+            for j in range(r, len(ys), p):
+                if ys[j] % m:
+                    raise NotInImage("mass outside the principal coset at "
+                                     "(1+pi)^%d" % j)
 
 
 def _dot(pairs, m):
@@ -310,7 +303,7 @@ def _phi_y(v, p):
 MAX_REP_DEGREE = 4096
 
 
-def log_matrix_ap0(params, n, theta_index=0, prec=None):
+def log_matrix_ap0(params, n, prec=None):
     """The level-n logarithmic matrix in a_p = 0 mode.
 
     Internally works at precision prec + (k+1)(n+1) so that the final
@@ -361,7 +354,7 @@ def log_matrix_ap0(params, n, theta_index=0, prec=None):
                for j in range(2)] for i in range(2)]
     an = [[[a] if a else None for a in row] for row in an]
     growth = Fraction(k + 1, 2)
-    cosets = None
+    coset = None
     out = []
     for i in range(2):
         orow = []
@@ -374,11 +367,13 @@ def log_matrix_ap0(params, n, theta_index=0, prec=None):
                 # ring map, so the exact product is reduced only here
                 ys = _poly.onepx_rem([0] + s, cap, p, wp)
                 # the Mellin inverse reads the Y-coefficients: psi = 0 at the
-                # positions divisible by p, the group ring at the others
+                # positions divisible by p, the group ring at the others, all
+                # on the principal coset; [(1+p)^e] -> (1+X)^e
                 check_psi_zero(ys, p, m)
-                # theta weights are Teichmuller lifts at the working precision
-                cosets = cosets or _cosets(ctx_work, rep, theta_index, m)
-                vec = _project(ys, cosets, m)
+                _check_principal(ys, p, m)
+                coset = coset or _principal_coset(p, rep)
+                vec = _poly.from_onepx_basis([ys[a] for a in coset], m,
+                                             len(coset))
             ent = IwaSeries._reduced(ctx, vec, None, wp, p ** rep, scale,
                                      growth)
             orow.append(ent.normalize())

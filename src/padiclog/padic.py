@@ -325,23 +325,6 @@ def inv_scaled(x):
     return y, e
 
 
-def teichmuller(ctx, a):
-    """The (p-1)-st root of unity congruent to a mod p.
-
-    Iterating x -> x^p gains one digit per step, so prec-1 steps suffice.
-    """
-    if a % ctx.p == 0:
-        raise NonUnit("no Teichmuller lift of 0")
-    m = ctx.modulus
-    x = a % m
-    for _ in range(ctx.prec - 1):
-        nxt = pow(x, ctx.p, m)
-        if nxt == x:
-            break
-        x = nxt
-    return PadicElt(ctx, x, 0, ctx.prec)
-
-
 def _sqrt_unit_base(ctx, a, prec):
     """Square root mod p^prec of a unit residue a, or None."""
     p = ctx.p

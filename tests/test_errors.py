@@ -96,3 +96,20 @@ def test_crystal_params_validation():
         CrystalParams(ctx, 0, ctx.from_int(5), ctx.one(), ctx.one(), "ap-zero")
     with pytest.raises(ValueError):
         CrystalParams(ctx, 0, ctx.one(), ctx.one(), ctx.from_int(5), "ap-zero")
+
+
+@pytest.mark.parametrize("p,eps", [(3, 1), (5, 3)])
+def test_antisym_without_quotient_exits_2(p, eps, tmp_path, capsys):
+    # L = 1 is not a multiple of M12 at k = 1, level 2, prec 6: the dense
+    # fallback solve (50 x 50 at p = 3, 232 x 232 at p = 5) is inconsistent
+    import json
+    from padiclog.cli import main
+    ctx = PrimeCtx(p, 6)
+    path = tmp_path / "L.json"
+    path.write_text(json.dumps({"p": p, "prec": 6, "k": 1, "eps": eps, "level": 2,
+                                "L": IwaSeries.const(ctx, 1, 1).to_json()}))
+    code = main(["antisym", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: no quotient at this precision\n"

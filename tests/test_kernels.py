@@ -303,7 +303,7 @@ def test_series_inverse_property(data):
     assert _poly.vec_mul(g, h, m, n) == ([1 % m] + [0] * (n - 1) if n else [])
 
 
-# -- basis changes and compose ---------------------------------------------------------
+# -- basis changes and substitutions ------------------------------------------------
 
 
 @pytest.mark.parametrize("m", SHIFT_MODULI)
@@ -399,14 +399,46 @@ def test_binom_row_negative_exponent():
 
 @pytest.mark.parametrize("m", MODULI)
 def test_compose_matches_horner(m):
+    # f(a + bX) for random a, b: the substitution kernel of the twists
     rng = random.Random(m + 2)
     for length in SHORT[:12]:
         f = rand_vec(rng, length, m)
-        g = rand_vec(rng, rng.randint(1, 6), m)
-        if rng.random() < 0.5:
-            g[0] = 0
+        a, b = rng.randint(-2 * m, 2 * m), rng.randint(-2 * m, 2 * m)
         for cap in (0, 1, max(1, length // 2), length + 3, 3 * length + 2):
-            assert _poly.compose(f, g, m, cap) == ref_compose(f, g, m, cap)
+            assert _poly.taylor_shift(f, a, b, m, cap) == ref_compose(f, [a, b], m, cap)
+
+
+def ref_linear_shift(f, a, b, m, n):
+    """sum_j f[j] (a + bX)^j mod (m, X^n) by Horner, one coefficient at a time."""
+    out = [0] * n
+    for c in reversed(f):
+        nxt = [0] * n
+        for i, x in enumerate(out):
+            nxt[i] = (nxt[i] + a * x) % m
+            if i + 1 < n:
+                nxt[i + 1] = (nxt[i + 1] + b * x) % m
+        if n:
+            nxt[0] = (nxt[0] + c) % m
+        out = nxt
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_linear_shift_matches_horner(p):
+    # m in {1, p, p^k}; a and b anywhere (zero, negative, past m, the twist
+    # pair (c - 1, c) and the shift (1, 1)); empty input, and inputs longer
+    # than n, whose high coefficients still reach the low degrees
+    rng = random.Random(p)
+    for m in (1, p, p ** 2, p ** 9, p ** 40):
+        c = rng.randrange(1, m) if m > 1 else 0
+        pairs = [(1, 1), (c - 1, c), (0, 1), (5, 0), (-1, 1), (0, 0),
+                 (rng.randint(-3 * m, 3 * m), rng.randint(-3 * m, 3 * m))]
+        for a, b in pairs:
+            for length in (0, 1, 2, 7, 16, 33, 70):
+                f = rand_vec(rng, length, m)
+                for n in (0, 1, length // 3, length, length + 4):
+                    got = _poly.taylor_shift(f, a, b, m, n)
+                    assert got == ref_linear_shift(f, a, b, m, n), (m, a, b, length, n)
 
 
 # -- the callers ---------------------------------------------------------------------

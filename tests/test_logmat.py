@@ -301,23 +301,6 @@ def test_column_parity_divisibility():
                     assert r.is_zero()
 
 
-def test_log_matrix_nontrivial_component():
-    # the omega-isotypic component has the same antidiagonal half-log shape
-    from padiclog.iwadist import CharPoint, eval_at
-    pr = params_ap0(3, 10, 0)
-    m0 = log_matrix_ap0(pr, 2, theta_index=0)
-    m1 = log_matrix_ap0(pr, 2, theta_index=1)
-    assert m1.entry(0, 0).is_zero() and m1.entry(1, 1).is_zero()
-    for m in (m0, m1):
-        assert eval_at(m.entry(1, 0), CharPoint(1, 0)).is_zero()
-        assert eval_at(m.entry(0, 1), CharPoint(2, 0)).is_zero()
-        assert not eval_at(m.entry(1, 0), CharPoint(2, 0)).is_zero()
-    assert m0.entry(1, 0).denom_exp == m1.entry(1, 0).denom_exp
-    # the product (1+pi)*phi(...) is supported on exponents = 1 mod p, i.e.
-    # on the principal-unit part, so all isotypic components coincide here
-    assert m0.entry(1, 0) == m1.entry(1, 0)
-
-
 def test_det_identity_other_primes():
     # the matrix machinery is not p = 3 specific: same identity at p = 5, 7
     from padiclog.iwadist import delta as _delta, log_tw as _log_tw
@@ -374,17 +357,15 @@ def test_semi_ordinary_block_nontrivial_unit():
 # `log_matrix_ap0` runs the product on int vectors in Y = 1+pi, marks the
 # zero entries of P^(-1) once and skips every term, Mellin read and
 # projection they would feed; the Mellin read and the Delta-projection are
-# one pass over the Teichmuller cosets.  The reference below builds P^(-1)
-# in pi itself (q from its binomial row), applies phi by substitution to
-# each nonconstant entry and level, truncates at pi^(p^(n+2)) after every
+# one pass over the principal coset.  The reference below builds P^(-1)
+# in pi itself (q from its binomial row), applies phi by Horner substitution
+# to each nonconstant entry and level, truncates at pi^(p^(n+2)) after every
 # product, and takes a `mellin_inverse` per entry and the dict-and-dlog
-# projection with an iterated-power Teichmuller split; both must give
-# identical JSON.
+# projection of every coset with an iterated-power Teichmuller split; both
+# must give identical JSON.
 
 
-def ref_groupring_to_iwa(lam, theta_index=0, out_ctx=None):
-    from padiclog import _poly
-    from padiclog.padic import teichmuller
+def ref_groupring_to_iwa(lam, out_ctx=None):
     ctx = lam.ctx if out_ctx is None else out_ctx
     p = lam.ctx.p
     lvl = lam.level
@@ -405,9 +386,6 @@ def ref_groupring_to_iwa(lam, theta_index=0, out_ctx=None):
                 break
             t = nt
         e = dlog[a * pow(t, -1, q) % q]
-        if theta_index % (p - 1) != 0:
-            tv = teichmuller(lam.ctx, a % p).a
-            c = c * pow(tv, theta_index, m)
         bs[e] = (bs[e] + c) % m
     coeffs = _poly.from_onepx_basis(bs, m, p ** lvl)
     return IwaSeries(ctx, coeffs, None, lam.prec, p ** lvl)
@@ -475,15 +453,28 @@ def ref_wach_entry(pr, cap, prec):
 
 
 def ref_phi(f):
-    """phi(f) = f((1+pi)^p - 1) in f's window, by substitution."""
-    p, m = f.ctx.p, f.modulus()
-    g = [comb(p, i) % m for i in range(p + 1)]
-    g[0] = 0
-    return IwaSeries(f.ctx, _poly.compose(f.a, g, m, f.deg_cap), None, f.prec,
-                     f.deg_cap)
+    """phi(f) = f((1+pi)^p - 1) in f's window, by Horner substitution on the
+    schoolbook product.  (1+pi)^p - 1 = pi g with g of degree p-1, so each
+    step lengthens the partial result by at most p coefficients."""
+    p, m, cap = f.ctx.p, f.modulus(), f.deg_cap
+    g = [comb(p, i) % m for i in range(1, p + 1)]
+    coeffs = [c % m for c in f.a]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    out = []
+    for c in reversed(coeffs):
+        nxt = [0] * min(cap, len(out) + p)
+        for i, x in enumerate(out):
+            for j, y in enumerate(g, i + 1):
+                if j >= len(nxt):
+                    break
+                nxt[j] = (nxt[j] + x * y) % m
+        nxt[0] = (nxt[0] + c) % m
+        out = nxt
+    return IwaSeries(f.ctx, out + [0] * (cap - len(out)), None, f.prec, cap)
 
 
-def ref_log_matrix_ap0(pr, n, theta_index=0):
+def ref_log_matrix_ap0(pr, n):
     """`log_matrix_ap0` as the sparse pi-basis loop: zeros as None, phi on
     each nonconstant entry, truncation at pi^(p^(n+2)) after every product
     and one `mellin_inverse` per nonzero output entry."""
@@ -531,7 +522,7 @@ def ref_log_matrix_ap0(pr, n, theta_index=0):
                 ent = IwaSeries.zero(pr.ctx, p ** rep, wp)
             else:
                 ent = ref_groupring_to_iwa(mellin_inverse(opp * s, rep),
-                                           theta_index, pr.ctx)
+                                           pr.ctx)
             ent.denom_exp = scale
             ent.growth = Fraction(k + 1, 2)
             orow.append(ent.normalize())
@@ -551,15 +542,15 @@ def ref_qinv_times(pr, mat):
     return out
 
 
-def ap0_outcome(p, n, k, eps, prec, theta, ref):
+def ap0_outcome(p, n, k, eps, prec, ref):
     """The views of M and Q_g^(-1) M (levels included), or what was raised."""
     try:
         pr = params_ap0(p, prec, k, eps)
         if ref:
-            mat = ref_log_matrix_ap0(pr, n, theta)
+            mat = ref_log_matrix_ap0(pr, n)
             qm = ref_qinv_times(pr, mat)
         else:
-            mat = log_matrix_ap0(pr, n, theta)
+            mat = log_matrix_ap0(pr, n)
             qm = qinv_times(pr, mat)
     except (PadicError, ValueError) as exc:
         return type(exc), str(exc)
@@ -577,11 +568,10 @@ def test_ap0_sweep_matches_pi_loop(p, n, k, monkeypatch):
     psi = 0
     for prec in (3, 8, 12):
         for eps in (1, -1, 2):
-            for theta in (0, 1):
-                got = ap0_outcome(p, n, k, eps, prec, theta, False)
-                want = ap0_outcome(p, n, k, eps, prec, theta, True)
-                assert got == want, (prec, eps, theta)
-                psi += got[0] is NotInImage
+            got = ap0_outcome(p, n, k, eps, prec, False)
+            want = ap0_outcome(p, n, k, eps, prec, True)
+            assert got == want, (prec, eps)
+            psi += got[0] is NotInImage
     # the largest entry, (1+pi) phi^n(c) phi^(n-2)(c) ... with c of degree
     # (k+1)(p-1), reaches degree p^(n+2) exactly when k >= p+1, and then a
     # psi-component survives (ROADMAP item 2)
@@ -592,12 +582,30 @@ def test_ap0_sweep_matches_pi_loop(p, n, k, monkeypatch):
                                         (5, 2, 1, 4), (7, 2, 0, 5), (5, 3, 0, 4)])
 def test_ap0_small_precision_and_large_window_match_pi_loop(p, n, k, prec):
     # `logmatrix --p 3 --level 1 --prec 4`, and the largest windows, 7^4 and
-    # 5^5; theta = p-2 puts a nontrivial Teichmuller power on every coset but
-    # the principal one, the only one a product (1+pi) phi(...) reaches
+    # 5^5; the reference projects every coset, the library reads only the
+    # principal one, the only one a product (1+pi) phi(...) reaches
     for eps in (1, -1, 2):
-        for theta in sorted({0, 1, p - 2}):
-            got = ap0_outcome(p, n, k, eps, prec, theta, False)
-            assert got == ap0_outcome(p, n, k, eps, prec, theta, True)
+        got = ap0_outcome(p, n, k, eps, prec, False)
+        assert got == ap0_outcome(p, n, k, eps, prec, True)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_mass_outside_the_principal_coset_raises(p):
+    # Y-exponents = 1 mod p pass; any other nonzero exponent prime to p
+    # raises at the first such position, and psi = 0 is checked before it
+    from padiclog.logmat import _check_principal
+    m = p ** 4
+    ys = [0] * p ** 3
+    ys[1::p] = [5] * len(ys[1::p])
+    _check_principal(ys, p, m)
+    for j in (2, p + 2, p * p - 1, len(ys) - 1):
+        bad = list(ys)
+        bad[j] = m + 3
+        with pytest.raises(NotInImage, match=r"\(1\+pi\)\^%d$" % j):
+            _check_principal(bad, p, m)
+    bad = list(ys)
+    bad[2] = m
+    _check_principal(bad, p, m)
 
 
 def rand_entry(rng, ctx):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from padiclog.padic import (
-    INF, NoRoot, NonUnit, PadicElt, PrimeCtx, sqrt, teichmuller,
+    INF, NoRoot, NonUnit, PadicElt, PrimeCtx, sqrt,
 )
 
 
@@ -29,18 +29,6 @@ def test_inv_examples():
         ctx.from_int(5).inv()
     with pytest.raises(NonUnit):
         ctx.from_int(0).inv()
-
-
-def test_teichmuller_examples():
-    ctx = PrimeCtx(5, 3)
-    assert teichmuller(ctx, 1) == 1
-    t2 = teichmuller(ctx, 2)
-    assert t2.a == 57
-    assert (t2 * t2).a == 125 - 1
-    assert t2 ** 4 == 1
-    assert teichmuller(ctx, 4).a == 5 ** 3 - 1
-    with pytest.raises(NonUnit):
-        teichmuller(ctx, 0)
 
 
 def test_sqrt_examples():
@@ -100,7 +88,7 @@ def test_ring_axioms_random():
             assert x + (-x) == 0
 
 
-def test_inv_and_teichmuller_random():
+def test_inv_random():
     ctx = PrimeCtx(5, 8)
     rng = random.Random(1)
     for _ in range(1000):
@@ -110,9 +98,6 @@ def test_inv_and_teichmuller_random():
         x = ctx.from_int(a)
         assert x.inv().inv() == x
         assert x * x.inv() == 1
-        t = teichmuller(ctx, a % 5)
-        assert t ** 4 == 1
-        assert t.a % 5 == a % 5
 
 
 def test_val_multiplicative():
