@@ -1,7 +1,7 @@
 """Paired A/B timing of two checkouts in one process.
 
     python3 scripts/pair_ab.py A B [--workload mixed] [--seed 11]
-                               [--cycles 12] [--json FILE]
+                               [--cycles 12] [--classes REGEX] [--json FILE]
 
 A and B are roots of two source checkouts.  Each one's ``src/padiclog`` is
 imported under its own package name (``pair_a.padiclog``,
@@ -21,6 +21,11 @@ B/A and each side's median time; then, over all jobs, each side's p50 and
 its 11th-slowest job (the benchmark's ``job_tail_ms`` rule) and the number
 of mismatches.  Separate-process A/B runs on a shared machine swing by
 tens of per cent on unchanged classes; the paired ratio does not.
+
+``--classes REGEX`` times only the requests whose class key matches the
+regular expression (``re.search``), for example
+``--workload logmat --classes 'p 3 --k 1 --level 5'`` for one tail class;
+the warm-up still runs every request.  By default every class is timed.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import importlib
 import io
 import json
 import os
+import re
 import statistics
 import sys
 import tempfile
@@ -92,8 +98,12 @@ def main():
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--cycles", type=int, default=12,
                     help="cycles to run, reusing the manifest's in turn")
+    ap.add_argument("--classes", default="",
+                    help="time only the request classes whose key matches "
+                         "this regular expression (default: all)")
     ap.add_argument("--json", help="also write the report to this file")
     args = ap.parse_args()
+    classes = re.compile(args.classes)
 
     sides = {"a": load_side("a", args.a), "b": load_side("b", args.b)}
     perfbench = os.path.join(os.path.abspath(args.b), "perfbench")
@@ -113,6 +123,8 @@ def main():
         index = 0
         for c in range(args.cycles):
             for job in cycles[c % len(cycles)]:
+                if not classes.search(job["key"]):
+                    continue
                 order = SIDES if index % 2 == 0 else SIDES[::-1]
                 index += 1
                 got = {}
@@ -124,8 +136,11 @@ def main():
                 ratios[job["key"]].append(got["b"][0] / got["a"][0])
                 if got["a"][1] != got["b"][1]:
                     mismatches.append(job["key"])
+    if not index:
+        ap.error("no request class matches %r" % args.classes)
     report = {
         "workload": args.workload, "seed": args.seed, "cycles": args.cycles,
+        "classes_regex": args.classes,
         "jobs": len(walls["a"]), "mismatches": len(mismatches),
         "mismatched_keys": sorted(set(mismatches)),
         "classes": {key: {"n": len(rs), "ratio_b_over_a": statistics.median(rs),

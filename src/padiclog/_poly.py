@@ -3,16 +3,21 @@
 Coefficient vectors are plain int lists reduced modulo a power of p; the
 series classes in cycser/iwadist wrap these with context and precision
 bookkeeping.  Multiplication is one Kronecker product: both vectors are
-packed into one int each and multiplied once.  There is one substitution
-kernel, `taylor_shift`: f(a + bX) mod (m, X^n) for a linear a + bX, on
-one packed int for every level of its tree.  The twists
-X -> u^j (1+X) - 1 call it directly; the (1+X)-power basis changes, and
-with them the Mellin transform, are its shift X -> X+1 (or X -> X-1), and
-Frobenius is Y -> Y^p between two of them.  Nothing is cached.  The
-(1+X)-power basis transforms are exact unipotent integer maps, which is
-what makes the finite-level Mellin transform invertible.  Truncation mod
-X^cap of a vector held in that basis is one division by (Y-1)^cap,
-Y = 1+X (`onepx_rem`), with no basis change.
+packed into one int each and multiplied once; products of mostly-zero
+vectors instead sum their nonzero pairs (`sparse_mul`).  There is one
+substitution kernel, `taylor_shift`: f(a + bX) mod (m, X^n) for a linear
+a + bX, on one packed int for every level of its tree.  Its low levels,
+whose exact values fit a slot, are built from the nonzero coefficients
+alone, so a sparse input such as a log-matrix entry read off its coset
+costs less.  The twists X -> u^j (1+X) - 1 call it directly; the
+(1+X)-power basis changes, and with them the Mellin transform, are its
+shift X -> X+1 (or X -> X-1), and Frobenius is Y -> Y^p between two of
+them.  Nothing is cached.  The (1+X)-power basis transforms are exact
+unipotent integer maps, which is what makes the finite-level Mellin
+transform invertible (and keeps the p-content of a vector, which
+`logmat` strips before the shift).  Truncation mod X^cap of a vector held
+in that basis is one division by (Y-1)^cap, Y = 1+X (`onepx_rem`), with no
+basis change.
 
 Division by a polynomial with a unit leading coefficient (`poly_divmod_top`)
 also runs on that multiply: the quotient is one product with the inverse of
@@ -105,6 +110,24 @@ def vec_mul(xs, ys, m, cap):
     return out + [0] * (n - r)
 
 
+def sparse_mul(xs, ys, m):
+    """The untruncated product xs * ys mod m, summed over the pairs of
+    nonzero coefficients only.
+
+    For factors that are mostly zeros, such as phi^i(c) in Y with its
+    nonzeros p^i apart, this costs less than packing every zero into
+    `vec_mul`'s product.
+    """
+    if not xs or not ys:
+        return []
+    out = [0] * (len(xs) + len(ys) - 1)
+    ys = [(j, y) for j, y in enumerate(ys) if y]
+    for i, x in [(i, x) for i, x in enumerate(xs) if x]:
+        for j, y in ys:
+            out[i + j] += x * y
+    return [c % m for c in out]
+
+
 def vec_trim(xs):
     """xs without its trailing zeros."""
     return xs[:trimmed_len(xs, len(xs))]
@@ -157,33 +180,55 @@ def taylor_shift(bs, a, b, m, n):
     multiply and one add.
 
     The slot holds 2 bits(m) + 6 + bits(len) bits, enough for a merge of
-    values below 2^(bits(m) + 3).  For the shift X -> X+1, while the exact
-    values (below m 2^(2w) after the merge) fit the slot, the levels run in
-    integers with no reduction; any other (a, b) leaves that range after
-    one level.  Above it, each level first folds the int and g^w down to
-    slots below 2^(bits(m) + 3), in place: a fold keeps each slot v
-    congruent mod m as (v >> h) (2^h mod m) + (v mod 2^h), with h set so
-    the bound on the slot falls from b to about (b + bits(m))/2 bits.  Only
-    the output is reduced mod m.  The whole trimmed input is substituted
-    before the cut to n: its coefficients of degree >= n still reach low
-    degrees.
+    values below 2^(bits(m) + 3).  The low levels are not run: up to the
+    largest block size B whose exact values fit the slot, each block is
+    built directly in integers, every nonzero coefficient c at t B + r
+    adding c g^r to block t (g^r packed, so one multiply and one add), and
+    zero coefficients cost nothing.  For the shift X -> X+1, B is the
+    largest power of two with m 2^B below the slot's range; any other
+    (a, b) leaves that range after about one level.  From B on, each level
+    first folds the int and g^w down to slots below 2^(bits(m) + 3), in
+    place: a fold keeps each slot v congruent mod m as
+    (v >> h) (2^h mod m) + (v mod 2^h), with h set so the bound on the
+    slot falls from b to about (b + bits(m))/2 bits.  Only the output is
+    reduced mod m.  The whole trimmed input is substituted before the cut
+    to n: its coefficients of degree >= n still reach low degrees.
     """
     cur = vec_trim([c % m for c in bs])
     size = len(cur)
+    if not size:
+        return [0] * n
     bm = m.bit_length()
     k = (2 * bm + 6 + size.bit_length() + 7) // 8
-    x = int.from_bytes(b"".join([c.to_bytes(k, "little") for c in cur]), "little")
     a, b = a % m, b % m
-    g = (b << 8 * k) + a
-    general = (a, b) != (1, 1)
-    folds = None
+    top = 1 << 8 * k
+    # The largest power of two w such that every coefficient of a block
+    # sum_{r < w} c_r (a + bX)^r, c_r < m, and of (a + bX)^w is below a
+    # slot's 2^(8k): with s = max(a + b, 2) both are below 2 m s^(w-1).
+    s = max(a + b, 2)
     w = 1
+    while w < size and 2 * m * s ** (2 * w - 1) < top:
+        w *= 2
+    # the levels below w, exactly: c at t w + r adds c (a + bX)^r to
+    # block t, packed carry-free as c g^r
+    g = (b << 8 * k) + a
+    gpow = [1]
+    for _ in range(min(w, size) - 1):
+        gpow.append(gpow[-1] * g)
+    blocks = [0] * -(-size // w)
+    lw, low = w.bit_length() - 1, w - 1
+    for i, c in enumerate(cur):
+        if c:
+            blocks[i >> lw] += c * gpow[i & low]
+    x = int.from_bytes(b"".join([v.to_bytes(k * w, "little") for v in blocks]),
+                       "little")
+    if w < size:
+        folds = _slot_folds(m, k, size)
+        g *= gpow[-1]
     while w < size:
-        if general and w > 1 or bm + 2 * w > 8 * k:
-            folds = folds or _slot_folds(m, k, size)
-            for h, c, lo, hi in folds:
-                x = (x & lo) + (x >> h & hi) * c
-                g = (g & lo) + (g >> h & hi) * c
+        for h, c, lo, hi in folds:
+            x = (x & lo) + (x >> h & hi) * c
+            g = (g & lo) + (g >> h & hi) * c
         half = k * w
         mask = int.from_bytes((b"\xff" * half + bytes(half)) * -(-size // (2 * w)),
                               "little")

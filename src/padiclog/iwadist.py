@@ -179,13 +179,20 @@ class IwaSeries:
             vals.append(Fraction(_vp(g, p, prec)) + half)
         return min(vals, default=INF)
 
+    def strip_exp(self):
+        """The power of p that `normalize` strips: the least valuation of the
+        stored coefficients at `coeff_prec()` (the whole `prec` for a series
+        that vanishes there), at most `denom_exp`, and 0 when that is not
+        positive."""
+        if self.denom_exp <= 0:
+            return 0
+        v = self.min_val()
+        return max(0, min(self.denom_exp, int(v) if v is not INF else self.prec))
+
     def normalize(self):
         """Strip provable common p-content from the stored coefficients."""
-        if self.denom_exp == 0:
-            return self
-        v = self.min_val()
-        s = min(self.denom_exp, int(v) if v is not INF else self.prec)
-        if s <= 0:
+        s = self.strip_exp()
+        if s == 0:
             return self
         pk = self.ctx.p ** s
         # entries below p^prec floor-divide to entries below p^(prec - s)

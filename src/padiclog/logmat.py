@@ -29,7 +29,12 @@ the principal coset (1+p)^e of the units mod p^(n+2), and mass anywhere
 else raises (`_check_principal`).  So the trivial-character projection
 [(1+p)^e] -> (1+X)^e reads that coset straight into the (1+X)-basis vector
 of the entry, and one basis change per nonzero entry takes it to the X
-basis.
+basis (`_mellin_entry`).  That change is unipotent over Z, so it keeps the
+p-content that `normalize` would strip afterwards: the content is read off
+the coset vector and divided out first, and the shift runs on the
+quotient at the lower precision, already normalized.  The coset vector is
+mostly zeros (25 of 243 coefficients at p = 3, n = 4, k = 1), which the
+shift's exact low levels skip.
 
 The product carries only the nonzero entries.  For a_p = 0 every factor
 phi^i(P^(-1)) is antidiagonal with the constant 1 in one corner, so the
@@ -37,7 +42,9 @@ product and A^(n+1) are diagonal or antidiagonal: half of the entries are
 structural zeros.  They are marked None once and skip every term, Mellin
 read and Delta-projection they would feed.  Every entry of P^(-1) is known
 at the working precision, so a skipped zero lowers no precision and the
-output is the same as the dense computation's.
+output is the same as the dense computation's.  The other entries are
+sparse too: phi^i(c) has at most (k+1)(p-1)+1 nonzeros, p^i apart, so the
+products run over nonzero pairs only (`_poly.sparse_mul`).
 
 Q_g^(-1) is constant, so Q_g^(-1) M (`qinv_times`) is one pass per entry
 that scales and adds the int vectors of a column of M; the zeros of M add
@@ -52,6 +59,7 @@ form's eigenvalues for `q_matrix(params, "f")`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from padiclog import _poly
 from padiclog.cycser import NotInImage, check_psi_zero
@@ -284,11 +292,12 @@ def _check_principal(ys, p, m):
 def _dot(pairs, m):
     """Sum mod m of the untruncated products x * y of int vectors over the
     pairs, where None is a zero factor: a term with a zero factor is
-    skipped, and a sum with no term left is None."""
+    skipped, and a sum with no term left is None.  Each product runs over
+    nonzero pairs only (`_poly.sparse_mul`)."""
     acc = None
     for x, y in pairs:
         if x is not None and y is not None:
-            t = _poly.vec_mul(x, y, m, len(x) + len(y) - 1)
+            t = _poly.sparse_mul(x, y, m)
             acc = t if acc is None else _poly.vec_add(acc, t, m)
     return acc
 
@@ -298,6 +307,33 @@ def _phi_y(v, p):
     out = [0] * ((len(v) - 1) * p + 1)
     out[::p] = v
     return out
+
+
+def _mellin_entry(ctx, vals, wp, scale, growth):
+    """The normalized entry whose (1+X)-basis vector is vals mod p^wp, with
+    denominator p^scale.
+
+    The basis change X -> X+1 is unipotent over Z, so it keeps the content
+    of the vector: the power p^s that `IwaSeries.normalize` would strip
+    from the X-basis entry is read off vals (`strip_exp`).  When p^s divides
+    vals at wp, the shift runs on vals / p^s mod p^(wp-s) and its output is
+    the normalized entry as it stands.  Otherwise vals vanish mod
+    p^ctx.prec, with ctx.prec < scale, but not mod p^s: the shift runs at wp
+    and `normalize` floor-divides by p^s after it, dropping nonzero digits.
+    That is the unsound strip of ROADMAP item 1; the branch goes with it.
+    """
+    p, size = ctx.p, len(vals)
+    s = IwaSeries._reduced(ctx, vals, None, wp, size, scale, growth).strip_exp()
+    pk = p ** s
+    g = gcd(*vals)
+    if g % pk:
+        vec = _poly.from_onepx_basis(vals, p ** wp, size)
+        return IwaSeries._reduced(ctx, vec, None, wp, size, scale,
+                                  growth).normalize()
+    # a zero vector is its own shift
+    vec = _poly.from_onepx_basis([c // pk for c in vals], p ** (wp - s),
+                                 size) if g else vals
+    return IwaSeries._reduced(ctx, vec, None, wp - s, size, scale - s, growth)
 
 
 MAX_REP_DEGREE = 4096
@@ -313,8 +349,12 @@ def log_matrix_ap0(params, n, prec=None):
 
     P'^(-1) = [[0, 1], [-eps q^(k+1), 0]] is built in Y = 1+pi, where its
     one nonconstant entry is an exact int vector (`_q_power_y`).  All of its
-    entries are taken at the working precision, so every output entry is
-    stored at it before `normalize` strips its denominator.
+    entries are taken at the working precision wp, and the phi-product chain
+    multiplies them over their nonzero pairs.  Each output entry strips the
+    p-content s that `normalize` would strip from it at wp before its
+    Mellin shift, which then runs mod p^(wp-s) (`_mellin_entry`); only an
+    entry that vanishes at the requested precision but is not divisible by
+    p^s there (ROADMAP item 1) is shifted at wp and normalized after.
     """
     if params.mode != AP_ZERO:
         raise WrongMode("log_matrix_ap0 requires a_p = 0 mode")
@@ -361,7 +401,7 @@ def log_matrix_ap0(params, n, prec=None):
         for j in range(2):
             s = _dot(((prod[t][j], an[i][t]) for t in range(2)), m)
             if s is None:
-                vec = [0] * p ** rep
+                vals = [0] * p ** rep
             else:
                 # the factor 1+pi = Y is a shift; truncation mod pi^cap is a
                 # ring map, so the exact product is reduced only here
@@ -372,11 +412,8 @@ def log_matrix_ap0(params, n, prec=None):
                 check_psi_zero(ys, p, m)
                 _check_principal(ys, p, m)
                 coset = coset or _principal_coset(p, rep)
-                vec = _poly.from_onepx_basis([ys[a] for a in coset], m,
-                                             len(coset))
-            ent = IwaSeries._reduced(ctx, vec, None, wp, p ** rep, scale,
-                                     growth)
-            orow.append(ent.normalize())
+                vals = [ys[a] for a in coset]
+            orow.append(_mellin_entry(ctx, vals, wp, scale, growth))
         out.append(orow)
     return LogMatrix(out, level=n, provenance="ap-zero level %d" % n,
                      rep_level=rep)

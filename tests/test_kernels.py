@@ -441,6 +441,70 @@ def test_linear_shift_matches_horner(p):
                     assert got == ref_linear_shift(f, a, b, m, n), (m, a, b, length, n)
 
 
+def sparse_vec(rng, length, nonzero, m):
+    """A vector of the given length with `nonzero` nonzero entries in [1, m)
+    at random places."""
+    xs = [0] * length
+    for i in rng.sample(range(length), nonzero):
+        xs[i] = rng.randrange(1, m)
+    return xs
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_taylor_shift_sparse_matches_horner(p):
+    # the exact low levels are built from the nonzeros: 0, 1, a few and all
+    # of them nonzero, lengths off the powers of two, n below and above the
+    # length, the shift (1, 1) and a random (a, b)
+    rng = random.Random(10 + p)
+    for m in (p, p ** 9, p ** 40):
+        pairs = [(1, 1), (rng.randrange(m), rng.randrange(m))]
+        for length in (1, 6, 27, 50, 100):
+            for nonzero in sorted({0, 1, min(3, length), length}):
+                f = sparse_vec(rng, length, nonzero, m)
+                for a, b in pairs:
+                    for n in (length // 2, length, length + 5):
+                        got = _poly.taylor_shift(f, a, b, m, n)
+                        assert got == ref_compose(f, [a, b], m, n), \
+                            (m, a, b, length, nonzero, n)
+
+
+@pytest.mark.parametrize("length,m", LADDER)
+def test_taylor_shift_ladder_sparsity(length, m):
+    # the Mellin reads of the ladder have few nonzeros, p^i apart
+    rng = random.Random(length)
+    f = [0] * length
+    for i in range(0, length, 9):
+        f[i] = rng.randrange(m)
+    f[-1] = rng.randrange(1, m)
+    assert _poly.taylor_shift(f, 1, 1, m, length) == ref_linear_shift(f, 1, 1, m, length)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sparse_mul_matches_schoolbook(p):
+    def schoolbook(xs, ys, m):
+        out = [0] * (len(xs) + len(ys) - 1)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                out[i + j] = (out[i + j] + x * y) % m
+        return out
+
+    rng = random.Random(20 + p)
+    for m in (p, p ** 9, p ** 40):
+        for lx, ly in ((1, 1), (1, 9), (7, 30), (40, 13)):
+            for nx in sorted({0, 1, lx}):
+                for ny in sorted({0, min(2, ly), ly}):
+                    xs = sparse_vec(rng, lx, nx, m)
+                    ys = sparse_vec(rng, ly, ny, m)
+                    assert _poly.sparse_mul(xs, ys, m) == schoolbook(xs, ys, m)
+    # phi^i(c) in Y: nonzeros p^i apart, as the log-matrix chain multiplies
+    m = p ** 20
+    c = [rng.randrange(m) for _ in range(2 * (p - 1) + 1)]
+    spread = [0] * ((len(c) - 1) * p ** 2 + 1)
+    spread[::p ** 2] = c
+    assert _poly.sparse_mul(spread, c, m) == schoolbook(spread, c, m)
+    assert _poly.sparse_mul([], c, m) == []
+
+
 # -- the callers ---------------------------------------------------------------------
 
 

@@ -676,3 +676,64 @@ def test_q_power_y_matches_wach_entry():
                     ys = _poly.to_onepx_basis(entry.a, m)
                     assert ys == _poly.onepx_rem(want, cap, p, 7), (p, k, cap)
     assert built > 30
+
+
+def normalized_entries(monkeypatch, pr, n):
+    """The entries of log_matrix_ap0(pr, n) that went through
+    `IwaSeries.normalize`: only the unsound strip does, for an entry that
+    vanishes at the context's precision but not at p^s (ROADMAP item 1);
+    every other entry is shifted with its content already stripped."""
+    seen = []
+    normalize = IwaSeries.normalize
+
+    def spy(self):
+        out = normalize(self)
+        seen.append(out)
+        return out
+    monkeypatch.setattr(IwaSeries, "normalize", spy)
+    try:
+        mat = log_matrix_ap0(pr, n)
+    finally:
+        monkeypatch.setattr(IwaSeries, "normalize", normalize)
+    return [(i, j) for i in range(2) for j in range(2)
+            if any(mat.entry(i, j) is e for e in seen)], len(seen)
+
+
+def test_unsound_strip_only_where_the_digits_vanish(monkeypatch):
+    # `logmatrix --p 3 --k 2 --level 4 --prec 8`: entry (1,0) vanishes mod
+    # 3^8 and is stripped by 3^15 at wp = 23; at --prec 24 its denom_exp is 6
+    assert normalized_entries(monkeypatch, params_ap0(3, 8, 2), 4) == ([(1, 0)], 1)
+    # the benchmark's ladder never takes that branch
+    for p, n in ((3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2)):
+        for k in (0, 1):
+            assert normalized_entries(monkeypatch, params_ap0(p, 12, k), n) == ([], 0)
+
+
+def disagreeing_coefficients(low, high, p):
+    """How many coefficients of the entry `low` differ from `high`, built at
+    a higher precision, reduced to low's reported precision: a / p^d known
+    mod p^(prec - d)."""
+    assert high.prec - high.denom_exp >= low.prec - low.denom_exp
+    m = p ** (low.prec + high.denom_exp)
+    return sum(1 for x, y in zip(low.a, high.a)
+               if (x * p ** high.denom_exp - y * p ** low.denom_exp) % m)
+
+
+def test_eps_one_matches_a_higher_precision_build():
+    low = log_matrix_ap0(params_ap0(3, 5, 1, 1), 2)
+    high = log_matrix_ap0(params_ap0(3, 30, 1, 1), 2)
+    for i in range(2):
+        for j in range(2):
+            assert disagreeing_coefficients(low.entry(i, j), high.entry(i, j), 3) == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "log_matrix_ap0 reads params.eps.a, the residue of eps mod p^prec, as an "
+    "int mod p^wp: for eps = -1 at (p, k, n) = (3, 1, 2) and prec 5, entry "
+    "(0,1) differs from the prec-30 build in 23 of its 27 coefficients.  "
+    "Lifting eps exactly changes the split pins at the eps = -1 keys, so the "
+    "fix belongs to the one-precision-per-series refactor (ROADMAP item 1)."))
+def test_negative_eps_matches_a_higher_precision_build():
+    low = log_matrix_ap0(params_ap0(3, 5, 1, -1), 2)
+    high = log_matrix_ap0(params_ap0(3, 30, 1, -1), 2)
+    assert disagreeing_coefficients(low.entry(0, 1), high.entry(0, 1), 3) == 0
