@@ -30,8 +30,8 @@ from padiclog.logmat import (CrystalParams, LogMatrix, log_matrix_ap0,
 from padiclog.split import (AlphaBetaPair, SignedPair, antisym_factor,
                             forward, signed_split)
 from padiclog.regdiv import MSeries, SpecFamily, chevalley_check, divides_trunc, specialize
-from padiclog.galimg import (DihedralData, MatGroupGen, closure, dihedral_rep,
-                             find_tau, goursat_product_check)
+from padiclog.galimg import (MatGroupGen, closure, find_tau,
+                             goursat_product_check)
 from padiclog.qexp import (ImagQuadCtx, QExpansion, deplete,
                            dirichlet_from_euler, eisenstein_depleted,
                            nebentype_value, theta_series)
@@ -46,8 +46,7 @@ __all__ = [
     "q_matrix_inv", "qinv_times", "semi_ordinary_block",
     "AlphaBetaPair", "SignedPair", "antisym_factor", "forward", "signed_split",
     "MSeries", "SpecFamily", "chevalley_check", "divides_trunc", "specialize",
-    "DihedralData", "MatGroupGen", "closure", "dihedral_rep", "find_tau",
-    "goursat_product_check",
+    "MatGroupGen", "closure", "find_tau", "goursat_product_check",
     "ImagQuadCtx", "QExpansion", "deplete", "dirichlet_from_euler",
     "eisenstein_depleted", "nebentype_value", "theta_series",
 ]

@@ -195,7 +195,7 @@ def check_signed_split(seed=0, trials=100, prec=12):
                       None, None, deg + 1),
             IwaSeries(ctx, [rng.randrange(ctx.modulus) for _ in range(deg + 1)],
                       None, None, deg + 1), n)
-        got = signed_split(forward(pair, op.qinv_m), op, n)
+        got = signed_split(forward(pair, op.qinv_m), op)
         jointp = min(got.plus.prec, got.minus.prec)
         min_prec = min(min_prec, jointp)
         if not (got.plus == pair.plus and got.minus == pair.minus
@@ -205,7 +205,7 @@ def check_signed_split(seed=0, trials=100, prec=12):
     try:
         one = IwaSeries.const(ctx, 1, 4)
         z = IwaSeries.zero(ctx, 4)
-        signed_split(AlphaBetaPair(one, z, n), op, n)
+        signed_split(AlphaBetaPair(one, z, n), op)
     except NoBoundedSolution:
         rejected = True
     return {"suite": "signed-split", "pass": fails == 0 and rejected,

@@ -128,7 +128,7 @@ def cmd_split(args):
     n = spec["level"]
     ab = AlphaBetaPair(iwadist.from_json(spec["alpha"], op.ctx),
                        iwadist.from_json(spec["beta"], op.ctx), n)
-    pair = signed_split(ab, op, n, denom_budget=spec.get("denom_exp", 0))
+    pair = signed_split(ab, op, denom_budget=spec.get("denom_exp", 0))
     _emit({"plus": pair.plus.to_json(), "minus": pair.minus.to_json(),
            "level": n}, args)
     return 0
@@ -206,10 +206,14 @@ def cmd_eis(args):
 def _qexp_coeffs(spec, where):
     """The coefficients of a q-expansion read from JSON input.
 
-    They are all integers or, over a ring other than "int", all integer
-    vectors of one length (one coordinate vector per coefficient).
+    There are nmax of them, all integers or, over a ring other than "int",
+    all integer vectors of one length (one coordinate vector per
+    coefficient).
     """
     cs = spec["coeffs"]
+    if len(cs) != spec["nmax"]:
+        raise ValueError("%s: nmax is %d but coeffs has %d entries"
+                         % (where, spec["nmax"], len(cs)))
     if all(type(c) is int for c in cs):
         return cs
     if (spec.get("ring") != "int"

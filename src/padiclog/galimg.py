@@ -34,10 +34,6 @@ class BudgetExceeded(PadicError):
     pass
 
 
-class InconsistentCharacter(PadicError):
-    pass
-
-
 def _check_field(p, ext_d=None):
     """d mod p for F_p^2 = F_p[s]/(s^2 - d), or None for F_p.
 
@@ -283,46 +279,6 @@ def goursat_product_check(p, gen_pairs, ext_d=None, budget=DEFAULT_BUDGET):
         pr2_solvable=is_solvable(g2.gens, p, budget),
         pr1_is_sl2=pr1_sl2,
     )
-
-
-class DihedralData:
-    """Character values describing an induced two-dimensional representation.
-
-    diag_pairs are the values (psi^(-1)(sigma), psi^(-1)(c sigma c^(-1))) on
-    classes inside the index-two subgroup; offk_pairs the swap-form values
-    (x, x') on classes outside it.  Values are ints, or pairs (a, b) meaning
-    a + b s over F_p^2 (s^2 = ext_d).  Optional relations (i, j, k) assert
-    that class i times class j is class k among the diagonal entries.
-    """
-
-    def __init__(self, p, diag_pairs, offk_pairs, ext_d=None, relations=()):
-        self.p = p
-        self.ext_d = _check_field(p, ext_d)
-        self.diag_pairs = list(diag_pairs)
-        self.offk_pairs = list(offk_pairs)
-
-        def block(x):
-            return embed(((x,),), p, self.ext_d)
-
-        zero = block(0)
-        diag = [(block(u), block(v)) for u, v in self.diag_pairs]
-        if any(zero in uv for uv in diag):
-            raise InconsistentCharacter("character value is zero")
-        if any(zero in (block(x), block(y)) for x, y in self.offk_pairs):
-            raise InconsistentCharacter("off-class value is zero")
-        for (i, j, k) in relations:
-            u = mat_mul(diag[i][0], diag[j][0], p)
-            v = mat_mul(diag[i][1], diag[j][1], p)
-            if (u, v) != diag[k]:
-                raise InconsistentCharacter(
-                    "class relation %d * %d != %d" % (i, j, k))
-
-
-def dihedral_rep(data):
-    """Generators diag(u, v) and antidiag(x, x') from the character data."""
-    gens = [((u, 0), (0, v)) for u, v in data.diag_pairs]
-    gens += [((0, x), (xp, 0)) for x, xp in data.offk_pairs]
-    return MatGroupGen(data.p, 2, gens, data.ext_d)
 
 
 def kron(a, b, p):

@@ -14,11 +14,15 @@ products are exact finite products of such polynomials.
 Division and valuation run on the stored int vectors through `_poly`: an
 extension-valued series is divided once on its base part and once on its
 w-part, and every divisor is base-valued.  Precisions follow coefficientwise
-fixed-point arithmetic (see `_divmod_top`).
+fixed-point arithmetic (see `_divmod_top`); the fast path of
+`solve_series_div` reads both operands at their lesser precision, so its
+quotient has that one precision.  A caller that divides by one g many times
+hands `solve_series_div` g's reciprocal, held in a `_poly.HeldDivisor`.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -50,6 +54,15 @@ class ExtensionTooLarge(PadicError):
 def ucyc(ctx):
     """The fixed cyclotomic value of the chosen topological generator."""
     return 1 + ctx.p
+
+
+def _parts(f, m):
+    """f's base part and its w-part, if any, below p^ctx.prec: reduced mod
+    m only when f's precision exceeds the context's."""
+    parts = (f.a,) if f.b is None else (f.a, f.b)
+    if f.prec > f.ctx.prec:
+        parts = [[c % m for c in v] for v in parts]
+    return parts
 
 
 class IwaSeries:
@@ -168,12 +181,12 @@ class IwaSeries:
         ramified extension.
         """
         p, prec = self.ctx.p, self.coeff_prec()
-        m = p ** prec
+        parts = _parts(self, p ** prec)
         vals = []
-        g = gcd(*[c % m for c in self.a])
+        g = gcd(*parts[0])
         if g:
             vals.append(Fraction(_vp(g, p, prec)))
-        g = gcd(*[c % m for c in self.b]) if self.b else 0
+        g = gcd(*parts[1]) if self.b else 0
         if g:
             half = Fraction(1, 2) if self.ctx.ramified() else 0
             vals.append(Fraction(_vp(g, p, prec)) + half)
@@ -207,20 +220,25 @@ class IwaSeries:
 
     # -- ring structure -------------------------------------------------------
 
-    def __add__(self, other):
+    def _add(self, other, op):
+        """op(self, other) for op operator.add or operator.sub, on the
+        aligned int vectors in one pass."""
         if isinstance(other, (int, PadicElt)):
             other = IwaSeries.const(self.ctx, other, self.deg_cap, self.prec)
         x, y = self._aligned(other)
         prec = min(x.prec, y.prec)
         cap = min(x.deg_cap, y.deg_cap)
         m = x.ctx.p ** prec
-        a = _poly.vec_add(x.a[:cap], y.a[:cap], m)
+        a = [c % m for c in map(op, x.a, y.a)]
         b = None
         if x.b or y.b:
-            b = _poly.vec_add(x.b[:cap] if x.b else [0] * cap,
-                              y.b[:cap] if y.b else [0] * cap, m)
+            zeros = [0] * cap
+            b = [c % m for c in map(op, x.b or zeros, y.b or zeros)]
         return IwaSeries._reduced(x.ctx, a, b, prec, cap, x.denom_exp,
                                   max(x.growth, y.growth))
+
+    def __add__(self, other):
+        return self._add(other, operator.add)
 
     __radd__ = __add__
 
@@ -231,9 +249,7 @@ class IwaSeries:
                                   self.prec, self.deg_cap, self.denom_exp, self.growth)
 
     def __sub__(self, other):
-        if isinstance(other, (int, PadicElt)):
-            other = IwaSeries.const(self.ctx, other, self.deg_cap, self.prec)
-        return self + (-other)
+        return self._add(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -245,18 +261,31 @@ class IwaSeries:
                 self.ctx, _poly.vec_scale(self.a, other, m),
                 _poly.vec_scale(self.b, other, m) if self.b else None,
                 self.prec, self.deg_cap, self.denom_exp, self.growth)
-        if isinstance(other, PadicElt):
-            other = IwaSeries.const(self.ctx, other, self.deg_cap)
         prec = min(self.prec, other.prec)
-        cap = min(self.deg_cap, other.deg_cap)
         m = self.ctx.p ** prec
-        xa, ya = self.a, other.a
-        a = _poly.vec_mul(xa, ya, m, cap)
-        b = None
+        e = None
         if self.b or other.b:
             e = self.ctx.wsq()
             if e is None:
                 raise ValueError("extension coefficients without an extension")
+        xa = self.a
+        if isinstance(other, PadicElt):
+            # (xa + xb w)(ca + cb w), w^2 = e, coefficient by coefficient
+            ca, cb = other.a, other.b
+            b = None
+            if e is None:
+                a = [x * ca % m for x in xa]
+            else:
+                xb, ecb = self.b or [0] * self.deg_cap, e * cb
+                a = [(x * ca + y * ecb) % m for x, y in zip(xa, xb)]
+                b = [(x * cb + y * ca) % m for x, y in zip(xa, xb)]
+            return IwaSeries._reduced(self.ctx, a, b, prec, self.deg_cap,
+                                      self.denom_exp, self.growth)
+        cap = min(self.deg_cap, other.deg_cap)
+        ya = other.a
+        a = _poly.vec_mul(xa, ya, m, cap)
+        b = None
+        if e is not None:
             b = _poly.vec_add(
                 _poly.vec_mul(xa, other.b, m, cap) if other.b else [0] * cap,
                 _poly.vec_mul(self.b, ya, m, cap) if self.b else [0] * cap, m)
@@ -649,45 +678,62 @@ def is_unit(f):
     return g.denom_exp == 0 and g.coeff(0).is_unit()
 
 
-def solve_series_div(y, g, out_len=None):
+def solve_series_div(y, g, held=None):
     """q with g*q = y on the stored window, by exact linear solving.
 
     Handles divisors whose stored coefficients have mixed valuations (where
     pivot-based division would lose precision coefficient by coefficient);
     the minimal-valuation pivoting keeps the loss to the intrinsic amount,
     reported through the returned precision.  Divisor must be base-valued.
+
+    Fast path: where g's top coefficient is a unit and y is below the top
+    of its window, each part of y is divided from the top mod p^pm, pm the
+    precision of both operands there (min(y.prec, g.prec), capped by the
+    context's).  On a zero remainder the quotient has precision pm when the
+    window is longer than deg g, else the context's.  `held`, when given,
+    is g as a `_poly.HeldDivisor` with its reciprocal, its modulus a
+    multiple of p^pm and its bound at least p^ctx.prec (as
+    `split.SplitOperator` holds its entries); the division then multiplies
+    by the held reciprocal instead of building one.
     """
     if g.has_ext():
         raise NotDivisible("divisor must be base-valued")
-    ctx = y.ctx
+    ctx, p = y.ctx, y.ctx.p
     prec = min(y.prec, g.prec)
-    m = ctx.p ** prec
     dg = g.degree()
     if dg < 0:
         raise NotDivisible("division by zero at precision")
-    cap = y.deg_cap
-    if out_len is None:
-        out_len = cap
+    cap, dy = y.deg_cap, y.degree()
     dshift = y.denom_exp - g.denom_exp
     growth = max(Fraction(0), y.growth - g.growth)
-    # fast path: exact polynomial division when the leading coefficient is a
-    # unit and the remainder vanishes (covers images of polynomial inputs)
-    if prec > 0 and g.a[dg] % ctx.p and y.degree() + 1 < cap:
-        quot, rem = _divmod_top(IwaSeries(ctx, y.a, y.b, prec, cap),
-                                IwaSeries(ctx, g.a, None, prec, g.deg_cap))
-        if rem.is_zero():
-            quot.denom_exp = max(dshift, 0)
-            quot.growth = growth
+    if prec > 0 and g.a[dg] % p and dy + 1 < cap:
+        pm = min(prec, ctx.prec)
+        mm = p ** pm
+        out = []
+        for vec in _parts(y, mm):
+            if held is None:
+                q, r = _poly.poly_divmod_top(vec, g.a[:dg + 1], mm, p, pm)
+            else:
+                q, r = [], vec[:_poly.trimmed_len(vec, cap)]
+                if len(r) > dg:
+                    q, r = _poly.divmod_held(r, held, mm)
+            if any([c % mm for c in r]):
+                break
+            out.append(q + [0] * (cap - len(q)))
+        else:
+            quot = IwaSeries._reduced(ctx, out[0], out[1] if len(out) > 1 else None,
+                                      pm if cap > dg else ctx.prec, cap,
+                                      max(dshift, 0), growth)
             return quot.times_p(-dshift) if dshift < 0 else quot
-    dy = y.degree()
-    widths = [out_len]
-    if 0 <= dy < cap - 1 and dy - dg + 1 < out_len:
+    m = p ** prec
+    widths = [cap]
+    if 0 <= dy < cap - 1 and dy - dg + 1 < cap:
         # polynomial-sized system first: much smaller when the quotient is
         # an exact polynomial (images of bounded inputs)
         widths.insert(0, max(dy - dg + 1, 1))
     last_exc = None
     for width in widths:
-        rows = [[(g.a[i - j] if 0 <= i - j <= dg and i - j < g.deg_cap else 0)
+        rows = [[(g.a[i - j] if 0 <= i - j <= dg else 0)
                  for j in range(width)] for i in range(cap)]
         out_vecs = []
         loss = 0

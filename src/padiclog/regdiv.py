@@ -201,8 +201,11 @@ def divides_trunc(f, g, window=None):
     The certified window is total degree < deg_cap - deg_eff(f): beyond it a
     truncated divisor cannot constrain the product.  The graded linear system
     is solved once; only when it is inconsistent are its degree prefixes
-    solved, to report the first obstructed degree.
+    solved, to report the first obstructed degree.  F and G must have the
+    same variables.
     """
+    if f.nvars != g.nvars:
+        raise ValueError("F has %d variables but G has %d" % (f.nvars, g.nvars))
     if f.is_zero():
         raise NotDivisible("divisor is zero at precision")
     e0 = deg_eff(f)
@@ -301,8 +304,10 @@ def chevalley_check(f, g, fam):
     (a) no p-content in F and G; (b) x0 does not divide F; (c) at each a_i
     the specialized division succeeds.  When everything passes, the direct
     truncated division F | G is attempted as well.  The report certifies
-    only truncated statements.
+    only truncated statements.  F and G must have the same variables.
     """
+    if f.nvars != g.nvars:
+        raise ValueError("F has %d variables but G has %d" % (f.nvars, g.nvars))
     rpt = ChevalleyReport(
         content_ok=(f.content_val() == 0 and g.content_val() == 0),
         x0_ok=not specialize(f, 0).is_zero(),

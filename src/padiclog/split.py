@@ -22,9 +22,10 @@ a unit (not so for M21 or M12 at some k >= 1 keys, which keep the dense
 extends a local copy.  A held parity product serves a request only when its
 window is longer than the product's degree: twists do not commute with
 truncation, so a shorter window builds the truncated products there.
-`signed_split` and `antisym_factor` run on the int vectors from the parsed
-inputs to the output series, with the precision bookkeeping of IwaSeries
-arithmetic and `solve_series_div` (see `_divide`).  `split_operator` builds one
+`signed_split` and `antisym_factor` combine their inputs with IwaSeries
+arithmetic and divide by the matrix entries with `solve_series_div`, handing
+it the held entry divisors; the parity certificate divides by the held
+products on the int vectors (`_rem_visible`).  `split_operator` builds one
 operator per key (p, prec, k, eps, level) and keeps the 8 most recently
 used (`functools.lru_cache`), so a run of requests against one form g builds
 its operator once.  An operator's size grows with p^(n+2) and prec; at the
@@ -35,10 +36,9 @@ fails raises every time and is not kept.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from padiclog import _poly
-from padiclog.iwadist import (IwaSeries, NotDivisible, phi_tw,
+from padiclog.iwadist import (IwaSeries, NotDivisible, _parts, phi_tw,
                               solve_series_div)
 from padiclog.logmat import CrystalParams, log_matrix_ap0, qinv_times
 from padiclog.padic import NonUnit, PadicError
@@ -133,13 +133,11 @@ class SplitOperator:
         length = HELD_FACTOR * (self.deg_m + 1)
         self.div21 = _entry_divisor(self.m21, length)
         self.div12 = _entry_divisor(self.m12, length)
-        self.parity, self.parity_deg = None, -1
-        if self.level is not None:
-            twists = params.k + 1
-            cap = twists * ctx.p ** max(self.level - 1, 0) + 1
-            prods = parity_products(ctx, self.level, twists, cap)
-            self.parity = _parity_divisors(prods, length)
-            self.parity_deg = max(f.degree() for f in prods)
+        twists = params.k + 1
+        cap = twists * ctx.p ** max(self.level - 1, 0) + 1
+        prods = parity_products(ctx, self.level, twists, cap)
+        self.parity = _parity_divisors(prods, length)
+        self.parity_deg = max(f.degree() for f in prods)
 
     @classmethod
     def build(cls, params, n):
@@ -207,55 +205,6 @@ def _entry_base_parts(params, qinv_m):
     return m21, d
 
 
-def _sum_and_difference(x, y):
-    """(x + y, x - y) on the int vectors, as IwaSeries.__add__ forms them
-    after aligning the denominators."""
-    d = max(x.denom_exp, y.denom_exp)
-    x, y = x.rescale(d - x.denom_exp), y.rescale(d - y.denom_exp)
-    prec = min(x.prec, y.prec)
-    cap = min(x.deg_cap, y.deg_cap)
-    m = x.ctx.p ** prec
-    growth = max(x.growth, y.growth)
-    zeros = [0] * cap
-    out = []
-    for sign in (1, -1):
-        a = [(u + sign * v) % m for u, v in zip(x.a, y.a)]
-        b = None
-        if x.b or y.b:
-            b = [(u + sign * v) % m for u, v in zip(x.b or zeros, y.b or zeros)]
-        out.append(IwaSeries._reduced(x.ctx, a, b, prec, cap, d, growth))
-    return out
-
-
-def _times_elt(f, c):
-    """f * c for a PadicElt c on the int vectors, as IwaSeries.__mul__
-    forms it: (fa + fb w)(ca + cb w) with w^2 = ctx.wsq()."""
-    ctx = f.ctx
-    prec = min(f.prec, c.prec)
-    m = ctx.p ** prec
-    ca, cb = c.a, c.b
-    b = None
-    if f.b or cb:
-        e = ctx.wsq()
-        if e is None:
-            raise ValueError("extension coefficients without an extension")
-        fb, ecb = f.b or [0] * f.deg_cap, e * cb
-        a = [(x * ca + y * ecb) % m for x, y in zip(f.a, fb)]
-        b = [(x * cb + y * ca) % m for x, y in zip(f.a, fb)]
-    else:
-        a = [x * ca % m for x in f.a]
-    return IwaSeries._reduced(ctx, a, b, prec, f.deg_cap, f.denom_exp, f.growth)
-
-
-def _parts(f, m):
-    """f's base part and its w-part, if any, below p^ctx.prec: reduced mod
-    m only when f's precision exceeds the context's."""
-    parts = (f.a,) if f.b is None else (f.a, f.b)
-    if f.prec > f.ctx.prec:
-        parts = [[c % m for c in v] for v in parts]
-    return parts
-
-
 def _rem_visible(f, held, threshold):
     """True when a part of f mod the parity product `held` is nonzero even
     below the certificate precision.
@@ -279,57 +228,21 @@ def _rem_visible(f, held, threshold):
     return False
 
 
-def _divide(y, g, held, wide=0, scale=1):
-    """solve_series_div(y * scale, g.widen(wide)) for g held as `held`;
-    scale is a unit.
-
-    Where the fast path of `solve_series_div` runs -- prec > 0, a unit top
-    coefficient of g and y below the top of its window -- each part of y is
-    one `divmod_held`, mod p^pm with pm the precision of both operands
-    there, and the quotient is scaled after.  That path's quotient has
-    precision pm when the window is longer than g's degree (else the
-    context's), whichever steps ran, and its remainder is zero exactly when
-    the one mod p^pm is.  A nonzero remainder, or a case outside the fast
-    path, goes to `solve_series_div`.
-    """
-    ctx, n = y.ctx, y.deg_cap
-    prec = min(y.prec, g.prec)
-    if held is None or prec <= 0 or y.degree() + 1 >= n:
-        return solve_series_div(y * scale, g.widen(wide))
-    pm = min(prec, ctx.prec)
-    m = ctx.p ** pm
-    dg = len(held.g) - 1
-    out = []
-    for vec in _parts(y, m):
-        r = vec[:_poly.trimmed_len(vec, n)]
-        q = []
-        if len(r) > dg:
-            q, r = _poly.divmod_held(r, held, m)
-        if any(c % m for c in r):
-            return solve_series_div(y * scale, g.widen(wide))
-        out.append([c * scale % m for c in q] + [0] * (n - len(q)))
-    dshift = y.denom_exp - g.denom_exp
-    quot = IwaSeries._reduced(ctx, out[0], out[1] if len(out) > 1 else None,
-                              pm if n > dg else ctx.prec, n, max(dshift, 0),
-                              max(Fraction(0), y.growth - g.growth))
-    return quot.times_p(-dshift) if dshift < 0 else quot
-
-
-def signed_split(ab, op, n, denom_budget=0):
+def signed_split(ab, op, denom_budget=0):
     """Solve (Q^-1 M') [L+; L-] = [L_alpha; L_beta] for a bounded pair.
 
-    op is the SplitOperator of Q^-1 M'.  Raises NoBoundedSolution when a
-    parity-divisibility certificate fails, which is exactly the obstruction
-    for inputs outside the bounded image.
+    op is the SplitOperator of Q^-1 M', and the pair is split at its level.
+    Raises NoBoundedSolution when a parity-divisibility certificate fails,
+    which is exactly the obstruction for inputs outside the bounded image.
     """
-    params, ctx = op.params, op.ctx
+    params, ctx, n = op.params, op.ctx, op.level
     k = params.k
-    tot, diff = _sum_and_difference(ab.alpha_comp, ab.beta_comp)
-    diff = _times_elt(diff, params.alpha)
+    diff = (ab.alpha_comp - ab.beta_comp) * params.alpha
+    tot = ab.alpha_comp + ab.beta_comp
     cap = max(diff.deg_cap, 8)
     # the held products are exact; a window no longer than them holds
     # truncations, built there as the request reads them
-    if n == op.level and cap > op.parity_deg:
+    if cap > op.parity_deg:
         even, odd = op.parity
     else:
         even, odd = _parity_divisors(parity_products(ctx, n, k + 1, cap), cap)
@@ -344,10 +257,10 @@ def signed_split(ab, op, n, denom_budget=0):
             raise NoBoundedSolution(
                 "%s fails the parity divisibility certificate" % tag)
     try:
-        plus = _divide(diff, op.m21, op.div21,
-                       scale=pow(2, -1, diff.modulus()))
-        minus = _divide(tot, op.m12, op.div12,
-                        scale=pow(2, -1, tot.modulus()))
+        plus = solve_series_div(diff * pow(2, -1, diff.modulus()), op.m21,
+                                op.div21)
+        minus = solve_series_div(tot * pow(2, -1, tot.modulus()), op.m12,
+                                 op.div12)
     except NotDivisible as exc:
         raise NoBoundedSolution("entry division failed: %s" % exc)
     plus = plus.normalize().with_growth(0)
@@ -373,7 +286,7 @@ def antisym_factor(lval, op):
     # det(Q^-1 M') = 2 M12 M21 / alpha, and both entries divide exactly on
     # the image (they are unit multiples of half-log truncations), so the
     # division is performed factor by factor.
-    num = _times_elt(lval.widen(cap), params.alpha).normalize()
-    step = _divide(num, m12, op.div12, cap, pow(2, -1, num.modulus()))
-    return _divide(step, m21, op.div21).normalize()
-
+    num = (lval.widen(cap) * params.alpha).normalize()
+    num = num * pow(2, -1, num.modulus())
+    step = solve_series_div(num, m12, op.div12)
+    return solve_series_div(step, m21, op.div21).normalize()

@@ -98,18 +98,49 @@ def test_crystal_params_validation():
         CrystalParams(ctx, 0, ctx.one(), ctx.one(), ctx.from_int(5), "ap-zero")
 
 
+def _cli_exit(tmp_path, capsys, spec, *argv):
+    """main(argv) on spec written to a file, whose path is the first
+    argument after the subcommand: (exit code, stdout, stderr)."""
+    import json
+    from padiclog.cli import main
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    code = main([argv[0], str(path)] + list(argv[1:]))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 @pytest.mark.parametrize("p,eps", [(3, 1), (5, 3)])
 def test_antisym_without_quotient_exits_2(p, eps, tmp_path, capsys):
     # L = 1 is not a multiple of M12 at k = 1, level 2, prec 6: the dense
     # fallback solve (50 x 50 at p = 3, 232 x 232 at p = 5) is inconsistent
-    import json
-    from padiclog.cli import main
-    ctx = PrimeCtx(p, 6)
-    path = tmp_path / "L.json"
-    path.write_text(json.dumps({"p": p, "prec": 6, "k": 1, "eps": eps, "level": 2,
-                                "L": IwaSeries.const(ctx, 1, 1).to_json()}))
-    code = main(["antisym", str(path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: no quotient at this precision\n"
+    spec = {"p": p, "prec": 6, "k": 1, "eps": eps, "level": 2,
+            "L": IwaSeries.const(PrimeCtx(p, 6), 1, 1).to_json()}
+    assert _cli_exit(tmp_path, capsys, spec, "antisym") == (
+        2, "", "error: no quotient at this precision\n")
+
+
+def test_regdiv_with_different_nvars_exits_2(tmp_path, capsys):
+    # G = 1 in one variable read at F's 2-tuples looks like zero, and F
+    # would be reported to divide it
+    spec = {"p": 5, "prec": 4, "points": [5, 10],
+            "F": {"nvars": 2, "deg_cap": 4,
+                  "coeffs": {"0,0": "5", "1,0": "1", "0,1": "1"}},
+            "G": {"nvars": 1, "deg_cap": 4, "coeffs": {"0": "1"}}}
+    assert _cli_exit(tmp_path, capsys, spec, "regdiv") == (
+        2, "", "error: F has 2 variables but G has 1\n")
+
+
+def test_deplete_with_nmax_unlike_coeffs_exits_2(tmp_path, capsys):
+    spec = {"ring": "int", "nmax": 5, "coeffs": [1, 2]}
+    code, out, err = _cli_exit(tmp_path, capsys, spec, "deplete", "--p", "3")
+    assert (code, out) == (2, "")
+    assert err.endswith(": nmax is 5 but coeffs has 2 entries\n")
+
+
+def test_divides_trunc_rejects_different_nvars():
+    from padiclog.regdiv import MSeries, divides_trunc
+    ctx = PrimeCtx(5, 4)
+    f = MSeries(ctx, 2, {(0, 0): 5, (1, 0): 1, (0, 1): 1}, 4)
+    with pytest.raises(ValueError, match="variables"):
+        divides_trunc(f, MSeries(ctx, 1, {(0,): 1}, 4))

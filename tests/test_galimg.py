@@ -3,9 +3,9 @@ import pytest
 import random
 
 from padiclog.galimg import (
-    BudgetExceeded, DihedralData, GoursatVerdict, InconsistentCharacter,
-    MatGroupGen, closure, dihedral_rep, embed, find_tau, goursat_product_check,
-    is_solvable, kron, mat_identity, mat_mul, min_poly, mat_rank,
+    BudgetExceeded, GoursatVerdict, MatGroupGen, closure, embed, find_tau,
+    goursat_product_check, is_solvable, kron, mat_identity, mat_mul, min_poly,
+    mat_rank,
 )
 
 
@@ -213,30 +213,6 @@ def test_goursat_monotone():
         assert v1.full_product
 
 
-def test_dihedral_rep():
-    # trivial character: image is {identity, swap}
-    d = DihedralData(7, [(1, 1)], [(1, 1)])
-    grp = dihedral_rep(d)
-    elems = closure(grp)
-    assert len(elems) == 2
-    # antidiagonal determinant is -x x'
-    d2 = DihedralData(7, [(2, 4)], [(3, 5)])
-    grp2 = dihedral_rep(d2)
-    off = [m for m in grp2.gens if m[0][0] == 0]
-    assert (off[0][0][0] * off[0][1][1] - off[0][0][1] * off[0][1][0]) % 7 == \
-        (-3 * 5) % 7
-
-
-def test_dihedral_inconsistent():
-    with pytest.raises(InconsistentCharacter):
-        DihedralData(7, [(0, 1)], [(1, 1)])
-    with pytest.raises(InconsistentCharacter):
-        DihedralData(7, [(2, 3), (4, 5), (2, 2)], [(1, 1)],
-                     relations=[(0, 1, 2)])
-    # consistent relation: (2*4, 3*5) = (1, 1) mod 7
-    DihedralData(7, [(2, 3), (4, 5), (1, 1)], [(1, 1)], relations=[(0, 1, 2)])
-
-
 def test_kron_certificate():
     m1 = ((1, 1), (0, 1))
     m2 = ((0, 1), (1, 0))
@@ -306,17 +282,12 @@ def test_goursat_f9():
         False, 36, 36, 4)
 
 
-def test_dihedral_rep_f9():
-    d = DihedralData(3, [((1, 1), (1, 2))], [(F9_S, F9_ONE)], ext_d=2,
-                     relations=[])
-    grp = dihedral_rep(d)
-    assert len(closure(grp)) == 32
-    # (1+s)^2 = 2s and (1+2s)^2 = s: class 0 squared is the added class 1
-    DihedralData(3, [((1, 1), (1, 2)), ((0, 2), (0, 1))], [(F9_S, F9_ONE)],
-                 ext_d=2, relations=[(0, 0, 1)])
-    with pytest.raises(InconsistentCharacter):
-        DihedralData(3, [((1, 1), (1, 2)), ((0, 1), (0, 2))], [(F9_S, F9_ONE)],
-                     ext_d=2, relations=[(0, 0, 1)])
+def dihedral_group(p, diag, off, ext_d=None):
+    """The group generated by diag(u, v) for (u, v) in diag and by
+    antidiag(x, x') for (x, x') in off."""
+    gens = [((u, 0), (0, v)) for u, v in diag]
+    gens += [((0, x), (xp, 0)) for x, xp in off]
+    return MatGroupGen(p, 2, gens, ext_d)
 
 
 def test_is_solvable_matches_exhaustive_series():
@@ -324,13 +295,12 @@ def test_is_solvable_matches_exhaustive_series():
     groups = [MatGroupGen(q, 2, sl2_gens(q)) for q in (3, 5, 7)]
     f9_gens = [[F9_T1, F9_TS, F9_D], [F9_T1, F9_I], [F9_D, F9_W], [F9_W]]
     groups += [MatGroupGen(3, 2, gens, ext_d=2) for gens in f9_gens]
-    groups.append(dihedral_rep(DihedralData(3, [((1, 1), (1, 2))],
-                                            [(F9_S, F9_ONE)], ext_d=2)))
+    groups.append(dihedral_group(3, [((1, 1), (1, 2))], [(F9_S, F9_ONE)], ext_d=2))
     groups.append(MatGroupGen(5, 2, [((0, 1), (4, 0)), ((0, 1), (1, 0))]))
     for _ in range(20):
         diag = [(rng.randrange(1, 7), rng.randrange(1, 7)) for _ in range(2)]
         off = [(rng.randrange(1, 7), rng.randrange(1, 7))]
-        groups.append(dihedral_rep(DihedralData(7, diag, off)))
+        groups.append(dihedral_group(7, diag, off))
     verdicts = []
     for grp in groups:
         verdict = is_solvable(grp.gens, grp.p)

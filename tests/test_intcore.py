@@ -313,6 +313,10 @@ def test_solve_series_div_fast_path_matches_reference(p, seed):
                 continue
             hits += 1
             assert state(solve_series_div(y, g)) == state(want)
+            # g held with its reciprocal, shorter than some quotients
+            held = _poly.HeldDivisor(g.a[:g.degree() + 1], p ** g.coeff_prec(),
+                                     rng.randrange(1, 12), ctx.modulus)
+            assert state(solve_series_div(y, g, held)) == state(want)
     assert hits > 20
 
 

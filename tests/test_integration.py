@@ -50,6 +50,6 @@ def test_p5_matrix_and_split():
                       None, None, 20),
             IwaSeries(pr.ctx, [rng.randrange(pr.ctx.modulus) for _ in range(20)],
                       None, None, 20), n)
-        got = signed_split(forward(pair, qm), op, n)
+        got = signed_split(forward(pair, qm), op)
         assert got.plus == pair.plus
         assert got.minus == pair.minus

@@ -488,3 +488,32 @@ def test_eq_matches_coefficient_loop():
                 assert got == ref_eq(x, y)
                 outcomes.add(got)
     assert outcomes == {True, False}
+
+
+def test_times_padic_elt_matches_the_constant_series_product():
+    # f * c multiplies the int vectors by c directly; the product by the
+    # constant series of c goes through vec_mul
+    from padiclog.padic import PadicElt, RAMIFIED, UNRAMIFIED
+    rng = random.Random(81)
+    for ext in (None, (RAMIFIED, 2), (UNRAMIFIED, 2)):
+        ctx = PrimeCtx(5, 6, ext)
+        for _ in range(40):
+            c = PadicElt(ctx, rng.randrange(5 ** 6),
+                         rng.choice([0, rng.randrange(5 ** 6)]) if ext else 0,
+                         rng.choice([3, 6]))
+            f = rand_series(rng, ctx)
+            got, want = f * c, f * IwaSeries.const(ctx, c, f.deg_cap)
+            assert fields(got) == fields(want)
+
+
+def test_difference_matches_adding_the_negation():
+    from padiclog.padic import RAMIFIED, UNRAMIFIED
+    rng = random.Random(82)
+    for ctx in (PrimeCtx(3, 6), PrimeCtx(5, 5, (UNRAMIFIED, 2)),
+                PrimeCtx(3, 6, (RAMIFIED, 2))):
+        for _ in range(60):
+            x = rand_series(rng, ctx)
+            y = rand_series(rng, ctx, x.deg_cap + rng.randint(-1, 1) or 1)
+            assert fields(x - y) == fields(x + (-y))
+            assert fields(x - 7) == fields(x + (-IwaSeries.const(ctx, 7, x.deg_cap,
+                                                                 x.prec)))

@@ -626,3 +626,16 @@ def test_regdiv_imports_no_padic_elt():
              if isinstance(node, (ast.Import, ast.ImportFrom))
              for alias in node.names]
     assert names and "PadicElt" not in names
+
+
+def test_split_keeps_no_copy_of_series_arithmetic():
+    """split divides and combines series through the IwaSeries API: it
+    neither builds series from raw vectors (IwaSeries._reduced) nor divides
+    vectors itself (_poly.poly_divmod_top)."""
+    path = pathlib.Path(padiclog.__file__).parent / "split.py"
+    tree = ast.parse(path.read_text())
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    used |= {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "solve_series_div" in used
+    assert not {"_reduced", "poly_divmod_top"} & used

@@ -1,11 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from padiclog.iwadist import (IwaSeries, NotDivisible, delta, is_unit, log_tw,
-                              poly_reduce, solve_series_div)
+from padiclog import linsolve
+from padiclog.iwadist import (IwaSeries, NotDivisible, _divmod_top, delta,
+                              is_unit, log_tw, poly_reduce, solve_series_div)
+from padiclog.linsolve import solve_mod_ppow
 from padiclog.logmat import CrystalParams, log_matrix_ap0, qinv_times
 from padiclog.padic import NonUnit, PadicError, PrimeCtx, inv_scaled
+import padiclog.split as split
 from padiclog.split import (AlphaBetaPair, NoBoundedSolution, SignedPair,
                             SplitOperator, antisym_factor, forward,
                             parity_products, signed_split)
@@ -62,7 +66,7 @@ def test_split_roundtrip():
         pair = SignedPair(rand_bounded(pr.ctx, 8, rng),
                           rand_bounded(pr.ctx, 8, rng), 2)
         ab = forward(pair, qm)
-        got = signed_split(ab, op, 2)
+        got = signed_split(ab, op)
         assert got.plus == pair.plus
         assert got.minus == pair.minus
         # and the other composition gives back the input pair of images
@@ -79,7 +83,7 @@ def test_split_roundtrip_k1():
         pair = SignedPair(rand_bounded(pr.ctx, 12, rng),
                           rand_bounded(pr.ctx, 12, rng), 2)
         ab = forward(pair, qm)
-        got = signed_split(ab, op, 2)
+        got = signed_split(ab, op)
         assert got.plus == pair.plus
         assert got.minus == pair.minus
 
@@ -87,7 +91,7 @@ def test_split_roundtrip_k1():
 def test_split_zero():
     pr, qm = setup_ap0()
     z = IwaSeries.zero(pr.ctx, 4)
-    out = signed_split(AlphaBetaPair(z, z, 2), SplitOperator(pr, qm), 2)
+    out = signed_split(AlphaBetaPair(z, z, 2), SplitOperator(pr, qm))
     assert out.plus.is_zero() and out.minus.is_zero()
 
 
@@ -96,7 +100,7 @@ def test_split_rejects_constant():
     one = IwaSeries.const(pr.ctx, 1, 4)
     z = IwaSeries.zero(pr.ctx, 4)
     with pytest.raises(NoBoundedSolution):
-        signed_split(AlphaBetaPair(one, z, 3), SplitOperator(pr, qm), 3)
+        signed_split(AlphaBetaPair(one, z, 3), SplitOperator(pr, qm))
 
 
 def test_parity_products():
@@ -177,7 +181,7 @@ def test_denominator_budget():
     pair = SignedPair(rand_bounded(pr.ctx, 8, rng),
                       rand_bounded(pr.ctx, 8, rng), 2, denom_budget=1)
     ab = forward(pair, qm)
-    got = signed_split(ab, SplitOperator(pr, qm), 2, denom_budget=1)
+    got = signed_split(ab, SplitOperator(pr, qm), denom_budget=1)
     assert got.plus.normalize().denom_exp <= 1
     assert got.minus.normalize().denom_exp <= 1
 
@@ -185,13 +189,50 @@ def test_denominator_budget():
 # -- the held-divisor route against the IwaSeries route -------------------------
 
 
-def series_route_split(ab, op, n, denom_budget=0):
-    """signed_split computed with IwaSeries arithmetic, `poly_reduce` on the
-    parity products built at the request's window and `solve_series_div`
-    on the matrix entries: the reference for the held-divisor route."""
-    params, ctx = op.params, op.ctx
+def ref_series_div(y, g):
+    """solve_series_div as it divided before it took a held reciprocal: the
+    fast path through `_divmod_top` on both operands at their lesser
+    precision, else the dense solve, polynomial-sized system first."""
+    ctx, cap = y.ctx, y.deg_cap
+    prec = min(y.prec, g.prec)
+    dg = g.degree()
+    dshift = y.denom_exp - g.denom_exp
+    growth = max(Fraction(0), y.growth - g.growth)
+    if prec > 0 and g.a[dg] % ctx.p and y.degree() + 1 < cap:
+        quot, rem = _divmod_top(IwaSeries(ctx, y.a, y.b, prec, cap),
+                                IwaSeries(ctx, g.a, None, prec, g.deg_cap))
+        if rem.is_zero():
+            quot.denom_exp = max(dshift, 0)
+            quot.growth = growth
+            return quot.times_p(-dshift) if dshift < 0 else quot
+    dy, m = y.degree(), ctx.p ** prec
+    widths = [cap]
+    if 0 <= dy < cap - 1 and dy - dg + 1 < cap:
+        widths.insert(0, max(dy - dg + 1, 1))
+    for width in widths:
+        rows = [[g.a[i - j] if 0 <= i - j <= dg else 0 for j in range(width)]
+                for i in range(cap)]
+        sols = [None if vec is None else
+                solve_mod_ppow(rows, [c % m for c in vec], ctx.p, prec)
+                for vec in (y.a, y.b)]
+        if any(sol is None for sol, vec in zip(sols, (y.a, y.b)) if vec is not None):
+            continue
+        loss = max(sol[2] for sol in sols if sol is not None)
+        q = IwaSeries(ctx, sols[0][0], sols[1][0] if sols[1] else None,
+                      prec - loss, width, max(dshift, 0), growth)
+        return q.times_p(-dshift) if dshift < 0 else q
+    raise NotDivisible("no quotient at this precision")
+
+
+def series_route_split(ab, op, denom_budget=0):
+    """signed_split computed with IwaSeries addition and products by series,
+    `poly_reduce` on the parity products built at the request's window and
+    `ref_series_div` on the matrix entries: the reference for the
+    held-divisor route."""
+    params, ctx, n = op.params, op.ctx, op.level
     k = params.k
-    diff = (ab.alpha_comp - ab.beta_comp) * params.alpha
+    diff = ab.alpha_comp + (-ab.beta_comp)
+    diff = diff * IwaSeries.const(ctx, params.alpha, diff.deg_cap)
     tot = ab.alpha_comp + ab.beta_comp
     even, odd = parity_products(ctx, n, k + 1, max(diff.deg_cap, 8))
     slack = (k + 1) * (n + 1)
@@ -206,8 +247,8 @@ def series_route_split(ab, op, n, denom_budget=0):
                     raise NoBoundedSolution(
                         "%s fails the parity divisibility certificate" % tag)
     try:
-        plus = solve_series_div(diff * pow(2, -1, diff.modulus()), op.m21)
-        minus = solve_series_div(tot * pow(2, -1, tot.modulus()), op.m12)
+        plus = ref_series_div(diff * pow(2, -1, diff.modulus()), op.m21)
+        minus = ref_series_div(tot * pow(2, -1, tot.modulus()), op.m12)
     except NotDivisible as exc:
         raise NoBoundedSolution("entry division failed: %s" % exc)
     pair = SignedPair(plus.normalize().with_growth(0),
@@ -218,14 +259,15 @@ def series_route_split(ab, op, n, denom_budget=0):
 
 
 def series_route_antisym(lval, op):
-    """antisym_factor with IwaSeries arithmetic and `solve_series_div`."""
+    """antisym_factor with products by series and `ref_series_div`."""
     cap = op.deg_m * 2 + max(lval.degree(), 0) + 2
     if op.m21.is_zero() or op.m12.is_zero():
         raise NotDivisible("determinant vanishes at precision")
-    num = (lval.widen(cap) * op.params.alpha).normalize()
+    num = lval.widen(cap)
+    num = (num * IwaSeries.const(op.ctx, op.params.alpha, cap)).normalize()
     num = num * pow(2, -1, num.modulus())
-    step = solve_series_div(num, op.m12.widen(cap))
-    return solve_series_div(step, op.m21).normalize()
+    step = ref_series_div(num, op.m12.widen(cap))
+    return ref_series_div(step, op.m21).normalize()
 
 
 def outcome(fn, *args):
@@ -285,8 +327,8 @@ def test_split_matches_the_series_route(key):
                                      for c in (ab.alpha_comp, ab.beta_comp)], n))
     for ab in cases:
         budget = rng.choice([0, 0, 2])
-        assert outcome(signed_split, ab, op, n, budget) == \
-            outcome(series_route_split, ab, op, n, budget)
+        assert outcome(signed_split, ab, op, budget) == \
+            outcome(series_route_split, ab, op, budget)
 
 
 @pytest.mark.parametrize("key", [ROUTE_KEYS[0], ROUTE_KEYS[2], ROUTE_KEYS[3]])
@@ -320,16 +362,15 @@ def test_held_parity_products_are_the_exact_products():
                     assert f.a[:f.degree() + 1] == h.g
 
 
-def _count(monkeypatch, name):
-    import padiclog.split as split
+def _count(monkeypatch, module, name):
     calls = []
-    real = getattr(split, name)
+    real = getattr(module, name)
 
     def counted(*args, **kw):
         calls.append(args)
         return real(*args, **kw)
 
-    monkeypatch.setattr(split, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -340,54 +381,40 @@ def test_small_windows_build_the_parity_products_there(monkeypatch):
     op = SplitOperator.build(CrystalParams.ap_zero(3, 8, 1, -1), 3)
     assert op.parity_deg == 12
     ctx = op.ctx
-    calls = _count(monkeypatch, "parity_products")
+    calls = _count(monkeypatch, split, "parity_products")
     z = IwaSeries.zero(ctx, 4)
     with pytest.raises(NonUnit):
-        signed_split(AlphaBetaPair(IwaSeries.const(ctx, 1, 4), z, 3), op, 3)
+        signed_split(AlphaBetaPair(IwaSeries.const(ctx, 1, 4), z, 3), op)
     assert [c[3] for c in calls] == [8]
     rng = random.Random(39)
     pair = SignedPair(rand_bounded(ctx, 4, rng), rand_bounded(ctx, 4, rng), 3)
-    got = signed_split(forward(pair, op.qinv_m), op, 3)
+    got = signed_split(forward(pair, op.qinv_m), op)
     assert got.plus == pair.plus and got.minus == pair.minus
     assert len(calls) == 1
 
 
 def test_k1_divides_by_m21_on_the_dense_route(monkeypatch):
     # here the top coefficient of M21 (k = 1) is not a unit: no reciprocal
-    # is held and each split divides by it with solve_series_div
+    # is held and each split divides by it with the dense solve
     pr, qm = setup_ap0(p=3, prec=10, k=1, n=3)
     op = SplitOperator(pr, qm)
     assert op.div21 is None
-    calls = _count(monkeypatch, "solve_series_div")
+    calls = _count(monkeypatch, split, "solve_series_div")
+    solves = _count(monkeypatch, linsolve, "solve_mod_ppow")
     rng = random.Random(40)
     pair = SignedPair(rand_bounded(pr.ctx, 4, rng), rand_bounded(pr.ctx, 4, rng), 3)
-    got = signed_split(forward(pair, qm), op, 3)
+    got = signed_split(forward(pair, qm), op)
     assert got.plus == pair.plus and got.minus == pair.minus
-    assert calls[0][1] is op.m21
+    assert calls[0][1] is op.m21 and calls[0][2] is None
+    assert solves
 
 
 def test_k0_splits_without_a_dense_solve(monkeypatch):
     pr, qm = setup_ap0(p=3, prec=8, k=0, n=2)
     op = SplitOperator(pr, qm)
-    calls = _count(monkeypatch, "solve_series_div")
+    calls = _count(monkeypatch, linsolve, "solve_mod_ppow")
     rng = random.Random(41)
     pair = SignedPair(rand_bounded(pr.ctx, 8, rng), rand_bounded(pr.ctx, 8, rng), 2)
-    got = signed_split(forward(pair, qm), op, 2)
+    got = signed_split(forward(pair, qm), op)
     assert got.plus == pair.plus and got.minus == pair.minus
     assert calls == []
-
-
-def test_times_elt_matches_the_series_product():
-    from padiclog.padic import PadicElt
-    from padiclog.split import _times_elt
-    rng = random.Random(42)
-    for ext in (None, ("ramified", 2), ("unramified", 2)):
-        ctx = PrimeCtx(5, 6, ext)
-        for _ in range(20):
-            c = PadicElt(ctx, rng.randrange(5 ** 6),
-                         rng.choice([0, rng.randrange(5 ** 6)]) if ext else 0,
-                         rng.choice([3, 6]))
-            f = rand_series(ctx, rng, rng.randrange(1, 9), 8, rng.choice([None, 4]),
-                            bool(ext) and rng.random() < 0.7, rng.randrange(2))
-            got, want = _times_elt(f, c), f * c
-            assert (got.to_json(), got.b is None) == (want.to_json(), want.b is None)
