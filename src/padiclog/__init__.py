@@ -21,9 +21,10 @@ Modules:
 
 from padiclog.padic import PadicElt, PrimeCtx, sqrt
 from padiclog.cycser import FiniteGroupRingElt, mellin, mellin_inverse
-from padiclog.iwadist import (CharPoint, IwaSeries, delta, divide_exact,
+from padiclog.iwadist import (CharPoint, IwaSeries, delta,
                               equal_up_to_unit_mod, eval_at, halflog, is_unit,
-                              log_tw, omega, omega_tw, phi_cyc, phi_tw, twist)
+                              log_tw, omega, omega_tw, phi_cyc, phi_tw,
+                              solve_series_div, twist)
 from padiclog.logmat import (CrystalParams, LogMatrix, log_matrix_ap0,
                              q_fg_block, q_matrix, q_matrix_inv, qinv_times,
                              semi_ordinary_block)
@@ -39,9 +40,9 @@ from padiclog.qexp import (ImagQuadCtx, QExpansion, deplete,
 __all__ = [
     "PadicElt", "PrimeCtx", "sqrt",
     "FiniteGroupRingElt", "mellin", "mellin_inverse",
-    "CharPoint", "IwaSeries", "delta", "divide_exact", "equal_up_to_unit_mod",
-    "eval_at", "halflog", "is_unit", "log_tw", "omega", "omega_tw", "phi_cyc",
-    "phi_tw", "twist",
+    "CharPoint", "IwaSeries", "delta", "equal_up_to_unit_mod", "eval_at",
+    "halflog", "is_unit", "log_tw", "omega", "omega_tw", "phi_cyc", "phi_tw",
+    "solve_series_div", "twist",
     "CrystalParams", "LogMatrix", "log_matrix_ap0", "q_fg_block", "q_matrix",
     "q_matrix_inv", "qinv_times", "semi_ordinary_block",
     "AlphaBetaPair", "SignedPair", "antisym_factor", "forward", "signed_split",

@@ -24,8 +24,7 @@ also runs on that multiply: the quotient is one product with the inverse of
 the reversed divisor, built by Newton doubling (`series_inverse`), and the
 remainder one more (`divmod_held`, which also serves a caller that holds a
 fixed divisor with its inverse as a `HeldDivisor`).  Short divisors and
-quotients keep the schoolbook loop, as does power-series division by a unit
-constant term (`series_div_unit`).
+quotients keep the schoolbook loop.
 
 The elementary number theory the package needs around that core -- primality,
 the Jacobi symbol, square roots modulo a prime and the cyclotomic
@@ -321,11 +320,9 @@ def onepx_pow(e, cap, p, npow):
 # schoolbook loop costs one step per pair of coefficients of g and of the
 # quotient, the Newton path a few packed products of fixed overhead each.
 # Schoolbook stays while g has fewer than NEWTON_MIN_G coefficients or the
-# quotient fewer than DIV_NEWTON_MIN_Q; the Newton iteration starts from
-# INV_SCHOOLBOOK coefficients of series_div_unit.
+# quotient fewer than DIV_NEWTON_MIN_Q.
 NEWTON_MIN_G = 40
 DIV_NEWTON_MIN_Q = 10
-INV_SCHOOLBOOK = 16
 
 
 def series_inverse(g, m, n, start=None):
@@ -335,15 +332,12 @@ def series_inverse(g, m, n, start=None):
     Computer Algebra", 9.1): if h = 1/g mod X^k, then g h = 1 + X^k e and
     h - X^k (h e) = 1/g mod X^(2k), two products per doubling.  The first
     coefficients are `start`, 1/g mod X^len(start) at a modulus that m
-    divides, when it is given, else INV_SCHOOLBOOK coefficients of
-    `series_div_unit`.  `start` itself is not changed.
+    divides, when it is given, else 1/g[0].  `start` itself is not changed.
     """
-    if start:
-        k = min(n, len(start))
-        h = [c % m for c in start[:k]]
-    else:
-        k = min(n, INV_SCHOOLBOOK)
-        h = series_div_unit([1], g, m, k)
+    if not start:
+        start = [pow(g[0], -1, m)]
+    k = min(n, len(start))
+    h = [c % m for c in start[:k]]
     while k < n:
         k2 = min(2 * k, n)
         e = vec_mul(g[:k2], h, m, k2)[k:]
@@ -475,20 +469,6 @@ def divmod_held(r, held, m, quotient=True):
     rem = [(c - unpack(buf[i:i + k], "little")) % m
            for c, i in zip(r, range(0, k * dg, k))]
     return q, rem
-
-
-def series_div_unit(f, g, m, cap):
-    """Power-series division f/g where g[0] is a unit mod m; exact to cap."""
-    ginv0 = pow(g[0], -1, m)
-    out = [0] * cap
-    for i in range(cap):
-        acc = f[i] if i < len(f) else 0
-        for j in range(1, min(i, len(g) - 1) + 1):
-            gj = g[j]
-            if gj and out[i - j]:
-                acc -= gj * out[i - j]
-        out[i] = (acc * ginv0) % m
-    return out
 
 
 # -- elementary number theory on ints ----------------------------------------

@@ -12,14 +12,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from padiclog import checks
 from padiclog.iwadist import CharPoint, eval_at, halflog
 from padiclog.logmat import CrystalParams, log_matrix_ap0, qinv_times
 from padiclog.padic import PadicError, PrimeCtx, check_fields
-from padiclog.qexp import (ImagQuadCtx, deplete, eisenstein_depleted,
-                           theta_series)
+from padiclog.qexp import (CLASS_NUMBER_ONE, ImagQuadCtx, deplete,
+                           eisenstein_depleted, theta_series)
 from padiclog.regdiv import MSeries, SpecFamily, chevalley_check
 from padiclog.split import (AlphaBetaPair, antisym_factor, signed_split,
                             split_operator)
@@ -203,26 +204,52 @@ def cmd_eis(args):
     return 0
 
 
+_RING = re.compile(r"int|quad:(-[1-9][0-9]*)|cyclotomic:([1-9][0-9]*)")
+
+
+def _totient(n):
+    """Euler's phi of n >= 1, by trial division."""
+    out, d = n, 2
+    while d * d <= n:
+        if n % d == 0:
+            out -= out // d
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out - out // n if n > 1 else out
+
+
 def _qexp_coeffs(spec, where):
     """The coefficients of a q-expansion read from JSON input.
 
-    There are nmax of them, all integers or, over a ring other than "int",
-    all integer vectors of one length (one coordinate vector per
-    coefficient).
+    There are nmax of them, over a ring that `theta` or `eis` writes:
+    integers over "int", integer pairs over "quad:<D>" with D in
+    qexp.CLASS_NUMBER_ONE, and integer vectors of length deg Phi_M = phi(M)
+    over "cyclotomic:<M>" with M >= 1.  As phi(M) >= sqrt(M/2), M is held
+    to at most 2 L^2 for a vector length L before phi(M) is computed.
     """
-    cs = spec["coeffs"]
+    cs, ring = spec["coeffs"], spec["ring"]
     if len(cs) != spec["nmax"]:
         raise ValueError("%s: nmax is %d but coeffs has %d entries"
                          % (where, spec["nmax"], len(cs)))
-    if all(type(c) is int for c in cs):
-        return cs
-    if (spec.get("ring") != "int"
-            and all(isinstance(c, list) and all(type(x) is int for x in c)
-                    for c in cs)
-            and len({len(c) for c in cs}) == 1):
-        return cs
-    raise ValueError("%s: coeffs must be integers, or integer vectors of one "
-                     "length" % where)
+    form = _RING.fullmatch(ring)
+    if form is None or (form[1] and int(form[1]) not in CLASS_NUMBER_ONE):
+        raise ValueError('%s: ring must be "int", "quad:<D>" with D in %s, or '
+                         '"cyclotomic:<M>" with M >= 1, not %r'
+                         % (where, CLASS_NUMBER_ONE, ring))
+    if ring == "int":
+        ok, want = all(type(c) is int for c in cs), "integers"
+    else:
+        lens = {len(c) if isinstance(c, list) and all(type(x) is int for x in c)
+                else -1 for c in cs}
+        m = int(form[2] or 0)
+        ok = lens <= {2} if form[1] else all(
+            n > 0 and m <= 2 * n * n and _totient(m) == n for n in lens)
+        want = "integer vectors of length %s" % (
+            "2" if form[1] else "deg Phi_%d" % m)
+    if not ok:
+        raise ValueError("%s: coeffs over %s must be %s" % (where, ring, want))
+    return cs
 
 
 def cmd_deplete(args):

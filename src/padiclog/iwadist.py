@@ -13,11 +13,13 @@ products are exact finite products of such polynomials.
 
 Division and valuation run on the stored int vectors through `_poly`: an
 extension-valued series is divided once on its base part and once on its
-w-part, and every divisor is base-valued.  Precisions follow coefficientwise
-fixed-point arithmetic (see `_divmod_top`); the fast path of
-`solve_series_div` reads both operands at their lesser precision, so its
-quotient has that one precision.  A caller that divides by one g many times
-hands `solve_series_div` g's reciprocal, held in a `_poly.HeldDivisor`.
+w-part, and every divisor is base-valued.  There is one remainder,
+`poly_reduce`, whose precisions follow coefficientwise fixed-point
+arithmetic (see `_divmod_top`), and one exact quotient, `solve_series_div`:
+its fast path divides from the top and reads both operands at their lesser
+precision, so its quotient has that one precision; other quotients come from
+one linear solve.  A caller that divides by one g many times hands
+`solve_series_div` g's reciprocal, held in a `_poly.HeldDivisor`.
 """
 
 from __future__ import annotations
@@ -311,20 +313,6 @@ class IwaSeries:
             xs += x.b[:cap] if x.b else [0] * cap
             ys += y.b[:cap] if y.b else [0] * cap
         return not any([(u - v) % m for u, v in zip(xs, ys)])
-
-    def divide_exact_p(self, k):
-        """Divide the value by p^k.  Uses denom_exp first, then exact division."""
-        if k <= self.denom_exp:
-            return IwaSeries._reduced(self.ctx, self.a, self.b, self.prec,
-                                      self.deg_cap, self.denom_exp - k,
-                                      self.growth)
-        k = k - self.denom_exp
-        pk = self.ctx.p ** k
-        if any(c % pk for c in self.a) or (self.b and any(c % pk for c in self.b)):
-            raise PrecisionLoss("series not divisible by p^%d at precision" % k)
-        return IwaSeries(self.ctx, [c // pk for c in self.a],
-                         [c // pk for c in self.b] if self.b else None,
-                         self.prec - k, self.deg_cap, 0, self.growth)
 
     def with_growth(self, r):
         return IwaSeries._reduced(self.ctx, self.a, self.b, self.prec,
@@ -623,53 +611,6 @@ def _divmod_top(f, g):
 def poly_reduce(f, g):
     """Remainder of f modulo the polynomial g (unit leading coefficient)."""
     return _divmod_top(f, g)[1]
-
-
-def divide_exact(f, g, mode=None):
-    """H with f = g*H at the stored truncation, or NotDivisible.
-
-    Polynomial inputs (top coefficient visible and unit) are divided from the
-    top; otherwise a unit low-order pivot allows bottom-up power-series
-    division.  The divisor must be base-valued.
-    """
-    if g.is_zero():
-        raise NotDivisible("division by zero at precision")
-    if g.has_ext():
-        raise NotDivisible("divisor must be base-valued")
-    dnum = f.denom_exp - g.denom_exp
-    x = f.rescale(-dnum) if dnum < 0 else f
-    denom_out = max(dnum, 0)
-    growth = max(Fraction(0), f.growth - g.growth)
-    dg = g.degree()
-    lead_unit = g.coeff(dg).is_unit()
-    cap = min(x.deg_cap, g.deg_cap)
-    if mode is None:
-        mode = "poly" if (lead_unit and x.degree() + 1 < cap) else "series"
-    if mode == "poly" and lead_unit:
-        q, r = _divmod_top(x, g)
-        if not r.is_zero():
-            raise NotDivisible("nonzero remainder at precision")
-        q.denom_exp = denom_out
-        q.growth = growth
-        return q
-    # series mode: the lowest nonzero coefficient of g must be a unit
-    p, xp, gp = x.ctx.p, x.coeff_prec(), g.coeff_prec()
-    ordg = next((i for i, c in enumerate(g.a) if c % p ** gp), None)
-    if ordg is None:
-        raise NotDivisible("no unit pivot available")
-    if g.a[ordg] % p == 0:
-        raise NotDivisible("low-order pivot is not a unit at precision")
-    if any(c % p ** xp for v in (x.a, x.b or ()) for c in v[:ordg]):
-        raise NotDivisible("X-order of numerator is smaller than divisor")
-    n = cap - ordg
-    pm = min(xp, gp)
-
-    def solve(v):
-        return (_poly.series_div_unit(v[ordg:], g.a[ordg:], p ** pm, n)
-                if n > 0 else [])
-
-    return IwaSeries(x.ctx, solve(x.a), solve(x.b) if x.b else None,
-                     pm if n > 0 else x.ctx.prec, n, denom_out, growth)
 
 
 def is_unit(f):

@@ -63,8 +63,8 @@ from math import gcd
 
 from padiclog import _poly
 from padiclog.cycser import NotInImage, check_psi_zero
-from padiclog.iwadist import (InsufficientDegree, IwaSeries, delta,
-                              divide_exact, log_tw, twist)
+from padiclog.iwadist import (InsufficientDegree, IwaSeries, delta, log_tw,
+                              solve_series_div, twist)
 from padiclog.padic import (PadicElt, PadicError, PrimeCtx, inv_scaled, is_qr,
                             sqrt)
 
@@ -501,7 +501,8 @@ def semi_ordinary_block(mg, k_f, u_f, lower_left, n_trunc=None):
     """Assemble [[u_f M, 0], [*, l_f Tw^(k_f+1) M]] with l_f = log_tw/delta.
 
     The twisted-log factor divides exactly: log_{p,m} = delta_m * (plus and
-    minus half-log product), so divide_exact cannot fail for supported n.
+    minus half-log product), and log_tw stays below the top of its window,
+    so the quotient is the fast path of solve_series_div.
     """
     if mg.dim != 2:
         raise ValueError("expected a 2x2 block")
@@ -513,7 +514,7 @@ def semi_ordinary_block(mg, k_f, u_f, lower_left, n_trunc=None):
     cap = max(cap, need)
     lt = log_tw(ctx, k_f + 1, n_trunc, cap)
     dl = delta(ctx, k_f + 1, cap)
-    ell = divide_exact(lt, dl)
+    ell = solve_series_div(lt, dl)
     if isinstance(u_f, (int, PadicElt)):
         u_f = IwaSeries.const(ctx, u_f, cap)
     z = IwaSeries.zero(ctx, cap)

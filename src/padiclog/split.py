@@ -215,13 +215,13 @@ def _rem_visible(f, held, threshold):
     """
     if held is None:
         return False
-    if held.rpack is None:
-        raise NonUnit("leading coefficient is not a unit")
     p, prec = f.ctx.p, f.coeff_prec()
     m, t = p ** prec, p ** min(threshold, prec)
     for vec in _parts(f, m):
         r = vec[:_poly.trimmed_len(vec, len(vec))]
         if len(r) >= len(held.g):
+            if held.rpack is None:
+                raise NonUnit("leading coefficient is not a unit")
             r = _poly.divmod_held(r, held, m, quotient=False)[1]
         if any(c % t for c in r):
             return True
@@ -257,14 +257,13 @@ def signed_split(ab, op, denom_budget=0):
             raise NoBoundedSolution(
                 "%s fails the parity divisibility certificate" % tag)
     try:
-        plus = solve_series_div(diff * pow(2, -1, diff.modulus()), op.m21,
-                                op.div21)
-        minus = solve_series_div(tot * pow(2, -1, tot.modulus()), op.m12,
-                                 op.div12)
+        plus = solve_series_div(diff, op.m21, op.div21)
+        minus = solve_series_div(tot, op.m12, op.div12)
     except NotDivisible as exc:
         raise NoBoundedSolution("entry division failed: %s" % exc)
-    plus = plus.normalize().with_growth(0)
-    minus = minus.normalize().with_growth(0)
+    # halve the quotients: fewer of their coefficients are nonzero
+    plus = (plus * pow(2, -1, plus.modulus())).normalize().with_growth(0)
+    minus = (minus * pow(2, -1, minus.modulus())).normalize().with_growth(0)
     pair = SignedPair(plus, minus, n, denom_budget)
     if not pair.check_bounded():
         raise NoBoundedSolution("components exceed the declared denominator budget")

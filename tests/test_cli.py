@@ -80,6 +80,25 @@ def test_deplete_vector_coefficients(tmp_path, capsys):
     assert out["coeffs"] == [[1, 0, 0, 0], [0, 0, 0, 0]]
 
 
+def test_deplete_reads_what_theta_and_eis_write(tmp_path, capsys):
+    from padiclog.qexp import ImagQuadCtx, theta_series
+    # a twisted character puts the theta coefficients in the quadratic order
+    ctx = ImagQuadCtx(-7, 1, cond=11, chi=lambda r: 1 if pow(
+        (r[0] + 7 * r[1]) % 11, 5, 11) == 1 else -1)
+    blobs = [theta_series(ctx, 12).to_json()]
+    assert blobs[0]["ring"] == "quad:-7"
+    for order in (1, 2, 5, 8, 9, 12, 15):
+        code, out = run_cli(capsys, "eis", "--k", "3", "--root-order", str(order),
+                            "--p", "5", "--nmax", "6")
+        assert code == 0
+        blobs.append(out)
+    path = tmp_path / "q.json"
+    for blob in blobs:
+        path.write_text(json.dumps(blob))
+        code, out = run_cli(capsys, "deplete", str(path), "--p", "3")
+        assert code == 0 and out["ring"] == blob["ring"]
+
+
 def test_eval_reads_scalar_fields(tmp_path, capsys):
     # the checked fields still accept what IwaSeries.to_json writes
     path = tmp_path / "e.json"
@@ -294,6 +313,15 @@ MALFORMED = {
     "deplete-list": ("deplete", [1, 2, 3]),
     "deplete-coeffs-nested": ("deplete", {"ring": "int", "nmax": 3,
                                           "coeffs": [[1], 2, 3]}),
+    "deplete-ring-unknown": ("deplete", {"ring": "foo", "nmax": 1, "coeffs": [1]}),
+    "deplete-ring-quad-class-number-two": ("deplete", {
+        "ring": "quad:-15", "nmax": 1, "coeffs": [[1, 0]]}),
+    "deplete-ring-quad-scalars": ("deplete", {"ring": "quad:-4", "nmax": 2,
+                                              "coeffs": [1, 2]}),
+    "deplete-ring-cyclotomic-zero": ("deplete", {"ring": "cyclotomic:0", "nmax": 1,
+                                                 "coeffs": [[1]]}),
+    "deplete-ring-cyclotomic-short": ("deplete", {"ring": "cyclotomic:8", "nmax": 1,
+                                                  "coeffs": [[1, 0]]}),
     "eval-prec-string": ("eval", bad_eval_spec(prec="3")),
     "eval-deg-cap-string": ("eval", bad_eval_spec(deg_cap="4")),
     "eval-denom-exp-negative": ("eval", bad_eval_spec(denom_exp=-1)),

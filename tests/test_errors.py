@@ -138,6 +138,31 @@ def test_deplete_with_nmax_unlike_coeffs_exits_2(tmp_path, capsys):
     assert err.endswith(": nmax is 5 but coeffs has 2 entries\n")
 
 
+RINGS = ('"int", "quad:<D>" with D in (-3, -4, -7, -8, -11, -19, -43, -67, '
+         '-163), or "cyclotomic:<M>" with M >= 1')
+
+
+@pytest.mark.parametrize("ring,coeffs,msg", [
+    ("foo", [1], "ring must be %s, not 'foo'" % RINGS),
+    ("quad:-5", [[1, 0]], "ring must be %s, not 'quad:-5'" % RINGS),
+    ("cyclotomic:08", [[1, 0, 0, 0]], "ring must be %s, not 'cyclotomic:08'" % RINGS),
+    ("int", [[1], [2]], "coeffs over int must be integers"),
+    ("quad:-3", [1, 2], "coeffs over quad:-3 must be integer vectors of length 2"),
+    ("cyclotomic:8", [[1, 0, 0], [0, 1, 0]],
+     "coeffs over cyclotomic:8 must be integer vectors of length deg Phi_8"),
+    # phi(M) >= sqrt(M/2) rules this M out before phi(M) is computed
+    ("cyclotomic:%d" % 10 ** 40, [[1, 0]],
+     "coeffs over cyclotomic:%d must be integer vectors of length deg Phi_%d"
+     % (10 ** 40, 10 ** 40)),
+])
+def test_deplete_rejects_rings_theta_and_eis_do_not_write(ring, coeffs, msg,
+                                                          tmp_path, capsys):
+    spec = {"ring": ring, "nmax": len(coeffs), "coeffs": coeffs}
+    code, out, err = _cli_exit(tmp_path, capsys, spec, "deplete", "--p", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(": %s\n" % msg)
+
+
 def test_divides_trunc_rejects_different_nvars():
     from padiclog.regdiv import MSeries, divides_trunc
     ctx = PrimeCtx(5, 4)

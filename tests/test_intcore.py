@@ -20,7 +20,7 @@ import pytest
 
 from padiclog import _poly
 from padiclog.iwadist import (INF, CharPoint, IwaSeries, NotDivisible,
-                              divide_exact, eval_at, growth_check, poly_reduce,
+                              eval_at, growth_check, poly_reduce,
                               solve_series_div, ucyc)
 from padiclog.padic import (RAMIFIED, UNRAMIFIED, NonUnit, PadicElt, PrimeCtx,
                             is_qr)
@@ -74,50 +74,6 @@ def ref_poly_divmod(f, g):
     quot = ref_from_coeffs(f.ctx, q, f.deg_cap)
     rem = ref_from_coeffs(f.ctx, fs[:dg] if dg else [], max(dg, 1))
     return quot, rem
-
-
-def ref_divide_exact(f, g, mode=None):
-    if g.is_zero():
-        raise NotDivisible("division by zero at precision")
-    dnum = f.denom_exp - g.denom_exp
-    x = f.rescale(-dnum) if dnum < 0 else f
-    denom_out = max(dnum, 0)
-    growth = max(Fraction(0), f.growth - g.growth)
-    dg = g.degree()
-    lead_unit = g.coeff(dg).is_unit()
-    cap = min(x.deg_cap, g.deg_cap)
-    if mode is None:
-        mode = "poly" if (lead_unit and x.degree() + 1 < cap) else "series"
-    if mode == "poly" and lead_unit:
-        q, r = ref_poly_divmod(x, g)
-        if not r.is_zero():
-            raise NotDivisible("nonzero remainder at precision")
-        q.denom_exp = denom_out
-        q.growth = growth
-        return q
-    ordg = None
-    for i in range(g.deg_cap):
-        if g.coeff(i).is_unit():
-            ordg = i
-            break
-        if not g.coeff(i).is_zero():
-            raise NotDivisible("low-order pivot is not a unit at precision")
-    if ordg is None:
-        raise NotDivisible("no unit pivot available")
-    for i in range(ordg):
-        if not x.coeff(i).is_zero():
-            raise NotDivisible("X-order of numerator is smaller than divisor")
-    piv = g.coeff(ordg).inv()
-    n = cap - ordg
-    fs = [x.coeff(i + ordg) for i in range(min(n, x.deg_cap - ordg))]
-    gs = [g.coeff(i + ordg) for i in range(min(n, g.deg_cap - ordg))]
-    out = []
-    for i in range(n):
-        acc = fs[i] if i < len(fs) else PadicElt(x.ctx, 0, 0, x.prec)
-        for j in range(1, min(i, len(gs) - 1) + 1):
-            acc = acc - gs[j] * out[i - j]
-        out.append(acc * piv)
-    return ref_from_coeffs(x.ctx, out, n, denom_out, growth)
 
 
 def ref_fast_path(y, g):
@@ -210,13 +166,6 @@ def state(f):
     return (f.a, f.b, f.prec, f.deg_cap, f.denom_exp, f.growth)
 
 
-def outcome(fn, *args):
-    try:
-        return "ok", state(fn(*args))
-    except NotDivisible:
-        return "NotDivisible", None
-
-
 def contexts(p, prec):
     d = next(d for d in range(2, p) if not is_qr(d, p))
     return [PrimeCtx(p, prec), PrimeCtx(p, prec, (UNRAMIFIED, d)),
@@ -231,17 +180,11 @@ def rand_coeff(rng, p, prec):
     return rng.randrange(1, p ** prec) * p ** rng.randrange(0, prec + 1)
 
 
-def rand_divisor(rng, ctx, deg_cap, unit_lead=True):
+def rand_divisor(rng, ctx, deg_cap):
     p, prec = ctx.p, ctx.prec
     dg = rng.randrange(0, min(5, deg_cap))
     a = [rand_coeff(rng, p, prec) for _ in range(dg)]
     lead = rng.randrange(1, p) + p * rng.randrange(0, p ** prec)
-    if not unit_lead:
-        # a unit low-order pivot, a lead divisible by p: forces series mode
-        a[0:1] = [rng.randrange(1, p)]
-        lead = p * rng.randrange(1, p)
-        dg = max(dg, 1)
-        a = a[:dg] + [0] * (dg - len(a))
     gprec = rng.randrange(1, prec + 1)
     return IwaSeries(ctx, a + [lead], None, gprec, deg_cap,
                      rng.randrange(0, 3), Fraction(rng.randrange(0, 3), 2))
@@ -280,23 +223,6 @@ def test_poly_reduce_matches_reference(p, seed):
             g = rand_divisor(rng, ctx, rng.randrange(5, 10))
             f = rand_numerator(rng, ctx, cap, g)
             assert state(poly_reduce(f, g)) == state(ref_poly_reduce(f, g))
-
-
-@pytest.mark.parametrize("p,seed", CASES)
-def test_divide_exact_matches_reference(p, seed):
-    rng = random.Random(2000 * p + seed)
-    counts = {"ok": 0, "NotDivisible": 0}
-    for ctx in contexts(p, rng.randrange(2, 6)):
-        for _ in range(60):
-            cap = rng.randrange(2, 14)
-            g = rand_divisor(rng, ctx, rng.randrange(cap, cap + 4),
-                             unit_lead=rng.random() < 0.6)
-            f = rand_numerator(rng, ctx, cap, g)
-            for mode in (None, "poly", "series"):
-                got = outcome(divide_exact, f, g, mode)
-                assert got == outcome(ref_divide_exact, f, g, mode)
-                counts[got[0]] += 1
-    assert counts["ok"] > 50 and counts["NotDivisible"] > 10
 
 
 @pytest.mark.parametrize("p,seed", CASES)
@@ -379,7 +305,6 @@ def test_edge_cases_match_reference():
     # identically zero quotient: numerator of lower degree than the divisor
     f = IwaSeries(ctx, [3, 9], [1], 5, 6, 1, Fraction(1))
     assert state(poly_reduce(f, g)) == state(ref_poly_reduce(f, g))
-    assert outcome(divide_exact, f, g) == outcome(ref_divide_exact, f, g)
     # a top coefficient zero at g's precision but not at f's: the step still
     # runs and lowers the precision of the coefficients it touches
     f = IwaSeries(ctx, [1, 2, 9, 0], [0, 0, 0, 27], 5, 6)
@@ -391,14 +316,13 @@ def test_edge_cases_match_reference():
     for f in (IwaSeries(ctx, [], None, 3, 0), IwaSeries(ctx, [2, 1], None, 3, 2)):
         unit = IwaSeries(ctx, [2], None, 3, 1)
         assert state(poly_reduce(f, unit)) == state(ref_poly_reduce(f, unit))
-        assert outcome(divide_exact, f, g) == outcome(ref_divide_exact, f, g)
 
 
 def test_extension_valued_divisor_is_rejected():
     ctx = PrimeCtx(5, 4, (RAMIFIED, 2))
     g = IwaSeries(ctx, [1, 1], [0, 1], 4, 4)
     f = IwaSeries(ctx, [1, 2, 1], None, 4, 4)
-    for fn in (poly_reduce, divide_exact, solve_series_div):
+    for fn in (poly_reduce, solve_series_div):
         with pytest.raises(NotDivisible):
             fn(f, g)
 

@@ -201,11 +201,12 @@ def test_semi_ordinary_block():
     for i in range(2):
         for j in range(2):
             assert blk.entry(i, j) == mg.entry(i, j)
-    # lower-right = ell * Tw^(k_f+1) M entrywise
-    from padiclog.iwadist import divide_exact, twist
-    lt = log_tw(ctx, k_f + 1, 2, (k_f + 1) * 9 + 2)
-    dl = delta(ctx, k_f + 1, (k_f + 1) * 9 + 2)
-    ell = divide_exact(lt, dl)
+    # lower-right = ell * Tw^(k_f+1) M entrywise, ell = log_tw/delta the
+    # product of the two half-logarithms (no division on this side)
+    from padiclog.iwadist import twist
+    need = (k_f + 1) * 9 + 2
+    ell = (halflog(ctx, "+", k_f + 1, 2, need)
+           * halflog(ctx, "-", k_f + 1, 2, need))
     for i in range(2):
         for j in range(2):
             assert blk.entry(2 + i, 2 + j) == ell * twist(mg.entry(i, j), k_f + 1)

@@ -239,10 +239,16 @@ def series_route_split(ab, op, denom_budget=0):
     for comp, prod, tag in ((diff, odd, "difference"), (tot, even, "sum")):
         base = comp.normalize()
         threshold = max(1, base.prec - slack)
+        dp = prod.degree()
         for vec in [base.a] + ([base.b] if base.b else []):
             f = IwaSeries(ctx, vec, None, base.prec, base.deg_cap)
-            if prod.degree() > 0:
-                r = poly_reduce(f, prod)
+            if dp > 0:
+                # where no division step runs, the remainder is f itself
+                fp = f.coeff_prec()
+                if any(c % ctx.p ** fp for c in vec[dp:]):
+                    r = poly_reduce(f, prod)
+                else:
+                    r = IwaSeries(ctx, vec[:dp], None, fp, dp)
                 if r.min_val() < min(threshold, r.prec):
                     raise NoBoundedSolution(
                         "%s fails the parity divisibility certificate" % tag)
@@ -375,22 +381,39 @@ def _count(monkeypatch, module, name):
 
 
 def test_small_windows_build_the_parity_products_there(monkeypatch):
-    # k = 1, level 3: the even product has degree 12, so a 4-wide input (a
-    # window of 8) builds both products at the window, and the
-    # truncated even product has no unit top coefficient
+    # k = 1, level 3: the even product has degree 12, so an input of window
+    # 8 builds both products at the window, and the truncated even product
+    # (degree 7) has no unit top coefficient: a sum that reaches X^7 needs a
+    # division step by it
     op = SplitOperator.build(CrystalParams.ap_zero(3, 8, 1, -1), 3)
     assert op.parity_deg == 12
     ctx = op.ctx
     calls = _count(monkeypatch, split, "parity_products")
-    z = IwaSeries.zero(ctx, 4)
+    x7 = IwaSeries(ctx, [0] * 7 + [1], None, None, 8)
     with pytest.raises(NonUnit):
-        signed_split(AlphaBetaPair(IwaSeries.const(ctx, 1, 4), z, 3), op)
+        signed_split(AlphaBetaPair(x7, x7, 3), op)
     assert [c[3] for c in calls] == [8]
     rng = random.Random(39)
     pair = SignedPair(rand_bounded(ctx, 4, rng), rand_bounded(ctx, 4, rng), 3)
     got = signed_split(forward(pair, op.qinv_m), op)
     assert got.plus == pair.plus and got.minus == pair.minus
     assert len(calls) == 1
+
+
+def test_short_inputs_need_no_unit_top_of_a_truncated_product():
+    # the same key: an input below the degree of the truncated products is
+    # its own remainder, so no division step (and no unit) is needed; the
+    # zero pair splits to zero, and a constant fails the certificate
+    op = SplitOperator.build(CrystalParams.ap_zero(3, 8, 1, -1), 3)
+    ctx = op.ctx
+    zero = IwaSeries.zero(ctx, 12)
+    got = signed_split(AlphaBetaPair(zero, zero, 3), op)
+    assert got.plus.is_zero() and got.minus.is_zero()
+    assert got.plus.deg_cap == got.minus.deg_cap == 12
+    z = IwaSeries.zero(ctx, 4)
+    with pytest.raises(NoBoundedSolution,
+                       match="^sum fails the parity divisibility certificate$"):
+        signed_split(AlphaBetaPair(IwaSeries.const(ctx, 1, 4), z, 3), op)
 
 
 def test_k1_divides_by_m21_on_the_dense_route(monkeypatch):
