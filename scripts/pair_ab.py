@@ -36,6 +36,7 @@ import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import statistics
 import sys
@@ -46,14 +47,18 @@ SIDES = ("a", "b")
 
 
 def load_side(tag, root):
-    """Import root/src/padiclog as pair_<tag>.padiclog, and return the map
-    from each module name under ``padiclog`` to its module."""
+    """Import every module of root/src/padiclog as pair_<tag>.padiclog.*, and
+    return the map from each module name under ``padiclog`` to its module.
+
+    The cli and the package load modules on first use; importing them all
+    here keeps a module first used inside a call on its own side."""
     for name in [n for n in sys.modules if n == "padiclog" or n.startswith("padiclog.")]:
         del sys.modules[name]
-    sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
+    src = os.path.join(os.path.abspath(root), "src")
+    sys.path.insert(0, src)
     try:
-        importlib.import_module("padiclog.cli")
-        importlib.import_module("padiclog.checks")
+        for info in pkgutil.iter_modules([os.path.join(src, "padiclog")]):
+            importlib.import_module("padiclog." + info.name)
     finally:
         sys.path.pop(0)
     mods = {n: m for n, m in sys.modules.items()
@@ -106,6 +111,9 @@ def main():
     classes = re.compile(args.classes)
 
     sides = {"a": load_side("a", args.a), "b": load_side("b", args.b)}
+    if sides["a"].keys() != sides["b"].keys():
+        ap.error("the checkouts have different modules: %s"
+                 % sorted(sides["a"].keys() ^ sides["b"].keys()))
     perfbench = os.path.join(os.path.abspath(args.b), "perfbench")
     sys.path.insert(0, perfbench)
     activate(sides["a"])

@@ -17,37 +17,46 @@ Modules:
   galimg  -- finite matrix-group enumeration, product criteria, tau search
   qexp    -- theta series, p-depletion, Eisenstein layers, Euler products
   checks  -- the named invariant suites behind `padiclog check`
+
+Every name in __all__ is importable from the package itself
+(``from padiclog import IwaSeries``) and loads its module on first access
+(PEP 562), so importing the package, or one module of it, compiles no
+module that the run does not use.
 """
 
-from padiclog.padic import PadicElt, PrimeCtx, sqrt
-from padiclog.cycser import FiniteGroupRingElt, mellin, mellin_inverse
-from padiclog.iwadist import (CharPoint, IwaSeries, delta,
-                              equal_up_to_unit_mod, eval_at, halflog, is_unit,
-                              log_tw, omega, omega_tw, phi_cyc, phi_tw,
-                              solve_series_div, twist)
-from padiclog.logmat import (CrystalParams, LogMatrix, log_matrix_ap0,
-                             q_fg_block, q_matrix, q_matrix_inv, qinv_times,
-                             semi_ordinary_block)
-from padiclog.split import (AlphaBetaPair, SignedPair, antisym_factor,
-                            forward, signed_split)
-from padiclog.regdiv import MSeries, SpecFamily, chevalley_check, divides_trunc, specialize
-from padiclog.galimg import (MatGroupGen, closure, find_tau,
-                             goursat_product_check)
-from padiclog.qexp import (ImagQuadCtx, QExpansion, deplete,
-                           dirichlet_from_euler, eisenstein_depleted,
-                           nebentype_value, theta_series)
+import importlib
 
-__all__ = [
-    "PadicElt", "PrimeCtx", "sqrt",
-    "FiniteGroupRingElt", "mellin", "mellin_inverse",
-    "CharPoint", "IwaSeries", "delta", "equal_up_to_unit_mod", "eval_at",
-    "halflog", "is_unit", "log_tw", "omega", "omega_tw", "phi_cyc", "phi_tw",
-    "solve_series_div", "twist",
-    "CrystalParams", "LogMatrix", "log_matrix_ap0", "q_fg_block", "q_matrix",
-    "q_matrix_inv", "qinv_times", "semi_ordinary_block",
-    "AlphaBetaPair", "SignedPair", "antisym_factor", "forward", "signed_split",
-    "MSeries", "SpecFamily", "chevalley_check", "divides_trunc", "specialize",
-    "MatGroupGen", "closure", "find_tau", "goursat_product_check",
-    "ImagQuadCtx", "QExpansion", "deplete", "dirichlet_from_euler",
-    "eisenstein_depleted", "nebentype_value", "theta_series",
-]
+# (module, the names it exports): tuples, as no module of the package may hold
+# a dict, list or set that could grow for the life of the process.
+_EXPORTS = (
+    ("padic", ("PadicElt", "PrimeCtx", "sqrt")),
+    ("cycser", ("FiniteGroupRingElt", "mellin", "mellin_inverse")),
+    ("iwadist", ("CharPoint", "IwaSeries", "delta", "equal_up_to_unit_mod",
+                 "eval_at", "halflog", "is_unit", "log_tw", "omega",
+                 "omega_tw", "phi_cyc", "phi_tw", "solve_series_div",
+                 "twist")),
+    ("logmat", ("CrystalParams", "LogMatrix", "log_matrix_ap0", "q_fg_block",
+                "q_matrix", "q_matrix_inv", "qinv_times",
+                "semi_ordinary_block")),
+    ("split", ("AlphaBetaPair", "SignedPair", "antisym_factor", "forward",
+               "signed_split")),
+    ("regdiv", ("MSeries", "SpecFamily", "chevalley_check", "divides_trunc",
+                "specialize")),
+    ("galimg", ("MatGroupGen", "closure", "find_tau",
+                "goursat_product_check")),
+    ("qexp", ("ImagQuadCtx", "QExpansion", "deplete", "dirichlet_from_euler",
+              "eisenstein_depleted", "nebentype_value", "theta_series")),
+)
+
+__all__ = [name for _, names in _EXPORTS for name in names]
+
+
+def __getattr__(name):
+    for module, names in _EXPORTS:
+        if name in names:
+            return getattr(importlib.import_module("padiclog." + module), name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

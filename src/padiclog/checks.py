@@ -7,29 +7,17 @@ acceptance tests run exactly these.
 
 from __future__ import annotations
 
-import random
 from math import gcd, isqrt
 
-from padiclog._poly import isprime
-from padiclog.cycser import FiniteGroupRingElt, mellin, mellin_inverse
-from padiclog.galimg import (MatGroupGen, closure, find_tau,
-                             goursat_product_check, kron, min_poly)
-from padiclog.iwadist import (IwaSeries, NoUnitWitness, delta,
-                              equal_up_to_unit_mod, halflog, is_unit, log_tw,
-                              omega, omega_tw, phi_cyc, poly_reduce,
-                              solve_series_div)
-from padiclog.logmat import CrystalParams, log_matrix_ap0, window_ideal
-from padiclog.padic import PrimeCtx, inv_scaled
-from padiclog.qexp import (ImagQuadCtx, dirichlet_from_euler, kronecker,
-                           theta_series)
-from padiclog.regdiv import MSeries, SpecFamily, chevalley_check
-from padiclog.split import (AlphaBetaPair, NoBoundedSolution, SignedPair,
-                            SplitOperator, antisym_factor, forward,
-                            signed_split)
+from padiclog.padic import PrimeCtx
+
+# Each suite imports the modules it runs, so that `padiclog check --suite S`
+# compiles only S's chain.
 
 
 def check_cyclotomic_identities(seed=0):
     """omega_n = X * prod Phi_m exactly, p in {3,5,7}, n <= 4, prec 20."""
+    from padiclog.iwadist import IwaSeries, omega, phi_cyc
     cases = []
     ok = True
     for p in (3, 5, 7):
@@ -48,6 +36,7 @@ def check_cyclotomic_identities(seed=0):
 
 def check_halflog_product(seed=0):
     """halflog+ * halflog- * delta_m = prod Tw^-i(omega_n)/p^(mn), m<=2, n<=3."""
+    from padiclog.iwadist import IwaSeries, delta, halflog, omega_tw
     cases = []
     ok = True
     for p in (3, 5):
@@ -68,6 +57,8 @@ def check_halflog_product(seed=0):
 
 def check_mellin_roundtrip(seed=0, trials=100):
     """mellin_inverse(mellin(lam)) = lam for random group-ring elements."""
+    import random
+    from padiclog.cycser import FiniteGroupRingElt, mellin, mellin_inverse
     rng = random.Random(seed)
     ctx = PrimeCtx(5, 10)
     fails = 0
@@ -82,6 +73,7 @@ def check_mellin_roundtrip(seed=0, trials=100):
 
 
 def _logmatrix_cases(prec=14):
+    from padiclog.logmat import CrystalParams, log_matrix_ap0
     for k in (0, 1):
         pr = CrystalParams.ap_zero(3, prec, k)
         mats = {n: log_matrix_ap0(pr, n) for n in (1, 2, 3)}
@@ -90,6 +82,10 @@ def _logmatrix_cases(prec=14):
 
 def check_logmatrix_structure(seed=0, prec=14):
     """Diagonal vanishing, half-log shape of the antidiagonal, level coherence."""
+    from padiclog.iwadist import (IwaSeries, NoUnitWitness,
+                                  equal_up_to_unit_mod, halflog, is_unit,
+                                  omega_tw, poly_reduce)
+    from padiclog.logmat import log_matrix_ap0, window_ideal
     details = []
     ok = True
     for k, pr, mats in _logmatrix_cases(prec):
@@ -149,6 +145,9 @@ def check_logmatrix_structure(seed=0, prec=14):
 
 def check_det_identity(seed=0, prec=16):
     """det(M') p^(k+1) delta = unit * log_tw mod (p^8, omega_(n-1,k+1))."""
+    from padiclog.iwadist import (IwaSeries, NoUnitWitness, delta,
+                                  equal_up_to_unit_mod, is_unit, log_tw)
+    from padiclog.logmat import CrystalParams, log_matrix_ap0, window_ideal
     details = []
     ok = True
     for k in (0, 1):
@@ -181,6 +180,11 @@ def check_det_identity(seed=0, prec=16):
 def check_signed_split(seed=0, trials=100, prec=12):
     """Roundtrip on random bounded pairs mod (p^8, omega_(3,1)), p=3, k=0, n=3,
     plus the constructed NoBoundedSolution rejection."""
+    import random
+    from padiclog.iwadist import IwaSeries
+    from padiclog.logmat import CrystalParams
+    from padiclog.split import (AlphaBetaPair, NoBoundedSolution, SignedPair,
+                                SplitOperator, forward, signed_split)
     rng = random.Random(seed)
     pr = CrystalParams.ap_zero(3, prec, 0)
     n = 3
@@ -219,6 +223,12 @@ def check_antisym(seed=0, trials=100, prec=12):
     The expected p-power in the geo shape is v_p(alpha beta p^(k+1)/(alpha-beta)^2),
     computed from the eigenvalue data (= k+1 in a_p = 0 mode).
     """
+    import random
+    from padiclog.iwadist import (IwaSeries, delta, is_unit, log_tw,
+                                  solve_series_div)
+    from padiclog.logmat import CrystalParams
+    from padiclog.padic import inv_scaled
+    from padiclog.split import SplitOperator, antisym_factor
     rng = random.Random(seed)
     pr = CrystalParams.ap_zero(3, prec, 0)
     k, n = 0, 2
@@ -256,9 +266,10 @@ def check_antisym(seed=0, trials=100, prec=12):
 
 def check_regdiv(seed=0, trials=200):
     """Positive and coprime trials of the divisibility criterion checker."""
+    import random
+    from padiclog.regdiv import MSeries, SpecFamily, _monomials, chevalley_check
     rng = random.Random(seed)
     ctx = PrimeCtx(5, 10)
-    from padiclog.regdiv import _monomials
 
     def rand_ms(deg, cap=7, unit_const=False, zero_const=False):
         coeffs = {}
@@ -317,6 +328,8 @@ def check_regdiv(seed=0, trials=200):
 
 def check_galimg(seed=0):
     """Closure orders, the Kronecker-product certificate, the product check."""
+    from padiclog.galimg import (MatGroupGen, closure, find_tau,
+                                 goursat_product_check, kron, min_poly)
     sl2_5 = MatGroupGen(5, 2, [((1, 1), (0, 1)), ((0, 1), (4, 0))])
     sl2_7 = MatGroupGen(7, 2, [((1, 1), (0, 1)), ((0, 1), (6, 0))])
     o5 = len(closure(sl2_5))
@@ -361,6 +374,10 @@ def _gauss_theta_oracle(t, n_max):
 
 def check_theta(seed=0):
     """D=-4, t=4 theta coefficients vs brute force, multiplicativity, Euler."""
+    import random
+    from padiclog._poly import isprime
+    from padiclog.qexp import (ImagQuadCtx, dirichlet_from_euler, kronecker,
+                               theta_series)
     rng = random.Random(seed)
     ctx = ImagQuadCtx(-4, 4)
     th = theta_series(ctx, 200)

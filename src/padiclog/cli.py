@@ -15,17 +15,14 @@ import json
 import re
 import sys
 
-from padiclog import checks
-from padiclog.iwadist import CharPoint, eval_at, halflog
-from padiclog.logmat import CrystalParams, log_matrix_ap0, qinv_times
 from padiclog.padic import PadicError, PrimeCtx, check_fields
-from padiclog.qexp import (CLASS_NUMBER_ONE, ImagQuadCtx, deplete,
-                           eisenstein_depleted, theta_series)
-from padiclog.regdiv import MSeries, SpecFamily, chevalley_check
-from padiclog.split import (AlphaBetaPair, antisym_factor, signed_split,
-                            split_operator)
-from padiclog.galimg import MatGroupGen, closure, find_tau, goursat_product_check
-import padiclog.iwadist as iwadist
+
+# A run imports only the modules its subcommand executes: each cmd_* handler
+# imports what it uses.  The names of checks.SUITES are kept here, because
+# argparse formats the choices of --suite when the parser is built.
+SUITE_NAMES = ("antisym", "cyclotomic-identities", "det-identity", "galimg",
+               "halflog-product", "logmatrix-structure", "mellin-roundtrip",
+               "regdiv", "signed-split", "theta")
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -96,6 +93,7 @@ def _int_matrix(obj, where):
 
 
 def cmd_halflog(args):
+    from padiclog.iwadist import CharPoint, eval_at, halflog
     ctx = PrimeCtx(args.p, args.prec)
     cap = args.m * args.p ** args.level + 2
     h = halflog(ctx, args.sign, args.m, args.level, cap)
@@ -108,6 +106,7 @@ def cmd_halflog(args):
 
 
 def cmd_logmatrix(args):
+    from padiclog.logmat import CrystalParams, log_matrix_ap0, qinv_times
     pr = CrystalParams.ap_zero(args.p, args.prec, args.k, args.eps)
     mat = log_matrix_ap0(pr, args.level)
     if args.qinv:
@@ -118,6 +117,7 @@ def cmd_logmatrix(args):
 
 def _cached_operator(spec):
     """g's splitting operator for a split/antisym request, from the cache."""
+    from padiclog.split import split_operator
     return split_operator(spec["p"], spec.get("prec", 12), spec["k"],
                           spec.get("eps", 1), spec["level"])
 
@@ -125,10 +125,12 @@ def _cached_operator(spec):
 def cmd_split(args):
     spec = _load(args.input, p="nat", prec="nat", k="nat", eps="int",
                  level="nat", denom_exp="nat", alpha="object", beta="object")
+    from padiclog.iwadist import from_json
+    from padiclog.split import AlphaBetaPair, signed_split
     op = _cached_operator(spec)
     n = spec["level"]
-    ab = AlphaBetaPair(iwadist.from_json(spec["alpha"], op.ctx),
-                       iwadist.from_json(spec["beta"], op.ctx), n)
+    ab = AlphaBetaPair(from_json(spec["alpha"], op.ctx),
+                       from_json(spec["beta"], op.ctx), n)
     pair = signed_split(ab, op, denom_budget=spec.get("denom_exp", 0))
     _emit({"plus": pair.plus.to_json(), "minus": pair.minus.to_json(),
            "level": n}, args)
@@ -138,8 +140,10 @@ def cmd_split(args):
 def cmd_antisym(args):
     spec = _load(args.input, p="nat", prec="nat", k="nat", eps="int",
                  level="nat", L="object")
+    from padiclog.iwadist import from_json
+    from padiclog.split import antisym_factor
     op = _cached_operator(spec)
-    lval = iwadist.from_json(spec["L"], op.ctx)
+    lval = from_json(spec["L"], op.ctx)
     out = antisym_factor(lval, op)
     _emit(out.to_json(), args)
     return 0
@@ -148,6 +152,7 @@ def cmd_antisym(args):
 def cmd_regdiv(args):
     spec = _load(args.input, p="nat", prec="nat", F="object", G="object",
                  points="array")
+    from padiclog.regdiv import MSeries, SpecFamily, chevalley_check
     ctx = PrimeCtx(spec["p"], spec.get("prec", 12))
     f = MSeries.from_json(spec["F"], ctx)
     g = MSeries.from_json(spec["G"], ctx)
@@ -161,6 +166,8 @@ def cmd_regdiv(args):
 
 def cmd_galimg(args):
     spec = _load(args.input, p="nat", pairs="array", gens="array")
+    from padiclog.galimg import (MatGroupGen, closure, find_tau,
+                                 goursat_product_check)
     p = spec["p"]
     if "pairs" in spec:
         if not all(isinstance(ab, list) and len(ab) == 2 for ab in spec["pairs"]):
@@ -191,6 +198,7 @@ def cmd_galimg(args):
 
 
 def cmd_theta(args):
+    from padiclog.qexp import ImagQuadCtx, theta_series
     ctx = ImagQuadCtx(args.disc, args.power, cond=args.cond)
     th = theta_series(ctx, args.nmax)
     _emit(th.to_json(), args)
@@ -198,6 +206,7 @@ def cmd_theta(args):
 
 
 def cmd_eis(args):
+    from padiclog.qexp import eisenstein_depleted
     e = eisenstein_depleted(args.k, args.root_order, args.zeta_index,
                             args.p, args.nmax)
     _emit(e.to_json(), args)
@@ -228,6 +237,7 @@ def _qexp_coeffs(spec, where):
     over "cyclotomic:<M>" with M >= 1.  As phi(M) >= sqrt(M/2), M is held
     to at most 2 L^2 for a vector length L before phi(M) is computed.
     """
+    from padiclog.qexp import CLASS_NUMBER_ONE
     cs, ring = spec["coeffs"], spec["ring"]
     if len(cs) != spec["nmax"]:
         raise ValueError("%s: nmax is %d but coeffs has %d entries"
@@ -254,7 +264,7 @@ def _qexp_coeffs(spec, where):
 
 def cmd_deplete(args):
     spec = _load(args.input, ring="string", nmax="nat", coeffs="array")
-    from padiclog.qexp import QExpansion
+    from padiclog.qexp import QExpansion, deplete
     f = QExpansion(spec["ring"], spec["nmax"], _qexp_coeffs(spec, args.input))
     _emit(deplete(f, args.p).to_json(), args)
     return 0
@@ -263,8 +273,9 @@ def cmd_deplete(args):
 def cmd_eval(args):
     spec = _load(args.input, p="nat", prec="nat", series="object",
                  point="object")
+    from padiclog.iwadist import CharPoint, eval_at, from_json
     ctx = PrimeCtx(spec["p"], spec["prec"])
-    f = iwadist.from_json(spec["series"], ctx)
+    f = from_json(spec["series"], ctx)
     point = check_fields(spec["point"], "point", t="nat", j="int")
     pt = CharPoint(point["t"], point["j"])
     v = eval_at(f, pt)
@@ -275,6 +286,7 @@ def cmd_eval(args):
 
 
 def cmd_check(args):
+    from padiclog import checks
     report = checks.run_suite(args.suite, seed=args.seed)
     _emit(report, args)
     return 0 if report["pass"] else 1
@@ -355,7 +367,7 @@ def build_parser():
     q.set_defaults(func=cmd_eval)
 
     q = sub.add_parser("check", help="run a named invariant suite")
-    q.add_argument("--suite", required=True, choices=sorted(checks.SUITES))
+    q.add_argument("--suite", required=True, choices=SUITE_NAMES)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=cmd_check)
 

@@ -13,6 +13,7 @@ against the per-row and basis-change formulas they replaced.
 
 import ast
 import importlib
+import json
 import os
 import pathlib
 import pkgutil
@@ -588,6 +589,132 @@ def test_cli_import_does_not_load_dataclasses():
                     "import padiclog.cli, sys; "
                     "assert not {'dataclasses', 'inspect'} & set(sys.modules)"],
                    env=env, check=True, timeout=60)
+
+
+# ALWAYS is what every run loads.  COMMAND_CHAINS maps a command to its
+# arguments, its input file (or None) and the modules it loads beyond ALWAYS:
+# the command's module and the modules that one imports.
+ALWAYS = {"padiclog", "padiclog.cli", "padiclog.padic", "padiclog._poly"}
+IWADIST_CHAIN = {"padiclog.iwadist", "padiclog.linsolve"}
+LOGMAT_CHAIN = IWADIST_CHAIN | {"padiclog.logmat", "padiclog.cycser"}
+_ZERO = {"coeffs": ["0"], "prec": 10, "deg_cap": 4, "denom_exp": 0, "growth": "0"}
+COMMAND_CHAINS = {
+    "logmatrix": (["--p", "3", "--k", "0", "--level", "1"], None, LOGMAT_CHAIN),
+    "halflog": (["--p", "3", "--sign", "plus", "--level", "1"], None,
+                IWADIST_CHAIN),
+    "theta": (["--disc", "-4", "--power", "4", "--nmax", "10"], None,
+              {"padiclog.qexp"}),
+    "galimg": ([], {"p": 5, "gens": [[[1, 1], [0, 1]]]},
+               {"padiclog.galimg", "padiclog.linsolve"}),
+    "regdiv": ([], {"p": 5, "prec": 10, "points": [5, 10],
+                    "F": {"nvars": 2, "deg_cap": 4, "coeffs": {"0,0": "1", "1,0": "1"}},
+                    "G": {"nvars": 2, "deg_cap": 4, "coeffs": {"0,0": "1"}}},
+               IWADIST_CHAIN | {"padiclog.regdiv"}),
+    "split": ([], {"p": 3, "prec": 10, "k": 0, "level": 2, "denom_exp": 0,
+                   "alpha": _ZERO, "beta": _ZERO},
+              LOGMAT_CHAIN | {"padiclog.split"}),
+    "check": (["--suite", "cyclotomic-identities"], None,
+              IWADIST_CHAIN | {"padiclog.checks"}),
+}
+
+
+def _loaded_by(code, *argv):
+    """The padiclog modules loaded, and what was printed, by code run in a
+    fresh process on the package from this checkout."""
+    src = str(pathlib.Path(padiclog.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    prog = (code + "\nimport json, sys\n"
+            "print(json.dumps(sorted(n for n in sys.modules"
+            " if n.split('.')[0] == 'padiclog')))")
+    done = subprocess.run([sys.executable, "-c", prog, *argv], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    *printed, last = done.stdout.splitlines()
+    return set(json.loads(last)), printed
+
+
+def test_cli_import_loads_only_padic():
+    """Importing the CLI compiles no module a command may not need."""
+    assert _loaded_by("import padiclog.cli")[0] == ALWAYS
+
+
+@pytest.mark.parametrize("cmd", sorted(COMMAND_CHAINS))
+def test_command_loads_only_its_chain(cmd, tmp_path):
+    args, spec, chain = COMMAND_CHAINS[cmd]
+    if spec is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(spec))
+        args = [str(path)]
+    code = ("import sys, padiclog.cli\n"
+            "code = padiclog.cli.main(sys.argv[1:] + ['--out', %r])\n"
+            "print(code)" % str(tmp_path / "out.json"))
+    loaded, printed = _loaded_by(code, cmd, *args)
+    assert printed == ["0"]
+    assert loaded == ALWAYS | chain
+
+
+def test_package_exports_resolve_lazily():
+    """Every name of padiclog.__all__ is its home module's object, and
+    `dir(padiclog)` lists them before any has been loaded."""
+    loaded, printed = _loaded_by(
+        "import padiclog\nprint(set(padiclog.__all__) <= set(dir(padiclog)))")
+    assert loaded == {"padiclog"} and printed == ["True"]
+    for name in padiclog.__all__:
+        ns = {}
+        exec("from padiclog import %s as obj" % name, ns)
+        home = importlib.import_module(ns["obj"].__module__)
+        assert home.__name__.startswith("padiclog.")
+        assert getattr(home, name) is ns["obj"]
+    with pytest.raises(AttributeError):
+        padiclog.no_such_name
+    with pytest.raises(ImportError):
+        exec("from padiclog import no_such_name", {})
+
+
+def test_cli_suite_names_are_the_check_suites():
+    from padiclog import checks, cli
+    assert cli.SUITE_NAMES == tuple(sorted(checks.SUITES))
+
+
+# Exit code, stdout and stderr of `python -m padiclog.cli ARGS` at 80 columns
+# under Python 3.10-3.11, recorded when cli imported every module before it
+# parsed its arguments.
+_SUITE_USAGE = (
+    "usage: padiclog check [-h] --suite\n"
+    "                      {antisym,cyclotomic-identities,det-identity,galimg,"
+    "halflog-product,logmatrix-structure,mellin-roundtrip,regdiv,signed-split,"
+    "theta}\n"
+    "                      [--seed SEED] [--out OUT]\n")
+PARSER_BYTES = {
+    ("check", "--suite", "nope"): (2, "", _SUITE_USAGE + (
+        "padiclog check: error: argument --suite: invalid choice: 'nope' "
+        "(choose from 'antisym', 'cyclotomic-identities', 'det-identity', "
+        "'galimg', 'halflog-product', 'logmatrix-structure', "
+        "'mellin-roundtrip', 'regdiv', 'signed-split', 'theta')\n")),
+    ("check", "--help"): (0, _SUITE_USAGE + (
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --suite {antisym,cyclotomic-identities,det-identity,galimg,"
+        "halflog-product,logmatrix-structure,mellin-roundtrip,regdiv,"
+        "signed-split,theta}\n"
+        "  --seed SEED\n"
+        "  --out OUT             write the report here\n"), ""),
+    ("logmatrix",): (2, "", (
+        "usage: padiclog logmatrix [-h] --p P --k K --level LEVEL [--prec PREC]\n"
+        "                          [--eps EPS] [--qinv] [--out OUT]\n"
+        "padiclog logmatrix: error: the following arguments are required: "
+        "--p, --k, --level\n")),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PARSER_BYTES))
+def test_parser_output_is_unchanged(argv):
+    src = str(pathlib.Path(padiclog.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    done = subprocess.run([sys.executable, "-m", "padiclog.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == PARSER_BYTES[argv]
 
 
 def test_no_sympy_import_in_package():

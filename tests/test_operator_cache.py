@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-import padiclog.cli as cli
+import padiclog.logmat as logmat
 import padiclog.split as split
 from padiclog.cli import main
 from padiclog.iwadist import IwaSeries
@@ -166,7 +166,7 @@ def test_repeated_split_builds_the_matrix_once(argvs, monkeypatch, capsys):
 
 
 def test_repeated_logmatrix_builds_the_matrix_each_time(monkeypatch, capsys):
-    calls = _count_calls(monkeypatch, cli, "log_matrix_ap0")
+    calls = _count_calls(monkeypatch, logmat, "log_matrix_ap0")
     argv = ["logmatrix", "--p", "3", "--k", "0", "--level", "2", "--qinv"]
     outs = [_run(capsys, argv) for _ in range(3)]
     assert len(calls) == 3
