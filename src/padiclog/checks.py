@@ -80,11 +80,25 @@ def _logmatrix_cases(prec=14):
         yield k, pr, mats
 
 
+def _unit_witness(x, y, prec, cap, n, k, win):
+    """Whether x = unit * y mod (omega_(n-1,k+1), win), with both cut to
+    precision prec and window cap; False when no unit witness exists."""
+    from padiclog.iwadist import (IwaSeries, NoUnitWitness,
+                                  equal_up_to_unit_mod, is_unit)
+    ctx = x.ctx
+    try:
+        u = equal_up_to_unit_mod(
+            IwaSeries(ctx, x.a, None, min(x.prec, prec), cap),
+            IwaSeries(ctx, y.a, None, min(y.prec, prec), cap),
+            n - 1, k + 1, extra_ideals=[win])
+    except NoUnitWitness:
+        return False
+    return is_unit(u)
+
+
 def check_logmatrix_structure(seed=0, prec=14):
     """Diagonal vanishing, half-log shape of the antidiagonal, level coherence."""
-    from padiclog.iwadist import (IwaSeries, NoUnitWitness,
-                                  equal_up_to_unit_mod, halflog, is_unit,
-                                  omega_tw, poly_reduce)
+    from padiclog.iwadist import IwaSeries, halflog, omega_tw, poly_reduce
     from padiclog.logmat import log_matrix_ap0, window_ideal
     details = []
     ok = True
@@ -107,14 +121,8 @@ def check_logmatrix_structure(seed=0, prec=14):
                 dd = ent.denom_exp - h.denom_exp
                 e2 = ent if dd >= 0 else ent.rescale(-dd)
                 h2 = h.rescale(dd) if dd >= 0 else h
-                try:
-                    u = equal_up_to_unit_mod(
-                        IwaSeries(ctx, e2.a, None, min(e2.prec, floor), cap),
-                        IwaSeries(ctx, h2.a, None, min(h2.prec, floor), cap),
-                        n - 1, k + 1, extra_ideals=[win])
-                    shape_ok = shape_ok and is_unit(u)
-                except NoUnitWitness:
-                    shape_ok = False
+                shape_ok = _unit_witness(e2, h2, floor, cap, n, k,
+                                         win) and shape_ok
             details.append({"k": k, "n": n, "diag_zero": diag_zero,
                             "halflog_shape": shape_ok,
                             "witness_prec": floor})
@@ -145,8 +153,7 @@ def check_logmatrix_structure(seed=0, prec=14):
 
 def check_det_identity(seed=0, prec=16):
     """det(M') p^(k+1) delta = unit * log_tw mod (p^8, omega_(n-1,k+1))."""
-    from padiclog.iwadist import (IwaSeries, NoUnitWitness, delta,
-                                  equal_up_to_unit_mod, is_unit, log_tw)
+    from padiclog.iwadist import delta, log_tw
     from padiclog.logmat import CrystalParams, log_matrix_ap0, window_ideal
     details = []
     ok = True
@@ -159,19 +166,8 @@ def check_det_identity(seed=0, prec=16):
             lhs = (det * delta(pr.ctx, k + 1, cap)).times_p(k + 1).normalize()
             rhs = log_tw(pr.ctx, k + 1, n, cap).normalize()
             good = lhs.denom_exp == rhs.denom_exp
-            witness = None
-            if good:
-                target = 8
-                win = window_ideal(m)
-                try:
-                    u = equal_up_to_unit_mod(
-                        IwaSeries(pr.ctx, lhs.a, None, min(lhs.prec, target), cap),
-                        IwaSeries(pr.ctx, rhs.a, None, min(rhs.prec, target), cap),
-                        n - 1, k + 1, extra_ideals=[win])
-                    witness = is_unit(u)
-                except NoUnitWitness:
-                    witness = False
-            good = bool(good and witness)
+            good = good and _unit_witness(lhs, rhs, 8, cap, n, k,
+                                          window_ideal(m))
             details.append({"k": k, "n": n, "pass": good})
             ok = ok and good
     return {"suite": "det-identity", "pass": ok, "details": details}

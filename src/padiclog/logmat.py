@@ -13,13 +13,12 @@ Delta-isotypic component.
 
 The whole path runs on exact int vectors in the variable Y = 1+pi.  In Y,
 q = phi(pi)/pi = (Y^p - 1)/(Y - 1) = 1 + Y + ... + Y^(p-1), so the one
-nonconstant entry -eps q^(k+1) of P^(-1) is born in Y as an int vector of
-degree (k+1)(p-1), and A enters through its int entries (`_aprime_ap0`).
-phi is then Y -> Y^p, the 2x2 products are untruncated, and 1+pi is a
-shift.  Truncation mod pi^cap is reduction mod (Y-1)^cap, a ring map, so it
-is applied once per output entry, and only when the entry's degree reaches
-cap (for a_p = 0, when k >= p+1): one division by (Y-1)^cap,
-`_poly.onepx_rem`.
+nonconstant entry c = -eps q^(k+1) of P^(-1) is born in Y as an int vector
+of degree (k+1)(p-1).  phi is then Y -> Y^p, the products are untruncated,
+and 1+pi is a shift.  Truncation mod pi^cap is reduction mod (Y-1)^cap, a
+ring map, so it is applied once per output entry, and only when the entry's
+degree reaches cap (for a_p = 0, when k >= p+1): one division by
+(Y-1)^cap, `_poly.onepx_rem`.
 
 The Mellin inverse and the Delta-projection are one pass over the
 Y-coefficients.  Positions divisible by p must vanish (psi = 0,
@@ -36,15 +35,21 @@ quotient at the lower precision, already normalized.  The coset vector is
 mostly zeros (25 of 243 coefficients at p = 3, n = 4, k = 1), which the
 shift's exact low levels skip.
 
-The product carries only the nonzero entries.  For a_p = 0 every factor
-phi^i(P^(-1)) is antidiagonal with the constant 1 in one corner, so the
-product and A^(n+1) are diagonal or antidiagonal: half of the entries are
-structural zeros.  They are marked None once and skip every term, Mellin
-read and Delta-projection they would feed.  Every entry of P^(-1) is known
-at the working precision, so a skipped zero lowers no precision and the
-output is the same as the dense computation's.  The other entries are
-sparse too: phi^i(c) has at most (k+1)(p-1)+1 nonzeros, p^i apart, so the
-products run over nonzero pairs only (`_poly.sparse_mul`).
+The product has a closed form.  Every factor phi^i(P^(-1)) =
+[[0, 1], [c_i, 0]], with c_i = phi^i(c), is antidiagonal, so
+phi^n(P^(-1)) ... phi(P^(-1)) is [[0, E], [O, 0]] for odd n and
+[[O, 0], [0, E]] for even n, where E and O are the products of the c_i
+over the even and the odd 0 < i <= n.  The lift A~ = p^(k+1) A' =
+[[0, -1/eps], [p^(k+1), 0]] squares to the scalar t = -p^(k+1)/eps, so
+the level-n matrix is antidiagonal: its (0,1) corner is t^((n+1)/2) E and
+its (1,0) corner t^((n+1)/2) O for odd n, and t^(n/2) (-E/eps) and
+t^(n/2) p^(k+1) O for even n.  The (1,0) corner is the odd (minus) product
+and the (0,1) corner the even (plus) one, the pairing of the half-logs.
+The diagonal is exactly zero, and only the two corners take a Mellin read
+and a Delta-projection.  Every entry of P^(-1) is known at the working
+precision, so the output is the same as the dense computation's.  Each
+phi^i(c) has at most (k+1)(p-1)+1 nonzeros, p^i apart, so E and O are one
+chain of products over nonzero pairs (`_poly.sparse_mul`).
 
 Q_g^(-1) is constant, so Q_g^(-1) M (`qinv_times`) is one pass per entry
 that scales and adds the int vectors of a column of M; the zeros of M add
@@ -64,7 +69,7 @@ from math import gcd
 from padiclog import _poly
 from padiclog.cycser import NotInImage, check_psi_zero
 from padiclog.iwadist import (InsufficientDegree, IwaSeries, delta, log_tw,
-                              solve_series_div, twist)
+                              omega, solve_series_div, twist)
 from padiclog.padic import (PadicElt, PadicError, PrimeCtx, inv_scaled, is_qr,
                             sqrt)
 
@@ -250,13 +255,6 @@ def q_matrix_inv(params, which="g"):
     return LogMatrix(rows)
 
 
-def _aprime_ap0(params, m):
-    """The int entries of p^(k+1) A' mod m, for A' = [[0, -1/(eps p^(k+1))],
-    [1, 0]]: [[0, -1/eps], [p^(k+1), 0]], 1/eps taken mod m."""
-    return [[0, -pow(params.eps.a, -1, m) % m],
-            [params.ctx.p ** (params.k + 1) % m, 0]]
-
-
 def _q_power_y(p, e, m):
     """q^e mod m in Y = 1+pi.  There q = phi(pi)/pi = (Y^p - 1)/(Y - 1) is
     1 + Y + ... + Y^(p-1), so q^e is an int vector of degree e (p-1)."""
@@ -287,19 +285,6 @@ def _check_principal(ys, p, m):
                 if ys[j] % m:
                     raise NotInImage("mass outside the principal coset at "
                                      "(1+pi)^%d" % j)
-
-
-def _dot(pairs, m):
-    """Sum mod m of the untruncated products x * y of int vectors over the
-    pairs, where None is a zero factor: a term with a zero factor is
-    skipped, and a sum with no term left is None.  Each product runs over
-    nonzero pairs only (`_poly.sparse_mul`)."""
-    acc = None
-    for x, y in pairs:
-        if x is not None and y is not None:
-            t = _poly.sparse_mul(x, y, m)
-            acc = t if acc is None else _poly.vec_add(acc, t, m)
-    return acc
 
 
 def _phi_y(v, p):
@@ -347,10 +332,11 @@ def log_matrix_ap0(params, n, prec=None):
     denominators are stripped.  The representation needs p^(n+2) stored
     coefficients, which caps the supported level per prime.
 
-    P'^(-1) = [[0, 1], [-eps q^(k+1), 0]] is built in Y = 1+pi, where its
-    one nonconstant entry is an exact int vector (`_q_power_y`).  All of its
-    entries are taken at the working precision wp, and the phi-product chain
-    multiplies them over their nonzero pairs.  Each output entry strips the
+    P'^(-1) = [[0, 1], [c, 0]] with c = -eps q^(k+1) is built in Y = 1+pi,
+    where c is an exact int vector (`_q_power_y`) at the working precision
+    wp.  The matrix is antidiagonal: its corners are the even and the odd
+    products of the c_i = phi^i(c), 0 < i <= n, scaled by the closed form of
+    A~^(n+1) (module docstring).  Each output entry strips the
     p-content s that `normalize` would strip from it at wp before its
     Mellin shift, which then runs mod p^(wp-s) (`_mellin_entry`); only an
     entry that vanishes at the requested precision but is not divisible by
@@ -369,64 +355,47 @@ def log_matrix_ap0(params, n, prec=None):
         prec = ctx.prec
     scale = (k + 1) * (n + 1)
     wp = prec + scale
-    ctx_work = PrimeCtx(p, wp, ctx.ext)
-    m = ctx_work.modulus
+    m = p ** wp
     rep = n + 1
     cap = p ** (rep + 1)
     c = _poly.vec_scale(_q_power_y(p, k + 1, m), -params.eps.a, m)
-    cur = [[None, [1]], [c, None]]
-    # prod = phi^n(P~) * phi^(n-1)(P~) * ... * phi(P~)
-    prod = None
-    for _ in range(n):
-        cur = [[None if e is None else _phi_y(e, p) for e in row] for row in cur]
-        if prod is None:
-            prod = cur
-        else:
-            prod = [[_dot(((cur[i][t], prod[t][j]) for t in range(2)), m)
-                     for j in range(2)] for i in range(2)]
-    if prod is None:
-        prod = [[[1], None], [None, [1]]]
-    # A~^(n+1) acting on the left
-    araw = _aprime_ap0(params, m)
-    an = [[1, 0], [0, 1]]
-    for _ in range(n + 1):
-        an = [[(an[i][0] * araw[0][j] + an[i][1] * araw[1][j]) % m
-               for j in range(2)] for i in range(2)]
-    an = [[[a] if a else None for a in row] for row in an]
+    # par = [E, O]: the products of c_i = phi^i(c) over even and odd 0 < i <= n
+    par = [[1], [1]]
+    for i in range(1, n + 1):
+        c = _phi_y(c, p)
+        par[i % 2] = _poly.sparse_mul(par[i % 2], c, m)
+    # A~^2 = t, so A~^(n+1) is t^((n+1)/2) for odd n and t^(n/2) A~ for even n
+    einv = pow(params.eps.a, -1, m)
+    pk = p ** (k + 1)
+    h = pow(-pk * einv, (n + 1) // 2, m)
+    scalars = (h, h) if n % 2 else (-h * einv, h * pk)
     growth = Fraction(k + 1, 2)
-    coset = None
-    out = []
+    coset = _principal_coset(p, rep)
+    out = [[None, None], [None, None]]
     for i in range(2):
-        orow = []
-        for j in range(2):
-            s = _dot(((prod[t][j], an[i][t]) for t in range(2)), m)
-            if s is None:
-                vals = [0] * p ** rep
-            else:
-                # the factor 1+pi = Y is a shift; truncation mod pi^cap is a
-                # ring map, so the exact product is reduced only here
-                ys = _poly.onepx_rem([0] + s, cap, p, wp)
-                # the Mellin inverse reads the Y-coefficients: psi = 0 at the
-                # positions divisible by p, the group ring at the others, all
-                # on the principal coset; [(1+p)^e] -> (1+X)^e
-                check_psi_zero(ys, p, m)
-                _check_principal(ys, p, m)
-                coset = coset or _principal_coset(p, rep)
-                vals = [ys[a] for a in coset]
-            orow.append(_mellin_entry(ctx, vals, wp, scale, growth))
-        out.append(orow)
+        # the factor 1+pi = Y is a shift; truncation mod pi^cap is a ring
+        # map, so the exact product is reduced only here
+        ys = _poly.onepx_rem([0] + _poly.vec_scale(par[i], scalars[i], m),
+                             cap, p, wp)
+        # the Mellin inverse reads the Y-coefficients: psi = 0 at the
+        # positions divisible by p, the group ring at the others, all on the
+        # principal coset; [(1+p)^e] -> (1+X)^e
+        check_psi_zero(ys, p, m)
+        _check_principal(ys, p, m)
+        out[i][1 - i] = _mellin_entry(ctx, [ys[a] for a in coset], wp, scale,
+                                      growth)
+        out[i][i] = _mellin_entry(ctx, [0] * p ** rep, wp, scale, growth)
     return LogMatrix(out, level=n, provenance="ap-zero level %d" % n,
                      rep_level=rep)
 
 
 def window_ideal(mat, deg_cap=None):
     """The representation-window polynomial omega_(rep_level) of the matrix."""
-    from padiclog.iwadist import omega as _omega
     ctx = mat.entry(0, 0).ctx
     lvl = mat.rep_level if mat.rep_level is not None else (mat.level or 0) + 1
     if deg_cap is None:
         deg_cap = ctx.p ** lvl + 2
-    return _omega(ctx, lvl, deg_cap)
+    return omega(ctx, lvl, deg_cap)
 
 
 def _scaled_column(row, col):

@@ -355,10 +355,10 @@ def test_semi_ordinary_block_nontrivial_unit():
 
 # -- the log matrix against the pi-basis loop -----------------------------------
 #
-# `log_matrix_ap0` runs the product on int vectors in Y = 1+pi, marks the
-# zero entries of P^(-1) once and skips every term, Mellin read and
-# projection they would feed; the Mellin read and the Delta-projection are
-# one pass over the principal coset.  The reference below builds P^(-1)
+# `log_matrix_ap0` runs on int vectors in Y = 1+pi and builds only the two
+# corners of its antidiagonal closed form; the Mellin read and the
+# Delta-projection are one pass over the principal coset.  The reference
+# below multiplies the 2x2 matrices out, with zeros as None.  It builds P^(-1)
 # in pi itself (q from its binomial row), applies phi by Horner substitution
 # to each nonconstant entry and level, truncates at pi^(p^(n+2)) after every
 # product, and takes a `mellin_inverse` per entry and the dict-and-dlog
@@ -580,11 +580,14 @@ def test_ap0_sweep_matches_pi_loop(p, n, k, monkeypatch):
 
 
 @pytest.mark.parametrize("p,n,k,prec", [(3, 1, 0, 4), (3, 1, 1, 4), (3, 1, 2, 4),
-                                        (5, 2, 1, 4), (7, 2, 0, 5), (5, 3, 0, 4)])
+                                        (5, 2, 1, 4), (7, 2, 0, 5), (5, 3, 0, 4),
+                                        (3, 5, 0, 12), (3, 5, 1, 8),
+                                        (5, 3, 1, 12), (7, 2, 1, 8)])
 def test_ap0_small_precision_and_large_window_match_pi_loop(p, n, k, prec):
-    # `logmatrix --p 3 --level 1 --prec 4`, and the largest windows, 7^4 and
-    # 5^5; the reference projects every coset, the library reads only the
-    # principal one, the only one a product (1+pi) phi(...) reaches
+    # `logmatrix --p 3 --level 1 --prec 4`, the largest windows, 7^4 and
+    # 5^5, and the top rungs of the benchmark ladder, 3^7 among them; the
+    # reference projects every coset, the library reads only the principal
+    # one, the only one a product (1+pi) phi(...) reaches
     for eps in (1, -1, 2):
         got = ap0_outcome(p, n, k, eps, prec, False)
         assert got == ap0_outcome(p, n, k, eps, prec, True)
