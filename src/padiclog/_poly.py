@@ -99,9 +99,8 @@ def vec_mul(xs, ys, m, cap):
         c, v = (xs[0], ys) if len(xs) == 1 else (ys[0], xs)
         return [c * y % m for y in v] + [0] * (n - len(v))
     k = (2 * m.bit_length() + min(len(xs), len(ys)).bit_length() + 7) // 8
-    a = int.from_bytes(b"".join([x.to_bytes(k, "little") for x in xs]), "little")
-    b = a if xs == ys else \
-        int.from_bytes(b"".join([y.to_bytes(k, "little") for y in ys]), "little")
+    a = _pack(xs, k)
+    b = a if xs == ys else _pack(ys, k)
     r = len(xs) + len(ys) - 1
     buf = (a * b).to_bytes(k * r, "little")
     unpack = int.from_bytes
@@ -219,8 +218,7 @@ def taylor_shift(bs, a, b, m, n):
     for i, c in enumerate(cur):
         if c:
             blocks[i >> lw] += c * gpow[i & low]
-    x = int.from_bytes(b"".join([v.to_bytes(k * w, "little") for v in blocks]),
-                       "little")
+    x = _pack(blocks, k * w)
     if w < size:
         folds = _slot_folds(m, k, size)
         g *= gpow[-1]

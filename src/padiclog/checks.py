@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from padiclog.padic import PrimeCtx
+from padiclog.padic import INF, PrimeCtx
 
 # Each suite imports the modules it runs, so that `padiclog check --suite S`
 # compiles only S's chain.
@@ -55,11 +55,12 @@ def check_halflog_product(seed=0):
     return {"suite": "halflog-product", "pass": ok, "details": cases}
 
 
-def check_mellin_roundtrip(seed=0, trials=100):
-    """mellin_inverse(mellin(lam)) = lam for random group-ring elements."""
+def check_mellin_roundtrip(seed=0):
+    """mellin_inverse(mellin(lam)) = lam for 100 random group-ring elements."""
     import random
     from padiclog.cycser import FiniteGroupRingElt, mellin, mellin_inverse
     rng = random.Random(seed)
+    trials = 100
     ctx = PrimeCtx(5, 10)
     fails = 0
     for _ in range(trials):
@@ -70,14 +71,6 @@ def check_mellin_roundtrip(seed=0, trials=100):
             fails += 1
     return {"suite": "mellin-roundtrip", "pass": fails == 0,
             "details": {"trials": trials, "failures": fails}}
-
-
-def _logmatrix_cases(prec=14):
-    from padiclog.logmat import CrystalParams, log_matrix_ap0
-    for k in (0, 1):
-        pr = CrystalParams.ap_zero(3, prec, k)
-        mats = {n: log_matrix_ap0(pr, n) for n in (1, 2, 3)}
-        yield k, pr, mats
 
 
 def _unit_witness(x, y, prec, cap, n, k, win):
@@ -96,13 +89,17 @@ def _unit_witness(x, y, prec, cap, n, k, win):
     return is_unit(u)
 
 
-def check_logmatrix_structure(seed=0, prec=14):
-    """Diagonal vanishing, half-log shape of the antidiagonal, level coherence."""
+def check_logmatrix_structure(seed=0):
+    """Diagonal vanishing, half-log shape of the antidiagonal, level coherence,
+    at precision 14."""
     from padiclog.iwadist import IwaSeries, halflog, omega_tw, poly_reduce
-    from padiclog.logmat import log_matrix_ap0, window_ideal
+    from padiclog.logmat import CrystalParams, log_matrix_ap0, window_ideal
+    prec = 14
     details = []
     ok = True
-    for k, pr, mats in _logmatrix_cases(prec):
+    for k in (0, 1):
+        pr = CrystalParams.ap_zero(3, prec, k)
+        mats = {n: log_matrix_ap0(pr, n) for n in (1, 2, 3)}
         ctx = pr.ctx
         scale = lambda n: (k + 1) * (n + 1)
         for n, m in mats.items():
@@ -144,21 +141,22 @@ def check_logmatrix_structure(seed=0, prec=14):
                     IwaSeries(pr.ctx, a2.a, None, a2.prec, b2.deg_cap)
                 r = poly_reduce(diff, ideal)
                 mv = r.min_val()
-                if not (mv == float("inf") or mv - d >= vfloor):
+                if not (mv == INF or mv - d >= vfloor):
                     coh = False
             details.append({"k": k, "coherence_pair": (n, n + 1), "pass": coh})
             ok = ok and coh
     return {"suite": "logmatrix-structure", "pass": ok, "details": details}
 
 
-def check_det_identity(seed=0, prec=16):
-    """det(M') p^(k+1) delta = unit * log_tw mod (p^8, omega_(n-1,k+1))."""
+def check_det_identity(seed=0):
+    """det(M') p^(k+1) delta = unit * log_tw mod (p^8, omega_(n-1,k+1)),
+    with M' built at precision 16."""
     from padiclog.iwadist import delta, log_tw
     from padiclog.logmat import CrystalParams, log_matrix_ap0, window_ideal
     details = []
     ok = True
     for k in (0, 1):
-        pr = CrystalParams.ap_zero(3, prec, k)
+        pr = CrystalParams.ap_zero(3, 16, k)
         for n in (1, 2, 3):
             m = log_matrix_ap0(pr, n)
             det = -(m.entry(0, 1) * m.entry(1, 0))
@@ -173,16 +171,17 @@ def check_det_identity(seed=0, prec=16):
     return {"suite": "det-identity", "pass": ok, "details": details}
 
 
-def check_signed_split(seed=0, trials=100, prec=12):
-    """Roundtrip on random bounded pairs mod (p^8, omega_(3,1)), p=3, k=0, n=3,
-    plus the constructed NoBoundedSolution rejection."""
+def check_signed_split(seed=0):
+    """Roundtrip on 100 random bounded pairs mod (p^8, omega_(3,1)), p=3, k=0,
+    n=3, precision 12, plus the constructed NoBoundedSolution rejection."""
     import random
     from padiclog.iwadist import IwaSeries
     from padiclog.logmat import CrystalParams
     from padiclog.split import (AlphaBetaPair, NoBoundedSolution, SignedPair,
                                 SplitOperator, forward, signed_split)
     rng = random.Random(seed)
-    pr = CrystalParams.ap_zero(3, prec, 0)
+    trials = 100
+    pr = CrystalParams.ap_zero(3, 12, 0)
     n = 3
     op = SplitOperator.build(pr, n)
     ctx = pr.ctx
@@ -213,8 +212,9 @@ def check_signed_split(seed=0, trials=100, prec=12):
                         "min_joint_prec": min_prec, "rejection": rejected}}
 
 
-def check_antisym(seed=0, trials=100, prec=12):
-    """Recovery of G from det*G, and the oracle-derived geo-shape output.
+def check_antisym(seed=0):
+    """Recovery of G from det*G for 100 random G at precision 12, and the
+    oracle-derived geo-shape output.
 
     The expected p-power in the geo shape is v_p(alpha beta p^(k+1)/(alpha-beta)^2),
     computed from the eigenvalue data (= k+1 in a_p = 0 mode).
@@ -226,7 +226,8 @@ def check_antisym(seed=0, trials=100, prec=12):
     from padiclog.padic import inv_scaled
     from padiclog.split import SplitOperator, antisym_factor
     rng = random.Random(seed)
-    pr = CrystalParams.ap_zero(3, prec, 0)
+    trials = 100
+    pr = CrystalParams.ap_zero(3, 12, 0)
     k, n = 0, 2
     op = SplitOperator.build(pr, n)
     qm = op.qinv_m
@@ -260,11 +261,13 @@ def check_antisym(seed=0, trials=100, prec=12):
                         "derived_p_power": p_power}}
 
 
-def check_regdiv(seed=0, trials=200):
-    """Positive and coprime trials of the divisibility criterion checker."""
+def check_regdiv(seed=0):
+    """200 positive and 200 coprime trials of the divisibility criterion
+    checker."""
     import random
     from padiclog.regdiv import MSeries, SpecFamily, _monomials, chevalley_check
     rng = random.Random(seed)
+    trials = 200
     ctx = PrimeCtx(5, 10)
 
     def rand_ms(deg, cap=7, unit_const=False, zero_const=False):

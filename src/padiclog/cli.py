@@ -96,7 +96,8 @@ def cmd_halflog(args):
     from padiclog.iwadist import CharPoint, eval_at, halflog
     ctx = PrimeCtx(args.p, args.prec)
     cap = args.m * args.p ** args.level + 2
-    h = halflog(ctx, args.sign, args.m, args.level, cap)
+    sign = "+" if args.sign == "plus" else "-"
+    h = halflog(ctx, sign, args.m, args.level, cap)
     out = h.to_json()
     if args.level >= 2:
         probe = eval_at(h, CharPoint(2, 0))
@@ -312,8 +313,7 @@ def build_parser():
     q.add_argument("--sign", choices=["plus", "minus"], required=True)
     q.add_argument("--level", type=_nat, required=True)
     q.add_argument("--prec", type=int, default=12)
-    q.set_defaults(func=cmd_halflog,
-                   prepare=lambda a: setattr(a, "sign", "+" if a.sign == "plus" else "-"))
+    q.set_defaults(func=cmd_halflog)
 
     q = sub.add_parser("logmatrix", help="a_p = 0 logarithmic matrix")
     q.add_argument("--p", type=int, required=True)
@@ -382,9 +382,6 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
-    prepare = getattr(args, "prepare", None)
-    if prepare:
-        prepare(args)
     try:
         return args.func(args)
     except (KeyError, ValueError, OSError, PadicError) as exc:

@@ -76,9 +76,9 @@ class FiniteGroupRingElt:
                     self.coeffs[a] = c
 
     @classmethod
-    def delta(cls, ctx, level, a, c=1, prec=None):
-        """c times the group element indexed by a."""
-        return cls(ctx, level, {a: c}, prec)
+    def delta(cls, ctx, level, a):
+        """The group element indexed by a."""
+        return cls(ctx, level, {a: 1})
 
     def __add__(self, other):
         assert self.level == other.level

@@ -331,7 +331,7 @@ class TauCertificate(NamedTuple):
     rank_sequence: list
 
 
-def find_tau(group, budget=DEFAULT_BUDGET):
+def find_tau(group):
     """Search the closure for t with minimal polynomial (X-1)^2 (X+1)^2.
 
     The certificate records the minimal polynomial, rank(t-1) (= 3 is forced
@@ -342,7 +342,7 @@ def find_tau(group, budget=DEFAULT_BUDGET):
         raise ValueError("tau search runs on 4x4 groups over F_p")
     p = group.p
     target = _target_minpoly(p)
-    for t in closure(group, budget):
+    for t in closure(group):
         mp = min_poly(t, p)
         if mp == target:
             tm1 = tuple(tuple((t[i][j] - (1 if i == j else 0)) % p

@@ -31,10 +31,8 @@ from typing import NamedTuple
 
 from padiclog import _poly, linsolve
 from padiclog._poly import _vp
-from padiclog.padic import (NonUnit, PadicElt, PadicError, PrecisionLoss,
-                            PrimeCtx, check_fields, int_entry)
-
-INF = float("inf")
+from padiclog.padic import (INF, NonUnit, PadicElt, PadicError,
+                            PrecisionLoss, PrimeCtx, check_fields, int_entry)
 
 
 class InsufficientDegree(PrecisionLoss):
@@ -120,8 +118,8 @@ class IwaSeries:
         return cls(ctx, [c] + [0] * (deg_cap - 1), None, prec, deg_cap)
 
     @classmethod
-    def gen(cls, ctx, deg_cap, prec=None):
-        return cls(ctx, [0, 1] + [0] * (deg_cap - 2), None, prec, deg_cap)
+    def gen(cls, ctx, deg_cap):
+        return cls(ctx, [0, 1] + [0] * (deg_cap - 2), None, None, deg_cap)
 
     def modulus(self):
         return self.ctx.p ** self.prec
@@ -407,18 +405,17 @@ def omega(ctx, n, deg_cap, prec=None):
     return IwaSeries(ctx, out, None, np_, deg_cap)
 
 
-def phi_cyc(ctx, n, deg_cap, prec=None):
+def phi_cyc(ctx, n, deg_cap):
     """Phi_n = omega_n / omega_(n-1) = sum_{j<p} (1+X)^(j p^(n-1)); Phi_0 = X."""
     if n == 0:
-        return IwaSeries.gen(ctx, deg_cap, prec)
+        return IwaSeries.gen(ctx, deg_cap)
     deg = ctx.p ** n - ctx.p ** (n - 1)
     if deg_cap <= deg:
         raise InsufficientDegree("deg_cap %d cannot hold Phi_%d" % (deg_cap, n))
-    np_ = prec if prec is not None else ctx.prec
     bs = [0] * (deg + 1)
     bs[::ctx.p ** (n - 1)] = [1] * ctx.p
-    return IwaSeries(ctx, _poly.from_onepx_basis(bs, ctx.p ** np_, deg_cap),
-                     None, np_, deg_cap)
+    return IwaSeries(ctx, _poly.from_onepx_basis(bs, ctx.modulus, deg_cap),
+                     None, ctx.prec, deg_cap)
 
 
 def twist(f, j):
@@ -447,15 +444,15 @@ def omega_tw(ctx, n, m, deg_cap, prec=None):
     return twisted_product(ctx, omega(ctx, n, deg_cap, prec), m)
 
 
-def phi_tw(ctx, n, m, deg_cap, prec=None):
-    return twisted_product(ctx, phi_cyc(ctx, n, deg_cap, prec), m)
+def phi_tw(ctx, n, m, deg_cap):
+    return twisted_product(ctx, phi_cyc(ctx, n, deg_cap), m)
 
 
-def delta(ctx, m, deg_cap, prec=None):
-    return twisted_product(ctx, IwaSeries.gen(ctx, deg_cap, prec), m)
+def delta(ctx, m, deg_cap):
+    return twisted_product(ctx, IwaSeries.gen(ctx, deg_cap), m)
 
 
-def halflog(ctx, sign, m, n_trunc, deg_cap, prec=None):
+def halflog(ctx, sign, m, n_trunc, deg_cap):
     """Truncated Pollack half-logarithm prod_{i<m} Tw^(-i) prod_{k even/odd <= n} Phi_k/p.
 
     The stored series is the integral product of the Phi's; the p-denominator
@@ -464,20 +461,20 @@ def halflog(ctx, sign, m, n_trunc, deg_cap, prec=None):
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     ks = [k for k in range(1, n_trunc + 1) if (k % 2 == 0) == (sign == "+")]
-    acc = IwaSeries.const(ctx, 1, deg_cap, prec)
+    acc = IwaSeries.const(ctx, 1, deg_cap)
     for k in ks:
-        acc = acc * phi_cyc(ctx, k, deg_cap, prec)
+        acc = acc * phi_cyc(ctx, k, deg_cap)
     out = twisted_product(ctx, acc, m)
     out.denom_exp = m * len(ks)
     out.growth = Fraction(m, 2)
     return out
 
 
-def log_tw(ctx, m, n_trunc, deg_cap, prec=None):
+def log_tw(ctx, m, n_trunc, deg_cap):
     """Truncation of prod_{i<m} Tw^(-i)(log_p) = delta_m * prod Phi_k / p^(mn)."""
-    acc = IwaSeries.gen(ctx, deg_cap, prec)
+    acc = IwaSeries.gen(ctx, deg_cap)
     for k in range(1, n_trunc + 1):
-        acc = acc * phi_cyc(ctx, k, deg_cap, prec)
+        acc = acc * phi_cyc(ctx, k, deg_cap)
     out = twisted_product(ctx, acc, m)
     out.denom_exp = m * n_trunc
     out.growth = Fraction(m)

@@ -57,8 +57,11 @@ only their precision, denominator and growth.
 
 The general Fontaine-Laffaille-style case has no explicit Frobenius lift
 formula here, so only a_p = 0 builds a logarithmic matrix; the
-distinct-eigenvalue mode (`CrystalParams.fl_supplied`) carries an ordinary
-form's eigenvalues for `q_matrix(params, "f")`.
+distinct-eigenvalue mode (`CrystalParams.fl_supplied`) carries a pair of
+distinct eigenvalues, for which `q_matrix` and `q_matrix_inv` build the
+eigenvector change of basis Q_g.  The ordinary form f of the Rankin-Selberg
+block enters only through its pair alpha_f, beta_f (`q_fg_block`,
+`q_fg_inv_block`).
 """
 
 from __future__ import annotations
@@ -213,8 +216,9 @@ def const_matrix(ctx, rows, deg_cap=1, denoms=None):
     return LogMatrix(out)
 
 
-def q_matrix(params, which="g"):
-    """The eigenvector change-of-basis matrix Q_f or Q_g (constant entries)."""
+def q_matrix(params):
+    """The eigenvector change-of-basis matrix Q_g = [[alpha, -beta],
+    [-alpha beta, alpha beta]] / (alpha - beta) (constant entries)."""
     ctx = params.ctx
     al, be = params.alpha, params.beta
     diff = al - be
@@ -222,36 +226,23 @@ def q_matrix(params, which="g"):
         raise DegenerateEigenvalues("alpha = beta at working precision")
     dinv, e = inv_scaled(diff)
     ab = al * be
-    if which == "f":
-        rows = [[diff * dinv, ctx.zero()], [ab * dinv, -ab * dinv]]
-    elif which == "g":
-        rows = [[al * dinv, -be * dinv], [-ab * dinv, ab * dinv]]
-    else:
-        raise ValueError("which must be 'f' or 'g'")
+    rows = [[al * dinv, -be * dinv], [-ab * dinv, ab * dinv]]
     denoms = [[e, e], [e, e]]
     m = const_matrix(ctx, rows, 1, denoms)
     return m.map(lambda s: s.normalize())
 
 
-def q_matrix_inv(params, which="g"):
-    """Exact inverse of q_matrix: Q_g^(-1) = [[1, 1/alpha], [1, 1/beta]] and
-    Q_f^(-1) = [[1, 0], [1, -(alpha-beta)/(alpha beta)]]."""
+def q_matrix_inv(params):
+    """Exact inverse of q_matrix: Q_g^(-1) = [[1, 1/alpha], [1, 1/beta]]."""
     ctx = params.ctx
     al, be = params.alpha, params.beta
     if (al - be).is_zero():
         raise DegenerateEigenvalues("alpha = beta at working precision")
     one = IwaSeries.const(ctx, 1, 1)
-    if which == "g":
-        ai, ea = inv_scaled(al)
-        bi, eb = inv_scaled(be)
-        rows = [[one, IwaSeries.const(ctx, ai, 1).times_p(-ea).normalize()],
-                [one, IwaSeries.const(ctx, bi, 1).times_p(-eb).normalize()]]
-    elif which == "f":
-        abi, eab = inv_scaled(al * be)
-        ent = IwaSeries.const(ctx, -(al - be) * abi, 1).times_p(-eab).normalize()
-        rows = [[one, IwaSeries.zero(ctx, 1)], [one, ent]]
-    else:
-        raise ValueError("which must be 'f' or 'g'")
+    ai, ea = inv_scaled(al)
+    bi, eb = inv_scaled(be)
+    rows = [[one, IwaSeries.const(ctx, ai, 1).times_p(-ea).normalize()],
+            [one, IwaSeries.const(ctx, bi, 1).times_p(-eb).normalize()]]
     return LogMatrix(rows)
 
 
@@ -324,12 +315,12 @@ def _mellin_entry(ctx, vals, wp, scale, growth):
 MAX_REP_DEGREE = 4096
 
 
-def log_matrix_ap0(params, n, prec=None):
+def log_matrix_ap0(params, n):
     """The level-n logarithmic matrix in a_p = 0 mode.
 
-    Internally works at precision prec + (k+1)(n+1) so that the final
-    entries are good to roughly the requested precision after the tracked
-    denominators are stripped.  The representation needs p^(n+2) stored
+    Internally works at precision wp = params.ctx.prec + (k+1)(n+1) so that
+    the final entries are good to roughly the context's precision after the
+    tracked denominators are stripped.  The representation needs p^(n+2) stored
     coefficients, which caps the supported level per prime.
 
     P'^(-1) = [[0, 1], [c, 0]] with c = -eps q^(k+1) is built in Y = 1+pi,
@@ -351,10 +342,8 @@ def log_matrix_ap0(params, n, prec=None):
         raise InsufficientDegree(
             "level %d needs %d coefficients (budget %d)"
             % (n, p ** (n + 2), MAX_REP_DEGREE))
-    if prec is None:
-        prec = ctx.prec
     scale = (k + 1) * (n + 1)
-    wp = prec + scale
+    wp = ctx.prec + scale
     m = p ** wp
     rep = n + 1
     cap = p ** (rep + 1)
@@ -389,13 +378,12 @@ def log_matrix_ap0(params, n, prec=None):
                      rep_level=rep)
 
 
-def window_ideal(mat, deg_cap=None):
-    """The representation-window polynomial omega_(rep_level) of the matrix."""
+def window_ideal(mat):
+    """The representation-window polynomial omega_(rep_level) of the matrix,
+    in a window of p^rep_level + 2 coefficients."""
     ctx = mat.entry(0, 0).ctx
     lvl = mat.rep_level if mat.rep_level is not None else (mat.level or 0) + 1
-    if deg_cap is None:
-        deg_cap = ctx.p ** lvl + 2
-    return omega(ctx, lvl, deg_cap)
+    return omega(ctx, lvl, ctx.p ** lvl + 2)
 
 
 def _scaled_column(row, col):
@@ -456,18 +444,19 @@ def qinv_times(params, mat):
 
     Q_g^(-1) is constant, so each entry of the product is one pass over a
     column of M (`_scaled_column`), with the fields of
-    `q_matrix_inv(params, "g")` widened to M's window, times M.
+    `q_matrix_inv(params)` widened to M's window, times M.
     """
     assert mat.dim == 2
-    qi = q_matrix_inv(params, "g").entries
+    qi = q_matrix_inv(params).entries
     cols = [[mat.entries[0][j], mat.entries[1][j]] for j in range(2)]
     out = [[_scaled_column(qi[i], cols[j]) for j in range(2)] for i in range(2)]
     return LogMatrix(out, mat.level, "Qg^-1 * " + (mat.provenance or "M"),
                      mat.rep_level)
 
 
-def semi_ordinary_block(mg, k_f, u_f, lower_left, n_trunc=None):
-    """Assemble [[u_f M, 0], [*, l_f Tw^(k_f+1) M]] with l_f = log_tw/delta.
+def semi_ordinary_block(mg, k_f, u_f, lower_left):
+    """Assemble [[u_f M, 0], [*, l_f Tw^(k_f+1) M]] with l_f = log_tw/delta,
+    log_tw truncated at M's level (2 for a matrix without one).
 
     The twisted-log factor divides exactly: log_{p,m} = delta_m * (plus and
     minus half-log product), and log_tw stays below the top of its window,
@@ -477,8 +466,7 @@ def semi_ordinary_block(mg, k_f, u_f, lower_left, n_trunc=None):
         raise ValueError("expected a 2x2 block")
     ctx = mg.entry(0, 0).ctx
     cap = max(e.deg_cap for row in mg.entries for e in row)
-    if n_trunc is None:
-        n_trunc = mg.level if mg.level is not None else 2
+    n_trunc = mg.level if mg.level is not None else 2
     need = (k_f + 1) * ctx.p ** n_trunc + 2
     cap = max(cap, need)
     lt = log_tw(ctx, k_f + 1, n_trunc, cap)
@@ -513,17 +501,17 @@ def q_fg_block(qg, alpha_f, beta_f):
     return LogMatrix(rows, qg.level, "Q_fg block")
 
 
-def q_fg_inv_block(params_g, alpha_f, beta_f, deg_cap=1):
+def q_fg_inv_block(params_g, alpha_f, beta_f):
     """Q_{f,g}^(-1) = [[Qg^-1, 0], [Qg^-1, -Qg^-1/c]] from the block triangular shape."""
     diff = alpha_f - beta_f
     if diff.is_zero():
         raise DegenerateEigenvalues("alpha_f = beta_f at working precision")
-    qinv = q_matrix_inv(params_g, "g")
+    qinv = q_matrix_inv(params_g)
     ab = alpha_f * beta_f
     abinv, e_ab = inv_scaled(ab)
     cinv_num = diff * abinv  # 1/c = (alpha - beta)/(alpha beta)
     ctx = params_g.ctx
-    z = IwaSeries.zero(ctx, deg_cap)
+    z = IwaSeries.zero(ctx, 1)
     rows = []
     for i in range(2):
         rows.append([qinv.entry(i, 0), qinv.entry(i, 1), z, z])

@@ -79,14 +79,14 @@ class PrimeCtx:
     def ramified(self):
         return self.ext is not None and self.ext[0] == RAMIFIED
 
-    def one(self, prec=None):
-        return PadicElt(self, 1, 0, prec)
+    def one(self):
+        return PadicElt(self, 1, 0)
 
-    def zero(self, prec=None):
-        return PadicElt(self, 0, 0, prec)
+    def zero(self):
+        return PadicElt(self, 0, 0)
 
-    def from_int(self, n, prec=None):
-        return PadicElt(self, n, 0, prec)
+    def from_int(self, n):
+        return PadicElt(self, n, 0)
 
     def uniformizer(self):
         """p, or w in the ramified case."""

@@ -154,8 +154,8 @@ class QExpansion(NamedTuple):
                            for c in self.coeffs]}
 
 
-def ideal_representatives(order, n_max, n_min=1):
-    """One element generator per ideal of norm in [n_min, n_max]."""
+def ideal_representatives(order, n_max):
+    """One element generator per ideal of norm in [1, n_max]."""
     disc = order.disc
     reps = {}
     units = order.units()
@@ -169,7 +169,7 @@ def ideal_representatives(order, n_max, n_min=1):
         for a in range(-amax, amax + 1):
             x = (a, b)
             nrm = order.norm(x)
-            if not n_min <= nrm <= n_max:
+            if not 1 <= nrm <= n_max:
                 continue
             key = min(order.mul(u, x) for u in units)
             if key not in reps:

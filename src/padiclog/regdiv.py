@@ -21,9 +21,7 @@ from operator import add, sub
 from padiclog import linsolve
 from padiclog._poly import _vp
 from padiclog.iwadist import NotDivisible
-from padiclog.padic import NonUnit, PrimeCtx, check_fields, int_entry
-
-INF = float("inf")
+from padiclog.padic import INF, NonUnit, PrimeCtx, check_fields, int_entry
 
 
 def _monomials(nvars, max_deg):

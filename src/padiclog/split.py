@@ -173,16 +173,16 @@ def forward(pair, qinv_m):
     return AlphaBetaPair(la, lb, pair.level)
 
 
-def parity_products(ctx, n, m_twists, deg_cap, prec=None):
+def parity_products(ctx, n, m_twists, deg_cap):
     """(even, odd) products of Phi_{m, m_twists} over 1 <= m <= n-1.
 
     These cut out the even/odd-order parts of the level-n congruence locus;
     an empty product is 1.
     """
-    even = IwaSeries.const(ctx, 1, deg_cap, prec)
-    odd = IwaSeries.const(ctx, 1, deg_cap, prec)
+    even = IwaSeries.const(ctx, 1, deg_cap)
+    odd = IwaSeries.const(ctx, 1, deg_cap)
     for m in range(1, n):
-        f = phi_tw(ctx, m, m_twists, deg_cap, prec)
+        f = phi_tw(ctx, m, m_twists, deg_cap)
         if m % 2 == 0:
             even = even * f
         else:

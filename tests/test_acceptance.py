@@ -22,17 +22,27 @@ CRITERIA = [
      "logmatrix-structure", 120.0),
     ("5 determinant identity mod (p^8, congruence ideal)",
      "det-identity", 60.0),
-    ("6 signed splitting round trip + rejection, p = 3, k = 0, n = 3",
+    ("6 signed splitting round trip, 100 random pairs, + rejection, "
+     "p = 3, k = 0, n = 3",
      "signed-split", 60.0),
-    ("7 antisymmetric factorization + geo-shaped input",
+    ("7 antisymmetric factorization, 100 random G, + geo-shaped input",
      "antisym", 30.0),
-    ("8 regular-ring divisibility checker trials",
+    ("8 regular-ring divisibility checker, 200 positive and "
+     "200 coprime trials",
      "regdiv", 60.0),
     ("9 group closures, tau certificate, product check",
      "galimg", 120.0),
     ("10 theta series vs enumeration, multiplicativity, Euler product",
      "theta", 30.0),
 ]
+
+# The size each report states, as (details field, count in the label).
+SIZES = {
+    "mellin-roundtrip": ("trials", 100),
+    "signed-split": ("trials", 100),
+    "antisym": ("trials", 100),
+    "regdiv": ("coprime_trials", 200),
+}
 
 
 @pytest.mark.parametrize("label,suite,budget", CRITERIA,
@@ -46,3 +56,7 @@ def test_acceptance_criterion(label, suite, budget):
           % (label, verdict, elapsed, budget))
     assert report["pass"], report["details"]
     assert elapsed <= budget, "over budget: %.1fs > %.1fs" % (elapsed, budget)
+    if suite in SIZES:
+        field, size = SIZES[suite]
+        assert str(size) in label.split()
+        assert report["details"][field] == size

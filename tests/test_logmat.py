@@ -38,7 +38,7 @@ def test_ap0_params_eigenvalues():
 def test_q_matrix_ap0_shape():
     # in a_p = 0 mode Q_g = (1/2) [[1, 1], [alpha, -alpha]]
     pr = params_ap0(3, 10, 0)
-    q = q_matrix(pr, "g")
+    q = q_matrix(pr)
     two_inv = pr.ctx.from_int(2).inv()
     assert q.entry(0, 0) == two_inv
     assert q.entry(0, 1) == two_inv
@@ -51,8 +51,8 @@ def test_q_matrix_diagonalizes_frobenius():
     pr = params_ap0(3, 12, 1)
     ctx = pr.ctx
     k = pr.k
-    q = q_matrix(pr, "g")
-    qi = q_matrix_inv(pr, "g")
+    q = q_matrix(pr)
+    qi = q_matrix_inv(pr)
     # A_g = [[0, -1/(eps p^(k+1))], [1, 0]] as p^-(k+1) * integral
     einv = pr.eps.inv()
     a_scaled = const_matrix(ctx, [[ctx.zero(), -einv],
@@ -69,7 +69,7 @@ def test_q_matrix_diagonalizes_frobenius():
 
 def test_q_matrix_det():
     pr = params_ap0(3, 10, 0)
-    d = q_matrix(pr, "g").det()
+    d = q_matrix(pr).det()
     # det Q_g = alpha beta / (alpha - beta) = -alpha/2 here
     lhs = d.coeff(0)
     expect = -pr.alpha * pr.ctx.from_int(2).inv()
@@ -84,7 +84,7 @@ def test_q_matrix_degenerate():
     pr.beta = ctx.from_int(5)
     pr.mode = "FL-supplied"
     with pytest.raises(DegenerateEigenvalues):
-        q_matrix(pr, "g")
+        q_matrix(pr)
 
 
 def test_log_matrix_ap0_wrong_mode():
@@ -218,7 +218,7 @@ def test_q_fg_block_and_inverse():
     # ordinary pair for f: alpha_f unit, beta_f = eps_f p^(k_f+1)/alpha_f
     alpha_f = ctx.from_int(2)
     beta_f = ctx.from_int(pow(2, -1, ctx.modulus) * 3 ** 2)
-    qg = q_matrix(pr, "g")
+    qg = q_matrix(pr)
     qfg = q_fg_block(qg, alpha_f, beta_f)
     assert qfg.dim == 4
     qfginv = q_fg_inv_block(pr, alpha_f, beta_f)
@@ -242,7 +242,7 @@ def test_combined_block_structure():
     mfg = semi_ordinary_block(mg, 1, 1, [[z, z], [z, z]])
     alpha_f = ctx.from_int(2)
     beta_f = ctx.from_int(pow(2, -1, ctx.modulus) * 3 ** 2)
-    qfginv = q_fg_inv_block(pr, alpha_f, beta_f, deg_cap=1)
+    qfginv = q_fg_inv_block(pr, alpha_f, beta_f)
     got = combined(qfginv, mfg)
     want = qinv_times(pr, mg)
     for i in range(2):
@@ -264,8 +264,8 @@ def test_q_matrix_fl_supplied_random():
         eps = ctx.from_int(1 + 5 * rng.randrange(4))
         beta = eps * ctx.from_int(5 ** (k + 1)) * alpha.inv()
         pr = CrystalParams.fl_supplied(ctx, k, eps, alpha, beta)
-        q = q_matrix(pr, "g")
-        qi = q_matrix_inv(pr, "g")
+        q = q_matrix(pr)
+        qi = q_matrix_inv(pr)
         a_scaled = const_matrix(ctx, [[ctx.zero(), -eps.inv()],
                                       [ctx.from_int(5 ** (k + 1)), ctx.zero()]])
         # A_g has trace a_p = alpha + beta here only if a_p = 0; instead use
@@ -535,7 +535,7 @@ def ref_log_matrix_ap0(pr, n):
 def ref_qinv_times(pr, mat):
     """Q_g^(-1) M as the dense product of widened constant series."""
     cap = max(e.deg_cap for row in mat.entries for e in row)
-    qi = q_matrix_inv(pr, "g").map(lambda s: s.widen(cap))
+    qi = q_matrix_inv(pr).map(lambda s: s.widen(cap))
     qi.level = mat.level
     out = qi @ mat
     out.provenance = "Qg^-1 * " + (mat.provenance or "M")
