@@ -3,8 +3,7 @@
 Modules:
   padic   -- fixed-point p-adic numbers with precision tracking and small
              quadratic extensions
-  cycser  -- the level-n group ring and the finite-level Mellin transform
-             on O[[pi]]
+  cycser  -- Frobenius and a Mellin inverse on O[[pi]] that no module calls
   iwadist -- IwaSeries, the one truncated-series type (also the elements of
              O[[pi]] and the values of eval_at in O[z]/Phi_{p^t}), and
              Iwasawa-algebra truncations: omega/Phi/delta families, twists,
@@ -30,7 +29,6 @@ import importlib
 # a dict, list or set that could grow for the life of the process.
 _EXPORTS = (
     ("padic", ("PadicElt", "PrimeCtx", "sqrt")),
-    ("cycser", ("FiniteGroupRingElt", "mellin", "mellin_inverse")),
     ("iwadist", ("CharPoint", "IwaSeries", "delta", "equal_up_to_unit_mod",
                  "eval_at", "halflog", "is_unit", "log_tw", "omega",
                  "omega_tw", "phi_cyc", "phi_tw", "solve_series_div",

@@ -1,7 +1,7 @@
 """Low-level helpers for truncated polynomial arithmetic over Z/p^N.
 
 Coefficient vectors are plain int lists reduced modulo a power of p; the
-series classes in cycser/iwadist wrap these with context and precision
+series class `iwadist.IwaSeries` wraps them with context and precision
 bookkeeping.  Multiplication is one Kronecker product: both vectors are
 packed into one int each and multiplied once; products of mostly-zero
 vectors instead sum their nonzero pairs (`sparse_mul`).  There is one

@@ -56,21 +56,46 @@ def check_halflog_product(seed=0):
 
 
 def check_mellin_roundtrip(seed=0):
-    """mellin_inverse(mellin(lam)) = lam for 100 random group-ring elements."""
+    """`logmat.mellin_read` on 100 random lam at p in {3,5,7}, levels 1-2:
+    lam_e at the Y-exponent (1+p)^e reads as sum lam_e (1+X)^e, its
+    p-content stripped against the denominator, and one unit of mass at a
+    Y-exponent other than 1 mod p raises NotInImage."""
     import random
-    from padiclog.cycser import FiniteGroupRingElt, mellin, mellin_inverse
+    from fractions import Fraction
+    from math import comb
+    from padiclog import logmat
     rng = random.Random(seed)
     trials = 100
-    ctx = PrimeCtx(5, 10)
+    primes, levels = (3, 5, 7), (1, 2)
     fails = 0
     for _ in range(trials):
-        coeffs = {a: rng.randrange(ctx.modulus)
-                  for a in range(1, 125) if a % 5 != 0}
-        lam = FiniteGroupRingElt(ctx, 2, coeffs)
-        if mellin_inverse(mellin(lam), 2) != lam:
+        p, lvl = rng.choice(primes), rng.choice(levels)
+        prec, scale = rng.randint(2, 10), rng.randrange(4)
+        wp, q = prec + scale, p ** (lvl + 1)
+        coset = [pow(1 + p, e, q) for e in range(p ** lvl)]
+        # lam = p^v mu, mu_0 a unit and v < prec: the read strips p^s
+        v = rng.randrange(prec)
+        s = min(v, scale)
+        lam = [p ** v * rng.randrange(1, p ** wp if e else p) % p ** wp
+               for e in range(len(coset))]
+        at = dict(zip(coset, lam))
+        ys = [at.get(j, 0) for j in range(q)]
+        want = [sum(c * comb(e, i) for e, c in enumerate(lam)) // p ** s
+                % p ** (wp - s) for i in range(len(coset))]
+        ctx, args = PrimeCtx(p, prec), (coset, wp, scale, Fraction(0))
+        got = logmat.mellin_read(ctx, ys, *args)
+        good = (logmat._principal_coset(p, lvl) == coset
+                and (got.a, got.prec, got.denom_exp) == (want, wp - s, scale - s))
+        ys[rng.choice([j for j in range(q) if j % p != 1])] += 1
+        try:
+            logmat.mellin_read(ctx, ys, *args)
+        except logmat.NotInImage:
+            fails += not good
+        else:
             fails += 1
     return {"suite": "mellin-roundtrip", "pass": fails == 0,
-            "details": {"trials": trials, "failures": fails}}
+            "details": {"trials": trials, "primes": list(primes),
+                        "levels": list(levels), "failures": fails}}
 
 
 def _unit_witness(x, y, prec, cap, n, k, win):

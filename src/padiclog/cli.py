@@ -309,7 +309,7 @@ def build_parser():
 
     q = sub.add_parser("halflog", help="truncated Pollack half-logarithm")
     q.add_argument("--p", type=int, required=True)
-    q.add_argument("--m", type=int, default=1)
+    q.add_argument("--m", type=_nat, default=1)
     q.add_argument("--sign", choices=["plus", "minus"], required=True)
     q.add_argument("--level", type=_nat, required=True)
     q.add_argument("--prec", type=int, default=12)

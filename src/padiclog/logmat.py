@@ -21,19 +21,20 @@ degree reaches cap (for a_p = 0, when k >= p+1): one division by
 (Y-1)^cap, `_poly.onepx_rem`.
 
 The Mellin inverse and the Delta-projection are one pass over the
-Y-coefficients.  Positions divisible by p must vanish (psi = 0,
-`cycser.check_psi_zero`); the others are the group-ring coefficients, and
-the product (1+pi) phi(...) is supported on the Y-exponents = 1 mod p,
-the principal coset (1+p)^e of the units mod p^(n+2), and mass anywhere
-else raises (`_check_principal`).  So the trivial-character projection
-[(1+p)^e] -> (1+X)^e reads that coset straight into the (1+X)-basis vector
-of the entry, and one basis change per nonzero entry takes it to the X
-basis (`_mellin_entry`).  That change is unipotent over Z, so it keeps the
-p-content that `normalize` would strip afterwards: the content is read off
-the coset vector and divided out first, and the shift runs on the
-quotient at the lower precision, already normalized.  The coset vector is
-mostly zeros (25 of 243 coefficients at p = 3, n = 4, k = 1), which the
-shift's exact low levels skip.
+Y-coefficients, `mellin_read`, the package's one Mellin read.  Positions
+divisible by p must vanish (psi = 0); the others are the group-ring
+coefficients, and the product (1+pi) phi(...) is supported on the
+Y-exponents = 1 mod p, the principal coset (1+p)^e of the units mod
+p^(n+2), and mass anywhere else raises (`_check_support`).  So the
+trivial-character projection [(1+p)^e] -> (1+X)^e reads that coset
+straight into the (1+X)-basis vector of the entry, and one basis change
+per nonzero entry takes it to the X basis (`_mellin_entry`).  That
+change is unipotent over Z, so it keeps the p-content that `normalize`
+would strip afterwards: the content is read off the coset vector and
+divided out first, and the shift runs on the quotient at the lower
+precision, already normalized.  The coset vector is mostly zeros (25 of
+243 coefficients at p = 3, n = 4, k = 1), which the shift's exact low
+levels skip.
 
 The product has a closed form.  Every factor phi^i(P^(-1)) =
 [[0, 1], [c_i, 0]], with c_i = phi^i(c), is antidiagonal, so
@@ -70,7 +71,6 @@ from fractions import Fraction
 from math import gcd
 
 from padiclog import _poly
-from padiclog.cycser import NotInImage, check_psi_zero
 from padiclog.iwadist import (InsufficientDegree, IwaSeries, delta, log_tw,
                               omega, solve_series_div, twist)
 from padiclog.padic import (PadicElt, PadicError, PrimeCtx, inv_scaled, is_qr,
@@ -78,6 +78,10 @@ from padiclog.padic import (PadicElt, PadicError, PrimeCtx, inv_scaled, is_qr,
 
 
 class WrongMode(PadicError):
+    pass
+
+
+class NotInImage(PadicError):
     pass
 
 
@@ -266,16 +270,16 @@ def _principal_coset(p, lvl):
     return upow
 
 
-def _check_principal(ys, p, m):
-    """Raise NotInImage at the first Y-exponent other than 0 and 1 mod p
-    with a nonzero coefficient: the group-ring element must lie on the
-    principal coset."""
-    for r in range(2, p):
+def _check_support(ys, p, m):
+    """Raise NotInImage at the first Y-coefficient nonzero mod m off the
+    principal coset: exponents = 0 mod p (psi = 0) first, then 2, ..., p-1."""
+    for r in (0, *range(2, p)):
         if any(ys[r::p]):
+            what = ("mass outside the principal coset" if r else
+                    "psi-component survives")
             for j in range(r, len(ys), p):
                 if ys[j] % m:
-                    raise NotInImage("mass outside the principal coset at "
-                                     "(1+pi)^%d" % j)
+                    raise NotInImage("%s at (1+pi)^%d" % (what, j))
 
 
 def _phi_y(v, p):
@@ -312,6 +316,14 @@ def _mellin_entry(ctx, vals, wp, scale, growth):
     return IwaSeries._reduced(ctx, vec, None, wp - s, size, scale - s, growth)
 
 
+def mellin_read(ctx, ys, coset, wp, scale, growth):
+    """The Mellin inverse of the Y-coefficients ys mod p^wp, projected to the
+    trivial Delta-component: the entry sum_e ys[coset[e]] (1+X)^e over
+    p^scale, normalized, for the principal coset `_principal_coset`."""
+    _check_support(ys, ctx.p, ctx.p ** wp)
+    return _mellin_entry(ctx, [ys[a] for a in coset], wp, scale, growth)
+
+
 MAX_REP_DEGREE = 4096
 
 
@@ -327,11 +339,7 @@ def log_matrix_ap0(params, n):
     where c is an exact int vector (`_q_power_y`) at the working precision
     wp.  The matrix is antidiagonal: its corners are the even and the odd
     products of the c_i = phi^i(c), 0 < i <= n, scaled by the closed form of
-    A~^(n+1) (module docstring).  Each output entry strips the
-    p-content s that `normalize` would strip from it at wp before its
-    Mellin shift, which then runs mod p^(wp-s) (`_mellin_entry`); only an
-    entry that vanishes at the requested precision but is not divisible by
-    p^s there (ROADMAP item 1) is shifted at wp and normalized after.
+    A~^(n+1) (module docstring), and each corner takes one `mellin_read`.
     """
     if params.mode != AP_ZERO:
         raise WrongMode("log_matrix_ap0 requires a_p = 0 mode")
@@ -366,13 +374,7 @@ def log_matrix_ap0(params, n):
         # map, so the exact product is reduced only here
         ys = _poly.onepx_rem([0] + _poly.vec_scale(par[i], scalars[i], m),
                              cap, p, wp)
-        # the Mellin inverse reads the Y-coefficients: psi = 0 at the
-        # positions divisible by p, the group ring at the others, all on the
-        # principal coset; [(1+p)^e] -> (1+X)^e
-        check_psi_zero(ys, p, m)
-        _check_principal(ys, p, m)
-        out[i][1 - i] = _mellin_entry(ctx, [ys[a] for a in coset], wp, scale,
-                                      growth)
+        out[i][1 - i] = mellin_read(ctx, ys, coset, wp, scale, growth)
         out[i][i] = _mellin_entry(ctx, [0] * p ** rep, wp, scale, growth)
     return LogMatrix(out, level=n, provenance="ap-zero level %d" % n,
                      rep_level=rep)

@@ -16,7 +16,7 @@ CRITERIA = [
      "cyclotomic-identities", 1.0),
     ("2 half-log product identity, m <= 2, n <= 3, p in {3,5}",
      "halflog-product", 5.0),
-    ("3 Mellin round trip, 100 random elements, p = 5, level 2",
+    ("3 Mellin round trip, 100 random elements, p in {3,5,7}, levels 1-2",
      "mellin-roundtrip", 30.0),
     ("4 logarithmic-matrix structure, p = 3, k in {0,1}, n <= 3",
      "logmatrix-structure", 120.0),

@@ -351,6 +351,7 @@ def test_malformed_input_exits_2(case, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["halflog", "--p", "3", "--sign", "plus", "--level", "-1"],
     ["logmatrix", "--p", "3", "--k", "-1", "--level", "1"],
+    ["halflog", "--p", "3", "--m", "-1", "--sign", "plus", "--level", "1"],
 ])
 def test_negative_level_or_weight_exits_2(argv, capsys):
     code = main(argv)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from padiclog.cycser import FiniteGroupRingElt, InsufficientDegree
 from padiclog.galimg import MatGroupGen, goursat_product_check
-from padiclog.iwadist import ExtensionTooLarge, IwaSeries, eval_at, CharPoint, omega
+from padiclog.iwadist import (ExtensionTooLarge, InsufficientDegree, IwaSeries,
+                              eval_at, CharPoint, omega)
 from padiclog.logmat import CrystalParams, log_matrix_ap0
 from padiclog.padic import NoRoot, NonUnit, PadicElt, PrimeCtx, sqrt
 
@@ -42,12 +42,6 @@ def test_mixed_contexts_rejected():
     b = PrimeCtx(5, 9).from_int(3)
     with pytest.raises(ValueError):
         a + b
-
-
-def test_groupring_index_validation():
-    ctx = PrimeCtx(5, 6)
-    with pytest.raises(ValueError):
-        FiniteGroupRingElt(ctx, 1, {5: 1})
 
 
 def test_eval_extension_too_large():

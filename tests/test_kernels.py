@@ -7,8 +7,8 @@ composition on the schoolbook multiply, the schoolbook long division that
 `_poly` used before its Newton inverse, the schoolbook power-series
 division, and evaluation at random points where a quadratic reference would
 be too slow.
-The callers of the kernel (`twist`, `mellin`, `phi_cyc`) are checked
-against the per-row and basis-change formulas they replaced.
+The callers of the kernel (`twist`, `phi_cyc`) are checked against the
+per-row and basis-change formulas they replaced.
 """
 
 import ast
@@ -26,7 +26,6 @@ from hypothesis import given, settings, strategies as st
 
 import padiclog
 from padiclog import _poly
-from padiclog.cycser import FiniteGroupRingElt, mellin
 from padiclog.iwadist import IwaSeries, phi_cyc, twist, ucyc
 from padiclog.padic import UNRAMIFIED, PrimeCtx
 
@@ -518,26 +517,6 @@ def test_twist_matches_basis_round_trip():
                 assert (tw.prec, tw.deg_cap, tw.denom_exp) == (prec, cap, 1)
 
 
-def test_mellin_matches_row_sum():
-    rng = random.Random(6)
-    for p, prec in [(3, 12), (5, 9), (7, 5)]:
-        ctx = PrimeCtx(p, prec)
-        m = ctx.modulus
-        for level in (0, 1, 2):
-            q = p ** (level + 1)
-            units = [a for a in range(q) if a % p]
-            lam = FiniteGroupRingElt(ctx, level, {a: rng.randrange(m) for a in
-                                                  rng.sample(units, len(units) // 2 + 1)})
-            for cap in (None, q // 2 + 1, q + 4):
-                width = q if cap is None else cap
-                want = [0] * width
-                for a, c in lam.coeffs.items():
-                    row = _poly.onepx_pow(a, width, p, prec)
-                    want = [(w + c * r) % m for w, r in zip(want, row)]
-                got = mellin(lam, cap)
-                assert (got.a, got.deg_cap, got.prec) == (want, width, prec)
-
-
 def test_phi_cyc_matches_row_sum():
     for p, n, prec in [(3, 1, 10), (3, 3, 10), (5, 2, 8), (7, 1, 6), (7, 2, 6)]:
         ctx = PrimeCtx(p, prec)
@@ -596,7 +575,7 @@ def test_cli_import_does_not_load_dataclasses():
 # the command's module and the modules that one imports.
 ALWAYS = {"padiclog", "padiclog.cli", "padiclog.padic", "padiclog._poly"}
 IWADIST_CHAIN = {"padiclog.iwadist", "padiclog.linsolve"}
-LOGMAT_CHAIN = IWADIST_CHAIN | {"padiclog.logmat", "padiclog.cycser"}
+LOGMAT_CHAIN = IWADIST_CHAIN | {"padiclog.logmat"}
 _ZERO = {"coeffs": ["0"], "prec": 10, "deg_cap": 4, "denom_exp": 0, "growth": "0"}
 COMMAND_CHAINS = {
     "logmatrix": (["--p", "3", "--k", "0", "--level", "1"], None, LOGMAT_CHAIN),

@@ -5,15 +5,16 @@ from math import comb
 import pytest
 
 from padiclog import _poly
-from padiclog.cycser import NotInImage, mellin_inverse
+from padiclog.cycser import mellin_inverse
 from padiclog.iwadist import (
     CharPoint, IwaSeries, NoUnitWitness, delta, equal_up_to_unit_mod, eval_at,
     halflog, is_unit, log_tw, omega_tw, poly_reduce,
 )
 from padiclog.logmat import (
-    AP_ZERO, CrystalParams, DegenerateEigenvalues, LogMatrix, WrongMode,
-    combined, const_matrix, log_matrix_ap0, q_fg_block, q_fg_inv_block,
-    q_matrix, q_matrix_inv, qinv_times, semi_ordinary_block, window_ideal,
+    AP_ZERO, CrystalParams, DegenerateEigenvalues, LogMatrix, NotInImage,
+    WrongMode, combined, const_matrix, log_matrix_ap0, q_fg_block,
+    q_fg_inv_block, q_matrix, q_matrix_inv, qinv_times, semi_ordinary_block,
+    window_ideal,
 )
 from padiclog.padic import PadicError, PrimeCtx
 
@@ -366,10 +367,10 @@ def test_semi_ordinary_block_nontrivial_unit():
 # must give identical JSON.
 
 
-def ref_groupring_to_iwa(lam, out_ctx=None):
-    ctx = lam.ctx if out_ctx is None else out_ctx
-    p = lam.ctx.p
-    lvl = lam.level
+def ref_groupring_to_iwa(lam, lvl, prec, ctx):
+    """The trivial-character projection of the level-lvl group-ring element
+    {a: lam_a} known mod p^prec, as a series in ctx's prime."""
+    p = ctx.p
     q = p ** (lvl + 1)
     u = 1 + p
     dlog = {}
@@ -377,9 +378,9 @@ def ref_groupring_to_iwa(lam, out_ctx=None):
     for e in range(p ** lvl):
         dlog[x] = e
         x = x * u % q
-    m = lam.ctx.p ** lam.prec
+    m = p ** prec
     bs = [0] * (p ** lvl)
-    for a, c in lam.coeffs.items():
+    for a, c in lam.items():
         t = a % q
         while True:
             nt = pow(t, p, q)
@@ -389,7 +390,7 @@ def ref_groupring_to_iwa(lam, out_ctx=None):
         e = dlog[a * pow(t, -1, q) % q]
         bs[e] = (bs[e] + c) % m
     coeffs = _poly.from_onepx_basis(bs, m, p ** lvl)
-    return IwaSeries(ctx, coeffs, None, lam.prec, p ** lvl)
+    return IwaSeries(ctx, coeffs, None, prec, p ** lvl)
 
 
 def view(mat):
@@ -522,8 +523,9 @@ def ref_log_matrix_ap0(pr, n):
             if s is None:
                 ent = IwaSeries.zero(pr.ctx, p ** rep, wp)
             else:
-                ent = ref_groupring_to_iwa(mellin_inverse(opp * s, rep),
-                                           pr.ctx)
+                h = opp * s
+                ent = ref_groupring_to_iwa(mellin_inverse(h, rep), rep,
+                                           h.prec, pr.ctx)
             ent.denom_exp = scale
             ent.growth = Fraction(k + 1, 2)
             orow.append(ent.normalize())
@@ -597,19 +599,48 @@ def test_ap0_small_precision_and_large_window_match_pi_loop(p, n, k, prec):
 def test_mass_outside_the_principal_coset_raises(p):
     # Y-exponents = 1 mod p pass; any other nonzero exponent prime to p
     # raises at the first such position, and psi = 0 is checked before it
-    from padiclog.logmat import _check_principal
+    from padiclog.logmat import _check_support
     m = p ** 4
     ys = [0] * p ** 3
     ys[1::p] = [5] * len(ys[1::p])
-    _check_principal(ys, p, m)
+    _check_support(ys, p, m)
     for j in (2, p + 2, p * p - 1, len(ys) - 1):
         bad = list(ys)
         bad[j] = m + 3
-        with pytest.raises(NotInImage, match=r"\(1\+pi\)\^%d$" % j):
-            _check_principal(bad, p, m)
+        with pytest.raises(NotInImage, match=r"^mass outside the principal "
+                           r"coset at \(1\+pi\)\^%d$" % j):
+            _check_support(bad, p, m)
+    # a psi-position mass is reported before an earlier off-coset mass
     bad = list(ys)
-    bad[2] = m
-    _check_principal(bad, p, m)
+    bad[2] = bad[p * p] = 1
+    with pytest.raises(NotInImage,
+                       match=r"^psi-component survives at \(1\+pi\)\^%d$"
+                       % (p * p)):
+        _check_support(bad, p, m)
+    bad = list(ys)
+    bad[2] = bad[p] = m
+    _check_support(bad, p, m)
+
+
+def _bump_first_coefficient(fn):
+    def bumped(*args):
+        out = fn(*args)
+        out.a[0] = (out.a[0] + 1) % out.modulus()
+        return out
+    return bumped
+
+
+@pytest.mark.parametrize("name,mutant", [
+    ("_check_support", lambda fn: lambda *args: None),
+    ("_principal_coset", lambda fn: lambda *args: fn(*args)[::-1]),
+    ("_mellin_entry", _bump_first_coefficient),
+], ids=["support-check-off", "coset-reversed", "entry-bumped"])
+def test_mellin_roundtrip_suite_catches_mutants(name, mutant, monkeypatch):
+    # the suite reads through `logmat.mellin_read`, so a broken step of the
+    # read the log matrix runs makes it report a failure
+    from padiclog import checks, logmat
+    monkeypatch.setattr(logmat, name, mutant(getattr(logmat, name)))
+    assert checks.run_suite("mellin-roundtrip", seed=0)["pass"] is False
 
 
 def rand_entry(rng, ctx):
