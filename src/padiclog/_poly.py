@@ -29,7 +29,8 @@ quotients keep the schoolbook loop.
 The elementary number theory the package needs around that core -- primality,
 the Jacobi symbol, square roots modulo a prime and the cyclotomic
 polynomials -- lives at the end of this module, on ints only (Cohen, "A
-Course in Computational Algebraic Number Theory", 1.4-1.5 and 8.2).
+Course in Computational Algebraic Number Theory", 1.4-1.5 and 8.2), with the
+one exact division over Z, by a monic polynomial (`monic_divmod`).
 """
 
 from __future__ import annotations
@@ -597,6 +598,26 @@ def sqrt_mod_prime(a, p):
     return min(r, p - r)
 
 
+def monic_divmod(r, g):
+    """(q, rem) with r = q g + rem over Z and len(rem) = deg g, for monic g.
+
+    Long division that visits only the nonzero coefficients of g, so a sparse
+    g such as Phi_n(x) = Phi_rad(n)(x^(n / rad(n))) costs its support.
+    """
+    if not g or g[-1] != 1:
+        raise ValueError("divisor must be monic")
+    dg = len(g) - 1
+    r = list(r) + [0] * (dg - len(r))
+    low = [(j, c) for j, c in enumerate(g[:dg]) if c]
+    for k in range(len(r) - 1 - dg, -1, -1):
+        c = r[k + dg]
+        if c:
+            for j, gj in low:
+                r[k + j] -= c * gj
+    # r[k + dg] is never touched again: it is the quotient's slot k
+    return r[dg:], r[:dg]
+
+
 def cyclotomic(n):
     """Int coefficients of Phi_n, low degree first.
 
@@ -611,15 +632,7 @@ def cyclotomic(n):
             continue
         r = [-1] + [0] * (d - 1) + [1]
         for e, g in phis.items():
-            if d % e:
-                continue
-            # exact division by the monic g; the quotient reuses the low slots
-            dg = len(g) - 1
-            for i in range(len(r) - 1, dg - 1, -1):
-                c = r[i]
-                if c:
-                    for j in range(dg):
-                        r[i - dg + j] -= c * g[j]
-            r = r[dg:]
+            if d % e == 0:
+                r = monic_divmod(r, g)[0]
         phis[d] = r
     return phis[n]

@@ -1,10 +1,10 @@
 """q-expansion constructions: theta series, p-depletion, Eisenstein layers.
 
-Theta series are built for imaginary quadratic fields of class number one by
-enumerating element representatives of ideals up to units; the coefficient
-a_n sums psi(a) = alpha^t chi(alpha) over ideals of norm n coprime to the
-conductor.  When p is inert every a_p vanishes, which is the non-ordinarity
-these expansions feed into the half-log machinery.
+Each is built from its defining sum, with no ring class of its own.  Theta
+series are built for imaginary quadratic fields of class number one; the
+coefficient a_n sums psi(a) = alpha^t chi(alpha) over ideals of norm n coprime
+to the conductor.  When p is inert every a_p vanishes, which is the
+non-ordinarity these expansions feed into the half-log machinery.
 
 Eisenstein coefficients are exact integer vectors modulo a cyclotomic
 polynomial; Euler products expand to Dirichlet coefficients by power-series
@@ -13,9 +13,10 @@ inversion of the local factors (constant terms 1, so no division happens).
 
 from __future__ import annotations
 
+from math import gcd, isqrt
 from typing import NamedTuple
 
-from padiclog._poly import cyclotomic, isprime, jacobi
+from padiclog._poly import cyclotomic, isprime, jacobi, monic_divmod
 from padiclog.padic import PadicError
 
 CLASS_NUMBER_ONE = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
@@ -132,7 +133,6 @@ class ImagQuadCtx:
         if self.cond == 1:
             return True
         nrm = self.order.norm(x)
-        from math import gcd
         return gcd(nrm, self.cond) == 1
 
 
@@ -154,45 +154,35 @@ class QExpansion(NamedTuple):
                            for c in self.coeffs]}
 
 
-def ideal_representatives(order, n_max):
-    """One element generator per ideal of norm in [1, n_max]."""
-    disc = order.disc
-    reps = {}
-    units = order.units()
-    if disc % 4 == 0:
-        m = -disc // 4
-        bmax = int((n_max / m) ** 0.5) + 1
-    else:
-        bmax = int((4 * n_max / -disc) ** 0.5) + 2
-    amax = int(n_max ** 0.5) + abs(disc)
-    for b in range(-bmax, bmax + 1):
-        for a in range(-amax, amax + 1):
-            x = (a, b)
-            nrm = order.norm(x)
-            if not 1 <= nrm <= n_max:
-                continue
-            key = min(order.mul(u, x) for u in units)
-            if key not in reps:
-                reps[key] = (x, nrm)
-    return list(reps.values())
-
-
 def theta_series(ctx, n_max):
     """sum over ideals coprime to the conductor of psi(a) q^(N a).
+
+    The elements x = a + b w of norm <= n_max come from 4 N(x) = u^2 + |D| b^2
+    with u = 2a + (D mod 4) b: one isqrt per b.  As eps^t chi(eps) = 1 for
+    every unit (`ImagQuadCtx`), psi is the same on the |U| generators of an
+    ideal.  One of x and -x has b > 0 or b = 0 < a; only those are visited,
+    so each norm layer divides exactly by |U| / 2.
 
     For conjugation-symmetric characters the norm layers sum to rational
     integers; otherwise the coefficients live in the quadratic order and are
     returned as pairs.
     """
+    s, absd = ctx.disc % 4, -ctx.disc
     acc = [(0, 0)] * n_max
-    for x, nrm in ideal_representatives(ctx.order, n_max):
-        if not ctx.coprime_to_cond(x):
-            continue
-        v = ctx.psi_of(x)
-        a, b = acc[nrm - 1]
-        acc[nrm - 1] = (a + v[0], b + v[1])
-    if all(b == 0 for _, b in acc):
-        return QExpansion("int", n_max, [a for a, _ in acc])
+    for b in range(isqrt(4 * n_max // absd) + 1):
+        umax = isqrt(4 * n_max - absd * b * b)
+        lo = -((umax + s * b) // 2) if b else 1
+        for a in range(lo, (umax - s * b) // 2 + 1):
+            u = 2 * a + s * b
+            nrm = (u * u + absd * b * b) // 4
+            if ctx.coprime_to_cond((a, b)):
+                v = ctx.psi_of((a, b))
+                c, d = acc[nrm - 1]
+                acc[nrm - 1] = (c + v[0], d + v[1])
+    nu = len(ctx.order.units()) // 2
+    acc = [(c // nu, d // nu) for c, d in acc]
+    if all(d == 0 for _, d in acc):
+        return QExpansion("int", n_max, [c for c, _ in acc])
     return QExpansion("quad:%d" % ctx.disc, n_max, acc)
 
 
@@ -205,66 +195,30 @@ def deplete(f, p):
     return QExpansion(f.ring, f.n_max, out)
 
 
-class CycIntRing:
-    """Z[x]/Phi_M(x) with exact integer coefficient vectors."""
-
-    def __init__(self, m_root):
-        self.m_root = m_root
-        self.phi = cyclotomic(m_root)
-        self.deg = len(self.phi) - 1
-        # reduction table for x^e, e < m_root
-        self._pow = []
-        cur = [1] + [0] * (self.deg - 1) if self.deg > 1 else [1]
-        for e in range(m_root):
-            self._pow.append(tuple(cur))
-            cur = self._shift(cur)
-
-    def _shift(self, vec):
-        out = [0] + list(vec)
-        if len(out) > self.deg:
-            top = out.pop()
-            if top:
-                for i in range(self.deg):
-                    out[i] -= top * self.phi[i]
-        return out
-
-    def zeta_pow(self, e):
-        return self._pow[e % self.m_root]
-
-    def zero(self):
-        return tuple([0] * self.deg)
-
-    def add(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
-
-    def scale(self, x, c):
-        return tuple(a * c for a in x)
-
-
 def eisenstein_depleted(k, m_root, zeta_index, p, n_max):
-    """a_n = sum_{d | n} d^(k-1) (zeta^(d i) + (-1)^k zeta^(-d i)), p-depleted."""
-    from math import gcd
+    """a_n = sum_{d | n} d^(k-1) (zeta^(d i) + (-1)^k zeta^(-d i)), p-depleted.
+
+    Each a_n is collected as exponent counts in Z[x]/(x^M - 1), then reduced
+    by one remainder mod Phi_M, which divides x^M - 1.
+    """
     if p < 1:
         raise ValueError("p must be >= 1, got %d" % p)
     if k < 1:
         raise ValueError("weight k must be >= 1 (d^(k-1) must be an integer)")
     if gcd(zeta_index, m_root) != 1:
         raise ValueError("zeta index must be invertible modulo the root order")
-    ring = CycIntRing(m_root)
+    phi = cyclotomic(m_root)
     sign = -1 if k % 2 else 1
     coeffs = []
     for n in range(1, n_max + 1):
-        if n % p == 0:
-            coeffs.append(ring.zero())
-            continue
-        acc = ring.zero()
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            term = ring.add(ring.zeta_pow(d * zeta_index),
-                            ring.scale(ring.zeta_pow(-d * zeta_index), sign))
-            acc = ring.add(acc, ring.scale(term, d ** (k - 1)))
-        coeffs.append(acc)
+        counts = [0] * m_root
+        if n % p:
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    w = d ** (k - 1)
+                    counts[d * zeta_index % m_root] += w
+                    counts[-d * zeta_index % m_root] += sign * w
+        coeffs.append(tuple(monic_divmod(counts, phi)[1]))
     return QExpansion("cyclotomic:%d" % m_root, n_max, coeffs)
 
 
@@ -272,51 +226,34 @@ def dirichlet_from_euler(local_factors, n_max):
     """Multiplicative coefficients t_n from local factors with constant 1.
 
     t_{l^m} comes from inverting the local polynomial as a power series
-    (constant term 1, so the recursion needs no division); primes without a
-    supplied factor contribute t_{l^m} = 0 for m >= 1.
+    (constant term 1, so the recursion needs no division).  t is built one
+    prime at a time: each n already reached, times l^m, is reached next with
+    t_n t_{l^m}.  An n with a prime factor that has no supplied factor is
+    never reached, so t_n = 0.
     """
-    prime_powers = {}
+    out = [1] + [0] * (n_max - 1) if n_max > 0 else []
+    reached = [1]
     for ell, poly in local_factors.items():
         if not isprime(ell):
             raise ValueError("local factors must be indexed by primes")
         if poly[0] != 1:
             raise ValueError("local factor must have constant term 1")
-        emax = 0
-        q = ell
-        while q <= n_max:
-            emax += 1
-            q *= ell
         inv = [1]
-        for m in range(1, emax + 1):
-            acc = 0
-            for j in range(1, min(m, len(poly) - 1) + 1):
-                acc = acc + poly[j] * inv[m - j]
-            inv.append(-acc)
-        prime_powers[ell] = inv
-    out = [1] * n_max
-    for n in range(2, n_max + 1):
-        val = 1
-        rem = n
-        ell = 2
-        ok = True
-        while ell * ell <= rem:
-            if rem % ell == 0:
-                e = 0
-                while rem % ell == 0:
-                    rem //= ell
-                    e += 1
-                if ell in prime_powers:
-                    val = val * prime_powers[ell][e]
-                else:
-                    ok = False
-                    break
-            ell += 1
-        if ok and rem > 1:
-            if rem in prime_powers:
-                val = val * prime_powers[rem][1]
-            else:
-                ok = False
-        out[n - 1] = val if ok else 0
+        while ell ** len(inv) <= n_max:
+            m = len(inv)
+            inv.append(-sum(poly[j] * inv[m - j]
+                            for j in range(1, min(m, len(poly) - 1) + 1)))
+        new = []
+        for n in reached:
+            m, e = n * ell, 1
+            if m > n_max:
+                break
+            while m <= n_max:
+                out[m - 1] = out[n - 1] * inv[e]
+                new.append(m)
+                m, e = m * ell, e + 1
+        reached += new
+        reached.sort()  # so a pass ends at the first n with n l > n_max
     return out
 
 

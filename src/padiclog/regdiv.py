@@ -15,13 +15,21 @@ precision for the whole series, and an extension context is rejected.
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 from operator import add, sub
 
 from padiclog import linsolve
 from padiclog._poly import _vp
 from padiclog.iwadist import NotDivisible
-from padiclog.padic import INF, NonUnit, PrimeCtx, check_fields, int_entry
+from padiclog.padic import (INF, NonUnit, PadicError, PrimeCtx, check_fields,
+                            int_entry)
+
+
+# Cells of the dense graded system `divides_trunc` builds, |monos_eq| x
+# |monos_h|.  The benchmark and the tests stay within 36 x 36; F = G = 1 in
+# three variables at deg_cap 30 would be 4960 x 4960, hundreds of MB of lists.
+MAX_SYSTEM_CELLS = 10 ** 6
 
 
 def _monomials(nvars, max_deg):
@@ -218,6 +226,12 @@ def divides_trunc(f, g, window=None):
     p = f.ctx.p
     emin = min((sum(e) for e in f.coeffs), default=0)
     hdeg = window - emin
+    # comb(d - 1 + n, n) monomials in n variables have total degree < d
+    cells = (comb(window - 1 + f.nvars, f.nvars)
+             * comb(max(hdeg, 1) - 1 + f.nvars, f.nvars))
+    if cells > MAX_SYSTEM_CELLS:
+        raise PadicError("the graded system would have %d cells, over the "
+                         "supported %d" % (cells, MAX_SYSTEM_CELLS))
     monos_h = _monomials(f.nvars, max(hdeg, 1))
     monos_eq = _monomials(f.nvars, window)
     idx = {mo: i for i, mo in enumerate(monos_h)}
@@ -306,6 +320,8 @@ def chevalley_check(f, g, fam):
     """
     if f.nvars != g.nvars:
         raise ValueError("F has %d variables but G has %d" % (f.nvars, g.nvars))
+    if f.nvars < 1:
+        raise ValueError("F and G need a variable x0 to specialize, not nvars 0")
     rpt = ChevalleyReport(
         content_ok=(f.content_val() == 0 and g.content_val() == 0),
         x0_ok=not specialize(f, 0).is_zero(),

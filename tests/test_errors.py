@@ -125,6 +125,33 @@ def test_regdiv_with_different_nvars_exits_2(tmp_path, capsys):
         2, "", "error: F has 2 variables but G has 1\n")
 
 
+def test_regdiv_without_variables_exits_2(tmp_path, capsys):
+    # with no x0, specializing would leave a series in -1 variables
+    series = {"nvars": 0, "deg_cap": 4, "coeffs": {}}
+    spec = {"p": 5, "prec": 4, "points": [5], "F": series, "G": series}
+    assert _cli_exit(tmp_path, capsys, spec, "regdiv") == (
+        2, "", "error: F and G need a variable x0 to specialize, not nvars 0\n")
+
+
+def test_regdiv_over_the_system_budget_exits_2(tmp_path, capsys):
+    # F = G = 1 in three variables at deg_cap 40: the direct division's
+    # dense system would be 11480 x 11480; it is refused before it is built
+    one = {"nvars": 3, "deg_cap": 40, "coeffs": {"0,0,0": "1"}}
+    spec = {"p": 5, "prec": 4, "points": [5, 10], "F": one, "G": one}
+    assert _cli_exit(tmp_path, capsys, spec, "regdiv") == (
+        2, "", "error: the graded system would have 131790400 cells, over "
+        "the supported 1000000\n")
+
+
+def test_divides_trunc_budget_is_not_a_non_divisibility():
+    from padiclog.padic import PadicError
+    from padiclog.regdiv import MSeries, NotDivisible, divides_trunc
+    one = MSeries(PrimeCtx(5, 4), 3, {(0, 0, 0): 1}, 40)
+    with pytest.raises(PadicError, match="graded system") as info:
+        divides_trunc(one, one)
+    assert not isinstance(info.value, NotDivisible)
+
+
 def test_deplete_with_nmax_unlike_coeffs_exits_2(tmp_path, capsys):
     spec = {"ring": "int", "nmax": 5, "coeffs": [1, 2]}
     code, out, err = _cli_exit(tmp_path, capsys, spec, "deplete", "--p", "3")

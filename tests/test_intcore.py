@@ -397,8 +397,32 @@ def test_sqrt_mod_prime_matches_sympy():
 
 def test_cyclotomic_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    for n in range(1, 200):
+    for n in list(range(1, 200)) + [2310, 6000]:
         want = sympy.cyclotomic_poly(n).as_poly().all_coeffs()[::-1]
         assert _poly.cyclotomic(n) == [int(c) for c in want], n
     with pytest.raises(ValueError):
         _poly.cyclotomic(0)
+
+
+def _random_monic(rng):
+    return [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 12))] + [1]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_monic_divmod_matches_sympy_div(seed):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(seed)
+    for g in ([_random_monic(rng) for _ in range(4)]
+              + [_poly.cyclotomic(rng.randrange(1, 120)) for _ in range(4)]):
+        for length in (0, 1, len(g) - 1, len(g), len(g) + rng.randrange(1, 60)):
+            r = [rng.randrange(-50, 51) if rng.random() < 0.7 else 0
+                 for _ in range(length)]
+            q, rem = _poly.monic_divmod(r, g)
+            as_poly = lambda v: sympy.Poly(list(reversed(v)) or [0], x,
+                                           domain="ZZ")
+            wq, wr = sympy.div(as_poly(r), as_poly(g))
+            assert len(rem) == len(g) - 1
+            assert as_poly(q) == wq and as_poly(rem) == wr, (r, g)
+    with pytest.raises(ValueError, match="monic"):
+        _poly.monic_divmod([1, 2, 3], [1, 2])

@@ -4,8 +4,8 @@ from math import gcd
 import pytest
 
 from padiclog.qexp import (
-    BadPrime, CycIntRing, ImagQuadCtx, QuadOrder, UnitInconsistent,
-    deplete, dirichlet_from_euler, eisenstein_depleted, ideal_representatives,
+    BadPrime, ImagQuadCtx, QuadOrder, UnitInconsistent,
+    deplete, dirichlet_from_euler, eisenstein_depleted,
     kronecker, nebentype_value, theta_series,
 )
 
@@ -120,15 +120,24 @@ def test_deplete():
     assert deplete(th, p).coeffs == th.coeffs
 
 
+def sympy_zeta_sum(counts, m_root):
+    """sum_e counts[e] x^e mod Phi_M by sympy, as an int vector of length phi(M)."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    num = sum(c * x ** e for e, c in counts.items())
+    rem = sympy.rem(num, sympy.cyclotomic_poly(m_root, x), x)
+    vec = sympy.Poly(rem, x).all_coeffs()[::-1] if rem != 0 else []
+    deg = int(sympy.totient(m_root))
+    return tuple(int(c) for c in vec) + (0,) * (deg - len(vec))
+
+
 def test_eisenstein_basic():
     e = eisenstein_depleted(3, 8, 1, 5, 20)
-    ring = CycIntRing(8)
     # a_1 = zeta + (-1)^k zeta^(-1)
-    expect = ring.add(ring.zeta_pow(1), ring.scale(ring.zeta_pow(-1), -1))
-    assert tuple(e.coeff(1)) == tuple(expect)
+    assert tuple(e.coeff(1)) == sympy_zeta_sum({1: 1, 7: -1}, 8)
     # p-depletion zeroes multiples of 5
-    assert tuple(e.coeff(5)) == tuple(ring.zero())
-    assert tuple(e.coeff(10)) == tuple(ring.zero())
+    assert tuple(e.coeff(5)) == (0,) * 4
+    assert tuple(e.coeff(10)) == (0,) * 4
 
 
 def test_eisenstein_odd_weight_real_root():
@@ -139,15 +148,30 @@ def test_eisenstein_odd_weight_real_root():
 
 def test_eisenstein_prime_coefficient_oracle():
     # a_l = (zeta-part at d=1) + l^(k-1) (zeta-part at d=l)
-    k, M, zi, p = 4, 5, 2, 7
-    e = eisenstein_depleted(k, M, zi, p, 12)
-    ring = CycIntRing(M)
-    for ell in (2, 3, 11):
-        acc = ring.zero()
-        for d in (1, ell):
-            term = ring.add(ring.zeta_pow(d * zi), ring.zeta_pow(-d * zi))
-            acc = ring.add(acc, ring.scale(term, d ** (k - 1)))
-        assert tuple(e.coeff(ell)) == tuple(acc)
+    for k, M, zi, p in ((4, 5, 2, 7), (3, 12, 5, 5), (2, 105, 11, 3),
+                        (5, 1, 1, 2)):
+        e = eisenstein_depleted(k, M, zi, p, 12)
+        for ell in (2, 3, 11):
+            if ell % p == 0:
+                continue
+            counts = {}
+            for d in (1, ell):
+                for ex, sg in ((d * zi, 1), (-d * zi, (-1) ** k)):
+                    counts[ex % M] = counts.get(ex % M, 0) + sg * d ** (k - 1)
+            assert tuple(e.coeff(ell)) == sympy_zeta_sum(counts, M), (k, M, ell)
+
+
+def test_eisenstein_memory_is_linear_in_the_root_order():
+    # a reduction table for x^e mod Phi_M, e < M, holds M * phi(M) ints
+    # (about 19 MB at M = 3000); the counts and one remainder need O(M)
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        eisenstein_depleted(2, 3000, 1, 5, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_dirichlet_from_euler_zeta():
@@ -197,13 +221,35 @@ def test_nebentype():
         assert th.coeff(ell ** 2) == th.coeff(ell) ** 2 - eps * ell ** 4
 
 
-def test_ideal_representatives_counts():
+def _associate_classes(mul, units, norm, n_max):
+    """Norm -> number of classes of nonzero elements under unit multiples."""
+    bound = 2 * int(n_max ** 0.5) + 2
+    classes = {}
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            n = norm(a, b)
+            if 1 <= n <= n_max:
+                classes.setdefault(n, set()).add(
+                    frozenset(mul(u, (a, b)) for u in units))
+    return [len(classes.get(n, ())) for n in range(1, n_max + 1)]
+
+
+def test_ideal_counts_match_associate_classes():
+    # t = 0 makes psi = 1, so theta counts the ideals of each norm
+    def gauss_mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def eisenstein_mul(x, y):  # w = (1 + sqrt(-3)) / 2, w^2 = w - 1
+        return (x[0] * y[0] - x[1] * y[1],
+                x[0] * y[1] + x[1] * y[0] + x[1] * y[1])
+
+    gauss_units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    eisenstein_units = [(1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1)]
+    want4 = _associate_classes(gauss_mul, gauss_units,
+                               lambda a, b: a * a + b * b, 120)
+    want3 = _associate_classes(eisenstein_mul, eisenstein_units,
+                               lambda a, b: a * a + a * b + b * b, 120)
+    assert theta_series(ImagQuadCtx(-4, 0), 120).coeffs == want4
+    assert theta_series(ImagQuadCtx(-3, 0), 120).coeffs == want3
     # Z[i]: one ideal of norm 2, two of norm 5, none of norm 3
-    order = QuadOrder(-4)
-    reps = ideal_representatives(order, 10)
-    by_norm = {}
-    for x, n in reps:
-        by_norm.setdefault(n, []).append(x)
-    assert len(by_norm.get(2, [])) == 1
-    assert len(by_norm.get(5, [])) == 2
-    assert 3 not in by_norm
+    assert (want4[1], want4[4], want4[2]) == (1, 2, 0)
