@@ -160,7 +160,7 @@ def cmd_regdiv(args):
     fam = SpecFamily(ctx, spec["points"])
     rpt = chevalley_check(f, g, fam)
     _emit({"content_ok": rpt.content_ok, "x0_ok": rpt.x0_ok,
-           "points": [[str(a), ok] for a, ok, _ in rpt.point_results],
+           "points": [[str(a), ok] for a, ok in rpt.point_results],
            "points_ok": rpt.points_ok, "direct_ok": rpt.direct_ok}, args)
     return 0
 

@@ -328,15 +328,13 @@ class TauCertificate(NamedTuple):
     minpoly: list
     rank_t_minus_1: int
     quotient_rank: int
-    rank_sequence: list
 
 
 def find_tau(group):
     """Search the closure for t with minimal polynomial (X-1)^2 (X+1)^2.
 
     The certificate records the minimal polynomial, rank(t-1) (= 3 is forced
-    by the Jordan type), the rank of the quotient and the rank sequence of
-    the powers of t-1.
+    by the Jordan type) and the rank of the quotient.
     """
     if group.dim != 4 or group.ext_d is not None:
         raise ValueError("tau search runs on 4x4 groups over F_p")
@@ -348,11 +346,9 @@ def find_tau(group):
             tm1 = tuple(tuple((t[i][j] - (1 if i == j else 0)) % p
                               for j in range(4)) for i in range(4))
             r1 = mat_rank(tm1, p)
-            sq = mat_mul(tm1, tm1, p)
             certificate = TauCertificate(
                 element=t, minpoly=mp, rank_t_minus_1=r1,
-                quotient_rank=4 - r1,
-                rank_sequence=[r1, mat_rank(sq, p)])
+                quotient_rank=4 - r1)
             assert r1 == 3, "Jordan type J2(1) + J2(-1) forces rank 3"
             return certificate
     return None

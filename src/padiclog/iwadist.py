@@ -512,9 +512,6 @@ class CharPoint(NamedTuple):
     t: int
     j: int
 
-    def to_json(self):
-        return {"t": self.t, "j": self.j}
-
 
 MAX_CYC_DEGREE = 4000
 

@@ -139,17 +139,16 @@ class CrystalParams:
 class LogMatrix:
     """Square matrix of IwaSeries with a congruence-level tag.
 
-    rep_level records the group-ring level of the representation: entries
-    are only meaningful modulo omega_(rep_level), and congruence statements
-    about them must include that window ideal.
+    A level-n matrix lives in the group ring of level n + 1: its entries are
+    only meaningful modulo omega_(n+1), and congruence statements about them
+    must include that window ideal (`window_ideal`).
     """
 
-    def __init__(self, entries, level=None, provenance="", rep_level=None):
+    def __init__(self, entries, level=None, provenance=""):
         self.entries = entries
         self.dim = len(entries)
         self.level = level
         self.provenance = provenance
-        self.rep_level = rep_level
 
     def entry(self, i, j):
         return self.entries[i][j]
@@ -173,23 +172,6 @@ class LogMatrix:
             out.append(row)
         lvl = self.level if self.level is not None else other.level
         return LogMatrix(out, lvl, "product")
-
-    def __mul__(self, scalar):
-        return self.map(lambda e: e * scalar)
-
-    def __add__(self, other):
-        return LogMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)],
-                         self.level, self.provenance)
-
-    def __sub__(self, other):
-        return LogMatrix([[a - b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)],
-                         self.level, self.provenance)
-
-    def __eq__(self, other):
-        return all(a == b for r1, r2 in zip(self.entries, other.entries)
-                   for a, b in zip(r1, r2))
 
     def det(self):
         if self.dim != 2:
@@ -300,7 +282,7 @@ def _mellin_entry(ctx, vals, wp, scale, growth):
     the normalized entry as it stands.  Otherwise vals vanish mod
     p^ctx.prec, with ctx.prec < scale, but not mod p^s: the shift runs at wp
     and `normalize` floor-divides by p^s after it, dropping nonzero digits.
-    That is the unsound strip of ROADMAP item 1; the branch goes with it.
+    That is the unsound strip of ROADMAP item 2; the branch goes with it.
     """
     p, size = ctx.p, len(vals)
     s = IwaSeries._reduced(ctx, vals, None, wp, size, scale, growth).strip_exp()
@@ -376,15 +358,14 @@ def log_matrix_ap0(params, n):
                              cap, p, wp)
         out[i][1 - i] = mellin_read(ctx, ys, coset, wp, scale, growth)
         out[i][i] = _mellin_entry(ctx, [0] * p ** rep, wp, scale, growth)
-    return LogMatrix(out, level=n, provenance="ap-zero level %d" % n,
-                     rep_level=rep)
+    return LogMatrix(out, level=n, provenance="ap-zero level %d" % n)
 
 
 def window_ideal(mat):
-    """The representation-window polynomial omega_(rep_level) of the matrix,
-    in a window of p^rep_level + 2 coefficients."""
+    """The representation-window polynomial omega_(n+1) of a level-n matrix
+    (level 0 when it has none), in a window of p^(n+1) + 2 coefficients."""
     ctx = mat.entry(0, 0).ctx
-    lvl = mat.rep_level if mat.rep_level is not None else (mat.level or 0) + 1
+    lvl = (mat.level or 0) + 1
     return omega(ctx, lvl, ctx.p ** lvl + 2)
 
 
@@ -452,8 +433,7 @@ def qinv_times(params, mat):
     qi = q_matrix_inv(params).entries
     cols = [[mat.entries[0][j], mat.entries[1][j]] for j in range(2)]
     out = [[_scaled_column(qi[i], cols[j]) for j in range(2)] for i in range(2)]
-    return LogMatrix(out, mat.level, "Qg^-1 * " + (mat.provenance or "M"),
-                     mat.rep_level)
+    return LogMatrix(out, mat.level, "Qg^-1 * " + (mat.provenance or "M"))
 
 
 def semi_ordinary_block(mg, k_f, u_f, lower_left):
@@ -522,10 +502,3 @@ def q_fg_inv_block(params_g, alpha_f, beta_f):
                for j in range(2)]
         rows.append([qinv.entry(i, 0), qinv.entry(i, 1), low[0], low[1]])
     return LogMatrix(rows, None, "Q_fg^-1 block")
-
-
-def combined(qfg_inv, mfg):
-    """Q_{f,g}^(-1) * M'_{f,g}; block upper-triangular with upper-left u_f Qg^-1 M."""
-    out = qfg_inv @ mfg
-    out.provenance = "Qfg^-1 * Mfg"
-    return out

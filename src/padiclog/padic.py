@@ -257,20 +257,6 @@ class PadicElt:
             return "PadicElt(%d + %d*w mod %d^%d)" % (self.a, self.b, self.ctx.p, self.prec)
         return "PadicElt(%d mod %d^%d)" % (self.a, self.ctx.p, self.prec)
 
-    def to_json(self):
-        coords = [str(self.a)] + ([str(self.b)] if self.ctx.ext is not None else [])
-        return {"p": self.ctx.p, "prec": self.prec, "coords": coords,
-                "ext": list(self.ctx.ext) if self.ctx.ext else None}
-
-
-def from_json(obj, ctx=None):
-    if ctx is None:
-        ext = tuple(obj["ext"]) if obj.get("ext") else None
-        ctx = PrimeCtx(obj["p"], obj["prec"], ext)
-    coords = [int(c) for c in obj["coords"]]
-    b = coords[1] if len(coords) > 1 else 0
-    return PadicElt(ctx, coords[0], b, obj.get("prec"))
-
 
 def int_entry(c, where):
     """An integer read from JSON input: an int or a decimal string."""
@@ -340,20 +326,13 @@ def _sqrt_unit_base(ctx, a, prec):
     return x % p ** prec
 
 
-def _canonical_root(r):
-    """Pick the root whose first nonzero coordinate has unit residue in [1,(p-1)/2]."""
-    p = r.ctx.p
-    for c in (r.a, r.b):
-        if c:
-            u = c // p ** _vp(c, p, r.prec)
-            if u % p <= (p - 1) // 2:
-                return r
-            return -r
-    return r
-
-
 def sqrt(x):
-    """Canonical square root in the declared ring; NoRoot when none exists."""
+    """Canonical square root in the declared ring; NoRoot when none exists.
+
+    The root's first nonzero coordinate is p^m times a unit with residue in
+    [1, (p-1)/2]: `sqrt_mod_prime` returns the smaller of the two roots mod
+    p, and the Newton lift in `_sqrt_unit_base` keeps that residue.
+    """
     if x.is_zero():
         raise NoRoot("zero at precision has no canonical square root")
     ctx = x.ctx
@@ -369,7 +348,7 @@ def sqrt(x):
     if v % 2 == 0:
         r = _sqrt_unit_base(ctx, u % p ** uprec, uprec)
         if r is not None:
-            return _canonical_root(PadicElt(ctx, r * p ** (v // 2), 0, rprec))
+            return PadicElt(ctx, r * p ** (v // 2), 0, rprec)
         if ctx.ext is None or ctx.ramified():
             raise NoRoot("unit part is a non-square in the base ring")
         # sqrt(u) = w * sqrt(u/d) in the unramified extension
@@ -377,7 +356,7 @@ def sqrt(x):
         r = _sqrt_unit_base(ctx, u * pow(d, -1, p ** uprec) % p ** uprec, uprec)
         if r is None:
             raise NoRoot("no square root in the declared extension")
-        return _canonical_root(PadicElt(ctx, 0, r * p ** (v // 2), rprec))
+        return PadicElt(ctx, 0, r * p ** (v // 2), rprec)
     # odd valuation: need the ramified uniformizer, x = p^(v-1) * (p*u)
     if not ctx.ramified():
         raise NoRoot("odd valuation requires a ramified extension")
@@ -386,4 +365,4 @@ def sqrt(x):
     r = _sqrt_unit_base(ctx, u * pow(c, -1, p ** uprec) % p ** uprec, uprec)
     if r is None:
         raise NoRoot("no square root in the declared ramified extension")
-    return _canonical_root(PadicElt(ctx, 0, r * p ** (v // 2), rprec))
+    return PadicElt(ctx, 0, r * p ** (v // 2), rprec)

@@ -21,6 +21,10 @@ from padiclog.padic import PadicError
 
 CLASS_NUMBER_ONE = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
+# Largest root order M of `eisenstein_depleted`.  The time and memory of
+# building Phi_M grow with M, so a larger M is refused before it is built.
+MAX_ROOT_ORDER = 10 ** 5
+
 
 class UnitInconsistent(PadicError):
     pass
@@ -198,8 +202,9 @@ def deplete(f, p):
 def eisenstein_depleted(k, m_root, zeta_index, p, n_max):
     """a_n = sum_{d | n} d^(k-1) (zeta^(d i) + (-1)^k zeta^(-d i)), p-depleted.
 
-    Each a_n is collected as exponent counts in Z[x]/(x^M - 1), then reduced
-    by one remainder mod Phi_M, which divides x^M - 1.
+    The divisors of n come in pairs d, n/d with d <= sqrt(n).  Each a_n is
+    collected as exponent counts in Z[x]/(x^M - 1), then reduced by one
+    remainder mod Phi_M, which divides x^M - 1.  M is at most MAX_ROOT_ORDER.
     """
     if p < 1:
         raise ValueError("p must be >= 1, got %d" % p)
@@ -207,17 +212,21 @@ def eisenstein_depleted(k, m_root, zeta_index, p, n_max):
         raise ValueError("weight k must be >= 1 (d^(k-1) must be an integer)")
     if gcd(zeta_index, m_root) != 1:
         raise ValueError("zeta index must be invertible modulo the root order")
+    if m_root > MAX_ROOT_ORDER:
+        raise ValueError("root order %d exceeds the supported %d"
+                         % (m_root, MAX_ROOT_ORDER))
     phi = cyclotomic(m_root)
     sign = -1 if k % 2 else 1
     coeffs = []
     for n in range(1, n_max + 1):
         counts = [0] * m_root
         if n % p:
-            for d in range(1, n + 1):
+            for d in range(1, isqrt(n) + 1):
                 if n % d == 0:
-                    w = d ** (k - 1)
-                    counts[d * zeta_index % m_root] += w
-                    counts[-d * zeta_index % m_root] += sign * w
+                    for e in {d, n // d}:
+                        w = e ** (k - 1)
+                        counts[e * zeta_index % m_root] += w
+                        counts[-e * zeta_index % m_root] += sign * w
         coeffs.append(tuple(monic_divmod(counts, phi)[1]))
     return QExpansion("cyclotomic:%d" % m_root, n_max, coeffs)
 

@@ -90,9 +90,6 @@ class MSeries:
     def is_zero(self):
         return not self.coeffs
 
-    def degree(self):
-        return max((sum(e) for e in self.coeffs), default=-1)
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -170,9 +167,6 @@ class SpecFamily:
             raise ValueError("specialization points must be distinct")
         self.ctx = ctx
         self.points = pts
-
-    def __len__(self):
-        return len(self.points)
 
 
 def specialize(f, a):
@@ -295,8 +289,8 @@ def in_principal_ideal(f, g):
 
 
 class ChevalleyReport:
-    """What `chevalley_check` found: the hypotheses, the (point, ok, None)
-    triples and, when the hypotheses pass, the direct division."""
+    """What `chevalley_check` found: the hypotheses, the (point, ok) pairs
+    and, when the hypotheses pass, whether the direct division succeeds."""
 
     def __init__(self, content_ok, x0_ok):
         self.content_ok = content_ok
@@ -304,7 +298,6 @@ class ChevalleyReport:
         self.point_results = []
         self.points_ok = False
         self.direct_ok = None
-        self.direct_witness = None
 
     def hypotheses_pass(self):
         return self.content_ok and self.x0_ok and self.points_ok
@@ -330,11 +323,11 @@ def chevalley_check(f, g, fam):
         fa = specialize(f, a)
         ga = specialize(g, a)
         ok = in_principal_ideal(fa, ga)
-        rpt.point_results.append((a, ok, None))
-    rpt.points_ok = bool(fam.points) and all(ok for _, ok, _ in rpt.point_results)
+        rpt.point_results.append((a, ok))
+    rpt.points_ok = bool(fam.points) and all(ok for _, ok in rpt.point_results)
     if rpt.hypotheses_pass():
         try:
-            rpt.direct_witness = divides_trunc(f, g)
+            divides_trunc(f, g)
             rpt.direct_ok = True
         except NotDivisible:
             rpt.direct_ok = False

@@ -63,13 +63,8 @@ class SignedPair:
         self.denom_budget = denom_budget
 
     def check_bounded(self):
-        for comp in (self.plus, self.minus):
-            c = comp.normalize()
-            if c.denom_exp > self.denom_budget:
-                return False
-            if c.growth > 0:
-                return False
-        return True
+        return all(c.normalize().denom_exp <= self.denom_budget
+                   for c in (self.plus, self.minus))
 
     def __repr__(self):
         return "SignedPair(level=%d)" % self.level

@@ -7,7 +7,7 @@ requests: three for each (p, k) with p in {3, 5, 7} and k <= p, which
 between them take every eps in {1, -1, 2}, every prec in {3, 8, 12} above
 k + 1 and both the plain and the --qinv output at levels up to the
 budget; the request `--p 3 --k 2 --level 4 --prec 8`, whose entry (1,0) is
-normalized at a precision its digits do not support (ROADMAP item 1); and
+normalized at a precision its digits do not support (ROADMAP item 2); and
 one request for each message a logmatrix request can exit 2 with.  The script runs
 each through `padiclog.cli.main` in this process and writes the table
 `logmat_pin.json` next to it, which `test_logmat_pin.py` checks.  Only

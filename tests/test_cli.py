@@ -151,7 +151,7 @@ def test_deterministic_output(capsys):
     "precision 2, where it is 0, and leaves prec 0 to invert.  Computing it "
     "from the coordinates at x.prec + ceil(v) fixes this case but changes "
     "10 of the 40 golden digests (--qinv requests), so the fix belongs to "
-    "the one-precision-per-series refactor (ROADMAP item 1), which may "
+    "the one-precision-per-series refactor (ROADMAP item 2), which may "
     "change output only where it was unsound."))
 def test_qinv_at_low_precision_inverts_alpha(capsys):
     argv = ["logmatrix", "--p", "3", "--k", "1", "--level", "1", "--prec",
@@ -186,6 +186,36 @@ def test_split_command(tmp_path, capsys):
     assert code == 0
     plus = [int(c) for c in out["plus"]["coeffs"]]
     assert plus[:3] == [1, 2, 3] and not any(plus[3:])
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 5])
+def test_split_denominator_budget(budget, tmp_path, capsys):
+    # forward's alpha and beta are over 3^3; read over 3^5 they are 3^-2
+    # times the images of the pair, so the components are over 3^2, which a
+    # budget below 2 refuses
+    from padiclog.iwadist import IwaSeries
+    from padiclog.split import SignedPair, forward, split_operator
+    op = split_operator(3, 12, 0, 1, 3)
+    pair = SignedPair(IwaSeries(op.ctx, [1, 2, 1], None, None, 3),
+                      IwaSeries(op.ctx, [2, 1], None, None, 3), 3)
+    ab = forward(pair, op.qinv_m)
+    assert ab.alpha_comp.denom_exp == ab.beta_comp.denom_exp == 3
+    spec = {"p": 3, "k": 0, "level": 3, "denom_exp": budget,
+            "alpha": dict(ab.alpha_comp.to_json(), denom_exp=5),
+            "beta": dict(ab.beta_comp.to_json(), denom_exp=5)}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    code = main(["split", str(path)])
+    captured = capsys.readouterr()
+    if budget < 2:
+        assert (code, captured.out, captured.err) == (
+            2, "", "error: components exceed the declared denominator budget\n")
+        return
+    assert code == 0
+    out = json.loads(captured.out)
+    assert out["plus"]["denom_exp"] == out["minus"]["denom_exp"] == 2
+    assert [int(c) for c in out["plus"]["coeffs"]][:4] == [1, 2, 1, 0]
+    assert [int(c) for c in out["minus"]["coeffs"]][:3] == [2, 1, 0]
 
 
 def test_eval_command(tmp_path, capsys):

@@ -184,6 +184,23 @@ def test_deplete_rejects_rings_theta_and_eis_do_not_write(ring, coeffs, msg,
     assert err.startswith("error: ") and err.endswith(": %s\n" % msg)
 
 
+def test_eis_over_the_root_order_budget_exits_2(capsys, monkeypatch):
+    # refused before Phi_M, whose build grows with M, is started
+    import padiclog.qexp as qexp
+    from padiclog.cli import main
+
+    def no_cyclotomic(m):
+        raise AssertionError("Phi_%d built past the budget" % m)
+    monkeypatch.setattr(qexp, "cyclotomic", no_cyclotomic)
+    m = qexp.MAX_ROOT_ORDER + 1
+    code = main(["eis", "--k", "2", "--root-order", str(m), "--p", "5",
+                 "--nmax", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: root order %d exceeds the supported %d\n"
+        % (m, qexp.MAX_ROOT_ORDER))
+
+
 def test_divides_trunc_rejects_different_nvars():
     from padiclog.regdiv import MSeries, divides_trunc
     ctx = PrimeCtx(5, 4)

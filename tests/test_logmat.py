@@ -12,7 +12,7 @@ from padiclog.iwadist import (
 )
 from padiclog.logmat import (
     AP_ZERO, CrystalParams, DegenerateEigenvalues, LogMatrix, NotInImage,
-    WrongMode, combined, const_matrix, log_matrix_ap0, q_fg_block,
+    WrongMode, const_matrix, log_matrix_ap0, q_fg_block,
     q_fg_inv_block, q_matrix, q_matrix_inv, qinv_times, semi_ordinary_block,
     window_ideal,
 )
@@ -234,7 +234,8 @@ def test_q_fg_block_and_inverse():
 
 
 def test_combined_block_structure():
-    # upper-left of Q_fg^-1 M'_fg is Q_g^-1 M'_g when u_f = 1, upper-right is 0
+    # Q_fg^-1 M'_fg is block lower-triangular: its upper-left block is
+    # Q_g^-1 M'_g when u_f = 1, and its upper-right block is 0
     pr = params_ap0(3, 8, 0)
     mg = log_matrix_ap0(pr, 2)
     ctx = pr.ctx
@@ -244,7 +245,7 @@ def test_combined_block_structure():
     alpha_f = ctx.from_int(2)
     beta_f = ctx.from_int(pow(2, -1, ctx.modulus) * 3 ** 2)
     qfginv = q_fg_inv_block(pr, alpha_f, beta_f)
-    got = combined(qfginv, mfg)
+    got = qfginv @ mfg
     want = qinv_times(pr, mg)
     for i in range(2):
         for j in range(2):
@@ -530,8 +531,7 @@ def ref_log_matrix_ap0(pr, n):
             ent.growth = Fraction(k + 1, 2)
             orow.append(ent.normalize())
         out.append(orow)
-    return LogMatrix(out, level=n, provenance="ap-zero level %d" % n,
-                     rep_level=rep)
+    return LogMatrix(out, level=n, provenance="ap-zero level %d" % n)
 
 
 def ref_qinv_times(pr, mat):
@@ -541,7 +541,6 @@ def ref_qinv_times(pr, mat):
     qi.level = mat.level
     out = qi @ mat
     out.provenance = "Qg^-1 * " + (mat.provenance or "M")
-    out.rep_level = mat.rep_level
     return out
 
 
@@ -557,7 +556,7 @@ def ap0_outcome(p, n, k, eps, prec, ref):
             qm = qinv_times(pr, mat)
     except (PadicError, ValueError) as exc:
         return type(exc), str(exc)
-    return [view(m) + (m.level, m.rep_level) for m in (mat, qm)]
+    return [view(m) + (m.level,) for m in (mat, qm)]
 
 
 # every a_p = 0 case with p^(n+2) <= 729, weights past p+1 included
@@ -577,7 +576,7 @@ def test_ap0_sweep_matches_pi_loop(p, n, k, monkeypatch):
             psi += got[0] is NotInImage
     # the largest entry, (1+pi) phi^n(c) phi^(n-2)(c) ... with c of degree
     # (k+1)(p-1), reaches degree p^(n+2) exactly when k >= p+1, and then a
-    # psi-component survives (ROADMAP item 2)
+    # psi-component survives (ROADMAP item 5)
     assert (seen[0] > 0) == (n > 0 and k > p) == (psi > 0)
 
 
@@ -679,12 +678,10 @@ def test_qinv_times_random_matrices_match_product():
                     ents = [[rand_entry(rng, pr.ctx) for _ in range(2)]
                             for _ in range(2)]
                     mat = LogMatrix(ents, rng.choice((None, 2)),
-                                    rng.choice(("", "M'")), rng.choice((None, 3)))
+                                    rng.choice(("", "M'")))
                     got = outcome(qinv_times, pr, mat)
                     want = outcome(ref_qinv_times, pr, mat)
                     assert got == want
-                    if type(got) is not tuple:
-                        assert qinv_times(pr, mat).rep_level == mat.rep_level
     assert kinds == {None, "unramified", "ramified"}
 
 
@@ -716,7 +713,7 @@ def test_q_power_y_matches_wach_entry():
 def normalized_entries(monkeypatch, pr, n):
     """The entries of log_matrix_ap0(pr, n) that went through
     `IwaSeries.normalize`: only the unsound strip does, for an entry that
-    vanishes at the context's precision but not at p^s (ROADMAP item 1);
+    vanishes at the context's precision but not at p^s (ROADMAP item 2);
     every other entry is shifted with its content already stripped."""
     seen = []
     normalize = IwaSeries.normalize
@@ -767,7 +764,7 @@ def test_eps_one_matches_a_higher_precision_build():
     "int mod p^wp: for eps = -1 at (p, k, n) = (3, 1, 2) and prec 5, entry "
     "(0,1) differs from the prec-30 build in 23 of its 27 coefficients.  "
     "Lifting eps exactly changes the split pins at the eps = -1 keys, so the "
-    "fix belongs to the one-precision-per-series refactor (ROADMAP item 1)."))
+    "fix belongs to the one-precision-per-series refactor (ROADMAP item 2)."))
 def test_negative_eps_matches_a_higher_precision_build():
     low = log_matrix_ap0(params_ap0(3, 5, 1, -1), 2)
     high = log_matrix_ap0(params_ap0(3, 30, 1, -1), 2)

@@ -2,7 +2,7 @@
 
 `logmat_pin.py` lists 64 `logmatrix` requests (p in {3, 5, 7}, k <= p,
 eps in {1, -1, 2}, prec in {3, 8, 12}, with and without --qinv, the
-unsound request of ROADMAP item 1 and one request per exit-2 message), and
+unsound request of ROADMAP item 2 and one request per exit-2 message), and
 its table `logmat_pin.json` holds the SHA-256 of each request's exit code,
 stdout and stderr at the commit named in the table.  These tests rerun the
 requests and compare.

@@ -142,12 +142,3 @@ def test_precision_interval_oracle():
             r0, r1 = op(x0, y0), op(x1, y1)
             assert r0.prec == r1.prec == min(ka, kb)
             assert r0 == r1
-
-
-def test_json_roundtrip():
-    ctx = PrimeCtx(5, 20)
-    x = ctx.from_int(57)
-    blob = x.to_json()
-    assert blob == {"p": 5, "prec": 20, "coords": ["57"], "ext": None}
-    from padiclog.padic import from_json
-    assert from_json(blob) == x

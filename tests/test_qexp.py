@@ -161,6 +161,23 @@ def test_eisenstein_prime_coefficient_oracle():
             assert tuple(e.coeff(ell)) == sympy_zeta_sum(counts, M), (k, M, ell)
 
 
+def test_eisenstein_matches_the_divisor_sum_over_every_d():
+    # the divisor pairs d, n/d with d <= sqrt(n) against every d <= n, with
+    # squares n = d^2 among the coefficients
+    for k, M, zi, p, n_max in ((2, 8, 1, 5, 50), (3, 12, 5, 7, 50),
+                               (4, 1, 1, 2, 50), (3, 105, 2, 11, 16)):
+        e = eisenstein_depleted(k, M, zi, p, n_max)
+        for n in range(1, n_max + 1):
+            counts = {}
+            if n % p:
+                for d in range(1, n + 1):
+                    if n % d == 0:
+                        for ex, sg in ((d * zi, 1), (-d * zi, (-1) ** k)):
+                            counts[ex % M] = (counts.get(ex % M, 0)
+                                              + sg * d ** (k - 1))
+            assert tuple(e.coeff(n)) == sympy_zeta_sum(counts, M), (k, M, n)
+
+
 def test_eisenstein_memory_is_linear_in_the_root_order():
     # a reduction table for x^e mod Phi_M, e < M, holds M * phi(M) ints
     # (about 19 MB at M = 3000); the counts and one remainder need O(M)

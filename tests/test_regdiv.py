@@ -289,7 +289,7 @@ def test_chevalley_coprime_fails_pointwise():
     fam = SpecFamily(CTX, [5 * i for i in range(1, 11)])
     rpt = chevalley_check(f, g, fam)
     assert not rpt.points_ok
-    assert not any(ok for _, ok, _ in rpt.point_results)
+    assert not any(ok for _, ok in rpt.point_results)
 
 
 def test_chevalley_finite_counterexample():
