@@ -5,19 +5,23 @@ series class `iwadist.IwaSeries` wraps them with context and precision
 bookkeeping.  Multiplication is one Kronecker product: both vectors are
 packed into one int each and multiplied once; products of mostly-zero
 vectors instead sum their nonzero pairs (`sparse_mul`).  There is one
-substitution kernel, `taylor_shift`: f(a + bX) mod (m, X^n) for a linear
-a + bX, on one packed int for every level of its tree.  Its low levels,
-whose exact values fit a slot, are built from the nonzero coefficients
-alone, so a sparse input such as a log-matrix entry read off its coset
-costs less.  The twists X -> u^j (1+X) - 1 call it directly; the
-(1+X)-power basis changes, and with them the Mellin transform, are its
-shift X -> X+1 (or X -> X-1), and Frobenius is Y -> Y^p between two of
-them.  Nothing is cached.  The (1+X)-power basis transforms are exact
-unipotent integer maps, which is what makes the finite-level Mellin
-transform invertible (and keeps the p-content of a vector, which
-`logmat` strips before the shift).  Truncation mod X^cap of a vector held
-in that basis is one division by (Y-1)^cap, Y = 1+X (`onepx_rem`), with no
-basis change.
+substitution kernel, `taylor_shifts`: f(a + bX) mod (m, X^n) for a linear
+a + bX and every f of a list, on one plan of folds, masks and powers of
+a + bX that the list shares (`taylor_shift` is the kernel on one vector).
+Each vector is one packed int per level of the tree, or for long vectors
+two, its even- and odd-index coefficients, merged by two-point Kronecker
+products.  The low levels, whose exact values fit a slot, are built from
+the nonzero coefficients alone, so a sparse input such as a log-matrix
+entry read off its coset costs less.  The twists X -> u^j (1+X) - 1 call
+it directly; the (1+X)-power basis changes, and with them the Mellin
+transform, are its shift X -> X+1 (or X -> X-1), and Frobenius is
+Y -> Y^p between two of them.  `logmat` shifts both corners of a log
+matrix in one call.  Nothing is cached: the plan lives for one call.  The
+(1+X)-power basis transforms are exact unipotent integer maps, which is
+what makes the finite-level Mellin transform invertible (and keeps the
+p-content of a vector, which `logmat` strips before the shift).
+Truncation mod X^cap of a vector held in that basis is one division by
+(Y-1)^cap, Y = 1+X (`onepx_rem`), with no basis change.
 
 Division by a polynomial with a unit leading coefficient (`poly_divmod_top`)
 also runs on that multiply: the quotient is one product with the inverse of
@@ -147,56 +151,121 @@ def trimmed_len(xs, n):
 
 def _slot_folds(m, k, size):
     """The folds that take every k-byte slot of a size-slot int from below
-    2^(8k) to below 2^(bits(m) + 3), mod m, as (h, 2^h mod m, mask of the
-    low h bits of each slot, mask of the low 8k - h bits of each slot).
+    2^(8k) towards 2^(bits(m) + 3), mod m, as (b, h, 2^h mod m, mask of the
+    low h bits of each slot, mask of the low 8k - h bits of each slot), with
+    2^b the bound after the fold.  They stop at the bound the widest level
+    of a size-coefficient tree needs (`taylor_shifts`).
 
-    A slot v < 2^b folds to (v >> h) (2^h mod m) + (v mod 2^h)
-    < 2^(b - h + bits(m)) + 2^h, which is at most 2^(h+1) when
-    2 (h + 1) >= b + bits(m) + 2.
+    A slot v < 2^c folds to (v >> h) (2^h mod m) + (v mod 2^h)
+    < 2^(c - h + bits(m)) + 2^h, which is at most 2^(h+1) when
+    2 (h + 1) >= c + bits(m) + 2.
     """
     bm = m.bit_length()
     b = 8 * k
+    t = (8 * k - (size - 1).bit_length()) // 2
     out = []
-    while b > bm + 3:
+    while b > t:
         b = (b + bm + 3) // 2
         h = b - 1
         lo = ((1 << h) - 1).to_bytes(k, "little") * size
         hi = ((1 << 8 * k - h) - 1).to_bytes(k, "little") * size
-        out.append((h, pow(2, h, m), int.from_bytes(lo, "little"),
+        out.append((b, h, pow(2, h, m), int.from_bytes(lo, "little"),
                     int.from_bytes(hi, "little")))
     return out
 
 
-def taylor_shift(bs, a, b, m, n):
-    """sum_j bs[j] (a + bX)^j mod (m, X^n): the substitution X -> a + bX.
+def _halves(x, k, slots):
+    """The even- and the odd-index k-byte slots of x, which has `slots` of
+    them, each packed into one int."""
+    buf = x.to_bytes(k * (slots + (slots & 1)), "little")
+    ev, od = bytearray(len(buf) // 2), bytearray(len(buf) // 2)
+    for j in range(k):
+        ev[j::k] = buf[j::2 * k]
+        od[j::k] = buf[k + j::2 * k]
+    return int.from_bytes(ev, "little"), int.from_bytes(od, "little")
 
-    A radix-2 tree on one packed int (von zur Gathen and Gerhard, "Fast
-    algorithms for Taylor shifts and certain difference equations", 1997).
-    With g = a + bX, the level blocks sum_{i < w} bs[t w + i] g^i,
+
+# Length from which `taylor_shifts` holds each vector as its even- and
+# odd-index halves and merges by two-point products.  Set by timing both
+# ways (Python 3.11, a 2-vCPU x86-64 VM) on dense vectors mod about 2^26 and
+# 2^40, one and two a call, for the shift (1, 1) and a twist's (c - 1, c):
+# the two-point tree took 1.02-1.12 of the time at 96-128 coefficients,
+# about 1.00 at 160 and 0.95-1.00 from 176 to 256, where its halved
+# products outweigh the extra operations of a level.
+TWO_POINT_MIN = 192
+
+
+def taylor_shift(bs, a, b, m, n):
+    """sum_j bs[j] (a + bX)^j mod (m, X^n): `taylor_shifts` on one vector."""
+    return taylor_shifts([bs], a, b, m, n)[0]
+
+
+def taylor_shifts(vecs, a, b, m, n):
+    """[sum_j v[j] (a + bX)^j mod (m, X^n) for v in vecs]: the substitution
+    X -> a + bX on every vector of vecs, on one plan.
+
+    A radix-2 tree (von zur Gathen and Gerhard, "Fast algorithms for Taylor
+    shifts and certain difference equations", 1997) on packed ints, one per
+    vector.  With g = a + bX, the level blocks sum_{i < w} v[t w + i] g^i,
     w = 2^level, have degree < w, so they stay in place at slots
     t w .. t w + w - 1; a level splits the even and odd blocks with one
     alternating mask and one shift and merges them as even + g^w odd, one
-    multiply and one add.
+    multiply and one add.  The plan -- slot width, block size, folds, level
+    masks and the chain of powers g^w -- depends on the vectors only through
+    the longest, so every vector of the call walks the same one; a shorter
+    vector's ints are shorter, and a zero vector's are 0.
 
-    The slot holds 2 bits(m) + 6 + bits(len) bits, enough for a merge of
-    values below 2^(bits(m) + 3).  The low levels are not run: up to the
-    largest block size B whose exact values fit the slot, each block is
-    built directly in integers, every nonzero coefficient c at t B + r
-    adding c g^r to block t (g^r packed, so one multiply and one add), and
-    zero coefficients cost nothing.  For the shift X -> X+1, B is the
-    largest power of two with m 2^B below the slot's range; any other
-    (a, b) leaves that range after about one level.  From B on, each level
-    first folds the int and g^w down to slots below 2^(bits(m) + 3), in
-    place: a fold keeps each slot v congruent mod m as
-    (v >> h) (2^h mod m) + (v mod 2^h), with h set so the bound on the
-    slot falls from b to about (b + bits(m))/2 bits.  Only the output is
-    reduced mod m.  The whole trimmed input is substituted before the cut
-    to n: its coefficients of degree >= n still reach low degrees.
+    The slot holds 8k >= 2 bits(m) + 6 + bits(len) bits, len the longest
+    trimmed vector.  The low levels are not run: up to the largest block
+    size B whose exact values fit the slot, each block is built directly in
+    integers, every nonzero coefficient c at t B + r adding c g^r to block
+    t (g^r packed, so one multiply and one add), and zero coefficients cost
+    nothing.  For the shift X -> X+1, B is the largest power of two with
+    m 2^B below the slot's range; any other (a, b) leaves that range after
+    about one level.  From B on, each level of blocks of w first folds the
+    ints and g^w in place (`_slot_folds`) until every slot is below 2^t,
+    t = floor((8k - bits(w))/2): a fold keeps each slot congruent mod m and
+    takes its bound from 2^c to 2^c', c' = floor((c + bits(m) + 3)/2).  The
+    folds reach t: c' < c while c > bits(m) + 3, and t >= bits(m) + 3
+    because w < len, so bits(w) <= bits(len).  Then the merge stays in the
+    slot.  A coefficient of even + g^w odd is a slot below 2^t plus at most
+    w products of two slots below 2^t, so it is below
+    2^t + w 2^(2t) <= 2^(2t + bits(w)) <= 2^(8k); a coefficient of the
+    square of g^w, which has w + 1 coefficients, is below
+    (w + 1) 2^(2t) <= 2^(2t + bits(w)).  Folding every level down to
+    bits(m) + 3 instead would also spend the room that the byte rounding of
+    8k and a level's bits(w) < bits(len) leave: two of six folds at most
+    levels of the log-matrix ladder's shifts, none where neither leaves
+    room.  Only the output is reduced mod m.  The whole trimmed
+    input is substituted before the cut to n: its coefficients of degree
+    >= n still reach low degrees.
+
+    From TWO_POINT_MIN coefficients on, each vector is held as two packed
+    ints, H_e and H_o, its even- and odd-index slots, so that
+    H(X) = H_e(X^2) + X H_o(X^2), and the products of the levels are
+    two-point Kronecker products (D. Harvey, "Faster polynomial
+    multiplication via multipoint Kronecker substitution", J. Symbolic
+    Comput. 44, 2009): with s = 8k, H(+-2^(s/2)) = H_e(2^s) +- 2^(s/2)
+    H_o(2^s) is one add or subtract on the halves, and for P+- the products
+    of the two factors at +-2^(s/2),
+
+        P+ + P- = 2 H_e(2^s),    P+ - P- = 2^(s/2 + 1) H_o(2^s),
+
+    for H their product.  Every coefficient of H is below 2^s by the bound
+    above, so H_e(2^s) and H_o(2^s) are its halves, packed: one add, one
+    subtract and two shifts.  Two products of half the bits replace one.
+    Blocks of w >= 2 slots hold w/2 slots of each half, and w >= 2 at every
+    level that runs (B >= 2 whenever len >= 2).
     """
-    cur = vec_trim([c % m for c in bs])
-    size = len(cur)
+    curs = []
+    size = 0
+    for v in vecs:
+        cur = vec_trim([c % m for c in v])
+        curs.append(cur)
+        if len(cur) > size:
+            size = len(cur)
     if not size:
-        return [0] * n
+        return [[0] * n for _ in curs]
     bm = m.bit_length()
     k = (2 * bm + 6 + size.bit_length() + 7) // 8
     a, b = a % m, b % m
@@ -214,30 +283,80 @@ def taylor_shift(bs, a, b, m, n):
     gpow = [1]
     for _ in range(min(w, size) - 1):
         gpow.append(gpow[-1] * g)
-    blocks = [0] * -(-size // w)
     lw, low = w.bit_length() - 1, w - 1
-    for i, c in enumerate(cur):
-        if c:
-            blocks[i >> lw] += c * gpow[i & low]
-    x = _pack(blocks, k * w)
+    xs = []
+    for cur in curs:
+        blocks = [0] * -(-len(cur) // w)
+        for i, c in enumerate(cur):
+            if c:
+                blocks[i >> lw] += c * gpow[i & low]
+        xs.append(_pack(blocks, k * w))
+    two = w < size and size >= TWO_POINT_MIN
     if w < size:
         folds = _slot_folds(m, k, size)
         g *= gpow[-1]
-    while w < size:
-        for h, c, lo, hi in folds:
-            x = (x & lo) + (x >> h & hi) * c
-            g = (g & lo) + (g >> h & hi) * c
-        half = k * w
-        mask = int.from_bytes((b"\xff" * half + bytes(half)) * -(-size // (2 * w)),
-                              "little")
-        x = (x & mask) + (x >> 8 * half & mask) * g
-        w *= 2
-        if w < size:
-            g *= g
-    buf = x.to_bytes(k * size, "little")
+    if two:
+        hk = 4 * k
+        xs = [_halves(x, k, len(cur)) for x, cur in zip(xs, curs)]
+        ge, go = _halves(g, k, w + 1)
+        while w < size:
+            t = (8 * k - w.bit_length()) // 2
+            for bound, h, c, lo, hi in folds:
+                xs = [((e & lo) + (e >> h & hi) * c, (o & lo) + (o >> h & hi) * c)
+                      for e, o in xs]
+                ge = (ge & lo) + (ge >> h & hi) * c
+                go = (go & lo) + (go >> h & hi) * c
+                if bound <= t:
+                    break
+            half = k * w // 2
+            mask = int.from_bytes((b"\xff" * half + bytes(half)) * -(-size // (2 * w)),
+                                  "little")
+            # g^w at +-2^(4k), and for each vector its odd blocks there
+            gp, gm = ge + (go << hk), ge - (go << hk)
+            merged = []
+            for e, o in xs:
+                u = (o >> 8 * half & mask) << hk
+                odd = e >> 8 * half & mask
+                pp, pm = (odd + u) * gp, (odd - u) * gm
+                merged.append(((e & mask) + (pp + pm >> 1),
+                               (o & mask) + (pp - pm >> hk + 1)))
+            xs = merged
+            w *= 2
+            if w < size:
+                pp, pm = gp * gp, gm * gm
+                ge, go = pp + pm >> 1, pp - pm >> hk + 1
+    else:
+        while w < size:
+            t = (8 * k - w.bit_length()) // 2
+            for bound, h, c, lo, hi in folds:
+                xs = [(x & lo) + (x >> h & hi) * c for x in xs]
+                g = (g & lo) + (g >> h & hi) * c
+                if bound <= t:
+                    break
+            half = k * w
+            mask = int.from_bytes((b"\xff" * half + bytes(half)) * -(-size // (2 * w)),
+                                  "little")
+            xs = [(x & mask) + (x >> 8 * half & mask) * g for x in xs]
+            w *= 2
+            if w < size:
+                g *= g
     unpack = int.from_bytes
-    out = [unpack(buf[i:i + k], "little") % m for i in range(0, k * min(n, size), k)]
-    return out + [0] * (n - len(out))
+    outs = []
+    for x, cur in zip(xs, curs):
+        r = min(n, len(cur))
+        if two:
+            ev = x[0].to_bytes(k * ((len(cur) + 1) // 2), "little")
+            od = x[1].to_bytes(k * (len(cur) // 2), "little")
+            out = [0] * r
+            out[::2] = [unpack(ev[i:i + k], "little") % m
+                        for i in range(0, k * ((r + 1) // 2), k)]
+            out[1::2] = [unpack(od[i:i + k], "little") % m
+                         for i in range(0, k * (r // 2), k)]
+        else:
+            buf = x.to_bytes(k * len(cur), "little")
+            out = [unpack(buf[i:i + k], "little") % m for i in range(0, k * r, k)]
+        outs.append(out + [0] * (n - r))
+    return outs
 
 
 def to_onepx_basis(coeffs, m, n=None):

@@ -28,13 +28,16 @@ Y-exponents = 1 mod p, the principal coset (1+p)^e of the units mod
 p^(n+2), and mass anywhere else raises (`_check_support`).  So the
 trivial-character projection [(1+p)^e] -> (1+X)^e reads that coset
 straight into the (1+X)-basis vector of the entry, and one basis change
-per nonzero entry takes it to the X basis (`_mellin_entry`).  That
-change is unipotent over Z, so it keeps the p-content that `normalize`
-would strip afterwards: the content is read off the coset vector and
+takes it to the X basis (`_mellin_entries`).  That change is unipotent
+over Z, so it keeps the p-content that `normalize` would strip
+afterwards: the content is read off the coset vector (one gcd) and
 divided out first, and the shift runs on the quotient at the lower
-precision, already normalized.  The coset vector is mostly zeros (25 of
+precision, already normalized.  The read takes both corners at once, and
+their shifts run in one `_poly.taylor_shifts` call on one plan, at the
+larger of the two corners' moduli (each output is then reduced to its
+own; the shift is Z-linear).  The coset vector is mostly zeros (25 of
 243 coefficients at p = 3, n = 4, k = 1), which the shift's exact low
-levels skip.
+levels skip; the zero diagonal sends nothing.
 
 The product has a closed form.  Every factor phi^i(P^(-1)) =
 [[0, 1], [c_i, 0]], with c_i = phi^i(c), is antidiagonal, so
@@ -271,39 +274,72 @@ def _phi_y(v, p):
     return out
 
 
-def _mellin_entry(ctx, vals, wp, scale, growth):
-    """The normalized entry whose (1+X)-basis vector is vals mod p^wp, with
-    denominator p^scale.
+def _mellin_entries(ctx, vecs, wp, scale, growth):
+    """The normalized entries whose (1+X)-basis vectors are vecs mod p^wp,
+    with denominator p^scale, from one `_poly.taylor_shifts` call.
 
     The basis change X -> X+1 is unipotent over Z, so it keeps the content
-    of the vector: the power p^s that `IwaSeries.normalize` would strip
-    from the X-basis entry is read off vals (`strip_exp`).  When p^s divides
-    vals at wp, the shift runs on vals / p^s mod p^(wp-s) and its output is
-    the normalized entry as it stands.  Otherwise vals vanish mod
-    p^ctx.prec, with ctx.prec < scale, but not mod p^s: the shift runs at wp
-    and `normalize` floor-divides by p^s after it, dropping nonzero digits.
-    That is the unsound strip of ROADMAP item 2; the branch goes with it.
+    of a vector: the power p^s that `IwaSeries.normalize` would strip from
+    the X-basis entry (`strip_exp`) is read off one gcd of the vector,
+    s = scale when v_p(gcd) >= ctx.prec and min(scale, v_p(gcd)) otherwise.
+    When p^s divides the vector, the shift runs on vals / p^s mod p^(wp-s)
+    and its output is the normalized entry as it stands.  Otherwise the
+    vector vanishes mod p^ctx.prec, with ctx.prec < scale, but not mod p^s:
+    the shift runs at wp and `normalize` floor-divides by p^s after it,
+    dropping nonzero digits.  That is the unsound strip of ROADMAP item 2;
+    the branch goes with it.
+
+    The shift is Z-linear and each of these moduli divides the largest, so
+    the vectors are shifted together at the largest and each output is
+    reduced to its own.  A zero vector is its own shift and is not sent.
     """
-    p, size = ctx.p, len(vals)
-    s = IwaSeries._reduced(ctx, vals, None, wp, size, scale, growth).strip_exp()
-    pk = p ** s
-    g = gcd(*vals)
-    if g % pk:
-        vec = _poly.from_onepx_basis(vals, p ** wp, size)
-        return IwaSeries._reduced(ctx, vec, None, wp, size, scale,
-                                  growth).normalize()
-    # a zero vector is its own shift
-    vec = _poly.from_onepx_basis([c // pk for c in vals], p ** (wp - s),
-                                 size) if g else vals
-    return IwaSeries._reduced(ctx, vec, None, wp - s, size, scale - s, growth)
+    p, size = ctx.p, len(vecs[0])
+    # per vector: s, whether it takes the strip, the exponent of its shift's
+    # modulus, and the vector to shift (None for a zero vector)
+    plans = []
+    for vals in vecs:
+        g = gcd(*vals)
+        v = _poly._vp(g, p, ctx.prec)
+        s = scale if v >= ctx.prec else min(scale, v)
+        pk = p ** s
+        if g % pk:
+            plans.append((s, True, wp, vals))
+        else:
+            plans.append((s, False, wp - s,
+                          [c // pk for c in vals] if g else None))
+    sent = [(e, vec) for _, _, e, vec in plans if vec is not None]
+    if sent:
+        top = max(e for e, _ in sent)
+        shifted = iter(_poly.taylor_shifts([vec for _, vec in sent], 1, 1,
+                                           p ** top, size))
+    out = []
+    for vals, (s, strip, e, vec) in zip(vecs, plans):
+        if vec is None:
+            vec = vals
+        else:
+            vec = next(shifted)
+            if e < top:
+                m = p ** e
+                vec = [c % m for c in vec]
+        if strip:
+            out.append(IwaSeries._reduced(ctx, vec, None, wp, size, scale,
+                                          growth).normalize())
+        else:
+            out.append(IwaSeries._reduced(ctx, vec, None, e, size, scale - s,
+                                          growth))
+    return out
 
 
-def mellin_read(ctx, ys, coset, wp, scale, growth):
-    """The Mellin inverse of the Y-coefficients ys mod p^wp, projected to the
-    trivial Delta-component: the entry sum_e ys[coset[e]] (1+X)^e over
-    p^scale, normalized, for the principal coset `_principal_coset`."""
-    _check_support(ys, ctx.p, ctx.p ** wp)
-    return _mellin_entry(ctx, [ys[a] for a in coset], wp, scale, growth)
+def mellin_read(ctx, yss, coset, wp, scale, growth):
+    """The Mellin inverses of the Y-coefficient vectors yss mod p^wp, each
+    projected to the trivial Delta-component: the entries
+    sum_e ys[coset[e]] (1+X)^e over p^scale, normalized, for the principal
+    coset `_principal_coset`, shifted to the X basis together."""
+    m = ctx.p ** wp
+    for ys in yss:
+        _check_support(ys, ctx.p, m)
+    return _mellin_entries(ctx, [[ys[a] for a in coset] for ys in yss], wp,
+                           scale, growth)
 
 
 MAX_REP_DEGREE = 4096
@@ -321,7 +357,7 @@ def log_matrix_ap0(params, n):
     where c is an exact int vector (`_q_power_y`) at the working precision
     wp.  The matrix is antidiagonal: its corners are the even and the odd
     products of the c_i = phi^i(c), 0 < i <= n, scaled by the closed form of
-    A~^(n+1) (module docstring), and each corner takes one `mellin_read`.
+    A~^(n+1) (module docstring), and both corners take one `mellin_read`.
     """
     if params.mode != AP_ZERO:
         raise WrongMode("log_matrix_ap0 requires a_p = 0 mode")
@@ -349,16 +385,15 @@ def log_matrix_ap0(params, n):
     h = pow(-pk * einv, (n + 1) // 2, m)
     scalars = (h, h) if n % 2 else (-h * einv, h * pk)
     growth = Fraction(k + 1, 2)
-    coset = _principal_coset(p, rep)
-    out = [[None, None], [None, None]]
-    for i in range(2):
-        # the factor 1+pi = Y is a shift; truncation mod pi^cap is a ring
-        # map, so the exact product is reduced only here
-        ys = _poly.onepx_rem([0] + _poly.vec_scale(par[i], scalars[i], m),
-                             cap, p, wp)
-        out[i][1 - i] = mellin_read(ctx, ys, coset, wp, scale, growth)
-        out[i][i] = _mellin_entry(ctx, [0] * p ** rep, wp, scale, growth)
-    return LogMatrix(out, level=n, provenance="ap-zero level %d" % n)
+    # the factor 1+pi = Y is a shift; truncation mod pi^cap is a ring map,
+    # so the exact products are reduced only here
+    yss = [_poly.onepx_rem([0] + _poly.vec_scale(par[i], scalars[i], m), cap,
+                           p, wp) for i in range(2)]
+    up, low = mellin_read(ctx, yss, _principal_coset(p, rep), wp, scale, growth)
+    zero = _mellin_entries(ctx, [[0] * p ** rep for _ in range(2)], wp, scale,
+                           growth)
+    return LogMatrix([[zero[0], up], [low, zero[1]]], level=n,
+                     provenance="ap-zero level %d" % n)
 
 
 def window_ideal(mat):

@@ -455,6 +455,55 @@ def test_taylor_shift_sparse_matches_horner(p):
                             (m, a, b, length, nonzero, n)
 
 
+# lengths at 2^j - 1 and 2^j + 1, and on both sides of the two-point switch
+SHIFTS_LENGTHS = [1, 2, 31, 33, 63, 65, 127, 129, _poly.TWO_POINT_MIN - 1,
+                  _poly.TWO_POINT_MIN, _poly.TWO_POINT_MIN + 1, 255, 257]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_taylor_shifts_match_horner(p):
+    # one call shifts 1-3 vectors of unequal lengths on one plan, a zero
+    # vector among them when there are two or more; each output is that
+    # vector's own shift, cut below and above the longest length
+    rng = random.Random(30 + p)
+    calls = 0
+    for m in (p, p ** 9, p ** 40):
+        c = rng.randrange(1, m)
+        pairs = [(1, 1), (c - 1, c),
+                 (rng.randint(-3 * m, 3 * m), rng.randint(-3 * m, 3 * m))]
+        for count in (1, 2, 3):
+            for a, b in pairs:
+                lengths = rng.sample(SHIFTS_LENGTHS, count)
+                vecs = [rand_vec(rng, length, m) for length in lengths]
+                if count > 1:
+                    vecs[rng.randrange(count)] = [0] * rng.choice(lengths)
+                longest = max(lengths)
+                want = [ref_linear_shift(v, a, b, m, longest + 3) for v in vecs]
+                for n in (longest // 2, longest + 3):
+                    got = _poly.taylor_shifts(vecs, a, b, m, n)
+                    assert got == [w[:n] for w in want], (m, a, b, lengths, n)
+                calls += 1
+    assert calls == 27
+
+
+@pytest.mark.parametrize("length", [129, _poly.TWO_POINT_MIN - 1,
+                                    _poly.TWO_POINT_MIN, 255])
+def test_taylor_shifts_fold_target_worst_case(length):
+    # every coefficient m - 1, at a modulus whose slot of
+    # 2 bits(m) + 6 + bits(length) bits is a whole number of bytes: the
+    # folds of each level stop at the bound the slot allows, with no
+    # rounding to spare, on the one-point tree and the two-point one
+    for p in (3, 5):
+        e = 9
+        while (2 * (p ** e).bit_length() + 6 + length.bit_length()) % 8:
+            e += 1
+        m = p ** e
+        vecs = [[m - 1] * length, [m - 1] * (length // 2 + 1)]
+        for a, b in ((1, 1), (m - 2, m - 1)):
+            got = _poly.taylor_shifts(vecs, a, b, m, length)
+            assert got == [ref_linear_shift(v, a, b, m, length) for v in vecs]
+
+
 @pytest.mark.parametrize("length,m", LADDER)
 def test_taylor_shift_ladder_sparsity(length, m):
     # the Mellin reads of the ladder have few nonzeros, p^i apart

@@ -410,23 +410,25 @@ def outcome(fn, *args, **kw):
 
 def test_ap0_skips_zero_and_constant_entries(monkeypatch):
     # P'^(-1) = [[0, 1], [-eps q^(k+1), 0]] is born in Y, phi is Y -> Y^p,
-    # and the product with A^(n+1) keeps two nonzero entries: one
-    # (1+X)-basis change each, at p^(n+1) coefficients
-    calls = {"to_onepx_basis": [], "from_onepx_basis": []}
+    # and the product with A^(n+1) keeps two nonzero entries: one kernel
+    # call shifts both, two vectors of p^(n+1) coefficients, and the zero
+    # diagonal sends none
+    calls = {"to_onepx_basis": [], "from_onepx_basis": [], "taylor_shifts": []}
     for name in calls:
         fn = getattr(_poly, name)
 
         def counted(*a, _fn=fn, _name=name, **kw):
             out = _fn(*a, **kw)
-            calls[_name].append(len(out))
+            calls[_name].append([len(v) for v in a[0]]
+                                if _name == "taylor_shifts" else len(out))
             return out
         monkeypatch.setattr(_poly, name, counted)
     for n in (1, 3):
         for name in calls:
             calls[name].clear()
         log_matrix_ap0(params_ap0(3, 12, 0), n)
-        assert calls == {"to_onepx_basis": [],
-                         "from_onepx_basis": [3 ** (n + 1)] * 2}
+        assert calls == {"to_onepx_basis": [], "from_onepx_basis": [],
+                         "taylor_shifts": [[3 ** (n + 1)] * 2]}
 
 
 def reduction_spy(monkeypatch):
@@ -624,7 +626,7 @@ def test_mass_outside_the_principal_coset_raises(p):
 def _bump_first_coefficient(fn):
     def bumped(*args):
         out = fn(*args)
-        out.a[0] = (out.a[0] + 1) % out.modulus()
+        out[0].a[0] = (out[0].a[0] + 1) % out[0].modulus()
         return out
     return bumped
 
@@ -632,7 +634,7 @@ def _bump_first_coefficient(fn):
 @pytest.mark.parametrize("name,mutant", [
     ("_check_support", lambda fn: lambda *args: None),
     ("_principal_coset", lambda fn: lambda *args: fn(*args)[::-1]),
-    ("_mellin_entry", _bump_first_coefficient),
+    ("_mellin_entries", _bump_first_coefficient),
 ], ids=["support-check-off", "coset-reversed", "entry-bumped"])
 def test_mellin_roundtrip_suite_catches_mutants(name, mutant, monkeypatch):
     # the suite reads through `logmat.mellin_read`, so a broken step of the

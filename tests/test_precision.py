@@ -3,20 +3,22 @@ computation at a higher working precision, reduced mod p^prec.
 
 Each request runs at its precision P and at P + 20, and every coefficient
 is compared at the lower build's reported precision
-(`test_logmat.disagreeing_coefficients`).  This covers the plain
-`logmatrix` and `halflog` paths.  Requests are sorted into families by the
-cause of a known defect, and each failing family is a strict xfail named by
-that cause, so its fix removes its own marker.
+(`test_logmat.disagreeing_coefficients`, on the w-part too where there is
+one).  This covers the plain `logmatrix`, `logmatrix --qinv` and `halflog`
+paths.  Requests are sorted into families by the cause of a known defect,
+and each failing family is a strict xfail named by that cause, so its fix
+removes its own marker.
 """
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from test_logmat import disagreeing_coefficients, normalized_entries
 
 from padiclog.iwadist import halflog
-from padiclog.logmat import CrystalParams, log_matrix_ap0
-from padiclog.padic import PrimeCtx
+from padiclog.logmat import CrystalParams, log_matrix_ap0, qinv_times
+from padiclog.padic import PadicError, PrimeCtx
 
 BOOST = 20
 
@@ -84,13 +86,103 @@ def test_logmat_negative_eps_matches_a_higher_precision_build(logmat_outcomes):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "the fallback branch of logmat._mellin_entry normalizes an entry that "
+    "the fallback branch of logmat._mellin_entries normalizes an entry that "
     "vanishes mod p^prec but not mod the p^s it strips, and drops nonzero "
     "digits; every such request of the grid differs from its prec + 20 "
     "build.  The fix belongs to the one-precision-per-series refactor "
     "(ROADMAP item 2)."))
 def test_logmat_strip_family_matches_a_higher_precision_build(logmat_outcomes):
     bad = [req for req, agrees in logmat_outcomes["strip"] if not agrees]
+    assert bad == []
+
+
+def _disagrees(low, high, p):
+    """Whether any coefficient of low, of its base part or its w-part,
+    differs from high's at low's reported precision."""
+    def w_part(e):
+        return SimpleNamespace(a=e.b or [0] * len(e.a), prec=e.prec,
+                               denom_exp=e.denom_exp)
+    return any(disagreeing_coefficients(x, y, p)
+               for x, y in ((low, high), (w_part(low), w_part(high))))
+
+
+def _qinv_build(p, k, eps, n, prec):
+    """`logmatrix --qinv` at prec: Q_g^(-1) M, or the message it raised."""
+    pr = CrystalParams.ap_zero(p, prec, k, eps)
+    try:
+        return qinv_times(pr, log_matrix_ap0(pr, n))
+    except PadicError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def qinv_outcomes(logmat_outcomes):
+    """{family: [(request, agrees)]} over LOGMAT_GRID for `--qinv`.  The
+    requests that raise at prec but not at prec + BOOST form the family
+    "raises", with the message raised in place of `agrees`; the others keep
+    their plain request's family."""
+    plain = {req: family for family, reqs in logmat_outcomes.items()
+             for req, _ in reqs}
+    out = {}
+    for req in LOGMAT_GRID:
+        p, k, eps, n, prec = req
+        low = _qinv_build(*req)
+        high = _qinv_build(p, k, eps, n, prec + BOOST)
+        assert not isinstance(high, str), (req, high)
+        if isinstance(low, str):
+            out.setdefault("raises", []).append((req, low))
+            continue
+        agrees = not any(_disagrees(low.entry(i, j), high.entry(i, j), p)
+                         for i in range(2) for j in range(2))
+        out.setdefault(plain[req], []).append((req, agrees))
+    return out
+
+
+def test_qinv_families(qinv_outcomes):
+    # the family counts, and in each family the requests whose digits
+    # disagree: 17 wrong of the 158 that build at both precisions (14 on
+    # the base parts alone)
+    assert Counter({f: len(v) for f, v in qinv_outcomes.items()}) == Counter(
+        {"sound": 91, "negative-eps": 59, "strip": 8, "raises": 58})
+    wrong = Counter({f: sum(1 for _, agrees in qinv_outcomes[f] if not agrees)
+                     for f in ("sound", "negative-eps", "strip")})
+    assert wrong == Counter({"negative-eps": 9, "strip": 8})
+    assert {msg for _, msg in qinv_outcomes["raises"]} == {
+        "cannot invert PadicElt(0 mod %d^0)" % p for p in (3, 5, 7)}
+
+
+def test_qinv_sound_family_matches_a_higher_precision_build(qinv_outcomes):
+    bad = [req for req, agrees in qinv_outcomes["sound"] if not agrees]
+    assert bad == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "q_matrix_inv inverts alpha through padic.inv_scaled, which takes "
+    "alpha's norm at alpha's absolute precision; at these requests that "
+    "norm is 0 mod p^0 and the inverse raises where the prec + 20 build "
+    "does not.  Exact scalars (ROADMAP item 2a) remove the inverse."))
+def test_qinv_builds_where_a_higher_precision_build_does(qinv_outcomes):
+    assert qinv_outcomes["raises"] == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "log_matrix_ap0 reads eps as its residue mod p^prec (params.eps.a) where "
+    "it needs eps mod p^wp, and Q_g^(-1) M carries the wrong digits of M; "
+    "9 requests of the grid differ from their prec + 20 build.  The fix "
+    "belongs to exact scalars (ROADMAP item 2a)."))
+def test_qinv_negative_eps_matches_a_higher_precision_build(qinv_outcomes):
+    bad = [req for req, agrees in qinv_outcomes["negative-eps"] if not agrees]
+    assert bad == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the fallback branch of logmat._mellin_entries strips digits that an "
+    "entry of M does not support, and Q_g^(-1) M carries them into both "
+    "parts; every such request of the grid differs from its prec + 20 "
+    "build.  The fix belongs to the one-precision-per-series refactor "
+    "(ROADMAP item 2b)."))
+def test_qinv_strip_family_matches_a_higher_precision_build(qinv_outcomes):
+    bad = [req for req, agrees in qinv_outcomes["strip"] if not agrees]
     assert bad == []
 
 
