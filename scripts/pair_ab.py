@@ -12,11 +12,13 @@ imported read-only (as ``tests/test_golden.py`` does) and generated with A's
 package into a temporary directory.
 
 Every request of the manifest's cycles runs on both sides, one right after
-the other, and the side that goes first alternates from request to request,
-so both sides see the same machine state.  Each run is timed around
-``cli.main(argv)`` with stdout and stderr captured; a pair whose exit code,
-stdout or stderr differ counts as an output mismatch.  The report gives, per
-request class (the manifest's job key), the median of the paired ratios
+the other, so both sides see the same machine state.  The side that goes
+first alternates within each request class, by the class's own count of
+timed requests, so each class runs half its pairs with either side first,
+whatever the order and number of the classes timed per cycle.  Each run is
+timed around ``cli.main(argv)`` with stdout and stderr captured; a pair
+whose exit code, stdout or stderr differ counts as an output mismatch.  The
+report gives, per request class (the manifest's job key), the median of the paired ratios
 B/A and each side's median time; then, over all jobs, each side's p50 and
 its 11th-slowest job (the benchmark's ``job_tail_ms`` rule) and the number
 of mismatches.  Separate-process A/B runs on a shared machine swing by
@@ -128,13 +130,13 @@ def main():
         per_class = {tag: collections.defaultdict(list) for tag in SIDES}
         mismatches = []
         cycles = manifest["cycles"]
-        index = 0
+        timed = collections.Counter()
         for c in range(args.cycles):
             for job in cycles[c % len(cycles)]:
                 if not classes.search(job["key"]):
                     continue
-                order = SIDES if index % 2 == 0 else SIDES[::-1]
-                index += 1
+                order = SIDES if timed[job["key"]] % 2 == 0 else SIDES[::-1]
+                timed[job["key"]] += 1
                 got = {}
                 for tag in order:
                     got[tag] = run(sides[tag], job["argv"])
@@ -144,7 +146,7 @@ def main():
                 ratios[job["key"]].append(got["b"][0] / got["a"][0])
                 if got["a"][1] != got["b"][1]:
                     mismatches.append(job["key"])
-    if not index:
+    if not timed:
         ap.error("no request class matches %r" % args.classes)
     report = {
         "workload": args.workload, "seed": args.seed, "cycles": args.cycles,

@@ -354,14 +354,14 @@ def check_galimg(seed=0):
     """Closure orders, the Kronecker-product certificate, the product check."""
     from padiclog.galimg import (MatGroupGen, closure, find_tau,
                                  goursat_product_check, kron, min_poly)
-    sl2_5 = MatGroupGen(5, 2, [((1, 1), (0, 1)), ((0, 1), (4, 0))])
-    sl2_7 = MatGroupGen(7, 2, [((1, 1), (0, 1)), ((0, 1), (6, 0))])
+    sl2_5 = MatGroupGen(5, [((1, 1), (0, 1)), ((0, 1), (4, 0))])
+    sl2_7 = MatGroupGen(7, [((1, 1), (0, 1)), ((0, 1), (6, 0))])
     o5 = len(closure(sl2_5))
     o7 = len(closure(sl2_7))
     t = kron(((1, 1), (0, 1)), ((0, 1), (1, 0)), 7)
     mp = min_poly(t, 7)
     target = [1, 0, 5, 0, 1]
-    grp = MatGroupGen(7, 4, [t])
+    grp = MatGroupGen(7, [t])
     cert = find_tau(grp)
     g, gp = ((1, 1), (0, 1)), ((0, 1), (4, 0))
     v = goursat_product_check(5, [(g, ((1, 0), (0, 1))), (gp, ((2, 0), (0, 1)))])
@@ -399,16 +399,15 @@ def _gauss_theta_oracle(t, n_max):
 def check_theta(seed=0):
     """D=-4, t=4 theta coefficients vs brute force, multiplicativity, Euler."""
     import random
-    from padiclog._poly import isprime
-    from padiclog.qexp import (ImagQuadCtx, dirichlet_from_euler, kronecker,
-                               theta_series)
+    from padiclog._poly import isprime, jacobi
+    from padiclog.qexp import ImagQuadCtx, dirichlet_from_euler, theta_series
     rng = random.Random(seed)
     ctx = ImagQuadCtx(-4, 4)
     th = theta_series(ctx, 200)
     enum_ok = th.coeffs == _gauss_theta_oracle(4, 200)
     spot_ok = (th.coeff(1) == 1 and th.coeff(2) == -4 and th.coeff(5) == -14)
     inert_ok = all(th.coeff(p) == 0 for p in (3, 7, 11, 19, 23, 31, 43)
-                   if kronecker(-4, p) == -1)
+                   if jacobi(-4, p) == -1)
     pairs = [(m, n) for m in range(1, 40) for n in range(2, 200)
              if gcd(m, n) == 1 and m * n <= 200]
     mult_fail = 0
@@ -418,7 +417,7 @@ def check_theta(seed=0):
             mult_fail += 1
     factors = {}
     for ell in filter(isprime, range(3, 51)):
-        factors[ell] = [1, -th.coeff(ell), kronecker(-4, ell) * ell ** 4]
+        factors[ell] = [1, -th.coeff(ell), jacobi(-4, ell) * ell ** 4]
     t = dirichlet_from_euler(factors, 50)
     euler_ok = all(t[n - 1] == th.coeff(n) for n in range(1, 51) if n % 2)
     ok = enum_ok and spot_ok and inert_ok and mult_fail == 0 and euler_ok

@@ -183,7 +183,7 @@ def cmd_galimg(args):
     gens = [_int_matrix(g, args.input) for g in spec["gens"]]
     if not gens:
         raise ValueError("%s: gens must not be empty" % args.input)
-    grp = MatGroupGen(p, len(gens[0]), gens)
+    grp = MatGroupGen(p, gens)
     if spec.get("find_tau"):
         cert = find_tau(grp)
         if cert is None:

@@ -1,23 +1,18 @@
-"""Finite matrix-group checks over F_p and F_p^2.
+"""Finite matrix-group checks over F_p.
 
-Every matrix is a tuple of int rows mod p.  F_p^2 = F_p[s]/(s^2 - d) enters
-through its regular representation: the entry a + b s becomes the block
-[[a, d b], [b, a]], so an n x n matrix over F_p^2 is a 2n x 2n matrix over
-F_p.  The embedding is an injective ring homomorphism, so closure orders,
-commutators and the product criterion are those of the group over F_p^2.
-
-Everything is exhaustive: groups are enumerated by breadth-first closure
-under the generators, the product criterion compares the closure order with
-the product of the projection orders, solvability follows the derived series
-through normal closures of commutators, and the distinguished 4x4 elements are
-certified by their minimal polynomial (X-1)^2 (X+1)^2 together with the rank
-of t - 1.  A closure step is a table lookup: right multiplication by a
-generator g maps each row r of x to r g, and each map memoises the products of
-the rows it has seen (at most p^size of them), so the closure forms every
-row product once per generator.  The SL2 hypothesis is read off the
-generators, since det is multiplicative.  Ranks (hence invertibility) and
-minimal polynomials come from linsolve; an inverse inside a finite group is
-the power x^(ord x - 1).
+Every matrix is a tuple of int rows mod p.  Everything is exhaustive: groups
+are enumerated by breadth-first closure under the generators, the product
+criterion compares the closure order with the product of the projection
+orders, solvability follows the derived series through normal closures of
+commutators, and the distinguished 4x4 elements are certified by their
+minimal polynomial (X-1)^2 (X+1)^2 together with the rank of t - 1.  A
+closure step is a table lookup: right multiplication by a generator g maps
+each row r of x to r g, and each map memoises the products of the rows it
+has seen (at most p^n for n x n matrices), so the closure forms every row product
+once per generator.  No closure holds more than MAX_GROUP_ORDER elements.
+The SL2 hypothesis is read off the generators, since det is multiplicative.
+Ranks (hence invertibility) and minimal polynomials come from linsolve; an
+inverse inside a finite group is the power x^(ord x - 1).
 """
 
 from __future__ import annotations
@@ -27,45 +22,11 @@ import operator
 
 from padiclog._poly import isprime
 from padiclog.linsolve import solve_mod_ppow
-from padiclog.padic import PadicError, is_qr
+from padiclog.padic import PadicError
 
 
 class BudgetExceeded(PadicError):
     pass
-
-
-def _check_field(p, ext_d=None):
-    """d mod p for F_p^2 = F_p[s]/(s^2 - d), or None for F_p.
-
-    ValueError unless p is a prime and d a non-residue mod p.
-    """
-    if not isprime(p):
-        raise ValueError("p must be a prime, got %r" % (p,))
-    if ext_d is None:
-        return None
-    d = ext_d % p
-    if d == 0 or is_qr(d, p):
-        raise ValueError("extension parameter must be a non-residue")
-    return d
-
-
-def embed(mat, p, d=None):
-    """A matrix over F_p (d None) or F_p^2 as int rows mod p.
-
-    Entries are ints or pairs (a, b) meaning a + b s; over F_p^2 each entry
-    becomes the block [[a, d b], [b, a]].
-    """
-    out = []
-    for row in mat:
-        ab = [x if isinstance(x, tuple) else (x, 0) for x in row]
-        if d is None:
-            if any(b % p for _, b in ab):
-                raise ValueError("element not in the prime field")
-            out.append(tuple(a % p for a, _ in ab))
-        else:
-            out.append(tuple(c % p for a, b in ab for c in (a, d * b)))
-            out.append(tuple(c % p for a, b in ab for c in (b, a)))
-    return tuple(out)
 
 
 def mat_mul(a, b, p):
@@ -85,30 +46,33 @@ def mat_rank(mat, p):
 
 
 class MatGroupGen:
-    """Generators of a matrix group over F_p or F_p^2 (s^2 = ext_d).
+    """Generators of a matrix group over F_p, stored as int rows mod p.
 
-    The dim x dim generators are stored embedded: int matrices mod p of side
-    size = dim over F_p and 2 dim over F_p^2.
+    The side dim is read off gens[0]; there must be at least one generator,
+    and every generator must be an invertible dim x dim matrix.
     """
 
-    def __init__(self, p, dim, gens, ext_d=None):
+    def __init__(self, p, gens):
+        if not isprime(p):
+            raise ValueError("p must be a prime, got %r" % (p,))
+        if not gens:
+            raise ValueError("need at least one generator")
         self.p = p
-        self.dim = dim
-        self.ext_d = _check_field(p, ext_d)
+        self.dim = dim = len(gens[0])
         for g in gens:
             if len(g) != dim or any(len(row) != dim for row in g):
                 raise ValueError("generators must be %d x %d matrices" % (dim, dim))
-        self.gens = [embed(g, p, self.ext_d) for g in gens]
-        self.size = dim if self.ext_d is None else 2 * dim
+        self.gens = [tuple(tuple(c % p for c in row) for row in g) for g in gens]
         for g in self.gens:
-            if mat_rank(g, p) < self.size:
+            if mat_rank(g, p) < dim:
                 raise ValueError("generators must be invertible")
 
     def __repr__(self):
         return "MatGroupGen(p=%d, dim=%d, %d gens)" % (self.p, self.dim, len(self.gens))
 
 
-DEFAULT_BUDGET = 10 ** 7
+# the most elements any one closure may hold
+MAX_GROUP_ORDER = 10 ** 7
 
 
 def _right_mul(g, p):
@@ -116,7 +80,7 @@ def _right_mul(g, p):
 
     A row of x g depends only on the same row of x, so the map keeps its own
     table of r -> r g and computes each distinct row product once; the table
-    holds at most p^size rows and lives as long as the map.
+    holds at most p^n rows for n x n matrices and lives as long as the map.
     """
     cols = tuple(zip(*g))
     rows = {}
@@ -134,13 +98,14 @@ def _right_mul(g, p):
     return step
 
 
-def _bfs_closure(ident, steps, budget):
+def _bfs_closure(ident, steps):
     """Breadth-first closure of ident under the maps in steps.
 
     Each step is a right multiplication (from _right_mul, or a pair of them).
     Returns the elements in discovery order; BudgetExceeded once more than
-    budget elements would be needed.
+    MAX_GROUP_ORDER elements would be needed.
     """
+    budget = MAX_GROUP_ORDER
     seen = {ident}
     queue = [ident]
     i = 0
@@ -157,10 +122,10 @@ def _bfs_closure(ident, steps, budget):
     return queue
 
 
-def closure(group, budget=DEFAULT_BUDGET):
+def closure(group):
     """Breadth-first product closure; returns the full element list."""
-    return _bfs_closure(mat_identity(group.size),
-                        [_right_mul(g, group.p) for g in group.gens], budget)
+    return _bfs_closure(mat_identity(group.dim),
+                        [_right_mul(g, group.p) for g in group.gens])
 
 
 def _group_inverse(x, ident, step):
@@ -174,7 +139,7 @@ def _group_inverse(x, ident, step):
     return prev
 
 
-def _normal_closure(seeds, conj, ident, p, budget):
+def _normal_closure(seeds, conj, ident, p):
     """Generators and elements of the normal closure of seeds in <gens>.
 
     conj lists the pairs (g, g^(-1)) for g in gens.  A generator whose
@@ -185,7 +150,7 @@ def _normal_closure(seeds, conj, ident, p, budget):
     """
     out = list(dict.fromkeys(x for x in seeds if x != ident))
     steps = [_right_mul(x, p) for x in out]
-    members = set(_bfs_closure(ident, steps, budget))
+    members = set(_bfs_closure(ident, steps))
     i = 0
     while i < len(out):
         x = out[i]
@@ -195,11 +160,11 @@ def _normal_closure(seeds, conj, ident, p, budget):
             if y not in members:
                 out.append(y)
                 steps.append(_right_mul(y, p))
-                members = set(_bfs_closure(ident, steps, budget))
+                members = set(_bfs_closure(ident, steps))
     return out, members
 
 
-def is_solvable(gens, p, budget=DEFAULT_BUDGET):
+def is_solvable(gens, p):
     """Is the group generated by gens (int matrices mod p) solvable?
 
     Runs the derived series: the derived subgroup of <T> is the normal
@@ -216,25 +181,11 @@ def is_solvable(gens, p, budget=DEFAULT_BUDGET):
                  for i, (x, xi) in enumerate(zip(cur, inverses))
                  for y, yi in zip(cur[:i], inverses[:i])]
         derived, members = _normal_closure(comms, list(zip(cur, inverses)),
-                                           ident, p, budget)
+                                           ident, p)
         if all(g in members for g in cur):
             return False
         cur = derived
     return True
-
-
-def _det_is_one(m, p):
-    """det m == 1 for an embedded 2x2 matrix over F_p or F_p^2.
-
-    The blocks A, B, C, D of m are images of field elements, so they commute
-    and the determinant is the block AD - BC.
-    """
-    h = len(m) // 2
-    ad = mat_mul([r[:h] for r in m[:h]], [r[h:] for r in m[h:]], p)
-    bc = mat_mul([r[h:] for r in m[:h]], [r[:h] for r in m[h:]], p)
-    det = tuple(tuple((x - y) % p for x, y in zip(ra, rb))
-                for ra, rb in zip(ad, bc))
-    return det == mat_identity(h)
 
 
 class GoursatVerdict(NamedTuple):
@@ -246,37 +197,38 @@ class GoursatVerdict(NamedTuple):
     pr1_is_sl2: bool
 
 
-def goursat_product_check(p, gen_pairs, ext_d=None, budget=DEFAULT_BUDGET):
+def goursat_product_check(p, gen_pairs):
     """Subgroup of G1 x G2 from generator pairs: is it the full product?
 
-    Also reports the two sufficient hypotheses: the second projection is
-    solvable and the first equals SL2 of its field (only 2x2 groups can).
+    Both factors act on the side of the first generator.  Also reports the
+    two sufficient hypotheses: the second projection is solvable and the
+    first equals SL2(F_p) (only 2x2 groups can).
     """
     if not gen_pairs:
         raise ValueError("need at least one generator pair")
-    dim = len(gen_pairs[0][0])
-    g1 = MatGroupGen(p, dim, [a for a, _ in gen_pairs], ext_d)
-    g2 = MatGroupGen(p, dim, [b for _, b in gen_pairs], ext_d)
-    ident = mat_identity(g1.size)
+    g1 = MatGroupGen(p, [a for a, _ in gen_pairs])
+    dim = g1.dim
+    if len(gen_pairs[0][1]) != dim:
+        raise ValueError("generators must be %d x %d matrices" % (dim, dim))
+    g2 = MatGroupGen(p, [b for _, b in gen_pairs])
+    ident = mat_identity(dim)
     steps1 = [_right_mul(g, p) for g in g1.gens]
     steps2 = [_right_mul(g, p) for g in g2.gens]
     pairs = _bfs_closure((ident, ident),
                          [lambda x, a=a, b=b: (a(x[0]), b(x[1]))
-                          for a, b in zip(steps1, steps2)], budget)
-    pr1 = _bfs_closure(ident, steps1, budget)
-    pr2 = _bfs_closure(ident, steps2, budget)
-    q = p if g1.ext_d is None else p * p
-    sl2_order = q * (q * q - 1)
+                          for a, b in zip(steps1, steps2)])
+    pr1 = _bfs_closure(ident, steps1)
+    pr2 = _bfs_closure(ident, steps2)
     # every element of pr1 is a product of generators and det is
     # multiplicative, so det = 1 on pr1 exactly when it is 1 on the generators
-    pr1_sl2 = (dim == 2 and len(pr1) == sl2_order and
-               all(_det_is_one(g, p) for g in g1.gens))
+    pr1_sl2 = (dim == 2 and len(pr1) == p * (p * p - 1) and
+               all((a * d - b * c) % p == 1 for (a, b), (c, d) in g1.gens))
     return GoursatVerdict(
         full_product=(len(pairs) == len(pr1) * len(pr2)),
         order_h=len(pairs),
         order_pr1=len(pr1),
         order_pr2=len(pr2),
-        pr2_solvable=is_solvable(g2.gens, p, budget),
+        pr2_solvable=is_solvable(g2.gens, p),
         pr1_is_sl2=pr1_sl2,
     )
 
@@ -336,7 +288,7 @@ def find_tau(group):
     The certificate records the minimal polynomial, rank(t-1) (= 3 is forced
     by the Jordan type) and the rank of the quotient.
     """
-    if group.dim != 4 or group.ext_d is not None:
+    if group.dim != 4:
         raise ValueError("tau search runs on 4x4 groups over F_p")
     p = group.p
     target = _target_minpoly(p)

@@ -76,8 +76,7 @@ from math import gcd
 from padiclog import _poly
 from padiclog.iwadist import (InsufficientDegree, IwaSeries, delta, log_tw,
                               omega, solve_series_div, twist)
-from padiclog.padic import (PadicElt, PadicError, PrimeCtx, inv_scaled, is_qr,
-                            sqrt)
+from padiclog.padic import PadicElt, PadicError, PrimeCtx, inv_scaled, sqrt
 
 
 class WrongMode(PadicError):
@@ -129,7 +128,7 @@ class CrystalParams:
         if k % 2 == 0:
             # odd valuation (k+1)/2: ramified w^2 = c p with c = -eps
             ctx = PrimeCtx(p, prec, ("ramified", -eps))
-        elif not is_qr(-eps, p):
+        elif _poly.jacobi(-eps, p) == -1:
             ctx = PrimeCtx(p, prec, ("unramified", -eps))
         alpha = sqrt(ctx.from_int(-eps * p ** (k + 1)))
         epse = ctx.from_int(eps)

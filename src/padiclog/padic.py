@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from padiclog._poly import _vp, isprime, sqrt_mod_prime
+from padiclog._poly import _vp, isprime, jacobi, sqrt_mod_prime
 
 INF = math.inf
 
@@ -53,7 +53,7 @@ class PrimeCtx:
         if ext is not None:
             kind, param = ext
             if kind == UNRAMIFIED:
-                if param % p == 0 or is_qr(param, p):
+                if param % p == 0 or jacobi(param, p) != -1:
                     raise ValueError("unramified parameter must be a non-residue unit")
             elif kind == RAMIFIED:
                 if param % p == 0:
@@ -103,13 +103,6 @@ class PrimeCtx:
 
     def __repr__(self):
         return "PrimeCtx(p=%d, prec=%d, ext=%r)" % (self.p, self.prec, self.ext)
-
-
-def is_qr(a, p):
-    a %= p
-    if a == 0:
-        return True
-    return pow(a, (p - 1) // 2, p) == 1
 
 
 class PadicElt:

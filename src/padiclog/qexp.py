@@ -34,11 +34,6 @@ class BadPrime(PadicError):
     pass
 
 
-def kronecker(d, n):
-    """Kronecker symbol (d|n) for n a positive odd prime not dividing d."""
-    return jacobi(d, n)
-
-
 class QuadOrder:
     """Ring of integers of Q(sqrt(D)), D a class-number-one discriminant.
 
@@ -272,7 +267,7 @@ def nebentype_value(ctx, ell):
         raise BadPrime("need an odd prime")
     if ctx.disc % ell == 0 or ctx.cond % ell == 0:
         raise BadPrime("prime divides the discriminant or conductor")
-    val = kronecker(ctx.disc, ell)
+    val = jacobi(ctx.disc, ell)
     if ctx.chi is not None:
         val *= ctx._chi_of((ell, 0))
     return val

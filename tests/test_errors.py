@@ -65,19 +65,22 @@ def test_logmatrix_budget():
 
 def test_galimg_validation():
     with pytest.raises(ValueError):
-        MatGroupGen(5, 2, [((1, 0), (0, 1))], ext_d=4)  # 4 is a square
-    with pytest.raises(ValueError):
-        MatGroupGen(5, 2, [((0, 0), (0, 0))])
+        MatGroupGen(5, [((0, 0), (0, 0))])
     ident = ((1, 0), (0, 1))
     for p in (0, 1, 4, 9, -5):
         with pytest.raises(ValueError, match="p must be a prime"):
-            MatGroupGen(p, 2, [ident])
+            MatGroupGen(p, [ident])
     with pytest.raises(ValueError, match="2 x 2"):
-        MatGroupGen(5, 2, [ident, ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+        MatGroupGen(5, [ident, ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+    with pytest.raises(ValueError, match="at least one generator"):
+        MatGroupGen(5, [])
     with pytest.raises(ValueError):
         goursat_product_check(5, [])
     with pytest.raises(ValueError, match="2 x 2"):
         goursat_product_check(5, [(ident, ((2,),))])
+    with pytest.raises(ValueError, match="2 x 2"):
+        # both factors take the side of the first generator
+        goursat_product_check(5, [(ident, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))])
     with pytest.raises(ValueError, match="invertible"):
         goursat_product_check(5, [(((0, 0), (0, 0)), ident)])
     with pytest.raises(ValueError, match="invertible"):

@@ -22,8 +22,7 @@ from padiclog import _poly
 from padiclog.iwadist import (INF, CharPoint, IwaSeries, NotDivisible,
                               eval_at, growth_check, poly_reduce,
                               solve_series_div, ucyc)
-from padiclog.padic import (RAMIFIED, UNRAMIFIED, NonUnit, PadicElt, PrimeCtx,
-                            is_qr)
+from padiclog.padic import RAMIFIED, UNRAMIFIED, NonUnit, PadicElt, PrimeCtx
 
 # -- reference: the per-coefficient PadicElt loops -----------------------------
 
@@ -167,7 +166,7 @@ def state(f):
 
 
 def contexts(p, prec):
-    d = next(d for d in range(2, p) if not is_qr(d, p))
+    d = next(d for d in range(2, p) if _poly.jacobi(d, p) == -1)
     return [PrimeCtx(p, prec), PrimeCtx(p, prec, (UNRAMIFIED, d)),
             PrimeCtx(p, prec, (RAMIFIED, 1))]
 

@@ -5,7 +5,8 @@ Each request runs at its precision P and at P + 20, and every coefficient
 is compared at the lower build's reported precision
 (`test_logmat.disagreeing_coefficients`, on the w-part too where there is
 one).  This covers the plain `logmatrix`, `logmatrix --qinv` and `halflog`
-paths.  Requests are sorted into families by the cause of a known defect,
+paths, and `eval_at` on omega_n, half-logarithms and the sound log-matrix
+entries.  Requests are sorted into families by the cause of a known defect,
 and each failing family is a strict xfail named by that cause, so its fix
 removes its own marker.
 """
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 from test_logmat import disagreeing_coefficients, normalized_entries
 
-from padiclog.iwadist import halflog
+from padiclog.iwadist import CharPoint, eval_at, halflog, omega
 from padiclog.logmat import CrystalParams, log_matrix_ap0, qinv_times
 from padiclog.padic import PadicError, PrimeCtx
 
@@ -196,4 +197,62 @@ def test_halflog_matches_a_higher_precision_build():
         high = halflog(PrimeCtx(p, prec + BOOST), sign, m, n, cap)
         if disagreeing_coefficients(low, high, p):
             bad.append((p, m, n, sign, prec))
+    assert bad == []
+
+
+# X = zeta u^j - 1 with zeta of order p^t: values of degree phi(p^t) <= 294
+EVAL_POINTS = [CharPoint(t, j) for t in range(4) for j in (-1, 0, 1, 2)]
+
+
+def _eval_disagreements(low, high, p):
+    """The points of EVAL_POINTS at which eval_at of low and of high, the
+    same series built at a higher precision, disagree at low's reported
+    precision."""
+    return [pt for pt in EVAL_POINTS
+            if _disagrees(eval_at(low, pt), eval_at(high, pt), p)]
+
+
+@pytest.fixture(scope="module")
+def eval_outcomes(logmat_outcomes):
+    """{family: [(input, disagreeing points)]} for eval_at: omega_n, the
+    half-logarithms of HALFLOG_GRID at n <= 2, and the four entries of each
+    request of the sound logmatrix family."""
+    out = {"omega": [], "halflog": [], "logmat-sound": []}
+    for p in (3, 5, 7):
+        for n in (1, 2, 3):
+            for prec in (1, 3, 5, 8):
+                cap = p ** n + 2
+                low = omega(PrimeCtx(p, prec), n, cap)
+                high = omega(PrimeCtx(p, prec + BOOST), n, cap)
+                out["omega"].append(((p, n, prec),
+                                     _eval_disagreements(low, high, p)))
+    for p, m, n, sign, prec in HALFLOG_GRID:
+        if n > 2:
+            continue
+        cap = m * p ** n + 2
+        low = halflog(PrimeCtx(p, prec), sign, m, n, cap)
+        high = halflog(PrimeCtx(p, prec + BOOST), sign, m, n, cap)
+        out["halflog"].append(((p, m, n, sign, prec),
+                               _eval_disagreements(low, high, p)))
+    for req, _ in logmat_outcomes["sound"]:
+        p, k, eps, n, prec = req
+        low = log_matrix_ap0(CrystalParams.ap_zero(p, prec, k, eps), n)
+        high = log_matrix_ap0(CrystalParams.ap_zero(p, prec + BOOST, k, eps), n)
+        for i in range(2):
+            for j in range(2):
+                out["logmat-sound"].append((req + (i, j), _eval_disagreements(
+                    low.entry(i, j), high.entry(i, j), p)))
+    return out
+
+
+def test_eval_families(eval_outcomes):
+    # 16 points per input
+    assert len(EVAL_POINTS) == 16
+    assert Counter({f: len(v) for f, v in eval_outcomes.items()}) == Counter(
+        {"omega": 36, "halflog": 144, "logmat-sound": 448})
+
+
+@pytest.mark.parametrize("family", ["omega", "halflog", "logmat-sound"])
+def test_eval_matches_a_higher_precision_build(eval_outcomes, family):
+    bad = [(x, pts) for x, pts in eval_outcomes[family] if pts]
     assert bad == []
