@@ -3,20 +3,20 @@
 Coefficient vectors are plain int lists reduced modulo a power of p; the
 series class `iwadist.IwaSeries` wraps them with context and precision
 bookkeeping.  Multiplication is one Kronecker product: both vectors are
-packed into one int each and multiplied once; products of mostly-zero
-vectors instead sum their nonzero pairs (`sparse_mul`).  There is one
-substitution kernel, `taylor_shifts`: f(a + bX) mod (m, X^n) for a linear
-a + bX and every f of a list, on one plan of folds, masks and powers of
-a + bX that the list shares (`taylor_shift` is the kernel on one vector).
-Each vector is one packed int per level of the tree, or for long vectors
-two, its even- and odd-index coefficients, merged by two-point Kronecker
-products.  The low levels, whose exact values fit a slot, are built from
-the nonzero coefficients alone, so a sparse input such as a log-matrix
-entry read off its coset costs less.  The twists X -> u^j (1+X) - 1 call
-it directly; the (1+X)-power basis changes, and with them the Mellin
-transform, are its shift X -> X+1 (or X -> X-1), and Frobenius is
-Y -> Y^p between two of them.  `logmat` shifts both corners of a log
-matrix in one call.  Nothing is cached: the plan lives for one call.  The
+packed into one int each and multiplied once; polynomials with few nonzero
+(exponent, coefficient) terms instead multiply pair by pair (`sparse_mul`).
+There is one substitution kernel, `taylor_shift_terms`: f(a + bX) mod
+(m, X^n) for a linear a + bX and every f of a list, given by its terms, on
+one plan that the list shares (`taylor_shift` and `taylor_shifts` take
+dense vectors).  It is a tree of packed merges over leaves built from the
+terms alone: one streamed walk of the rows (a + bX)^r, folded mod m when
+their slots would pass a bound R, adds each term to its block, so a
+sparse input, such as a log-matrix corner, can take leaves of half its
+length and a single merge (`WALK_WIDTH`); long vectors merge by two-point
+Kronecker products.  The twists X -> u^j (1+X) - 1 call it directly; the
+(1+X)-power basis changes, and with them the Mellin transform, are its
+shift X -> X+1 (or X -> X-1), and Frobenius is Y -> Y^p between two of
+them.  Nothing is cached, and the walk keeps no table of rows.  The
 (1+X)-power basis transforms are exact unipotent integer maps, which is
 what makes the finite-level Mellin transform invertible (and keeps the
 p-content of a vector, which `logmat` strips before the shift).
@@ -114,21 +114,18 @@ def vec_mul(xs, ys, m, cap):
 
 
 def sparse_mul(xs, ys, m):
-    """The untruncated product xs * ys mod m, summed over the pairs of
-    nonzero coefficients only.
+    """The product of two polynomials given by their nonzero (exponent,
+    coefficient) terms, as its nonzero terms mod m, in no set order.
 
     For factors that are mostly zeros, such as phi^i(c) in Y with its
-    nonzeros p^i apart, this costs less than packing every zero into
-    `vec_mul`'s product.
+    nonzeros p^i apart, summing the pairs of terms costs less than packing
+    every zero into `vec_mul`'s product.
     """
-    if not xs or not ys:
-        return []
-    out = [0] * (len(xs) + len(ys) - 1)
-    ys = [(j, y) for j, y in enumerate(ys) if y]
-    for i, x in [(i, x) for i, x in enumerate(xs) if x]:
+    out = {}
+    for i, x in xs:
         for j, y in ys:
-            out[i + j] += x * y
-    return [c % m for c in out]
+            out[i + j] = out.get(i + j, 0) + x * y
+    return [(e, r) for e, c in out.items() if (r := c % m)]
 
 
 def vec_trim(xs):
@@ -185,119 +182,152 @@ def _halves(x, k, slots):
     return int.from_bytes(ev, "little"), int.from_bytes(od, "little")
 
 
-# Length from which `taylor_shifts` holds each vector as its even- and
-# odd-index halves and merges by two-point products.  Set by timing both
-# ways (Python 3.11, a 2-vCPU x86-64 VM) on dense vectors mod about 2^26 and
-# 2^40, one and two a call, for the shift (1, 1) and a twist's (c - 1, c):
-# the two-point tree took 1.02-1.12 of the time at 96-128 coefficients,
-# about 1.00 at 160 and 0.95-1.00 from 176 to 256, where its halved
-# products outweigh the extra operations of a level.
+# Length from which the level loop of `taylor_shift_terms` merges by
+# two-point products, with two or more levels left.  Set by timing both ways
+# (Python 3.11, a 2-vCPU x86-64 VM) on dense vectors mod about 2^26 and
+# 2^40, for the shift (1, 1) and a twist's (c - 1, c): the two-point tree
+# took 1.02-1.12 of the time at 96-128 coefficients, about 1.00 at 160 and
+# 0.95-1.00 from 176 to 256; for one merge, one point was as fast.
 TWO_POINT_MIN = 192
+# Widest leaf of the walk, by timing the log-matrix Mellin reads at p=3
+# n=6-8, p=5 n=4-5 and p=7 n=3-4 (2187-19683 coefficients, 1-10% nonzero)
+# on that VM: leaves of half the length took 0.77-0.96 of the tree's time up
+# to 6561 coefficients but 1.2-1.6 at 15625 and 19683; at most 1024 wide,
+# 0.73-0.86.  Dense single vectors of 65-2187 took 1.05-1.35 with the walk.
+WALK_WIDTH = 1024
+
+
+def _terms(v, m):
+    """The nonzero (exponent, coefficient) terms of the dense vector v mod m."""
+    return [(i, r) for i, c in enumerate(v) if (r := c % m)]
 
 
 def taylor_shift(bs, a, b, m, n):
-    """sum_j bs[j] (a + bX)^j mod (m, X^n): `taylor_shifts` on one vector."""
-    return taylor_shifts([bs], a, b, m, n)[0]
+    """sum_j bs[j] (a + bX)^j mod (m, X^n): the kernel on one vector."""
+    return taylor_shift_terms([_terms(bs, m)], a, b, m, n)[0]
 
 
 def taylor_shifts(vecs, a, b, m, n):
-    """[sum_j v[j] (a + bX)^j mod (m, X^n) for v in vecs]: the substitution
-    X -> a + bX on every vector of vecs, on one plan.
+    """[sum_j v[j] (a + bX)^j mod (m, X^n) for v in vecs]: the kernel."""
+    return taylor_shift_terms([_terms(v, m) for v in vecs], a, b, m, n)
+
+
+def taylor_shift_terms(termss, a, b, m, n):
+    """[sum_(e, c) c (a + bX)^e mod (m, X^n) for terms in termss], dense:
+    X -> a + bX on polynomials given by their nonzero (exponent,
+    coefficient) terms, 0 < c < m, exponents increasing, on one plan.
 
     A radix-2 tree (von zur Gathen and Gerhard, "Fast algorithms for Taylor
     shifts and certain difference equations", 1997) on packed ints, one per
-    vector.  With g = a + bX, the level blocks sum_{i < w} v[t w + i] g^i,
-    w = 2^level, have degree < w, so they stay in place at slots
-    t w .. t w + w - 1; a level splits the even and odd blocks with one
-    alternating mask and one shift and merges them as even + g^w odd, one
-    multiply and one add.  The plan -- slot width, block size, folds, level
-    masks and the chain of powers g^w -- depends on the vectors only through
-    the longest, so every vector of the call walks the same one; a shorter
-    vector's ints are shorter, and a zero vector's are 0.
+    vector, with slots of 8k >= 2 bits(m) + 6 + bits(len) bits, len the
+    longest length.  With g = a + bX, a leaf block sum_(r < w) v[t w + r] g^r
+    stays in place at slots t w .. t w + w - 1; a level splits the even and
+    odd blocks with a mask and a shift and merges them as even + g^w odd.
+    Each term (t w + r, c) adds c g^r to block t as a walk of the rows g^r
+    passes row r (the exact fit below keeps its few rows in a list).  By
+    default w is the exact fit, the largest power of two with every leaf
+    coefficient and g^w below 2 m s^(w-1) < 2^(8k), s = max(a + b, 2).  When
+    at most a quarter of the slots hold a term, the walk goes on to
+    W = ceil(len/2) rounded up to even, at most WALK_WIDTH, which leaves one
+    merge: a row whose slots would pass 2^R, R = 8k - bits(m) - bits(W), is
+    first folded (below) under 2^(h+1), h = ceil((R + bits(m))/2), so every
+    leaf coefficient stays below W m 2^R <= 2^(8k).  A row step multiplies
+    the bound by a + b <= 2^bits(a+b-1), and the walk runs only if a step
+    fits between a fold and R, which for a twist's (c - 1, c), c a unit mod
+    m, it does not: twists keep the exact fit.  The rows cost the square of
+    W and each term a row's length, so dense input keeps it too.
 
-    The slot holds 8k >= 2 bits(m) + 6 + bits(len) bits, len the longest
-    trimmed vector.  The low levels are not run: up to the largest block
-    size B whose exact values fit the slot, each block is built directly in
-    integers, every nonzero coefficient c at t B + r adding c g^r to block
-    t (g^r packed, so one multiply and one add), and zero coefficients cost
-    nothing.  For the shift X -> X+1, B is the largest power of two with
-    m 2^B below the slot's range; any other (a, b) leaves that range after
-    about one level.  From B on, each level of blocks of w first folds the
-    ints and g^w in place (`_slot_folds`) until every slot is below 2^t,
-    t = floor((8k - bits(w))/2): a fold keeps each slot congruent mod m and
-    takes its bound from 2^c to 2^c', c' = floor((c + bits(m) + 3)/2).  The
-    folds reach t: c' < c while c > bits(m) + 3, and t >= bits(m) + 3
-    because w < len, so bits(w) <= bits(len).  Then the merge stays in the
-    slot.  A coefficient of even + g^w odd is a slot below 2^t plus at most
-    w products of two slots below 2^t, so it is below
-    2^t + w 2^(2t) <= 2^(2t + bits(w)) <= 2^(8k); a coefficient of the
-    square of g^w, which has w + 1 coefficients, is below
-    (w + 1) 2^(2t) <= 2^(2t + bits(w)).  Folding every level down to
-    bits(m) + 3 instead would also spend the room that the byte rounding of
-    8k and a level's bits(w) < bits(len) leave: two of six folds at most
-    levels of the log-matrix ladder's shifts, none where neither leaves
-    room.  Only the output is reduced mod m.  The whole trimmed
-    input is substituted before the cut to n: its coefficients of degree
-    >= n still reach low degrees.
+    From w on, each level first folds the ints and g^w in place
+    (`_slot_folds`) until every slot is below 2^t, t = floor((8k -
+    bits(w))/2): a fold keeps each slot congruent mod m and takes its bound
+    from 2^c to 2^c', c' = floor((c + bits(m) + 3)/2) < c while
+    c > bits(m) + 3, and t >= bits(m) + 3.  Then a coefficient of
+    even + g^w odd, or of the square of g^w, is below
+    2^t + w 2^(2t) <= 2^(2t + bits(w)) <= 2^(8k).  Only the output is
+    reduced mod m, and the whole input is substituted before the cut to n.
 
-    From TWO_POINT_MIN coefficients on, each vector is held as two packed
-    ints, H_e and H_o, its even- and odd-index slots, so that
-    H(X) = H_e(X^2) + X H_o(X^2), and the products of the levels are
-    two-point Kronecker products (D. Harvey, "Faster polynomial
+    From TWO_POINT_MIN coefficients on, with two or more levels left, each
+    vector is held as two packed ints, H_e and H_o, its even- and odd-index
+    slots, so that H(X) = H_e(X^2) + X H_o(X^2), and each level's product
+    is a two-point Kronecker product (D. Harvey, "Faster polynomial
     multiplication via multipoint Kronecker substitution", J. Symbolic
     Comput. 44, 2009): with s = 8k, H(+-2^(s/2)) = H_e(2^s) +- 2^(s/2)
-    H_o(2^s) is one add or subtract on the halves, and for P+- the products
-    of the two factors at +-2^(s/2),
-
-        P+ + P- = 2 H_e(2^s),    P+ - P- = 2^(s/2 + 1) H_o(2^s),
-
-    for H their product.  Every coefficient of H is below 2^s by the bound
-    above, so H_e(2^s) and H_o(2^s) are its halves, packed: one add, one
-    subtract and two shifts.  Two products of half the bits replace one.
-    Blocks of w >= 2 slots hold w/2 slots of each half, and w >= 2 at every
-    level that runs (B >= 2 whenever len >= 2).
+    H_o(2^s), and for P+- the products of the two factors at +-2^(s/2),
+    P+ + P- = 2 H_e(2^s) and P+ - P- = 2^(s/2 + 1) H_o(2^s), for H their
+    product, whose coefficients are below 2^s.  Blocks of w slots (w is
+    even whenever a level runs) hold w/2 slots of each half.
     """
-    curs = []
-    size = 0
-    for v in vecs:
-        cur = vec_trim([c % m for c in v])
-        curs.append(cur)
-        if len(cur) > size:
-            size = len(cur)
+    lens = [terms[-1][0] + 1 if terms else 0 for terms in termss]
+    size = max(lens, default=0)
     if not size:
-        return [[0] * n for _ in curs]
+        return [[0] * n for _ in termss]
     bm = m.bit_length()
     k = (2 * bm + 6 + size.bit_length() + 7) // 8
     a, b = a % m, b % m
-    top = 1 << 8 * k
-    # The largest power of two w such that every coefficient of a block
-    # sum_{r < w} c_r (a + bX)^r, c_r < m, and of (a + bX)^w is below a
-    # slot's 2^(8k): with s = max(a + b, 2) both are below 2 m s^(w-1).
     s = max(a + b, 2)
+    top = 1 << 8 * k
     w = 1
     while w < size and 2 * m * s ** (2 * w - 1) < top:
         w *= 2
-    # the levels below w, exactly: c at t w + r adds c (a + bX)^r to
-    # block t, packed carry-free as c g^r
     g = (b << 8 * k) + a
-    gpow = [1]
-    for _ in range(min(w, size) - 1):
-        gpow.append(gpow[-1] * g)
-    lw, low = w.bit_length() - 1, w - 1
-    xs = []
-    for cur in curs:
-        blocks = [0] * -(-len(cur) // w)
-        for i, c in enumerate(cur):
-            if c:
-                blocks[i >> lw] += c * gpow[i & low]
-        xs.append(_pack(blocks, k * w))
-    two = w < size and size >= TWO_POINT_MIN
+    walk = w < size and 4 * sum(map(len, termss)) <= sum(lens)
+    if walk:
+        W = min(-(-size // 4) * 2, WALK_WIDTH)
+        R = 8 * k - bm - W.bit_length()
+        h = (R + bm + 1) // 2
+        step = (a + b - 1).bit_length()
+        walk = w < W and h + 1 + step <= R
+    if w >= size:
+        # one block per vector, built as the walk passes its terms in order
+        xs = []
+        for terms in termss:
+            x, row, r = 0, 1, 0
+            for e, c in terms:
+                while r < e:
+                    row *= g
+                    r += 1
+                x += c * row
+            xs.append(x)
+    else:
+        if walk:
+            w = W
+        accs = [[0] * -(-ln // w) for ln in lens]
+        if walk:
+            lo, hi = [int.from_bytes(((1 << j) - 1).to_bytes(k, "little") * (w + 1),
+                                     "little") for j in (h, 8 * k - h)]
+            c2h = pow(2, h, m)
+            at = {}
+            for acc, terms in zip(accs, termss):
+                for e, c in terms:
+                    t, r = divmod(e, w)
+                    at.setdefault(r, []).append((acc, t, c))
+            row, rb = 1, 1
+            for r in range(w):
+                for acc, t, c in at.get(r, ()):
+                    acc[t] += c * row
+                if rb + step > R:
+                    row = (row & lo) + (row >> h & hi) * c2h
+                    rb = h + 1
+                rb += step
+                row = row + (row << 8 * k) if a == b == 1 else row * g
+        else:
+            # the exact fit's few rows, kept while its blocks are built
+            rows = [1]
+            for _ in range(w - 1):
+                rows.append(rows[-1] * g)
+            lw, low = w.bit_length() - 1, w - 1
+            for acc, terms in zip(accs, termss):
+                for e, c in terms:
+                    acc[e >> lw] += c * rows[e & low]
+            row = rows[-1] * g
+        xs = [_pack(acc, k * w) for acc in accs]
+        g = row
+    two = size >= TWO_POINT_MIN and 2 * w < size
     if w < size:
         folds = _slot_folds(m, k, size)
-        g *= gpow[-1]
     if two:
         hk = 4 * k
-        xs = [_halves(x, k, len(cur)) for x, cur in zip(xs, curs)]
+        xs = [_halves(x, k, ln) for x, ln in zip(xs, lens)]
         ge, go = _halves(g, k, w + 1)
         while w < size:
             t = (8 * k - w.bit_length()) // 2
@@ -342,18 +372,18 @@ def taylor_shifts(vecs, a, b, m, n):
                 g *= g
     unpack = int.from_bytes
     outs = []
-    for x, cur in zip(xs, curs):
-        r = min(n, len(cur))
+    for x, ln in zip(xs, lens):
+        r = min(n, ln)
         if two:
-            ev = x[0].to_bytes(k * ((len(cur) + 1) // 2), "little")
-            od = x[1].to_bytes(k * (len(cur) // 2), "little")
+            ev = x[0].to_bytes(k * ((ln + 1) // 2), "little")
+            od = x[1].to_bytes(k * (ln // 2), "little")
             out = [0] * r
             out[::2] = [unpack(ev[i:i + k], "little") % m
                         for i in range(0, k * ((r + 1) // 2), k)]
             out[1::2] = [unpack(od[i:i + k], "little") % m
                          for i in range(0, k * (r // 2), k)]
         else:
-            buf = x.to_bytes(k * len(cur), "little")
+            buf = x.to_bytes(k * ln, "little")
             out = [unpack(buf[i:i + k], "little") % m for i in range(0, k * r, k)]
         outs.append(out + [0] * (n - r))
     return outs

@@ -82,13 +82,13 @@ def check_mellin_roundtrip(seed=0):
         ys = [at.get(j, 0) for j in range(q)]
         want = [sum(c * comb(e, i) for e, c in enumerate(lam)) // p ** s
                 % p ** (wp - s) for i in range(len(coset))]
-        ctx, args = PrimeCtx(p, prec), (coset, wp, scale, Fraction(0))
-        got, = logmat.mellin_read(ctx, [ys], *args)
+        ctx, args = PrimeCtx(p, prec), (lvl, wp, scale, Fraction(0))
+        got, = logmat.mellin_read(ctx, [list(enumerate(ys))], *args)
         good = (logmat._principal_coset(p, lvl) == coset
                 and (got.a, got.prec, got.denom_exp) == (want, wp - s, scale - s))
         ys[rng.choice([j for j in range(q) if j % p != 1])] += 1
         try:
-            logmat.mellin_read(ctx, [ys], *args)
+            logmat.mellin_read(ctx, [list(enumerate(ys))], *args)
         except logmat.NotInImage:
             fails += not good
         else:

@@ -11,49 +11,39 @@ computed integrally at boosted precision (the A-power denominators are
 tracked as one explicit p-power) and projected to the trivial
 Delta-isotypic component.
 
-The whole path runs on exact int vectors in the variable Y = 1+pi.  In Y,
+The whole path runs on exact ints in the variable Y = 1+pi, each
+polynomial held as its nonzero (exponent, coefficient) terms.  In Y,
 q = phi(pi)/pi = (Y^p - 1)/(Y - 1) = 1 + Y + ... + Y^(p-1), so the one
-nonconstant entry c = -eps q^(k+1) of P^(-1) is born in Y as an int vector
-of degree (k+1)(p-1).  phi is then Y -> Y^p, the products are untruncated,
-and 1+pi is a shift.  Truncation mod pi^cap is reduction mod (Y-1)^cap, a
-ring map, so it is applied once per output entry, and only when the entry's
-degree reaches cap (for a_p = 0, when k >= p+1): one division by
-(Y-1)^cap, `_poly.onepx_rem`.
+nonconstant entry c = -eps q^(k+1) of P^(-1) has degree (k+1)(p-1).  phi is
+Y -> Y^p, the products are untruncated, and 1+pi raises each exponent by
+one.  Truncation mod pi^cap is reduction mod (Y-1)^cap, a ring map, so it
+is applied only where an exponent reaches cap (for a_p = 0, when
+k >= p+1): one division by (Y-1)^cap, `_poly.onepx_rem`.
 
-The Mellin inverse and the Delta-projection are one pass over the
-Y-coefficients, `mellin_read`, the package's one Mellin read.  Positions
-divisible by p must vanish (psi = 0); the others are the group-ring
-coefficients, and the product (1+pi) phi(...) is supported on the
-Y-exponents = 1 mod p, the principal coset (1+p)^e of the units mod
-p^(n+2), and mass anywhere else raises (`_check_support`).  So the
-trivial-character projection [(1+p)^e] -> (1+X)^e reads that coset
-straight into the (1+X)-basis vector of the entry, and one basis change
-takes it to the X basis (`_mellin_entries`).  That change is unipotent
-over Z, so it keeps the p-content that `normalize` would strip
-afterwards: the content is read off the coset vector (one gcd) and
-divided out first, and the shift runs on the quotient at the lower
-precision, already normalized.  The read takes both corners at once, and
-their shifts run in one `_poly.taylor_shifts` call on one plan, at the
-larger of the two corners' moduli (each output is then reduced to its
-own; the shift is Z-linear).  The coset vector is mostly zeros (25 of
-243 coefficients at p = 3, n = 4, k = 1), which the shift's exact low
-levels skip; the zero diagonal sends nothing.
-
-The product has a closed form.  Every factor phi^i(P^(-1)) =
-[[0, 1], [c_i, 0]], with c_i = phi^i(c), is antidiagonal, so
-phi^n(P^(-1)) ... phi(P^(-1)) is [[0, E], [O, 0]] for odd n and
-[[O, 0], [0, E]] for even n, where E and O are the products of the c_i
+Every factor phi^i(P^(-1)) = [[0, 1], [c_i, 0]], c_i = phi^i(c), is
+antidiagonal, so phi^n(P^(-1)) ... phi(P^(-1)) is [[0, E], [O, 0]] for odd
+n and [[O, 0], [0, E]] for even n, with E and O the products of the c_i
 over the even and the odd 0 < i <= n.  The lift A~ = p^(k+1) A' =
-[[0, -1/eps], [p^(k+1), 0]] squares to the scalar t = -p^(k+1)/eps, so
-the level-n matrix is antidiagonal: its (0,1) corner is t^((n+1)/2) E and
-its (1,0) corner t^((n+1)/2) O for odd n, and t^(n/2) (-E/eps) and
-t^(n/2) p^(k+1) O for even n.  The (1,0) corner is the odd (minus) product
-and the (0,1) corner the even (plus) one, the pairing of the half-logs.
-The diagonal is exactly zero, and only the two corners take a Mellin read
-and a Delta-projection.  Every entry of P^(-1) is known at the working
-precision, so the output is the same as the dense computation's.  Each
-phi^i(c) has at most (k+1)(p-1)+1 nonzeros, p^i apart, so E and O are one
-chain of products over nonzero pairs (`_poly.sparse_mul`).
+[[0, -1/eps], [p^(k+1), 0]] squares to the scalar t = -p^(k+1)/eps, so the
+level-n matrix is antidiagonal: its (0,1) corner is t^((n+1)/2) E and its
+(1,0) corner t^((n+1)/2) O for odd n, and t^(n/2) (-E/eps) and
+t^(n/2) p^(k+1) O for even n: the even (plus) and odd (minus) products, the
+pairing of the half-logs.  The diagonal is exactly zero.  Each c_i has at
+most (k+1)(p-1)+1 terms, p^i apart, so E and O are chains of products over
+pairs of terms (`_poly.sparse_mul`), 25 terms each at p = 3, n = 4, k = 1
+where the dense corner has 243 coefficients.
+
+The Mellin inverse and the Delta-projection of both corners are one read
+of their terms, `mellin_read`, the package's one Mellin read.  Exponents
+divisible by p must vanish (psi = 0); the product (1+pi) phi(...) is
+supported on the exponents = 1 mod p, the principal coset (1+p)^e of the
+units mod p^(n+2), and mass anywhere else raises (`_check_support`).  The
+trivial-character projection [(1+p)^e] -> (1+X)^e maps each term to the
+(1+X)-basis term of exponent e, and one basis change, unipotent over Z,
+takes both corners to the X basis in one `_poly.taylor_shift_terms` call:
+only its outputs are dense.  Being unipotent, the change keeps the
+p-content that `normalize` would strip afterwards, so the content is read
+off the terms (one gcd) and divided out first.
 
 Q_g^(-1) is constant, so Q_g^(-1) M (`qinv_times`) is one pass per entry
 that scales and adds the int vectors of a column of M; the zeros of M add
@@ -254,91 +244,61 @@ def _principal_coset(p, lvl):
     return upow
 
 
-def _check_support(ys, p, m):
-    """Raise NotInImage at the first Y-coefficient nonzero mod m off the
-    principal coset: exponents = 0 mod p (psi = 0) first, then 2, ..., p-1."""
-    for r in (0, *range(2, p)):
-        if any(ys[r::p]):
-            what = ("mass outside the principal coset" if r else
-                    "psi-component survives")
-            for j in range(r, len(ys), p):
-                if ys[j] % m:
-                    raise NotInImage("%s at (1+pi)^%d" % (what, j))
+def _check_support(terms, p, m):
+    """Raise NotInImage at the first Y-exponent of the (exponent,
+    coefficient) terms with a coefficient nonzero mod m off the principal
+    coset: exponents = 0 mod p (psi = 0) first, then 2, ..., p-1, each
+    class in increasing order."""
+    bad = [e for e, c in terms if e % p != 1 and c % m]
+    if bad:
+        e = min(bad, key=lambda e: (e % p, e))
+        raise NotInImage("%s at (1+pi)^%d" % (
+            "mass outside the principal coset" if e % p else
+            "psi-component survives", e))
 
 
-def _phi_y(v, p):
-    """phi on Y-coefficients: Y -> Y^p moves coefficient j to j p."""
-    out = [0] * ((len(v) - 1) * p + 1)
-    out[::p] = v
-    return out
+def mellin_read(ctx, corners, lvl, wp, scale, growth):
+    """The Mellin inverses of the polynomials in Y whose (exponent,
+    coefficient) terms mod p^wp, exponents below p^(lvl+1), are `corners`,
+    projected to the trivial Delta-component: the entries
+    sum_e c_(coset[e]) (1+X)^e over p^scale, normalized, for the principal
+    coset `_principal_coset(p, lvl)`, shifted to the X basis together.
 
-
-def _mellin_entries(ctx, vecs, wp, scale, growth):
-    """The normalized entries whose (1+X)-basis vectors are vecs mod p^wp,
-    with denominator p^scale, from one `_poly.taylor_shifts` call.
-
-    The basis change X -> X+1 is unipotent over Z, so it keeps the content
-    of a vector: the power p^s that `IwaSeries.normalize` would strip from
-    the X-basis entry (`strip_exp`) is read off one gcd of the vector,
-    s = scale when v_p(gcd) >= ctx.prec and min(scale, v_p(gcd)) otherwise.
-    When p^s divides the vector, the shift runs on vals / p^s mod p^(wp-s)
-    and its output is the normalized entry as it stands.  Otherwise the
-    vector vanishes mod p^ctx.prec, with ctx.prec < scale, but not mod p^s:
-    the shift runs at wp and `normalize` floor-divides by p^s after it,
-    dropping nonzero digits.  That is the unsound strip of ROADMAP item 2;
-    the branch goes with it.
-
-    The shift is Z-linear and each of these moduli divides the largest, so
-    the vectors are shifted together at the largest and each output is
-    reduced to its own.  A zero vector is its own shift and is not sent.
+    The power p^s that `IwaSeries.normalize` would strip (`strip_exp`) is
+    read off one gcd of the terms: s = scale when v_p(gcd) >= ctx.prec,
+    else min(scale, v_p(gcd)).  When p^s divides the terms, they are
+    shifted over p^s mod p^(wp-s), normalized as they stand.  Otherwise the
+    entry vanishes mod p^ctx.prec < p^scale but not mod p^s: it is shifted
+    at wp and `normalize` drops nonzero digits after it, the unsound strip
+    of ROADMAP item 2.  The shift is Z-linear and each modulus divides the
+    largest, so one call shifts all at the largest.
     """
-    p, size = ctx.p, len(vecs[0])
-    # per vector: s, whether it takes the strip, the exponent of its shift's
-    # modulus, and the vector to shift (None for a zero vector)
+    p = ctx.p
+    m = p ** wp
+    where = {y: e for e, y in enumerate(_principal_coset(p, lvl))}
+    # per corner: s, the strip or not, its modulus's exponent, its terms
     plans = []
-    for vals in vecs:
-        g = gcd(*vals)
+    for terms in corners:
+        _check_support(terms, p, m)
+        vec = sorted([(where[y], r) for y, c in terms if y % p == 1 and (r := c % m)])
+        g = gcd(*[c for _, c in vec])
         v = _poly._vp(g, p, ctx.prec)
         s = scale if v >= ctx.prec else min(scale, v)
         pk = p ** s
         if g % pk:
-            plans.append((s, True, wp, vals))
+            plans.append((0, True, wp, vec))
         else:
-            plans.append((s, False, wp - s,
-                          [c // pk for c in vals] if g else None))
-    sent = [(e, vec) for _, _, e, vec in plans if vec is not None]
-    if sent:
-        top = max(e for e, _ in sent)
-        shifted = iter(_poly.taylor_shifts([vec for _, vec in sent], 1, 1,
-                                           p ** top, size))
+            plans.append((s, False, wp - s, [(e, c // pk) for e, c in vec]))
+    top = max(e for _, _, e, _ in plans)
     out = []
-    for vals, (s, strip, e, vec) in zip(vecs, plans):
-        if vec is None:
-            vec = vals
-        else:
-            vec = next(shifted)
-            if e < top:
-                m = p ** e
-                vec = [c % m for c in vec]
-        if strip:
-            out.append(IwaSeries._reduced(ctx, vec, None, wp, size, scale,
-                                          growth).normalize())
-        else:
-            out.append(IwaSeries._reduced(ctx, vec, None, e, size, scale - s,
-                                          growth))
+    for (s, strip, e, _), vec in zip(plans, _poly.taylor_shift_terms(
+            [vec for *_, vec in plans], 1, 1, p ** top, len(where))):
+        if e < top:
+            pe = p ** e
+            vec = [c % pe for c in vec]
+        entry = IwaSeries._reduced(ctx, vec, None, e, len(where), scale - s, growth)
+        out.append(entry.normalize() if strip else entry)
     return out
-
-
-def mellin_read(ctx, yss, coset, wp, scale, growth):
-    """The Mellin inverses of the Y-coefficient vectors yss mod p^wp, each
-    projected to the trivial Delta-component: the entries
-    sum_e ys[coset[e]] (1+X)^e over p^scale, normalized, for the principal
-    coset `_principal_coset`, shifted to the X basis together."""
-    m = ctx.p ** wp
-    for ys in yss:
-        _check_support(ys, ctx.p, m)
-    return _mellin_entries(ctx, [[ys[a] for a in coset] for ys in yss], wp,
-                           scale, growth)
 
 
 MAX_REP_DEGREE = 4096
@@ -352,11 +312,11 @@ def log_matrix_ap0(params, n):
     tracked denominators are stripped.  The representation needs p^(n+2) stored
     coefficients, which caps the supported level per prime.
 
-    P'^(-1) = [[0, 1], [c, 0]] with c = -eps q^(k+1) is built in Y = 1+pi,
-    where c is an exact int vector (`_q_power_y`) at the working precision
-    wp.  The matrix is antidiagonal: its corners are the even and the odd
-    products of the c_i = phi^i(c), 0 < i <= n, scaled by the closed form of
-    A~^(n+1) (module docstring), and both corners take one `mellin_read`.
+    P'^(-1) = [[0, 1], [c, 0]] with c = -eps q^(k+1) is built in Y = 1+pi
+    (`_q_power_y`) at the working precision wp.  The matrix is antidiagonal:
+    its corners are the even and the odd products of the c_i = phi^i(c),
+    0 < i <= n, as terms, scaled by the closed form of A~^(n+1) (module
+    docstring), and both corners take one `mellin_read`.
     """
     if params.mode != AP_ZERO:
         raise WrongMode("log_matrix_ap0 requires a_p = 0 mode")
@@ -372,11 +332,12 @@ def log_matrix_ap0(params, n):
     m = p ** wp
     rep = n + 1
     cap = p ** (rep + 1)
-    c = _poly.vec_scale(_q_power_y(p, k + 1, m), -params.eps.a, m)
-    # par = [E, O]: the products of c_i = phi^i(c) over even and odd 0 < i <= n
-    par = [[1], [1]]
+    c = _poly._terms(_poly.vec_scale(_q_power_y(p, k + 1, m), -params.eps.a, m), m)
+    # par = [E, O]: the products of c_i = phi^i(c) over even and odd
+    # 0 < i <= n, as nonzero terms; phi is Y -> Y^p
+    par = [[(0, 1)], [(0, 1)]]
     for i in range(1, n + 1):
-        c = _phi_y(c, p)
+        c = [(j * p, x) for j, x in c]
         par[i % 2] = _poly.sparse_mul(par[i % 2], c, m)
     # A~^2 = t, so A~^(n+1) is t^((n+1)/2) for odd n and t^(n/2) A~ for even n
     einv = pow(params.eps.a, -1, m)
@@ -384,13 +345,19 @@ def log_matrix_ap0(params, n):
     h = pow(-pk * einv, (n + 1) // 2, m)
     scalars = (h, h) if n % 2 else (-h * einv, h * pk)
     growth = Fraction(k + 1, 2)
-    # the factor 1+pi = Y is a shift; truncation mod pi^cap is a ring map,
-    # so the exact products are reduced only here
-    yss = [_poly.onepx_rem([0] + _poly.vec_scale(par[i], scalars[i], m), cap,
-                           p, wp) for i in range(2)]
-    up, low = mellin_read(ctx, yss, _principal_coset(p, rep), wp, scale, growth)
-    zero = _mellin_entries(ctx, [[0] * p ** rep for _ in range(2)], wp, scale,
-                           growth)
+    # the factor 1+pi = Y raises each exponent by one; truncation mod pi^cap
+    # is a ring map, applied only here and where an exponent reaches cap
+    corners = []
+    for terms, sc in zip(par, scalars):
+        terms = [(j + 1, r) for j, x in terms if (r := x * sc % m)]
+        if terms and max(terms)[0] >= cap:
+            ys = dict(terms)
+            ys = [ys.get(j, 0) for j in range(max(ys) + 1)]
+            terms = _poly._terms(_poly.onepx_rem(ys, cap, p, wp), m)
+        corners.append(terms)
+    up, low = mellin_read(ctx, corners, rep, wp, scale, growth)
+    zero = [IwaSeries._reduced(ctx, [0] * p ** rep, None, ctx.prec, p ** rep, 0,
+                               growth) for _ in range(2)]
     return LogMatrix([[zero[0], up], [low, zero[1]]], level=n,
                      provenance="ap-zero level %d" % n)
 

@@ -199,7 +199,8 @@ def eisenstein_depleted(k, m_root, zeta_index, p, n_max):
 
     The divisors of n come in pairs d, n/d with d <= sqrt(n).  Each a_n is
     collected as exponent counts in Z[x]/(x^M - 1), then reduced by one
-    remainder mod Phi_M, which divides x^M - 1.  M is at most MAX_ROOT_ORDER.
+    remainder mod Phi_M, which divides x^M - 1, after a pass by a sparse
+    monic multiple of Phi_M.  M is at most MAX_ROOT_ORDER.
     """
     if p < 1:
         raise ValueError("p must be >= 1, got %d" % p)
@@ -211,6 +212,12 @@ def eisenstein_depleted(k, m_root, zeta_index, p, n_max):
         raise ValueError("root order %d exceeds the supported %d"
                          % (m_root, MAX_ROOT_ORDER))
     phi = cyclotomic(m_root)
+    # for the least prime q | M, sum_(j < q) x^(j s), s = M/q, is a monic
+    # multiple of Phi_M of degree top = M - s with q terms: reducing by it
+    # first leaves the dense division top - phi(M) positions, not M - phi(M)
+    q = next((q for q in range(2, m_root + 1) if m_root % q == 0), 1)
+    s = m_root // q
+    top = m_root - s if q > 1 else m_root
     sign = -1 if k % 2 else 1
     coeffs = []
     for n in range(1, n_max + 1):
@@ -222,7 +229,11 @@ def eisenstein_depleted(k, m_root, zeta_index, p, n_max):
                         w = e ** (k - 1)
                         counts[e * zeta_index % m_root] += w
                         counts[-e * zeta_index % m_root] += sign * w
-        coeffs.append(tuple(monic_divmod(counts, phi)[1]))
+            for i in range(m_root - 1, top - 1, -1):
+                if counts[i]:
+                    for j in range(i - top, i, s):
+                        counts[j] -= counts[i]
+        coeffs.append(tuple(monic_divmod(counts[:top], phi)[1]))
     return QExpansion("cyclotomic:%d" % m_root, n_max, coeffs)
 
 

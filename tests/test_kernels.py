@@ -3,7 +3,8 @@ independent references.
 
 The references are the schoolbook convolution and the Pascal-row basis
 changes that `_poly` used before it had one substitution kernel, a Horner
-composition on the schoolbook multiply, the schoolbook long division that
+composition on the schoolbook multiply, exact binomial rows for long sparse
+shifts, the schoolbook long division that
 `_poly` used before its Newton inverse, the schoolbook power-series
 division, and evaluation at random points where a quadratic reference would
 be too slow.
@@ -524,6 +525,9 @@ def test_sparse_mul_matches_schoolbook(p):
                 out[i + j] = (out[i + j] + x * y) % m
         return out
 
+    def terms(v):
+        return [(i, c) for i, c in enumerate(v) if c]
+
     rng = random.Random(20 + p)
     for m in (p, p ** 9, p ** 40):
         for lx, ly in ((1, 1), (1, 9), (7, 30), (40, 13)):
@@ -531,14 +535,153 @@ def test_sparse_mul_matches_schoolbook(p):
                 for ny in sorted({0, min(2, ly), ly}):
                     xs = sparse_vec(rng, lx, nx, m)
                     ys = sparse_vec(rng, ly, ny, m)
-                    assert _poly.sparse_mul(xs, ys, m) == schoolbook(xs, ys, m)
+                    assert sorted(_poly.sparse_mul(terms(xs), terms(ys), m)) == \
+                        terms(schoolbook(xs, ys, m))
     # phi^i(c) in Y: nonzeros p^i apart, as the log-matrix chain multiplies
     m = p ** 20
     c = [rng.randrange(m) for _ in range(2 * (p - 1) + 1)]
     spread = [0] * ((len(c) - 1) * p ** 2 + 1)
     spread[::p ** 2] = c
-    assert _poly.sparse_mul(spread, c, m) == schoolbook(spread, c, m)
-    assert _poly.sparse_mul([], c, m) == []
+    assert sorted(_poly.sparse_mul(terms(spread), terms(c), m)) == \
+        terms(schoolbook(spread, c, m))
+    assert _poly.sparse_mul([], terms(c), m) == []
+
+
+# -- the term core ---------------------------------------------------------------
+
+
+def terms_of(v, m):
+    """The nonzero (exponent, coefficient) terms of v mod m."""
+    return [(i, c % m) for i, c in enumerate(v) if c % m]
+
+
+def density_vec(rng, length, density, m):
+    """A vector whose entries are nonzero with the given probability, with
+    a nonzero top entry."""
+    xs = [rng.randrange(1, m) if rng.random() < density else 0
+          for _ in range(length)]
+    if xs:
+        xs[-1] = rng.randrange(1, m)
+    return xs
+
+
+def leaf_blocks(monkeypatch):
+    """The number of leaf blocks of each vector that the next calls pack."""
+    seen, pack = [], _poly._pack
+
+    def spy(xs, k):
+        seen.append(len(xs))
+        return pack(xs, k)
+    monkeypatch.setattr(_poly, "_pack", spy)
+    return seen
+
+
+# lengths about the exact-fit widths and on both sides of one merge
+TERM_LENGTHS = [1, 2, 9, 33, 64, 65, 130, 257]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("width", [None, 16])
+def test_taylor_shift_terms_match_horner(p, width, monkeypatch):
+    # the core on nonzero terms: a single term, sparse vectors on both sides
+    # of the walk's quarter, dense ones and zero vectors, one to three a
+    # call, n below and above the length, for the shift, a twist's (c - 1,
+    # c) and a random (a, b); with the walk's width cut to 16 the level
+    # loop runs after it, two-point from TWO_POINT_MIN
+    if width:
+        monkeypatch.setattr(_poly, "WALK_WIDTH", width)
+    rng = random.Random(50 + p)
+    for m in (p, p ** 9, p ** 40):
+        c = rng.randrange(1, m) if m > 1 else 0
+        pairs = [(1, 1), (c - 1, c), (rng.randrange(m), rng.randrange(m))]
+        for length in TERM_LENGTHS + ([200, 300] if width else []):
+            for density in (0, 0.05, 0.25, 0.3, 1):
+                a, b = rng.choice(pairs)
+                vecs = [density_vec(rng, length, density, m)]
+                if rng.random() < 0.5:
+                    vecs.append([0] * rng.randrange(length + 1))
+                if rng.random() < 0.5:
+                    vecs.append(density_vec(rng, rng.randint(1, length), 0.1, m))
+                for n in (length // 3, length + 2):
+                    got = _poly.taylor_shift_terms([terms_of(v, m) for v in vecs],
+                                                   a, b, m, n)
+                    assert got == [ref_linear_shift(v, a, b, m, n) for v in vecs], \
+                        (m, a, b, length, density, n)
+
+
+@pytest.mark.parametrize("length", [81, 243, 729])
+def test_taylor_shift_terms_walk_leaves_one_merge(length, monkeypatch):
+    # two sparse vectors of the ladder's shape take leaves of half their
+    # length: two blocks each, one merge; dense ones keep the exact-fit
+    # tree, and so does a twist
+    m = 3 ** 20
+    rng = random.Random(length)
+    sparse = [density_vec(rng, length, 0.1, m) for _ in range(2)]
+    dense = [density_vec(rng, length, 1, m) for _ in range(2)]
+    c = pow(4, 5, m)
+    for vecs, (a, b), blocks in ((sparse, (1, 1), [2, 2]),
+                                 (dense, (1, 1), None),
+                                 (sparse, (c - 1, c), None)):
+        seen = leaf_blocks(monkeypatch)
+        got = _poly.taylor_shift_terms([terms_of(v, m) for v in vecs], a, b, m,
+                                       length)
+        assert got == [ref_linear_shift(v, a, b, m, length) for v in vecs]
+        if blocks:
+            assert seen == blocks
+        else:
+            assert min(seen) > 2
+
+
+def ref_sparse_binomial(terms, m, n):
+    """sum c (1+X)^e mod (m, X^n) over the terms, one exact binomial row
+    C(e, j) a term."""
+    out = [0] * n
+    for e, c in terms:
+        binom = 1
+        for j in range(min(e + 1, n)):
+            out[j] += c * binom
+            binom = binom * (e - j) // (j + 1)
+    return [x % m for x in out]
+
+
+@pytest.mark.parametrize("length", [2 * _poly.WALK_WIDTH, 2 * _poly.WALK_WIDTH + 2])
+def test_taylor_shift_terms_at_the_width_cap(length):
+    # at 2 WALK_WIDTH coefficients the walk leaves one merge; past it the
+    # level loop runs on from WALK_WIDTH, two-point
+    rng = random.Random(length)
+    m = 5 ** 17
+    vecs = [density_vec(rng, length, 0.03, m) for _ in range(2)]
+    termss = [terms_of(v, m) for v in vecs]
+    got = _poly.taylor_shift_terms(termss, 1, 1, m, length)
+    assert got == [ref_sparse_binomial(t, m, length) for t in termss]
+    assert [g[:40] for g in got] == [ref_linear_shift(v, 1, 1, m, 40) for v in vecs]
+
+
+@pytest.mark.parametrize("length", [60, 252])
+def test_taylor_shift_terms_fold_bound_worst_case(length):
+    # every nonzero coefficient m - 1 at moduli whose slot of
+    # 2 bits(m) + 6 + bits(length) bits is a whole number of bytes, so the
+    # walk's rows fold at R = 8k - bits(m) - bits(W) with no rounding to
+    # spare: a quarter of the slots (the most the walk takes), a short
+    # dense vector beside a long one-term one, and a dense vector beside
+    # three long one-term ones, for steps of one and two bits
+    for p in (3, 5, 7):
+        e, found = 5, 0
+        while found < 2:
+            e += 1
+            if (2 * (p ** e).bit_length() + 6 + length.bit_length()) % 8:
+                continue
+            found += 1
+            m = p ** e
+            quarter = [m - 1 if i % 4 == 0 else 0 for i in range(length)]
+            top = [0] * (length - 1) + [m - 1]
+            short = [m - 1] * ((length - 4) // 3)
+            dense = [m - 1] * (length // 2)
+            for a, b in ((1, 1), (1, 3), (3, 1), (2, 2)):
+                for vecs in ([quarter], [short, top], [dense, top, top, top]):
+                    got = _poly.taylor_shifts(vecs, a, b, m, length)
+                    assert got == [ref_linear_shift(v, a, b, m, length)
+                                   for v in vecs], (m, a, b, len(vecs))
 
 
 # -- the callers ---------------------------------------------------------------------

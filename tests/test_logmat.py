@@ -411,24 +411,27 @@ def outcome(fn, *args, **kw):
 def test_ap0_skips_zero_and_constant_entries(monkeypatch):
     # P'^(-1) = [[0, 1], [-eps q^(k+1), 0]] is born in Y, phi is Y -> Y^p,
     # and the product with A^(n+1) keeps two nonzero entries: one kernel
-    # call shifts both, two vectors of p^(n+1) coefficients, and the zero
-    # diagonal sends none
-    calls = {"to_onepx_basis": [], "from_onepx_basis": [], "taylor_shifts": []}
+    # call shifts both from their nonzero terms alone, 3 = (k+1)(p-1)+1 for
+    # each factor c_i of a corner, into p^(n+1) coefficients; no dense
+    # wrapper runs, and the zero diagonal sends nothing
+    calls = {name: [] for name in ("to_onepx_basis", "from_onepx_basis",
+                                   "taylor_shift", "taylor_shifts",
+                                   "taylor_shift_terms")}
     for name in calls:
         fn = getattr(_poly, name)
 
         def counted(*a, _fn=fn, _name=name, **kw):
-            out = _fn(*a, **kw)
-            calls[_name].append([len(v) for v in a[0]]
-                                if _name == "taylor_shifts" else len(out))
-            return out
+            calls[_name].append(([len(t) for t in a[0]], a[-1])
+                                if _name == "taylor_shift_terms" else len(a[0]))
+            return _fn(*a, **kw)
         monkeypatch.setattr(_poly, name, counted)
-    for n in (1, 3):
+    for n, corners in ((1, [1, 3]), (3, [3, 9])):
         for name in calls:
             calls[name].clear()
         log_matrix_ap0(params_ap0(3, 12, 0), n)
         assert calls == {"to_onepx_basis": [], "from_onepx_basis": [],
-                         "taylor_shifts": [[3 ** (n + 1)] * 2]}
+                         "taylor_shift": [], "taylor_shifts": [],
+                         "taylor_shift_terms": [(corners, 3 ** (n + 1))]}
 
 
 def reduction_spy(monkeypatch):
@@ -604,23 +607,23 @@ def test_mass_outside_the_principal_coset_raises(p):
     m = p ** 4
     ys = [0] * p ** 3
     ys[1::p] = [5] * len(ys[1::p])
-    _check_support(ys, p, m)
+    _check_support(enumerate(ys), p, m)
     for j in (2, p + 2, p * p - 1, len(ys) - 1):
         bad = list(ys)
         bad[j] = m + 3
         with pytest.raises(NotInImage, match=r"^mass outside the principal "
                            r"coset at \(1\+pi\)\^%d$" % j):
-            _check_support(bad, p, m)
+            _check_support(enumerate(bad), p, m)
     # a psi-position mass is reported before an earlier off-coset mass
     bad = list(ys)
     bad[2] = bad[p * p] = 1
     with pytest.raises(NotInImage,
                        match=r"^psi-component survives at \(1\+pi\)\^%d$"
                        % (p * p)):
-        _check_support(bad, p, m)
+        _check_support(enumerate(bad), p, m)
     bad = list(ys)
     bad[2] = bad[p] = m
-    _check_support(bad, p, m)
+    _check_support(enumerate(bad), p, m)
 
 
 def _bump_first_coefficient(fn):
@@ -634,7 +637,7 @@ def _bump_first_coefficient(fn):
 @pytest.mark.parametrize("name,mutant", [
     ("_check_support", lambda fn: lambda *args: None),
     ("_principal_coset", lambda fn: lambda *args: fn(*args)[::-1]),
-    ("_mellin_entries", _bump_first_coefficient),
+    ("mellin_read", _bump_first_coefficient),
 ], ids=["support-check-off", "coset-reversed", "entry-bumped"])
 def test_mellin_roundtrip_suite_catches_mutants(name, mutant, monkeypatch):
     # the suite reads through `logmat.mellin_read`, so a broken step of the
