@@ -3,8 +3,10 @@
 Coefficient vectors are plain int lists reduced modulo a power of p; the
 series class `iwadist.IwaSeries` wraps them with context and precision
 bookkeeping.  Multiplication is one Kronecker product: both vectors are
-packed into one int each and multiplied once; polynomials with few nonzero
-(exponent, coefficient) terms instead multiply pair by pair (`sparse_mul`).
+packed into one int each and multiplied once, and one helper
+(`_slots_mod`) reads the slots of a product or a shift back mod m;
+polynomials with few nonzero (exponent, coefficient) terms instead
+multiply pair by pair (`sparse_mul`).
 There is one substitution kernel, `taylor_shift_terms`: f(a + bX) mod
 (m, X^n) for a linear a + bX and every f of a list, given by its terms, on
 one plan that the list shares (`taylor_shift` and `taylor_shifts` take
@@ -40,6 +42,7 @@ one exact division over Z, by a monic polynomial (`monic_divmod`).
 from __future__ import annotations
 
 import math
+import sys
 
 
 def pascal_rows(n, modulus):
@@ -107,10 +110,7 @@ def vec_mul(xs, ys, m, cap):
     a = _pack(xs, k)
     b = a if xs == ys else _pack(ys, k)
     r = len(xs) + len(ys) - 1
-    buf = (a * b).to_bytes(k * r, "little")
-    unpack = int.from_bytes
-    out = [unpack(buf[i:i + k], "little") % m for i in range(0, k * min(n, r), k)]
-    return out + [0] * (n - r)
+    return _slots_mod(a * b, k, min(n, r), m) + [0] * (n - r)
 
 
 def sparse_mul(xs, ys, m):
@@ -146,12 +146,11 @@ def trimmed_len(xs, n):
     return n
 
 
-def _slot_folds(m, k, size):
+def _slot_folds(m, k, size, t):
     """The folds that take every k-byte slot of a size-slot int from below
-    2^(8k) towards 2^(bits(m) + 3), mod m, as (b, h, 2^h mod m, mask of the
-    low h bits of each slot, mask of the low 8k - h bits of each slot), with
-    2^b the bound after the fold.  They stop at the bound the widest level
-    of a size-coefficient tree needs (`taylor_shifts`).
+    2^(8k) to at most 2^t, mod m, for t >= bits(m) + 3, as (b, h, 2^h mod
+    m, mask of the low h bits of each slot, mask of the low 8k - h bits of
+    each slot), with 2^b the bound after the fold.
 
     A slot v < 2^c folds to (v >> h) (2^h mod m) + (v mod 2^h)
     < 2^(c - h + bits(m)) + 2^h, which is at most 2^(h+1) when
@@ -159,15 +158,14 @@ def _slot_folds(m, k, size):
     """
     bm = m.bit_length()
     b = 8 * k
-    t = (8 * k - (size - 1).bit_length()) // 2
+    # 1 in each slot: a mask of the low j bits of each slot is (2^j - 1) ones
+    ones = int.from_bytes((1).to_bytes(k, "little") * size, "little")
     out = []
     while b > t:
         b = (b + bm + 3) // 2
         h = b - 1
-        lo = ((1 << h) - 1).to_bytes(k, "little") * size
-        hi = ((1 << 8 * k - h) - 1).to_bytes(k, "little") * size
-        out.append((b, h, pow(2, h, m), int.from_bytes(lo, "little"),
-                    int.from_bytes(hi, "little")))
+        out.append((b, h, (1 << h) % m, ((1 << h) - 1) * ones,
+                    ((1 << 8 * k - h) - 1) * ones))
     return out
 
 
@@ -180,6 +178,51 @@ def _halves(x, k, slots):
         ev[j::k] = buf[j::2 * k]
         od[j::k] = buf[k + j::2 * k]
     return int.from_bytes(ev, "little"), int.from_bytes(od, "little")
+
+
+# When `_slots_mod` gathers, set by timing it against the per-slot read
+# (Python 3.11, a 2-vCPU x86-64 VM) at 32-729 slots mod 2^23 to 2^60: the
+# gather reads a slot in about a third of the time, after about 4 us, and
+# each fold below 2^64 costs about a fifth of a slot read.  With no fold it
+# took 1.03 of the time at 32 slots and 0.83 at 48; with 1, 2 and 3 folds
+# 0.85, 0.89-0.97 and 0.91-0.98 at 64, 128 and 243 slots; with 4 or more
+# folds (bits(m) >= 53) 1.09-1.94 at every length.  So it runs from
+# GATHER_MIN slots, twice that for each fold, up to GATHER_FOLDS folds.
+GATHER_MIN = 32
+GATHER_FOLDS = 3
+# where byte j of a little-endian 8-byte word sits in a native one
+_NATIVE_BYTES = range(8) if sys.byteorder == "little" else range(7, -1, -1)
+
+
+def _slots_mod(x, k, n, m):
+    """The lowest n k-byte slots of x, each reduced mod m: the unpack of
+    every packed product and shift.
+
+    Where the slots fold below 2^64 (`_slot_folds`; bits(m) + 3 <= 64) in
+    f <= GATHER_FOLDS folds and n >= GATHER_MIN 2^f, they are folded, the
+    low 8 bytes of each are gathered into a native 8-byte word by 8 strided
+    slices (as `_halves` splits slots), and one memoryview cast reads the
+    words.  Otherwise each slot is read by its own int.from_bytes.
+    """
+    if x.bit_length() > 8 * k * n:
+        x &= (1 << 8 * k * n) - 1
+    b, f = 8 * k, 0
+    if n >= GATHER_MIN:
+        bm = m.bit_length()
+        while b > 64 and f <= GATHER_FOLDS:
+            b = (b + bm + 3) // 2
+            f += 1
+    if b <= 64 and n >= GATHER_MIN << f:
+        for _, h, c, lo, hi in _slot_folds(m, k, n, 64):
+            x = (x & lo) + (x >> h & hi) * c
+        buf = x.to_bytes(k * n, "little")
+        words = bytearray(8 * n)
+        for j, at in zip(range(k), _NATIVE_BYTES):
+            words[at::8] = buf[j::k]
+        return [v % m for v in memoryview(words).cast("Q")]
+    buf = x.to_bytes(k * n, "little")
+    unpack = int.from_bytes
+    return [unpack(buf[i:i + k], "little") % m for i in range(0, k * n, k)]
 
 
 # Length from which the level loop of `taylor_shift_terms` merges by
@@ -204,12 +247,14 @@ def _terms(v, m):
 
 def taylor_shift(bs, a, b, m, n):
     """sum_j bs[j] (a + bX)^j mod (m, X^n): the kernel on one vector."""
-    return taylor_shift_terms([_terms(bs, m)], a, b, m, n)[0]
+    return _shift([[c % m for c in bs]], True, a, b, m, n)[0]
 
 
 def taylor_shifts(vecs, a, b, m, n):
-    """[sum_j v[j] (a + bX)^j mod (m, X^n) for v in vecs]: the kernel."""
-    return taylor_shift_terms([_terms(v, m) for v in vecs], a, b, m, n)
+    """[sum_j v[j] (a + bX)^j mod (m, X^n) for v in vecs]: the kernel on
+    dense vectors, whose leaves are built from the reduced vectors
+    themselves."""
+    return _shift([[c % m for c in v] for v in vecs], True, a, b, m, n)
 
 
 def taylor_shift_terms(termss, a, b, m, n):
@@ -243,8 +288,12 @@ def taylor_shift_terms(termss, a, b, m, n):
     from 2^c to 2^c', c' = floor((c + bits(m) + 3)/2) < c while
     c > bits(m) + 3, and t >= bits(m) + 3.  Then a coefficient of
     even + g^w odd, or of the square of g^w, is below
-    2^t + w 2^(2t) <= 2^(2t + bits(w)) <= 2^(8k).  Only the output is
-    reduced mod m, and the whole input is substituted before the cut to n.
+    2^t + w 2^(2t) <= 2^(2t + bits(w)) <= 2^(8k).  The whole input is
+    substituted before the cut to n, and only the output is reduced mod m,
+    by `_slots_mod`: where bits(m) + 3 <= 64 and the slots fold below 2^64
+    in f <= GATHER_FOLDS folds, a vector of at least GATHER_MIN 2^f slots
+    is folded and read as native 8-byte words in one gather; any other is
+    read slot by slot.
 
     From TWO_POINT_MIN coefficients on, with two or more levels left, each
     vector is held as two packed ints, H_e and H_o, its even- and odd-index
@@ -257,10 +306,21 @@ def taylor_shift_terms(termss, a, b, m, n):
     product, whose coefficients are below 2^s.  Blocks of w slots (w is
     even whenever a level runs) hold w/2 slots of each half.
     """
-    lens = [terms[-1][0] + 1 if terms else 0 for terms in termss]
+    return _shift(termss, False, a, b, m, n)
+
+
+def _shift(vecs, dense, a, b, m, n):
+    """The kernel of `taylor_shift_terms`, on term lists, or on vectors
+    reduced mod m when `dense` is set: an exact-fit leaf then walks the
+    vector itself, skipping its zeros, and only a vector sparse enough for
+    the walk is turned into terms."""
+    if dense:
+        lens = [trimmed_len(v, len(v)) for v in vecs]
+    else:
+        lens = [terms[-1][0] + 1 if terms else 0 for terms in vecs]
     size = max(lens, default=0)
     if not size:
-        return [[0] * n for _ in termss]
+        return [[0] * n for _ in vecs]
     bm = m.bit_length()
     k = (2 * bm + 6 + size.bit_length() + 7) // 8
     a, b = a % m, b % m
@@ -270,34 +330,39 @@ def taylor_shift_terms(termss, a, b, m, n):
     while w < size and 2 * m * s ** (2 * w - 1) < top:
         w *= 2
     g = (b << 8 * k) + a
-    walk = w < size and 4 * sum(map(len, termss)) <= sum(lens)
+    W = min(-(-size // 4) * 2, WALK_WIDTH)
+    walk = w < W
     if walk:
-        W = min(-(-size // 4) * 2, WALK_WIDTH)
         R = 8 * k - bm - W.bit_length()
         h = (R + bm + 1) // 2
         step = (a + b - 1).bit_length()
-        walk = w < W and h + 1 + step <= R
+        walk = h + 1 + step <= R and 4 * (
+            sum(len(v) - v.count(0) for v in vecs) if dense
+            else sum(map(len, vecs))) <= sum(lens)
     if w >= size:
         # one block per vector, built as the walk passes its terms in order
         xs = []
-        for terms in termss:
+        for v in vecs:
             x, row, r = 0, 1, 0
-            for e, c in terms:
-                while r < e:
-                    row *= g
-                    r += 1
-                x += c * row
+            for e, c in enumerate(v) if dense else v:
+                if c:
+                    while r < e:
+                        row *= g
+                        r += 1
+                    x += c * row
             xs.append(x)
     else:
         if walk:
             w = W
+            if dense:
+                vecs = [_terms(v, m) for v in vecs]
         accs = [[0] * -(-ln // w) for ln in lens]
         if walk:
             lo, hi = [int.from_bytes(((1 << j) - 1).to_bytes(k, "little") * (w + 1),
                                      "little") for j in (h, 8 * k - h)]
             c2h = pow(2, h, m)
             at = {}
-            for acc, terms in zip(accs, termss):
+            for acc, terms in zip(accs, vecs):
                 for e, c in terms:
                     t, r = divmod(e, w)
                     at.setdefault(r, []).append((acc, t, c))
@@ -316,15 +381,16 @@ def taylor_shift_terms(termss, a, b, m, n):
             for _ in range(w - 1):
                 rows.append(rows[-1] * g)
             lw, low = w.bit_length() - 1, w - 1
-            for acc, terms in zip(accs, termss):
-                for e, c in terms:
-                    acc[e >> lw] += c * rows[e & low]
+            for acc, v in zip(accs, vecs):
+                for e, c in enumerate(v) if dense else v:
+                    if c:
+                        acc[e >> lw] += c * rows[e & low]
             row = rows[-1] * g
         xs = [_pack(acc, k * w) for acc in accs]
         g = row
     two = size >= TWO_POINT_MIN and 2 * w < size
     if w < size:
-        folds = _slot_folds(m, k, size)
+        folds = _slot_folds(m, k, size, (8 * k - (size - 1).bit_length()) // 2)
     if two:
         hk = 4 * k
         xs = [_halves(x, k, ln) for x, ln in zip(xs, lens)]
@@ -370,21 +436,15 @@ def taylor_shift_terms(termss, a, b, m, n):
             w *= 2
             if w < size:
                 g *= g
-    unpack = int.from_bytes
     outs = []
     for x, ln in zip(xs, lens):
         r = min(n, ln)
         if two:
-            ev = x[0].to_bytes(k * ((ln + 1) // 2), "little")
-            od = x[1].to_bytes(k * (ln // 2), "little")
             out = [0] * r
-            out[::2] = [unpack(ev[i:i + k], "little") % m
-                        for i in range(0, k * ((r + 1) // 2), k)]
-            out[1::2] = [unpack(od[i:i + k], "little") % m
-                         for i in range(0, k * (r // 2), k)]
+            out[::2] = _slots_mod(x[0], k, (r + 1) // 2, m)
+            out[1::2] = _slots_mod(x[1], k, r // 2, m)
         else:
-            buf = x.to_bytes(k * ln, "little")
-            out = [unpack(buf[i:i + k], "little") % m for i in range(0, k * r, k)]
+            out = _slots_mod(x, k, r, m)
         outs.append(out + [0] * (n - r))
     return outs
 

@@ -33,8 +33,11 @@ def _dumps(obj, indent=""):
 
     With indent set, json.dumps runs its pure-Python encoder; here lists of
     ints or of strings are joined with str.join and strings go through the
-    C string encoder.  Any other type is left to json.dumps, its lines
-    shifted to this depth (a JSON string holds no raw newline).
+    C string encoder.  A list of strings whose join is ASCII and decimal,
+    such as a series' coefficients, is written by one str.join with no
+    encode: its strings hold nothing to escape.  Any other type is left to
+    json.dumps, its lines shifted to this depth (a JSON string holds no raw
+    newline).
     """
     kind = type(obj)
     inner = indent + "  "
@@ -49,6 +52,14 @@ def _dumps(obj, indent=""):
     if kind is list:
         if not obj:
             return "[]"
+        if type(obj[0]) is str:
+            try:
+                flat = "".join(obj)
+            except TypeError:
+                flat = ""
+            if flat.isascii() and flat.isdecimal():
+                return ('[\n' + inner + '"' + ('",\n' + inner + '"').join(obj)
+                        + '"\n' + indent + "]")
         kinds = set(map(type, obj))
         if kinds == {int}:
             items = map(int.__repr__, obj)

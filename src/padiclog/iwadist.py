@@ -344,9 +344,9 @@ class IwaSeries:
         out = {"var": "X", "p": self.ctx.p, "deg_cap": self.deg_cap,
                "prec": self.prec, "growth": str(self.growth),
                "denom_exp": self.denom_exp,
-               "coeffs": [str(c) for c in self.a]}
+               "coeffs": list(map(str, self.a))}
         if self.b:
-            out["coeffs_w"] = [str(c) for c in self.b]
+            out["coeffs_w"] = list(map(str, self.b))
         return out
 
     def __repr__(self):

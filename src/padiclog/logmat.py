@@ -45,9 +45,13 @@ only its outputs are dense.  Being unipotent, the change keeps the
 p-content that `normalize` would strip afterwards, so the content is read
 off the terms (one gcd) and divided out first.
 
-Q_g^(-1) is constant, so Q_g^(-1) M (`qinv_times`) is one pass per entry
-that scales and adds the int vectors of a column of M; the zeros of M add
-only their precision, denominator and growth.
+In a_p = 0 mode beta = -alpha, so Q_g^(-1) = [[1, c], [1, -c]], c =
+1/alpha, and Q_g^(-1) M (`qinv_times`) takes one inverse of alpha: per
+column (f0, f1) of M, P = f0 and Q = c f1 are scaled once and the rows
+are P + Q and P - Q.  Each column of the log matrix has one zero entry,
+so three vector passes build the product; a zero adds only its
+precision, denominator and growth, and where Q is zero both rows are one
+series.
 
 The general Fontaine-Laffaille-style case has no explicit Frobenius lift
 formula here, so only a_p = 0 builds a logarithmic matrix; the
@@ -172,9 +176,12 @@ class LogMatrix:
         return e[0][0] * e[1][1] - e[0][1] * e[1][0]
 
     def to_json(self):
+        # an entry object that appears twice is converted once
+        done = {}
         return {"dim": self.dim, "level": self.level,
                 "provenance": self.provenance,
-                "entries": [[e.to_json() for e in row] for row in self.entries]}
+                "entries": [[done.get(id(e)) or done.setdefault(id(e), e.to_json())
+                             for e in row] for row in self.entries]}
 
     def __repr__(self):
         return "LogMatrix(dim=%d, level=%r, %s)" % (self.dim, self.level, self.provenance)
@@ -370,50 +377,13 @@ def window_ideal(mat):
     return omega(ctx, lvl, ctx.p ** lvl + 2)
 
 
-def _scaled_column(row, col):
-    """row[0] col[0] + row[1] col[1] for constant series row[t] and series
-    col[t], with the fields `LogMatrix.__matmul__` gives once row is widened
-    to col's window: one pass scales and adds the int vectors of col.
-
-    A zero entry of col adds only its precision, denominator and growth.
-    As in `_aligned`, a term whose denominator is raised by s is scaled by
-    p^s, and its precision rises by s, up to the context's.
-    """
-    ctx = row[0].ctx
-    wsq = ctx.wsq()
-    denoms = [c.denom_exp + f.denom_exp for c, f in zip(row, col)]
-    d = max(denoms)
-    precs = [min(c.prec, f.prec) if d == dt else
-             min(c.prec + d - dt, f.prec + d - dt, ctx.prec)
-             for c, f, dt in zip(row, col, denoms)]
-    prec = min(precs)
-    cap = min(f.deg_cap for f in col)
-    m = ctx.p ** prec
-    # (scalar, vector) terms of the base part and of the w-part
-    pa, pb = [], []
-    for c, f, dt in zip(row, col, denoms):
-        if f.is_zero():
-            continue
-        if f.b and wsq is None:
-            raise ValueError("extension coefficients without an extension")
-        s = ctx.p ** (d - dt)
-        ca, cb = c.a[0] * s, (c.b[0] * s if c.b else 0)
-        pa.append((ca, f.a[:cap]))
-        if cb:
-            pb.append((cb, f.a[:cap]))
-        if f.b:
-            pb.append((ca, f.b[:cap]))
-            pa.append((cb * wsq, f.b[:cap]))
-    a = _lin_comb(pa, m, cap)
-    b = _lin_comb(pb, m, cap) if pb else None
-    return IwaSeries._reduced(ctx, a, b, prec, cap, d,
-                              max(c.growth + f.growth for c, f in zip(row, col)))
-
-
-def _lin_comb(terms, m, cap):
-    """sum c v mod m over the (c, v) terms, as a vector of length cap."""
+def _scaled(terms, m, cap):
+    """sum c v mod m over the (c, v) terms, v of length at least cap, as a
+    vector of length cap; a term whose c vanishes mod m costs no pass, and
+    None stands for the zero vector when no term is left."""
+    terms = [(c, v if len(v) == cap else v[:cap]) for c, v in terms if c % m]
     if not terms:
-        return [0] * cap
+        return None
     (c, v), *rest = terms
     if not rest:
         return [c * x % m for x in v]
@@ -423,18 +393,84 @@ def _lin_comb(terms, m, cap):
     return [y % m for y in acc]
 
 
-def qinv_times(params, mat):
-    """Q_g^(-1) * M for a 2x2 logarithmic matrix M.
+def _sum_and_difference(x, y, m):
+    """(x + y, x - y) mod m for vectors x and y, None standing for zero:
+    one pass when one of them is zero, none when y is."""
+    if y is None:
+        return x, x
+    if x is None:
+        return y, [m - v if v else 0 for v in y]
+    return [(u + v) % m for u, v in zip(x, y)], [(u - v) % m for u, v in zip(x, y)]
 
-    Q_g^(-1) is constant, so each entry of the product is one pass over a
-    column of M (`_scaled_column`), with the fields of
-    `q_matrix_inv(params)` widened to M's window, times M.
+
+def _qinv_column(c, f0, f1):
+    """Rows 0 and 1 of Q_g^(-1) (f0, f1) for Q_g^(-1) = [[1, c], [1, -c]],
+    with the fields `LogMatrix.__matmul__` gives once Q_g^(-1) is widened to
+    the column's window: the sum and the difference of P = f0 and Q = c f1.
+
+    A zero entry adds only its precision, denominator and growth.  When Q
+    is zero, row 1 is row 0's series itself: nothing mutates a stored
+    vector.
     """
+    ctx = c.ctx
+    wsq = ctx.wsq()
+    if (f0.b or f1.b) and wsq is None:
+        raise ValueError("extension coefficients without an extension")
+    # the terms 1 f0 and c f1, over p^d0 and p^d1, are raised to p^d as in
+    # `IwaSeries._aligned`: scaled by p^(d - dt), their precisions up by
+    # d - dt, at most the context's, which bounds those of 1 and c
+    d0, d1 = f0.denom_exp, c.denom_exp + f1.denom_exp
+    d = max(d0, d1)
+    prec = min(ctx.prec, f0.prec + d - d0, c.prec + d - d1, f1.prec + d - d1)
+    cap = min(f0.deg_cap, f1.deg_cap)
+    m = ctx.p ** prec
+    # P = s0 f0 and Q = (ca + cb w)(f1.a + f1.b w), as base and w-parts
+    pa = pb = qa = qb = None
+    if not f0.is_zero():
+        s0 = ctx.p ** (d - d0)
+        pa = _scaled([(s0, f0.a)], m, cap)
+        pb = _scaled([(s0, f0.b)], m, cap) if f0.b else None
+    if not f1.is_zero():
+        s1 = ctx.p ** (d - d1)
+        ca, cb = c.a[0] * s1, (c.b[0] * s1 if c.b else 0)
+        if f1.b:
+            qa = _scaled([(ca, f1.a), (cb * wsq, f1.b)], m, cap)
+            qb = _scaled([(cb, f1.a), (ca, f1.b)], m, cap)
+        else:
+            qa = _scaled([(ca, f1.a)], m, cap)
+            qb = _scaled([(cb, f1.a)], m, cap)
+    growth = max(f0.growth, f1.growth)
+    a0, a1 = _sum_and_difference(pa, qa, m)
+    b0, b1 = _sum_and_difference(pb, qb, m)
+    row0 = IwaSeries._reduced(ctx, a0 or [0] * cap, b0, prec, cap, d, growth)
+    if qa is None and qb is None:
+        return row0, row0
+    return row0, IwaSeries._reduced(ctx, a1 or [0] * cap, b1, prec, cap, d, growth)
+
+
+def qinv_times(params, mat):
+    """Q_g^(-1) * M for a 2x2 logarithmic matrix M, in a_p = 0 mode.
+
+    There beta = -alpha, so Q_g^(-1) = [[1, c], [1, -c]] with c = 1/alpha,
+    the one inverse taken, and column j of the product is P + Q over
+    P - Q for P = M[0][j] and Q = c M[1][j] (`_qinv_column`): one pass
+    scales each nonzero part, and one more takes their sum and difference,
+    or the negation of Q where P is zero.  Each column of the a_p = 0
+    matrix has one zero entry, so three passes build the product, and the
+    rows of its column 1 are one series.
+    """
+    if params.mode != AP_ZERO:
+        raise WrongMode("qinv_times requires a_p = 0 mode")
     assert mat.dim == 2
-    qi = q_matrix_inv(params).entries
-    cols = [[mat.entries[0][j], mat.entries[1][j]] for j in range(2)]
-    out = [[_scaled_column(qi[i], cols[j]) for j in range(2)] for i in range(2)]
-    return LogMatrix(out, mat.level, "Qg^-1 * " + (mat.provenance or "M"))
+    al = params.alpha
+    if (al - params.beta).is_zero():
+        raise DegenerateEigenvalues("alpha = beta at working precision")
+    ai, ea = inv_scaled(al)
+    c = IwaSeries.const(params.ctx, ai, 1).times_p(-ea).normalize()
+    (e00, e01), (e10, e11) = mat.entries
+    (r00, r10), (r01, r11) = _qinv_column(c, e00, e10), _qinv_column(c, e01, e11)
+    return LogMatrix([[r00, r01], [r10, r11]], mat.level,
+                     "Qg^-1 * " + (mat.provenance or "M"))
 
 
 def semi_ordinary_block(mg, k_f, u_f, lower_left):

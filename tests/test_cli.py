@@ -478,6 +478,9 @@ JSON_DOCS = [
     {"deep": {"er": {"est": [[[1, 2], ["a"]], {"k": [False]}]}}},
     {"b": 1, "a": 2, "B": 3, "_": 4, "": 5},
     {1: "int key", 2: [3]}, [{3: 4}], [10 ** 40, -(10 ** 40)],
+    # lists about the ASCII-decimal fast path: leading zeros, a non-ASCII
+    # decimal digit, an empty string, a sign, a non-string, a space
+    ["007", "12"], ["\u0663"], ["", "1"], ["1", "-2"], ["1", 2], [" 1"],
 ]
 
 

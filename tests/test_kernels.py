@@ -684,6 +684,67 @@ def test_taylor_shift_terms_fold_bound_worst_case(length):
                                    for v in vecs], (m, a, b, len(vecs))
 
 
+def first_power_of_bits(p, bits):
+    """The least power of p with the given bit length."""
+    m = p
+    while m.bit_length() < bits:
+        m *= p
+    assert m.bit_length() == bits
+    return m
+
+
+def ref_slots(x, k, n, m):
+    """The lowest n k-byte slots of x mod m, one int.from_bytes a slot."""
+    buf = (x & ((1 << 8 * k * n) - 1)).to_bytes(k * n, "little")
+    return [int.from_bytes(buf[i:i + k], "little") % m for i in range(0, k * n, k)]
+
+
+# bits(m) + 3 = 64 (the last modulus whose slots fold below 2^64) and 65
+UNPACK_MODULI = [5 ** 10, 3 ** 22, first_power_of_bits(3, 61), first_power_of_bits(3, 62)]
+
+
+@pytest.fixture(params=["default", "always"])
+def gather(request, monkeypatch):
+    """The unpack as set, or gathering at every length and fold count
+    where the slots fold below 2^64."""
+    if request.param == "always":
+        monkeypatch.setattr(_poly, "GATHER_MIN", 0)
+        monkeypatch.setattr(_poly, "GATHER_FOLDS", 64)
+    return request.param
+
+
+@pytest.mark.parametrize("m", UNPACK_MODULI)
+def test_slots_mod_matches_per_slot_read(m, gather):
+    # slot widths on both sides of 8 bytes, worst-case (all ones) and random
+    # slots, and an int with more slots than are read
+    rng = random.Random(m % 1000)
+    for k in (1, 3, 7, 8, 9, 11, 16, 17, 24):
+        for n in (0, 1, 2, 3, 32, 33, 64, 129):
+            for x in (int.from_bytes(b"\xff" * (k * n), "little"),
+                      rng.getrandbits(8 * k * n + 8 * k)):
+                assert _poly._slots_mod(x, k, n, m) == ref_slots(x, k, n, m), (k, n)
+
+
+@pytest.mark.parametrize("m", UNPACK_MODULI)
+def test_unpack_in_products_and_shifts(m, gather):
+    # the unpack of vec_mul and of both trees against the schoolbook
+    # product and the Horner shift: lengths 1 and 2, odd and even ones on
+    # the one-point tree and past TWO_POINT_MIN on the two-point tree, at
+    # slots of 8 bytes or fewer (m = 5^10, short vectors) and wider
+    rng = random.Random(m % 997)
+    c = pow(1 + 3, -1, m) if m % 2 else 3
+    for length in (1, 2, 33, 64, _poly.TWO_POINT_MIN + 1, _poly.TWO_POINT_MIN + 2):
+        xs = [rng.randrange(m) for _ in range(length)]
+        ys = [m - 1] * length
+        assert _poly.vec_mul(xs, ys, m, 2 * length) == ref_vec_mul(xs, ys, m, 2 * length)
+        assert _poly.vec_mul(xs, xs, m, length) == ref_vec_mul(xs, xs, m, length)
+        for a, b in ((1, 1), (c - 1, c)):
+            for n in (length, length // 2 + 1):
+                got = _poly.taylor_shifts([xs, ys[:length // 2 + 1]], a, b, m, n)
+                assert got == [ref_linear_shift(v, a, b, m, n)
+                               for v in (xs, ys[:length // 2 + 1])], (length, a, n)
+
+
 # -- the callers ---------------------------------------------------------------------
 
 

@@ -96,6 +96,38 @@ def test_log_matrix_ap0_wrong_mode():
         log_matrix_ap0(pr, 1)
 
 
+def test_qinv_times_wrong_mode():
+    # Q_g^(-1) in closed form needs beta = -alpha: a distinct-eigenvalue
+    # pair is refused before any entry is read
+    ctx = PrimeCtx(5, 8)
+    pr = CrystalParams.fl_supplied(ctx, 0, ctx.one(), ctx.from_int(2),
+                                   ctx.from_int(pow(2, -1, 5 ** 8) * 5 % 5 ** 8))
+    mat = log_matrix_ap0(params_ap0(5, 8, 0), 1)
+    with pytest.raises(WrongMode):
+        qinv_times(pr, mat)
+
+
+# the benchmark's log-matrix ladder: p = 3 at levels 3-5, p = 5 at 2-3 and
+# p = 7 at 2, each at k = 0 and 1
+LADDER_KEYS = [(p, n, k) for p, ns in ((3, (3, 4, 5)), (5, (2, 3)), (7, (2,)))
+               for n in ns for k in (0, 1)]
+
+
+@pytest.mark.parametrize("p,n,k", LADDER_KEYS)
+def test_qinv_rows_are_sum_and_difference(p, n, k):
+    # row 1 of Q_g^(-1) M is row 0 with c = 1/alpha negated: in each column
+    # one entry of M is zero, so (1,0) = -(0,0) and (1,1) = (0,1), the
+    # latter one series; the unramified (k = 1 at p = 3, 7) and ramified
+    # (k = 0) alphas put column 0 in the w-part
+    pr = params_ap0(p, 12, k)
+    qm = qinv_times(pr, log_matrix_ap0(pr, n))
+    (e00, e01), (e10, e11) = qm.entries
+    assert e10.to_json() == (-e00).to_json()
+    assert e11 is e01
+    assert (e00.b is not None) == (pr.ctx.ext is not None)
+    assert e00.to_json() != e10.to_json()
+
+
 def test_log_matrix_antidiagonal():
     # the product of an odd number of antidiagonal factors stays antidiagonal
     for (k, n) in ((0, 1), (0, 2), (1, 1)):
