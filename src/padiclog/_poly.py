@@ -3,14 +3,12 @@
 Coefficient vectors are plain int lists reduced modulo a power of p; the
 series class `iwadist.IwaSeries` wraps them with context and precision
 bookkeeping.  Multiplication is one Kronecker product: both vectors are
-packed into one int each and multiplied once, and one helper
-(`_slots_mod`) reads the slots of a product or a shift back mod m;
-polynomials with few nonzero (exponent, coefficient) terms instead
-multiply pair by pair (`sparse_mul`).
+packed into one int each and multiplied once; polynomials with few nonzero
+(exponent, coefficient) terms instead multiply pair by pair (`sparse_mul`).
 There is one substitution kernel, `taylor_shift_terms`: f(a + bX) mod
 (m, X^n) for a linear a + bX and every f of a list, given by its terms, on
-one plan that the list shares (`taylor_shift` and `taylor_shifts` take
-dense vectors).  It is a tree of packed merges over leaves built from the
+one plan that the list shares; `taylor_shift` hands it the terms of one
+dense vector.  It is a tree of packed merges over leaves built from the
 terms alone: one streamed walk of the rows (a + bX)^r, folded mod m when
 their slots would pass a bound R, adds each term to its block, so a
 sparse input, such as a log-matrix corner, can take leaves of half its
@@ -31,6 +29,9 @@ the reversed divisor, built by Newton doubling (`series_inverse`), and the
 remainder one more (`divmod_held`, which also serves a caller that holds a
 fixed divisor with its inverse as a `HeldDivisor`).  Short divisors and
 quotients keep the schoolbook loop.
+
+The product, the shift and the held division all read their packed slots
+back mod m through one helper, `_slots_mod`.
 
 The elementary number theory the package needs around that core -- primality,
 the Jacobi symbol, square roots modulo a prime and the cyclotomic
@@ -106,7 +107,7 @@ def vec_mul(xs, ys, m, cap):
         # a constant factor is a scale: nothing to pack
         c, v = (xs[0], ys) if len(xs) == 1 else (ys[0], xs)
         return [c * y % m for y in v] + [0] * (n - len(v))
-    k = (2 * m.bit_length() + min(len(xs), len(ys)).bit_length() + 7) // 8
+    k = _slot_bytes(m, m, min(len(xs), len(ys)))
     a = _pack(xs, k)
     b = a if xs == ys else _pack(ys, k)
     r = len(xs) + len(ys) - 1
@@ -196,7 +197,7 @@ _NATIVE_BYTES = range(8) if sys.byteorder == "little" else range(7, -1, -1)
 
 def _slots_mod(x, k, n, m):
     """The lowest n k-byte slots of x, each reduced mod m: the unpack of
-    every packed product and shift.
+    every packed product, shift and held division.
 
     Where the slots fold below 2^64 (`_slot_folds`; bits(m) + 3 <= 64) in
     f <= GATHER_FOLDS folds and n >= GATHER_MIN 2^f, they are folded, the
@@ -230,7 +231,11 @@ def _slots_mod(x, k, n, m):
 # (Python 3.11, a 2-vCPU x86-64 VM) on dense vectors mod about 2^26 and
 # 2^40, for the shift (1, 1) and a twist's (c - 1, c): the two-point tree
 # took 1.02-1.12 of the time at 96-128 coefficients, about 1.00 at 160 and
-# 0.95-1.00 from 176 to 256; for one merge, one point was as fast.
+# 0.95-1.00 from 176 to 256; for one merge, one point was as fast.  Neither
+# benchmark workload reaches a two-point merge, but `halflog` at p=3 level
+# >= 6 and p=5 level >= 4, `logmatrix --p 3 --k 2 --level 5` and `check
+# --suite cyclotomic-identities` do: with the merges off they ran 1.04-1.13
+# times as long end to end (15 paired in-process runs each).
 TWO_POINT_MIN = 192
 # Widest leaf of the walk, by timing the log-matrix Mellin reads at p=3
 # n=6-8, p=5 n=4-5 and p=7 n=3-4 (2187-19683 coefficients, 1-10% nonzero)
@@ -246,15 +251,8 @@ def _terms(v, m):
 
 
 def taylor_shift(bs, a, b, m, n):
-    """sum_j bs[j] (a + bX)^j mod (m, X^n): the kernel on one vector."""
-    return _shift([[c % m for c in bs]], True, a, b, m, n)[0]
-
-
-def taylor_shifts(vecs, a, b, m, n):
-    """[sum_j v[j] (a + bX)^j mod (m, X^n) for v in vecs]: the kernel on
-    dense vectors, whose leaves are built from the reduced vectors
-    themselves."""
-    return _shift([[c % m for c in v] for v in vecs], True, a, b, m, n)
+    """sum_j bs[j] (a + bX)^j mod (m, X^n): the kernel on one dense vector."""
+    return taylor_shift_terms([_terms(bs, m)], a, b, m, n)[0]
 
 
 def taylor_shift_terms(termss, a, b, m, n):
@@ -290,10 +288,7 @@ def taylor_shift_terms(termss, a, b, m, n):
     even + g^w odd, or of the square of g^w, is below
     2^t + w 2^(2t) <= 2^(2t + bits(w)) <= 2^(8k).  The whole input is
     substituted before the cut to n, and only the output is reduced mod m,
-    by `_slots_mod`: where bits(m) + 3 <= 64 and the slots fold below 2^64
-    in f <= GATHER_FOLDS folds, a vector of at least GATHER_MIN 2^f slots
-    is folded and read as native 8-byte words in one gather; any other is
-    read slot by slot.
+    by `_slots_mod`.
 
     From TWO_POINT_MIN coefficients on, with two or more levels left, each
     vector is held as two packed ints, H_e and H_o, its even- and odd-index
@@ -306,21 +301,10 @@ def taylor_shift_terms(termss, a, b, m, n):
     product, whose coefficients are below 2^s.  Blocks of w slots (w is
     even whenever a level runs) hold w/2 slots of each half.
     """
-    return _shift(termss, False, a, b, m, n)
-
-
-def _shift(vecs, dense, a, b, m, n):
-    """The kernel of `taylor_shift_terms`, on term lists, or on vectors
-    reduced mod m when `dense` is set: an exact-fit leaf then walks the
-    vector itself, skipping its zeros, and only a vector sparse enough for
-    the walk is turned into terms."""
-    if dense:
-        lens = [trimmed_len(v, len(v)) for v in vecs]
-    else:
-        lens = [terms[-1][0] + 1 if terms else 0 for terms in vecs]
+    lens = [terms[-1][0] + 1 if terms else 0 for terms in termss]
     size = max(lens, default=0)
     if not size:
-        return [[0] * n for _ in vecs]
+        return [[0] * n for _ in termss]
     bm = m.bit_length()
     k = (2 * bm + 6 + size.bit_length() + 7) // 8
     a, b = a % m, b % m
@@ -336,33 +320,28 @@ def _shift(vecs, dense, a, b, m, n):
         R = 8 * k - bm - W.bit_length()
         h = (R + bm + 1) // 2
         step = (a + b - 1).bit_length()
-        walk = h + 1 + step <= R and 4 * (
-            sum(len(v) - v.count(0) for v in vecs) if dense
-            else sum(map(len, vecs))) <= sum(lens)
+        walk = h + 1 + step <= R and 4 * sum(map(len, termss)) <= sum(lens)
     if w >= size:
         # one block per vector, built as the walk passes its terms in order
         xs = []
-        for v in vecs:
+        for terms in termss:
             x, row, r = 0, 1, 0
-            for e, c in enumerate(v) if dense else v:
-                if c:
-                    while r < e:
-                        row *= g
-                        r += 1
-                    x += c * row
+            for e, c in terms:
+                while r < e:
+                    row *= g
+                    r += 1
+                x += c * row
             xs.append(x)
     else:
         if walk:
             w = W
-            if dense:
-                vecs = [_terms(v, m) for v in vecs]
         accs = [[0] * -(-ln // w) for ln in lens]
         if walk:
             lo, hi = [int.from_bytes(((1 << j) - 1).to_bytes(k, "little") * (w + 1),
                                      "little") for j in (h, 8 * k - h)]
             c2h = pow(2, h, m)
             at = {}
-            for acc, terms in zip(accs, vecs):
+            for acc, terms in zip(accs, termss):
                 for e, c in terms:
                     t, r = divmod(e, w)
                     at.setdefault(r, []).append((acc, t, c))
@@ -381,10 +360,9 @@ def _shift(vecs, dense, a, b, m, n):
             for _ in range(w - 1):
                 rows.append(rows[-1] * g)
             lw, low = w.bit_length() - 1, w - 1
-            for acc, v in zip(accs, vecs):
-                for e, c in enumerate(v) if dense else v:
-                    if c:
-                        acc[e >> lw] += c * rows[e & low]
+            for acc, terms in zip(accs, termss):
+                for e, c in terms:
+                    acc[e >> lw] += c * rows[e & low]
             row = rows[-1] * g
         xs = [_pack(acc, k * w) for acc in accs]
         g = row
@@ -605,12 +583,6 @@ def _pack(xs, k):
     return int.from_bytes(b"".join([x.to_bytes(k, "little") for x in xs]), "little")
 
 
-def _unpack(x, k, n):
-    """The n k-byte slots of x, lowest first: the inverse of _pack."""
-    buf = x.to_bytes(k * n, "little")
-    return [int.from_bytes(buf[i:i + k], "little") for i in range(0, k * n, k)]
-
-
 class HeldDivisor:
     """A divisor g held for repeated division by `divmod_held`.
 
@@ -640,7 +612,7 @@ class HeldDivisor:
         """The held inverse of the reversed g, as a list (None if none)."""
         if self.rpack is None:
             return None
-        return _unpack(self.rpack, self.slot, self.length)
+        return _slots_mod(self.rpack, self.slot, self.length, self.mod)
 
 
 def divmod_held(r, held, m, quotient=True):
@@ -664,18 +636,13 @@ def divmod_held(r, held, m, quotient=True):
         rinv = series_inverse(g[::-1], m, dq, held.reciprocal())
         k = _slot_bytes(held.bound, held.mod, max(dq, len(g)))
         rpack, gpack = _pack(rinv, k), _pack(g, k)
-    unpack = int.from_bytes
-    # r[dg:] as big-endian slots read as one big-endian int: rev(r) packed
-    x = unpack(b"".join([c.to_bytes(k, "big") for c in r[dg:]]), "big")
     nq = dq if quotient else min(dq, dg)
-    # slots dq-1 .. dq-nq of rev(r) rinv, highest first: q[0] .. q[nq-1]
+    # slots dq-nq .. dq-1 of rev(r) rinv, lowest first: q[nq-1] .. q[0]
     low = (1 << 8 * k * dq) - 1
-    buf = ((x * (rpack & low) & low) >> 8 * k * (dq - nq)).to_bytes(k * nq, "big")
-    q = [unpack(buf[i:i + k], "big") % m for i in range(0, k * nq, k)]
-    buf = ((_pack(q[:dg], k) * gpack) & ((1 << 8 * k * dg) - 1)
-           ).to_bytes(k * dg, "little")
-    rem = [(c - unpack(buf[i:i + k], "little")) % m
-           for c, i in zip(r, range(0, k * dg, k))]
+    q = _slots_mod(_pack(r[dg:][::-1], k) * (rpack & low) >> 8 * k * (dq - nq),
+                   k, nq, m)[::-1]
+    rem = [(c - d) % m for c, d in zip(r, _slots_mod(_pack(q[:dg], k) * gpack,
+                                                      k, dg, m))]
     return q, rem
 
 

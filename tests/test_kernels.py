@@ -481,7 +481,8 @@ def test_taylor_shifts_match_horner(p):
                 longest = max(lengths)
                 want = [ref_linear_shift(v, a, b, m, longest + 3) for v in vecs]
                 for n in (longest // 2, longest + 3):
-                    got = _poly.taylor_shifts(vecs, a, b, m, n)
+                    got = _poly.taylor_shift_terms([terms_of(v, m) for v in vecs],
+                                                   a, b, m, n)
                     assert got == [w[:n] for w in want], (m, a, b, lengths, n)
                 calls += 1
     assert calls == 27
@@ -501,7 +502,8 @@ def test_taylor_shifts_fold_target_worst_case(length):
         m = p ** e
         vecs = [[m - 1] * length, [m - 1] * (length // 2 + 1)]
         for a, b in ((1, 1), (m - 2, m - 1)):
-            got = _poly.taylor_shifts(vecs, a, b, m, length)
+            got = _poly.taylor_shift_terms([terms_of(v, m) for v in vecs],
+                                           a, b, m, length)
             assert got == [ref_linear_shift(v, a, b, m, length) for v in vecs]
 
 
@@ -679,7 +681,8 @@ def test_taylor_shift_terms_fold_bound_worst_case(length):
             dense = [m - 1] * (length // 2)
             for a, b in ((1, 1), (1, 3), (3, 1), (2, 2)):
                 for vecs in ([quarter], [short, top], [dense, top, top, top]):
-                    got = _poly.taylor_shifts(vecs, a, b, m, length)
+                    got = _poly.taylor_shift_terms([terms_of(v, m) for v in vecs],
+                                                   a, b, m, length)
                     assert got == [ref_linear_shift(v, a, b, m, length)
                                    for v in vecs], (m, a, b, len(vecs))
 
@@ -727,10 +730,11 @@ def test_slots_mod_matches_per_slot_read(m, gather):
 
 @pytest.mark.parametrize("m", UNPACK_MODULI)
 def test_unpack_in_products_and_shifts(m, gather):
-    # the unpack of vec_mul and of both trees against the schoolbook
-    # product and the Horner shift: lengths 1 and 2, odd and even ones on
-    # the one-point tree and past TWO_POINT_MIN on the two-point tree, at
-    # slots of 8 bytes or fewer (m = 5^10, short vectors) and wider
+    # the unpack of vec_mul, of both trees and of the held division against
+    # the schoolbook product, the Horner shift and the schoolbook division:
+    # lengths 1 and 2, odd and even ones on the one-point tree and past
+    # TWO_POINT_MIN on the two-point tree, at slots of 8 bytes or fewer
+    # (m = 5^10, short vectors) and wider
     rng = random.Random(m % 997)
     c = pow(1 + 3, -1, m) if m % 2 else 3
     for length in (1, 2, 33, 64, _poly.TWO_POINT_MIN + 1, _poly.TWO_POINT_MIN + 2):
@@ -740,9 +744,20 @@ def test_unpack_in_products_and_shifts(m, gather):
         assert _poly.vec_mul(xs, xs, m, length) == ref_vec_mul(xs, xs, m, length)
         for a, b in ((1, 1), (c - 1, c)):
             for n in (length, length // 2 + 1):
-                got = _poly.taylor_shifts([xs, ys[:length // 2 + 1]], a, b, m, n)
-                assert got == [ref_linear_shift(v, a, b, m, n)
-                               for v in (xs, ys[:length // 2 + 1])], (length, a, n)
+                vecs = [xs, ys[:length // 2 + 1]]
+                got = _poly.taylor_shift_terms([terms_of(v, m) for v in vecs], a, b, m, n)
+                assert got == [ref_linear_shift(v, a, b, m, n) for v in vecs], (length, a, n)
+    # divisors of degree 0, 1 and 30 with a unit top m - 1, held for
+    # quotients of 33 coefficients (65 extends the reciprocal)
+    for dg in (0, 1, 30):
+        g = [rng.randrange(m) for _ in range(dg)] + [m - 1]
+        held = _poly.HeldDivisor(g, m, 33)
+        for dq in (1, 2, 33, 65):
+            for f in ([rng.randrange(m) for _ in range(dg + dq)], [m - 1] * (dg + dq)):
+                q, r = ref_poly_divmod_top(f, g, m, None, None)
+                r += [0] * (dg - len(r))
+                assert _poly.divmod_held(f, held, m) == (q, r), (dg, dq)
+                assert _poly.divmod_held(f, held, m, quotient=False) == (q[:dg], r)
 
 
 # -- the callers ---------------------------------------------------------------------

@@ -447,8 +447,7 @@ def test_ap0_skips_zero_and_constant_entries(monkeypatch):
     # each factor c_i of a corner, into p^(n+1) coefficients; no dense
     # wrapper runs, and the zero diagonal sends nothing
     calls = {name: [] for name in ("to_onepx_basis", "from_onepx_basis",
-                                   "taylor_shift", "taylor_shifts",
-                                   "taylor_shift_terms")}
+                                   "taylor_shift", "taylor_shift_terms")}
     for name in calls:
         fn = getattr(_poly, name)
 
@@ -462,7 +461,7 @@ def test_ap0_skips_zero_and_constant_entries(monkeypatch):
             calls[name].clear()
         log_matrix_ap0(params_ap0(3, 12, 0), n)
         assert calls == {"to_onepx_basis": [], "from_onepx_basis": [],
-                         "taylor_shift": [], "taylor_shifts": [],
+                         "taylor_shift": [],
                          "taylor_shift_terms": [(corners, 3 ** (n + 1))]}
 
 
